@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -194,6 +197,94 @@ TEST(DcAsgdBaseline, RejectsNegativeLambda) {
   spec.model = tiny_model();
   spec.lambda = -0.1;
   EXPECT_THROW(run_dcasgd_baseline(spec), Error);
+}
+
+// --- Pinned goldens ---------------------------------------------------------
+//
+// Every baseline's per-epoch accuracies and its counters, captured before
+// the baselines shared one minibatch step (core/local_sgd.hpp), so that
+// fold must reproduce them bit for bit. Four epochs: at two, Downpour,
+// DC-ASGD and EASGD all sit at chance and their accuracy hashes coincide.
+
+// FNV-1a over the bit patterns of each epoch's val_acc and test_acc.
+std::uint64_t accuracy_bits(const std::vector<EpochStats>& epochs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const EpochStats& e : epochs) {
+    for (const double v : {e.val_acc, e.test_acc}) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xffu;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(BaselineGoldens, Serial) {
+  SerialSpec spec;
+  spec.data = tiny_data();
+  spec.model = tiny_model();
+  spec.max_epochs = 4;
+  spec.batch_size = 10;
+  spec.learning_rate = 3e-3;
+  const SerialResult r = run_serial_baseline(spec);
+  ASSERT_EQ(r.epochs.size(), 4u);
+  EXPECT_EQ(accuracy_bits(r.epochs), 0x4f64ada9df4381f3ULL);
+}
+
+TEST(BaselineGoldens, Downpour) {
+  DownpourSpec spec;
+  spec.data = tiny_data();
+  spec.model = tiny_model();
+  spec.workers = 3;
+  spec.max_epochs = 4;
+  spec.batch_size = 10;
+  spec.learning_rate = 3e-3;
+  spec.worker_speeds = {1.0, 0.5};
+  spec.fail_worker = 2;
+  spec.fail_after_epoch = 2;
+  const DownpourResult r = run_downpour_baseline(spec);
+  ASSERT_EQ(r.epochs.size(), 4u);
+  EXPECT_EQ(accuracy_bits(r.epochs), 0x43488e05adaeeaf7ULL);
+  EXPECT_EQ(r.pushes, 28u);
+  EXPECT_EQ(r.fetches, 28u);
+}
+
+TEST(BaselineGoldens, DcAsgd) {
+  DcAsgdSpec spec;
+  spec.data = tiny_data();
+  spec.model = tiny_model();
+  spec.workers = 3;
+  spec.max_epochs = 4;
+  spec.batch_size = 10;
+  spec.learning_rate = 0.05;
+  spec.fail_worker = 1;
+  spec.fail_after_epoch = 2;
+  const DcAsgdResult r = run_dcasgd_baseline(spec);
+  ASSERT_EQ(r.epochs.size(), 4u);
+  EXPECT_EQ(accuracy_bits(r.epochs), 0xf002dd475939f810ULL);
+  EXPECT_EQ(r.updates, 140u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_compensation),
+            0x3d852c4b1432ad07ULL);
+}
+
+TEST(BaselineGoldens, Easgd) {
+  EasgdSpec spec;
+  spec.data = tiny_data();
+  spec.model = tiny_model();
+  spec.workers = 3;
+  spec.max_epochs = 4;
+  spec.batch_size = 10;
+  spec.tau = 2;
+  spec.learning_rate = 3e-3;
+  spec.moving_rate = 0.3;
+  spec.fail_worker = 0;
+  spec.fail_after_epoch = 3;
+  const EasgdResult r = run_easgd_baseline(spec);
+  ASSERT_EQ(r.epochs.size(), 4u);
+  EXPECT_EQ(accuracy_bits(r.epochs), 0x253bdcfce62a559fULL);
+  EXPECT_EQ(r.exchanges, 77u);
 }
 
 TEST(Baselines, ValidationTracksTest) {

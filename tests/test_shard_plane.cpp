@@ -16,6 +16,7 @@
 #include <cstring>
 #include <map>
 #include <numeric>
+#include <sstream>
 
 #include "common/wire_codec.hpp"
 #include "core/param_server.hpp"
@@ -224,6 +225,65 @@ constexpr Golden kMonolithicGoldens[] = {
      0x3cba8a2a2e242ec3ULL, 149},
 };
 
+// Goldens for the paths a run takes only at param_shards >= 2, or only with
+// consensus or faults switched on: shard bundles, the per-part decode loop,
+// peek decoding for replica consensus, and checkpoint replay of the rings.
+// Captured before the upload/assimilation paths were folded into one module,
+// so the fold must reproduce them bit for bit.
+//
+// The metrics fingerprints assume this file's test order. The process-wide
+// registry keeps the zero-valued names that earlier runs registered, and
+// the snapshot lists them (docs/OBSERVABILITY.md), so a filtered run of one
+// test sees a different fingerprint while digest and params stay put.
+struct PlaneGolden {
+  const char* codec;
+  const char* store;
+  std::size_t shards;
+  std::uint64_t digest;
+  std::uint64_t metrics;
+  std::uint64_t params;
+  std::uint64_t events;
+};
+constexpr PlaneGolden kShardedGoldens[] = {
+    {"full", "eventual", 2, 0x592d845426ae2242ULL, 0x6308a7814de2e51fULL,
+     0x4c26f882e71ad853ULL, 149},
+    {"delta", "eventual", 2, 0x204d50e7b48eec9bULL, 0x38ab820b63069f07ULL,
+     0x4c26f882e71ad853ULL, 149},
+    {"delta_q8", "strong", 2, 0x7a29fe82665958ceULL, 0xcd06e8f1ce661f2eULL,
+     0x6b3f0f9325ea4be6ULL, 149},
+    {"full", "eventual", 4, 0x893c6a5bdc847c2cULL, 0x61f5d300db74cc72ULL,
+     0x69e3f95fe498c7a3ULL, 149},
+    {"delta", "eventual", 4, 0x8096edae8ca80ae2ULL, 0x34e69222cdadc9a6ULL,
+     0x69e3f95fe498c7a3ULL, 149},
+    {"delta_q8", "strong", 4, 0xcc76d390f095adfeULL, 0xdf393b7a7bad0d7aULL,
+     0x10db6267f59196e7ULL, 149},
+};
+// tiny_image_spec with a 1/3 noise adversary, triple replication, a 2-of-3
+// quorum and the blend guard (byzantine_spec below).
+constexpr PlaneGolden kConsensusGoldens[] = {
+    {"full", "eventual", 1, 0xf0c0a7c5ff1a992aULL, 0x94ea6215d29d10e8ULL,
+     0x8e999bdfe353015bULL, 438},
+    {"delta", "eventual", 1, 0x919ded6faf4cf6d0ULL, 0x0531e3e7ca77873aULL,
+     0x8e999bdfe353015bULL, 438},
+    {"full", "eventual", 2, 0x918deddd17552d4aULL, 0xd14275238434fdb8ULL,
+     0xd45ebfe9bb80ed23ULL, 438},
+    {"delta", "eventual", 2, 0xea6ab06ef5b1e92fULL, 0x5f45d2debb1cc367ULL,
+     0xd45ebfe9bb80ed23ULL, 438},
+};
+// tiny_image_spec under transfer drops and stalls, upload corruption, store
+// outages and spikes, and one grid-server crash replayed from checkpoints
+// (chaos_spec below).
+constexpr PlaneGolden kChaosGoldens[] = {
+    {"full", "eventual", 1, 0x0d74dc78527b723dULL, 0x6816c893df2e70f6ULL,
+     0x3696e0e6d92a22cdULL, 186},
+    {"delta", "eventual", 1, 0xefd0d470e0f0e275ULL, 0xf455c54773503de7ULL,
+     0xc178369bc23c17afULL, 186},
+    {"full", "eventual", 2, 0xc8d3a6b97e03991dULL, 0x942a070932739cdcULL,
+     0x90feba5e1d783851ULL, 195},
+    {"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0xc1addad5ba0e1c68ULL,
+     0x94afeccd95c49b03ULL, 195},
+};
+
 struct RunFingerprint {
   std::uint64_t digest = 0;
   std::uint64_t metrics = 0;
@@ -231,16 +291,64 @@ struct RunFingerprint {
   std::uint64_t events = 0;
 };
 
-RunFingerprint run_fingerprint(const char* codec, const char* store,
-                               std::size_t param_shards) {
-  ExperimentSpec spec = testing::tiny_image_spec(/*trace=*/true);
-  spec.wire_codec = codec;
-  spec.store = store;
-  spec.param_shards = param_shards;
+RunFingerprint fingerprint_of(const ExperimentSpec& spec) {
   VcTrainer t(spec);
   const TrainResult r = t.run();
   return {t.trace().digest().hash, r.metrics.fingerprint(),
           params_hash(r.final_params), t.trace().digest().events};
+}
+
+ExperimentSpec plane_spec(const char* codec, const char* store,
+                          std::size_t param_shards) {
+  ExperimentSpec spec = testing::tiny_image_spec(/*trace=*/true);
+  spec.wire_codec = codec;
+  spec.store = store;
+  spec.param_shards = param_shards;
+  return spec;
+}
+
+RunFingerprint run_fingerprint(const char* codec, const char* store,
+                               std::size_t param_shards) {
+  return fingerprint_of(plane_spec(codec, store, param_shards));
+}
+
+ExperimentSpec byzantine_spec(const PlaneGolden& g) {
+  ExperimentSpec spec = plane_spec(g.codec, g.store, g.shards);
+  spec.clients = 3;
+  spec.replication = 3;
+  spec.adversary.fraction = 1.0 / 3.0;
+  spec.adversary.mode = AttackMode::noise;
+  spec.consensus.enabled = true;
+  spec.consensus.quorum = 2;
+  spec.consensus.tolerance = 0.1;
+  spec.blend_outlier_threshold = 4.0;
+  return spec;
+}
+
+ExperimentSpec chaos_spec(const PlaneGolden& g) {
+  ExperimentSpec spec = plane_spec(g.codec, g.store, g.shards);
+  spec.faults.download.drop_prob = 0.10;
+  spec.faults.download.stall_prob = 0.10;
+  spec.faults.upload.drop_prob = 0.10;
+  spec.faults.upload.stall_prob = 0.10;
+  spec.faults.corruption_prob = 0.05;
+  spec.faults.store.fail_prob = 0.05;
+  spec.faults.store.slow_prob = 0.05;
+  spec.faults.server_crashes = {180.0};
+  spec.faults.server_recovery_s = 30.0;
+  spec.checkpoint_interval_s = 60.0;
+  return spec;
+}
+
+void expect_golden(const PlaneGolden& g, const RunFingerprint& fp) {
+  std::ostringstream label;
+  label << g.codec << "/" << g.store << " shards=" << g.shards << std::hex
+        << " got {0x" << fp.digest << ", 0x" << fp.metrics << ", 0x"
+        << fp.params << std::dec << ", " << fp.events << "}";
+  EXPECT_EQ(fp.digest, g.digest) << label.str();
+  EXPECT_EQ(fp.metrics, g.metrics) << label.str();
+  EXPECT_EQ(fp.params, g.params) << label.str();
+  EXPECT_EQ(fp.events, g.events) << label.str();
 }
 
 TEST(ShardPlane, ShardsOneMatchesMonolithicGoldens) {
@@ -253,10 +361,17 @@ TEST(ShardPlane, ShardsOneMatchesMonolithicGoldens) {
   }
 }
 
+TEST(ShardPlane, ShardedRunsMatchGoldens) {
+  for (const PlaneGolden& g : kShardedGoldens) {
+    expect_golden(g, run_fingerprint(g.codec, g.store, g.shards));
+  }
+}
+
 TEST(ShardPlane, MutationMisroutedBlendFailsGoldenOracle) {
   // Teeth check: misrouting shard 0's blend must shift the published
   // parameters, the trace and the metrics — if the golden oracle still
-  // passed, it would be comparing nothing.
+  // passed, it would be comparing nothing. Checked on the monolithic golden
+  // and on a bundled (delta, 2-shard) one.
   HookGuard guard(shard_hooks::misroute_blend);
   const Golden& g = kMonolithicGoldens[0];
   const RunFingerprint fp = run_fingerprint(g.codec, g.store, 1);
@@ -264,6 +379,22 @@ TEST(ShardPlane, MutationMisroutedBlendFailsGoldenOracle) {
   const bool all_match = fp.digest == g.digest && fp.metrics == g.metrics &&
                          fp.params == g.params;
   EXPECT_FALSE(all_match);
+
+  const PlaneGolden& sg = kShardedGoldens[1];
+  const RunFingerprint sfp = run_fingerprint(sg.codec, sg.store, sg.shards);
+  EXPECT_NE(sfp.params, sg.params);
+}
+
+TEST(ShardPlane, ConsensusRunsMatchGoldens) {
+  for (const PlaneGolden& g : kConsensusGoldens) {
+    expect_golden(g, fingerprint_of(byzantine_spec(g)));
+  }
+}
+
+TEST(ShardPlane, ChaosRunsMatchGoldens) {
+  for (const PlaneGolden& g : kChaosGoldens) {
+    expect_golden(g, fingerprint_of(chaos_spec(g)));
+  }
 }
 
 // --- Sharded runs: determinism + mutation -----------------------------------
