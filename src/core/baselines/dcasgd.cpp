@@ -1,11 +1,9 @@
 #include "core/baselines/dcasgd.hpp"
 
-#include <algorithm>
 #include <deque>
-#include <numeric>
 
-#include "core/eval.hpp"
-#include "nn/loss.hpp"
+#include "core/baselines/common.hpp"
+#include "core/local_sgd.hpp"
 
 namespace vcdl {
 
@@ -20,20 +18,9 @@ DcAsgdResult run_dcasgd_baseline(const DcAsgdSpec& spec) {
   std::vector<float> w = server_model.flat_params();
   const std::size_t dim = w.size();
 
-  struct Worker {
-    std::vector<std::size_t> order;
-    std::size_t cursor = 0;
-    bool alive = true;
-  };
-
   Rng rng(mix64(spec.seed, 0xDCA5));
-  std::vector<std::size_t> all(data.train.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  rng.shuffle(all.begin(), all.end());
-  std::vector<Worker> workers(spec.workers);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    workers[i % spec.workers].order.push_back(all[i]);
-  }
+  std::vector<WorkerData> workers =
+      deal_indices(data.train.size(), spec.workers, rng);
 
   // In-flight gradients: each entry is (gradient, w_bak) computed on an
   // older server copy; it lands `staleness` pops later.
@@ -48,8 +35,8 @@ DcAsgdResult run_dcasgd_baseline(const DcAsgdSpec& spec) {
   double comp_sq_total = 0.0;
   std::size_t comp_terms = 0;
 
-  const std::size_t steps_per_worker_epoch =
-      (data.train.size() / spec.workers + spec.batch_size - 1) / spec.batch_size;
+  const std::size_t rounds =
+      rounds_per_epoch(data.train.size(), spec.workers, spec.batch_size);
 
   auto apply_update = [&](const Pending& p) {
     const auto eta = static_cast<float>(spec.learning_rate);
@@ -66,28 +53,17 @@ DcAsgdResult run_dcasgd_baseline(const DcAsgdSpec& spec) {
   };
 
   for (std::size_t epoch = 1; epoch <= spec.max_epochs; ++epoch) {
-    if (spec.fail_worker >= 0 && epoch > spec.fail_after_epoch &&
-        static_cast<std::size_t>(spec.fail_worker) < workers.size()) {
-      workers[static_cast<std::size_t>(spec.fail_worker)].alive = false;
-    }
-    for (std::size_t round = 0; round < steps_per_worker_epoch; ++round) {
-      for (auto& wk : workers) {
-        if (!wk.alive) continue;
-        // Worker computes a gradient on the CURRENT server copy (w_bak = w).
-        const std::size_t count =
-            std::min(spec.batch_size, wk.order.size() - wk.cursor);
-        std::span<const std::size_t> idx(wk.order.data() + wk.cursor, count);
-        wk.cursor = (wk.cursor + count) % wk.order.size();
-        scratch.set_flat_params(w);
-        const Tensor x = data.train.gather_tensor(idx);
-        std::vector<std::uint16_t> labels(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          labels[i] = data.train.label(idx[i]);
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t worker = 0; worker < workers.size(); ++worker) {
+        if (!worker_alive(worker, epoch, spec.fail_worker,
+                          spec.fail_after_epoch)) {
+          continue;
         }
-        const Tensor logits = scratch.forward(x, true);
-        const auto loss = softmax_cross_entropy(logits, labels);
-        scratch.zero_grads();
-        scratch.backward(loss.grad);
+        // Worker computes a gradient on the CURRENT server copy (w_bak = w).
+        scratch.set_flat_params(w);
+        compute_gradients(scratch, data.train,
+                          workers[worker].next_batch(spec.batch_size),
+                          serial_exec_context());
         Pending p;
         p.grad.reserve(dim);
         for (Tensor* g : scratch.grads()) {
@@ -108,16 +84,8 @@ DcAsgdResult run_dcasgd_baseline(const DcAsgdSpec& spec) {
       inflight.pop_front();
     }
     server_model.set_flat_params(w);
-    EpochStats es;
-    es.epoch = epoch;
-    es.end_time = static_cast<double>(epoch);
-    es.val_acc = evaluate_accuracy(server_model, data.validation);
-    es.test_acc = evaluate_accuracy(server_model, data.test);
-    es.mean_subtask_acc = es.val_acc;
-    es.min_subtask_acc = es.val_acc;
-    es.max_subtask_acc = es.val_acc;
-    es.results = spec.workers;
-    result.epochs.push_back(es);
+    result.epochs.push_back(baseline_epoch_stats(
+        epoch, static_cast<double>(epoch), server_model, data, spec.workers));
   }
   result.mean_compensation =
       comp_terms ? comp_sq_total / static_cast<double>(comp_terms) : 0.0;

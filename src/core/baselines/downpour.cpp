@@ -1,12 +1,9 @@
 #include "core/baselines/downpour.hpp"
 
 #include <algorithm>
-#include <numeric>
 
-#include "core/eval.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
-#include "tensor/ops.hpp"
+#include "core/baselines/common.hpp"
+#include "core/local_sgd.hpp"
 
 namespace vcdl {
 namespace {
@@ -15,12 +12,10 @@ struct Worker {
   Model replica;
   std::unique_ptr<Optimizer> optimizer;
   std::vector<float> push_buffer;   // accumulated gradients since last push
-  std::vector<std::size_t> order;   // this worker's data indices
-  std::size_t cursor = 0;
+  WorkerData data;                  // this worker's data indices
   std::size_t steps = 0;
   double speed = 1.0;
   double credit = 0.0;  // fractional steps earned per round
-  bool alive = true;
 };
 
 // Appends the replica's current gradients into the push buffer.
@@ -48,39 +43,26 @@ DownpourResult run_downpour_baseline(const DownpourSpec& spec) {
   auto server_optimizer = make_optimizer(spec.optimizer, spec.learning_rate);
 
   Rng rng(mix64(spec.seed, 0xD00D));
+  // Partition the training data across workers (data parallel).
+  std::vector<WorkerData> dealt =
+      deal_indices(data.train.size(), spec.workers, rng);
   std::vector<Worker> workers;
   workers.reserve(spec.workers);
-  // Partition the training data across workers (data parallel).
-  std::vector<std::size_t> all(data.train.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  rng.shuffle(all.begin(), all.end());
   for (std::size_t w = 0; w < spec.workers; ++w) {
     Worker wk{server_model, make_optimizer(spec.optimizer, spec.learning_rate),
-              {}, {}, 0, 0, 1.0, 0.0, true};
-    wk.push_buffer.assign(dim, 0.0f);
-    for (std::size_t i = w; i < all.size(); i += spec.workers) {
-      wk.order.push_back(all[i]);
-    }
+              std::vector<float>(dim, 0.0f), std::move(dealt[w])};
     if (w < spec.worker_speeds.size()) wk.speed = spec.worker_speeds[w];
     workers.push_back(std::move(wk));
   }
 
   DownpourResult result;
-  const std::size_t steps_per_worker_epoch =
-      (data.train.size() / spec.workers + spec.batch_size - 1) / spec.batch_size;
+  const std::size_t rounds =
+      rounds_per_epoch(data.train.size(), spec.workers, spec.batch_size);
 
   auto worker_step = [&](Worker& wk) {
-    const std::size_t count =
-        std::min(spec.batch_size, wk.order.size() - wk.cursor);
-    std::span<const std::size_t> idx(wk.order.data() + wk.cursor, count);
-    wk.cursor = (wk.cursor + count) % wk.order.size();
-    const Tensor x = data.train.gather_tensor(idx);
-    std::vector<std::uint16_t> labels(count);
-    for (std::size_t i = 0; i < count; ++i) labels[i] = data.train.label(idx[i]);
-    const Tensor logits = wk.replica.forward(x, true);
-    const auto loss = softmax_cross_entropy(logits, labels);
-    wk.replica.zero_grads();
-    wk.replica.backward(loss.grad);
+    compute_gradients(wk.replica, data.train,
+                      wk.data.next_batch(spec.batch_size),
+                      serial_exec_context());
     accumulate_grads(wk.replica, wk.push_buffer);
     wk.optimizer->step(wk.replica);  // local progress between fetches
     ++wk.steps;
@@ -101,15 +83,14 @@ DownpourResult run_downpour_baseline(const DownpourSpec& spec) {
   };
 
   for (std::size_t epoch = 1; epoch <= spec.max_epochs; ++epoch) {
-    if (spec.fail_worker >= 0 && epoch > spec.fail_after_epoch &&
-        static_cast<std::size_t>(spec.fail_worker) < workers.size()) {
-      workers[static_cast<std::size_t>(spec.fail_worker)].alive = false;
-    }
     // Round-robin with speed skew: a worker earns `speed` step credits per
     // round and executes the whole ones, so slow workers push staler grads.
-    for (std::size_t round = 0; round < steps_per_worker_epoch; ++round) {
-      for (auto& wk : workers) {
-        if (!wk.alive) continue;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t w = 0; w < workers.size(); ++w) {
+        if (!worker_alive(w, epoch, spec.fail_worker, spec.fail_after_epoch)) {
+          continue;
+        }
+        Worker& wk = workers[w];
         wk.credit += wk.speed;
         while (wk.credit >= 1.0) {
           wk.credit -= 1.0;
@@ -117,16 +98,9 @@ DownpourResult run_downpour_baseline(const DownpourSpec& spec) {
         }
       }
     }
-    EpochStats es;
-    es.epoch = epoch;
-    es.end_time = static_cast<double>(epoch);  // epoch index as nominal time
-    es.val_acc = evaluate_accuracy(server_model, data.validation);
-    es.test_acc = evaluate_accuracy(server_model, data.test);
-    es.mean_subtask_acc = es.val_acc;
-    es.min_subtask_acc = es.val_acc;
-    es.max_subtask_acc = es.val_acc;
-    es.results = spec.workers;
-    result.epochs.push_back(es);
+    // Epoch index as nominal time.
+    result.epochs.push_back(baseline_epoch_stats(
+        epoch, static_cast<double>(epoch), server_model, data, spec.workers));
   }
   return result;
 }

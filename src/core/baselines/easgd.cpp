@@ -1,11 +1,7 @@
 #include "core/baselines/easgd.hpp"
 
-#include <algorithm>
-#include <numeric>
-
-#include "core/eval.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
+#include "core/baselines/common.hpp"
+#include "core/local_sgd.hpp"
 
 namespace vcdl {
 
@@ -25,53 +21,36 @@ EasgdResult run_easgd_baseline(const EasgdSpec& spec) {
   struct Worker {
     Model replica;
     std::unique_ptr<Optimizer> optimizer;
-    std::vector<std::size_t> order;
-    std::size_t cursor = 0;
+    WorkerData data;
     std::size_t steps = 0;
-    bool alive = true;
   };
 
   Rng rng(mix64(spec.seed, 0xEA5D));
-  std::vector<std::size_t> all(data.train.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  rng.shuffle(all.begin(), all.end());
+  std::vector<WorkerData> dealt =
+      deal_indices(data.train.size(), spec.workers, rng);
   std::vector<Worker> workers;
   workers.reserve(spec.workers);
   for (std::size_t w = 0; w < spec.workers; ++w) {
-    Worker wk{center_model, make_optimizer(spec.optimizer, spec.learning_rate),
-              {}, 0, 0, true};
-    for (std::size_t i = w; i < all.size(); i += spec.workers) {
-      wk.order.push_back(all[i]);
-    }
-    workers.push_back(std::move(wk));
+    workers.push_back(
+        Worker{center_model, make_optimizer(spec.optimizer, spec.learning_rate),
+               std::move(dealt[w])});
   }
 
   EasgdResult result;
-  const std::size_t steps_per_worker_epoch =
-      (data.train.size() / spec.workers + spec.batch_size - 1) / spec.batch_size;
+  const std::size_t rounds =
+      rounds_per_epoch(data.train.size(), spec.workers, spec.batch_size);
   const auto beta = static_cast<float>(spec.moving_rate);
 
   for (std::size_t epoch = 1; epoch <= spec.max_epochs; ++epoch) {
-    if (spec.fail_worker >= 0 && epoch > spec.fail_after_epoch &&
-        static_cast<std::size_t>(spec.fail_worker) < workers.size()) {
-      workers[static_cast<std::size_t>(spec.fail_worker)].alive = false;
-    }
-    for (std::size_t round = 0; round < steps_per_worker_epoch; ++round) {
-      for (auto& wk : workers) {
-        if (!wk.alive) continue;
-        const std::size_t count =
-            std::min(spec.batch_size, wk.order.size() - wk.cursor);
-        std::span<const std::size_t> idx(wk.order.data() + wk.cursor, count);
-        wk.cursor = (wk.cursor + count) % wk.order.size();
-        const Tensor x = data.train.gather_tensor(idx);
-        std::vector<std::uint16_t> labels(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          labels[i] = data.train.label(idx[i]);
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t w = 0; w < workers.size(); ++w) {
+        if (!worker_alive(w, epoch, spec.fail_worker, spec.fail_after_epoch)) {
+          continue;
         }
-        const Tensor logits = wk.replica.forward(x, true);
-        const auto loss = softmax_cross_entropy(logits, labels);
-        wk.replica.zero_grads();
-        wk.replica.backward(loss.grad);
+        Worker& wk = workers[w];
+        compute_gradients(wk.replica, data.train,
+                          wk.data.next_batch(spec.batch_size),
+                          serial_exec_context());
         wk.optimizer->step(wk.replica);
         ++wk.steps;
         if (wk.steps % spec.tau == 0) {
@@ -88,16 +67,8 @@ EasgdResult run_easgd_baseline(const EasgdSpec& spec) {
       }
     }
     center_model.set_flat_params(center);
-    EpochStats es;
-    es.epoch = epoch;
-    es.end_time = static_cast<double>(epoch);
-    es.val_acc = evaluate_accuracy(center_model, data.validation);
-    es.test_acc = evaluate_accuracy(center_model, data.test);
-    es.mean_subtask_acc = es.val_acc;
-    es.min_subtask_acc = es.val_acc;
-    es.max_subtask_acc = es.val_acc;
-    es.results = spec.workers;
-    result.epochs.push_back(es);
+    result.epochs.push_back(baseline_epoch_stats(
+        epoch, static_cast<double>(epoch), center_model, data, spec.workers));
   }
   return result;
 }

@@ -1,11 +1,9 @@
 #include "core/baselines/serial.hpp"
 
 #include <algorithm>
-#include <numeric>
 
-#include "core/eval.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
+#include "core/baselines/common.hpp"
+#include "core/local_sgd.hpp"
 
 namespace vcdl {
 
@@ -27,38 +25,16 @@ SerialResult run_serial_baseline(const SerialSpec& spec) {
 
   SerialResult result;
   result.parameter_count = model.parameter_count();
-  std::vector<std::size_t> order(data.train.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<std::size_t> order = identity_order(data.train.size());
 
   SimTime now = 0.0;
   for (std::size_t epoch = 1; epoch <= spec.max_epochs; ++epoch) {
-    rng.shuffle(order.begin(), order.end());
-    for (std::size_t first = 0; first < order.size(); first += spec.batch_size) {
-      const std::size_t count = std::min(spec.batch_size, order.size() - first);
-      std::span<const std::size_t> idx(order.data() + first, count);
-      const Tensor x = data.train.gather_tensor(idx);
-      std::vector<std::uint16_t> labels(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        labels[i] = data.train.label(idx[i]);
-      }
-      const Tensor logits = model.forward(x, /*training=*/true);
-      const auto loss = softmax_cross_entropy(logits, labels);
-      model.zero_grads();
-      model.backward(loss.grad);
-      optimizer->step(model);
-    }
+    train_local(model, *optimizer, data.train, order, /*passes=*/1,
+                spec.batch_size, rng, serial_exec_context());
     now += epoch_time;
-
-    EpochStats es;
-    es.epoch = epoch;
-    es.end_time = now;
-    es.val_acc = evaluate_accuracy(model, data.validation);
-    es.test_acc = evaluate_accuracy(model, data.test);
-    es.mean_subtask_acc = es.val_acc;  // one "subtask": the whole epoch
-    es.min_subtask_acc = es.val_acc;
-    es.max_subtask_acc = es.val_acc;
-    es.results = 1;
-    result.epochs.push_back(es);
+    // One "subtask" per epoch: the whole training set.
+    result.epochs.push_back(
+        baseline_epoch_stats(epoch, now, model, data, /*results=*/1));
   }
   result.duration_s = now;
   return result;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 
+#include "common/thread_pool.hpp"
 #include "core/eval.hpp"
 #include "core/test_hooks.hpp"
 #include "core/vcasgd.hpp"
@@ -43,6 +44,41 @@ AssimilatorMetrics& metrics() {
   return m;
 }
 }  // namespace
+
+Blob encode_upload(WireMode mode, const ShardPlan& plan,
+                   std::span<const float> base, std::span<const float> params,
+                   std::uint64_t base_version, ThreadPool* pool) {
+  if (mode == WireMode::full) return save_params(params);
+  std::vector<Blob> parts(plan.shards());
+  const auto encode_part = [&](std::size_t s) {
+    const auto b = plan.view(base, s);
+    const auto t = plan.view(params, s);
+    parts[s] = mode == WireMode::delta ? encode_params_delta(b, t, base_version)
+                                       : encode_params_q8(b, t, base_version);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(0, parts.size(),
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t s = begin; s < end; ++s) {
+                           encode_part(s);
+                         }
+                       });
+  } else {
+    for (std::size_t s = 0; s < parts.size(); ++s) encode_part(s);
+  }
+  return parts.size() == 1 ? std::move(parts[0]) : pack_shard_frames(parts);
+}
+
+bool validate_upload(const Blob& payload) {
+  try {
+    if (is_wire_frame(payload)) return validate_frame(payload);
+    if (is_shard_bundle(payload)) return validate_shard_bundle(payload);
+    load_params(payload);
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
 
 VcAsgdAssimilator::VcAsgdAssimilator(
     SimEngine& engine, KvStore& store, FileServer& files, GridServer& server,
@@ -165,121 +201,53 @@ void VcAsgdAssimilator::remember_base() {
   }
 }
 
-std::optional<std::vector<float>> VcAsgdAssimilator::decode_payload(
-    const Blob& payload) {
-  if (is_shard_bundle(payload)) return decode_bundle(payload);
-  if (!is_wire_frame(payload)) return load_params(payload);
-  const WireFrame frame = read_frame_header(payload);
-  const auto& ring = base_rings_[0];
-  const auto it = ring.find(frame.base_version);
-  if (it != ring.end() && it->second.hash == frame.base_hash) {
-    metrics().frames_decoded.inc();
-    ++shard_stats_[0].frames_decoded;
-    return decode_params(payload, it->second.params);
-  }
-  metrics().base_misses.inc();
-  ++shard_stats_[0].base_misses;
-  if (frame.mode == WireMode::delta) {
-    // Lossless deltas are zigzag diffs of the floats' *bit patterns*;
-    // decoded against anything but their exact encode base they become
-    // arbitrary floats (NaN/Inf included), so a ring miss drops the upload
-    // rather than poisoning the blend.
-    metrics().frames_dropped.inc();
-    ++shard_stats_[0].frames_dropped;
-    return std::nullopt;
-  }
-  // q8 diffs live in float space, so against the current published copy the
-  // decode degrades to plain update application.
-  return decode_params(payload, published_);
-}
-
-std::optional<std::vector<float>> VcAsgdAssimilator::decode_bundle(
-    const Blob& payload) {
-  const std::vector<Blob> parts = unpack_shard_frames(payload);
+std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
+    const Blob& payload, std::vector<ShardWireStats>* counts) const {
+  const bool bundle = is_shard_bundle(payload);
+  if (!bundle && !is_wire_frame(payload)) return load_params(payload);
+  // A bare frame is a one-part bundle.
+  const std::vector<Blob> parts =
+      bundle ? unpack_shard_frames(payload) : std::vector<Blob>{payload};
   if (parts.size() != plan_.shards()) {
     // A bundle from a different plan (or a sabotaged client) cannot be
     // routed; drop it like a ring-missed delta.
-    metrics().frames_dropped.inc();
+    if (counts != nullptr) metrics().frames_dropped.inc();
     return std::nullopt;
   }
   std::vector<float> out(plan_.total());
   for (std::size_t s = 0; s < parts.size(); ++s) {
     const WireFrame frame = read_frame_header(parts[s]);
-    const auto dst = plan_.view(std::span<float>(out), s);
     const auto& ring = base_rings_[s];
     const auto it = ring.find(frame.base_version);
-    std::vector<float> slice;
+    std::span<const float> base;
     if (it != ring.end() && it->second.hash == frame.base_hash) {
-      metrics().frames_decoded.inc();
-      ++shard_stats_[s].frames_decoded;
-      slice = decode_params(parts[s], it->second.params);
+      base = it->second.params;
+      if (counts != nullptr) {
+        metrics().frames_decoded.inc();
+        ++(*counts)[s].frames_decoded;
+      }
     } else {
+      // Peek has no fallback: an undecodable replica must stay
+      // incomparable, not coincidentally match.
+      if (counts == nullptr) return std::nullopt;
       metrics().base_misses.inc();
-      ++shard_stats_[s].base_misses;
+      ++(*counts)[s].base_misses;
       if (frame.mode == WireMode::delta) {
-        // One undecodable bit-space part poisons the concatenated vector;
-        // the whole upload is dropped, mirroring the monolithic ring miss.
+        // One undecodable bit-space part poisons the whole vector, so the
+        // upload is dropped rather than blended.
         metrics().frames_dropped.inc();
-        ++shard_stats_[s].frames_dropped;
+        ++(*counts)[s].frames_dropped;
         return std::nullopt;
       }
-      slice = decode_params(
-          parts[s], plan_.view(std::span<const float>(published_), s));
+      base = plan_.view(std::span<const float>(published_), s);
     }
+    const std::vector<float> slice = decode_params(parts[s], base);
+    const auto dst = plan_.view(std::span<float>(out), s);
     VCDL_CHECK(slice.size() == dst.size(),
-               "decode_bundle: shard slice size mismatch");
+               "decode_upload: shard slice size mismatch");
     std::copy(slice.begin(), slice.end(), dst.begin());
   }
   return out;
-}
-
-std::optional<std::vector<float>> VcAsgdAssimilator::peek_decode(
-    const Blob& payload) const {
-  if (is_shard_bundle(payload)) {
-    // Consensus equivalence for sharded uploads: every part must ring-hit
-    // (no speculative fallback), else the replica stays incomparable.
-    const std::vector<Blob> parts = unpack_shard_frames(payload);
-    if (parts.size() != plan_.shards()) return std::nullopt;
-    std::vector<float> out(plan_.total());
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      const WireFrame frame = read_frame_header(parts[s]);
-      const auto& ring = base_rings_[s];
-      const auto it = ring.find(frame.base_version);
-      if (it == ring.end() || it->second.hash != frame.base_hash) {
-        return std::nullopt;
-      }
-      const std::vector<float> slice =
-          decode_params(parts[s], it->second.params);
-      const auto dst = plan_.view(std::span<float>(out), s);
-      if (slice.size() != dst.size()) return std::nullopt;
-      std::copy(slice.begin(), slice.end(), dst.begin());
-    }
-    return out;
-  }
-  if (!is_wire_frame(payload)) return load_params(payload);
-  const WireFrame frame = read_frame_header(payload);
-  const auto& ring = base_rings_[0];
-  const auto it = ring.find(frame.base_version);
-  if (it != ring.end() && it->second.hash == frame.base_hash) {
-    return decode_params(payload, it->second.params);
-  }
-  // No speculative fallback decode here (unlike decode_payload): an
-  // undecodable replica must stay incomparable, not coincidentally match.
-  return std::nullopt;
-}
-
-std::optional<std::vector<float>> VcAsgdAssimilator::guarded_decode(
-    const ResultEnvelope& env, const std::vector<float>& server_params) {
-  std::optional<std::vector<float>> client_params = decode_payload(env.payload);
-  if (client_params.has_value() &&
-      blend_outlier(server_params, *client_params,
-                    options_.blend_outlier_threshold)) {
-    ++blend_rejections_;
-    trace_.record(engine_.now(), TraceKind::blend_rejected, "assimilator",
-                  env.unit.label() + " client-" + std::to_string(env.client));
-    client_params.reset();
-  }
-  return client_params;
 }
 
 void VcAsgdAssimilator::note_exec_base(WorkunitId unit) {
@@ -347,66 +315,28 @@ void VcAsgdAssimilator::try_assimilate(
   }
 
   const double alpha = schedule_.alpha(env->unit.epoch);
-  const auto shared_env = env;
 
   if (store_.kind() == "strong") {
     // MySQL-like: the read-blend-write is one serializable transaction; the
     // virtual lock makes concurrent workers queue, then each pays the full
     // 1.29 s update latency. Validation happens outside the transaction.
-    txn_lock_.acquire([this, shared_env, done, alpha, gen, latency_factor] {
+    txn_lock_.acquire([this, env, done, alpha, gen, latency_factor] {
       if (server_.generation() != gen) {
         txn_lock_.release();
         return;
       }
-      metrics().read_s.observe(store_.latency().read_s * latency_factor);
-      metrics().write_s.observe(store_.latency().write_s * latency_factor);
-      metrics().alpha_mix_s.observe(store_.latency().update_s() *
-                                    latency_factor);
-      engine_.schedule(
-          store_.latency().update_s() * latency_factor,
-          [this, shared_env, done, alpha, gen] {
-            if (server_.generation() != gen) {
-              txn_lock_.release();
-              return;
-            }
-            std::vector<std::uint64_t> read_versions;
-            std::vector<float> server_params = read_shards(read_versions);
-            const std::optional<std::vector<float>> client_params =
-                guarded_decode(*shared_env, server_params);
-            if (client_params.has_value()) {
-              // Eq. (1) routed per shard slice — elementwise, so the
-              // concatenation of the shard blends is bit-identical to one
-              // full-span blend (the cross-shard property in
-              // tests/test_shard_plane.cpp).
-              for (std::size_t s = 0; s < plan_.shards(); ++s) {
-                if (shard_hooks::misroute_blend && s == 0) continue;
-                vcasgd_update(
-                    plan_.view(std::span<float>(server_params), s),
-                    plan_.view(std::span<const float>(*client_params), s),
-                    alpha);
-              }
-              observe_gradient_age(shared_env->unit.id);
-              commit(server_params, read_versions);
-            } else {
-              // Ring-missed lossless delta: the upload is dropped, but the
-              // unit is already retired at the scheduler, so the pipeline
-              // still validates (the unchanged params) and reports — an
-              // abandoned chain would stall the epoch.
-              release_exec_base(shared_env->unit.id);
-            }
-            txn_lock_.release();
-            // Validation of the committed parameters.
-            eval_model_.set_flat_params(server_params);
-            const double acc = evaluate_accuracy_subsample(
-                eval_model_, validation_, options_.validation_subsample, rng_,
-                exec_);
-            engine_.schedule(validation_time(),
-                             [this, shared_env, done, acc, gen] {
-                               if (server_.generation() != gen) return;
-                               on_assimilated_(shared_env->unit.epoch, acc);
-                               (*done)();
-                             });
-          });
+      observe_store_latency(latency_factor);
+      engine_.schedule(store_.latency().update_s() * latency_factor,
+                       [this, env, done, alpha, gen] {
+                         if (server_.generation() != gen) {
+                           txn_lock_.release();
+                           return;
+                         }
+                         const Blend blended = blend(*env, alpha);
+                         commit_blend(env->unit.id, blended);
+                         txn_lock_.release();
+                         validate_and_report(env, done, blended.params, gen);
+                       });
     });
     return;
   }
@@ -417,57 +347,81 @@ void VcAsgdAssimilator::try_assimilate(
   // *after* the write, outside the race window, as in the paper's pipeline
   // ("after assimilating ... the parameter server computes the validation
   // accuracy").
+  observe_store_latency(latency_factor);
+  engine_.schedule(
+      store_.latency().read_s * latency_factor,
+      [this, env, done, alpha, gen, latency_factor] {
+        if (server_.generation() != gen) return;
+        auto blended = std::make_shared<Blend>(blend(*env, alpha));
+        engine_.schedule(store_.latency().write_s * latency_factor,
+                         [this, env, done, blended, gen] {
+                           if (server_.generation() != gen) return;
+                           commit_blend(env->unit.id, *blended);
+                           validate_and_report(env, done, blended->params,
+                                               gen);
+                         });
+      });
+}
+
+void VcAsgdAssimilator::observe_store_latency(double latency_factor) {
   metrics().read_s.observe(store_.latency().read_s * latency_factor);
   metrics().write_s.observe(store_.latency().write_s * latency_factor);
   metrics().alpha_mix_s.observe(store_.latency().update_s() * latency_factor);
-  engine_.schedule(
-      store_.latency().read_s * latency_factor,
-      [this, shared_env, done, alpha, gen, latency_factor] {
-        if (server_.generation() != gen) return;
-        auto read_versions = std::make_shared<std::vector<std::uint64_t>>();
-        auto server_params =
-            std::make_shared<std::vector<float>>(read_shards(*read_versions));
-        const std::optional<std::vector<float>> client_params =
-            guarded_decode(*shared_env, *server_params);
-        // A dropped upload (ring-missed lossless delta or a blend-guard
-        // rejection) skips the blend and the commit but still flows through
-        // validation + reporting: the unit is already retired at the
-        // scheduler.
-        const bool applied = client_params.has_value();
-        if (applied) {
-          // Eq. (1) per shard slice (see the strong path above).
-          for (std::size_t s = 0; s < plan_.shards(); ++s) {
-            if (shard_hooks::misroute_blend && s == 0) continue;
-            vcasgd_update(
-                plan_.view(std::span<float>(*server_params), s),
-                plan_.view(std::span<const float>(*client_params), s), alpha);
-          }
-        }
-        engine_.schedule(
-            store_.latency().write_s * latency_factor,
-            [this, shared_env, done, server_params, read_versions, applied,
-             gen] {
-              if (server_.generation() != gen) return;
-              if (applied) {
-                observe_gradient_age(shared_env->unit.id);
-                commit(*server_params, *read_versions);
-              } else {
-                release_exec_base(shared_env->unit.id);
-              }
-              // Validate the committed copy (real forward passes, virtual
-              // duration).
-              eval_model_.set_flat_params(*server_params);
-              const double acc = evaluate_accuracy_subsample(
-                  eval_model_, validation_, options_.validation_subsample,
-                  rng_, exec_);
-              engine_.schedule(validation_time(),
-                               [this, shared_env, done, acc, gen] {
-                                 if (server_.generation() != gen) return;
-                                 on_assimilated_(shared_env->unit.epoch, acc);
-                                 (*done)();
-                               });
-            });
-      });
+}
+
+VcAsgdAssimilator::Blend VcAsgdAssimilator::blend(const ResultEnvelope& env,
+                                                  double alpha) {
+  Blend blended;
+  blended.params = read_shards(blended.read_versions);
+  std::optional<std::vector<float>> client =
+      decode_upload(env.payload, &shard_stats_);
+  if (client.has_value() &&
+      blend_outlier(blended.params, *client,
+                    options_.blend_outlier_threshold)) {
+    ++blend_rejections_;
+    trace_.record(engine_.now(), TraceKind::blend_rejected, "assimilator",
+                  env.unit.label() + " client-" + std::to_string(env.client));
+    client.reset();
+  }
+  blended.applied = client.has_value();
+  if (!blended.applied) return blended;
+  // Eq. (1) routed per shard slice — elementwise, so the concatenation of
+  // the shard blends is bit-identical to one full-span blend (the
+  // cross-shard property in tests/test_shard_plane.cpp).
+  for (std::size_t s = 0; s < plan_.shards(); ++s) {
+    if (shard_hooks::misroute_blend && s == 0) continue;
+    vcasgd_update(plan_.view(std::span<float>(blended.params), s),
+                  plan_.view(std::span<const float>(*client), s), alpha);
+  }
+  return blended;
+}
+
+void VcAsgdAssimilator::commit_blend(WorkunitId unit, const Blend& blended) {
+  if (blended.applied) {
+    observe_gradient_age(unit);
+    commit(blended.params, blended.read_versions);
+  } else {
+    // The dropped upload's unit is already retired at the scheduler, so the
+    // pipeline still validates (the unchanged params) and reports — an
+    // abandoned chain would stall the epoch.
+    release_exec_base(unit);
+  }
+}
+
+void VcAsgdAssimilator::validate_and_report(
+    std::shared_ptr<ResultEnvelope> env,
+    std::shared_ptr<std::function<void()>> done,
+    const std::vector<float>& params, std::uint64_t gen) {
+  eval_model_.set_flat_params(params);
+  const double acc = evaluate_accuracy_subsample(
+      eval_model_, validation_, options_.validation_subsample, rng_, exec_);
+  engine_.schedule(validation_time(),
+                   [this, env = std::move(env), done = std::move(done), acc,
+                    gen] {
+                     if (server_.generation() != gen) return;
+                     on_assimilated_(env->unit.epoch, acc);
+                     (*done)();
+                   });
 }
 
 }  // namespace vcdl

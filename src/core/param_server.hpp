@@ -35,6 +35,30 @@
 
 namespace vcdl {
 
+// --- The upload format -------------------------------------------------------
+//
+// All three ends of a client upload live here: encode_upload on the client,
+// validate_upload as the grid server's corruption screen, and the
+// assimilator's decode_upload. Under WireMode::full the upload is a
+// save_params blob; under delta/delta_q8 it is one wire frame per shard of
+// the plan, each against that shard's slice of the training base. A
+// one-shard upload is the bare frame, byte-identical to the monolithic
+// plane, so bundles (pack_shard_frames) exist only at >= 2 shards.
+
+/// Encodes a subtask's trained `params`, which started from `base` at
+/// commit `base_version` (`base` may be empty under WireMode::full). The
+/// frames are independent, so `pool` (may be null) encodes them in
+/// parallel; each lands at its shard's index, so the bytes do not depend
+/// on the pool.
+Blob encode_upload(WireMode mode, const ShardPlan& plan,
+                   std::span<const float> base, std::span<const float> params,
+                   std::uint64_t base_version, ThreadPool* pool);
+
+/// The grid server's corruption screen (a ResultValidator). Frames and
+/// bundles carry their own checksums, so no decode base is needed; full
+/// blobs go through load_params.
+bool validate_upload(const Blob& payload);
+
 class VcAsgdAssimilator : public AssimilatorBackend {
  public:
   struct Options {
@@ -116,12 +140,13 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   }
 
   /// Side-effect-free payload decode for replica-consensus equivalence
-  /// (ConsensusDecoder): full blobs through load_params, wire frames against
-  /// the base ring. No metrics move and no fallback decode happens — a
-  /// ring-missed frame returns nullopt (it forms a singleton class rather
-  /// than mispairing with honest replicas). Malformed payloads never reach
-  /// here (the grid server validates first).
-  std::optional<std::vector<float>> peek_decode(const Blob& payload) const;
+  /// (ConsensusDecoder): the peek mode of decode_upload. No metrics move and
+  /// no fallback decode happens — a ring-missed frame returns nullopt (it
+  /// forms a singleton class rather than mispairing with honest replicas).
+  /// Malformed payloads never reach here (the grid server validates first).
+  std::optional<std::vector<float>> peek_decode(const Blob& payload) const {
+    return decode_upload(payload, /*counts=*/nullptr);
+  }
 
   /// Blend-guard rejections so far (Options::blend_outlier_threshold).
   std::uint64_t blend_rejections() const { return blend_rejections_; }
@@ -159,30 +184,45 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   void try_assimilate(std::shared_ptr<ResultEnvelope> env,
                       std::shared_ptr<std::function<void()>> done,
                       std::size_t ps_index, std::size_t attempt);
-  /// Decodes an uploaded payload: full parameter blobs pass through
-  /// load_params; wire frames are decoded against the base version the
-  /// client trained from (base ring, guarded by the frame's base_hash so a
-  /// checkpoint replay that reuses version numbers can never supply the
-  /// wrong base). On a ring miss the two modes diverge:
+  /// Observes the modeled store latencies of one read-blend-write.
+  void observe_store_latency(double latency_factor);
+  /// The server copy after one result's Eq. (1), and whether it changed.
+  struct Blend {
+    std::vector<float> params;
+    std::vector<std::uint64_t> read_versions;
+    bool applied = false;
+  };
+  /// Reads every shard, decodes the upload, and applies Eq. (1) per shard
+  /// slice. A dropped upload (ring-missed lossless delta, or a blend-guard
+  /// rejection: a decoded copy deviating from the server copy beyond
+  /// blend_outlier_threshold, traced and counted) leaves `applied` false.
+  Blend blend(const ResultEnvelope& env, double alpha);
+  /// Commits an applied blend (observing its gradient age first); releases
+  /// the unit's base-ring pins for a dropped one.
+  void commit_blend(WorkunitId unit, const Blend& blended);
+  /// Validates `params` (real forward passes, virtual duration), then
+  /// reports the unit's accuracy and calls `done` — unless the server
+  /// crashed in between (generation `gen` is stale).
+  void validate_and_report(std::shared_ptr<ResultEnvelope> env,
+                           std::shared_ptr<std::function<void()>> done,
+                           const std::vector<float>& params,
+                           std::uint64_t gen);
+  /// Decodes an upload: full blobs through load_params; a wire frame, or
+  /// each part of a bundle (a bare frame is a one-part bundle), against its
+  /// shard's base ring at the version the client trained from, guarded by
+  /// the frame's base_hash so a checkpoint replay that reuses version
+  /// numbers can never supply the wrong base. A bundle from another plan is
+  /// dropped. On a ring miss the two modes diverge:
   ///  * q8 frames carry *float-space* diffs, so applying them to the
-  ///    current published copy degrades to plain update application
-  ///    (counted, deterministic);
+  ///    current published slice degrades to plain update application;
   ///  * lossless delta frames carry *bit-space* word diffs — against any
-  ///    other base they decode to arbitrary floats — so the upload is
-  ///    dropped (nullopt, counted in wire_codec.frames_dropped) and the
-  ///    caller skips the blend.
-  std::optional<std::vector<float>> decode_payload(const Blob& payload);
-  /// Decodes a sharded upload (one frame per shard, wire_codec shard
-  /// bundle): each part resolves against its own shard's base ring. A
-  /// ring-missed lossless delta drops the whole upload; a ring-missed q8
-  /// part degrades to the published slice, like the monolithic path.
-  std::optional<std::vector<float>> decode_bundle(const Blob& payload);
-  /// decode_payload plus the blend outlier guard: a decoded copy that
-  /// deviates from `server_params` beyond blend_outlier_threshold comes back
-  /// as nullopt (traced, counted) and the caller takes the dropped-upload
-  /// path.
-  std::optional<std::vector<float>> guarded_decode(
-      const ResultEnvelope& env, const std::vector<float>& server_params);
+  ///    other base they decode to arbitrary floats — so the whole upload is
+  ///    dropped (nullopt).
+  /// Hits, misses and drops are counted in the wire_codec.* registry
+  /// counters and in `*counts` per shard. With `counts` null (peek mode)
+  /// nothing is counted and any ring miss returns nullopt.
+  std::optional<std::vector<float>> decode_upload(
+      const Blob& payload, std::vector<ShardWireStats>* counts) const;
   /// Records the just-committed published copy in the base ring and prunes
   /// versions no in-flight unit is pinned to.
   void remember_base();

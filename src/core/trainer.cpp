@@ -2,20 +2,17 @@
 
 #include <map>
 #include <memory>
-#include <numeric>
 
 #include "common/log.hpp"
 #include "common/stats.hpp"
-#include "common/wire_codec.hpp"
 #include "common/thread_pool.hpp"
 #include "core/eval.hpp"
+#include "core/local_sgd.hpp"
 #include "core/param_server.hpp"
 #include "core/shard_plan.hpp"
 #include "core/work_generator.hpp"
 #include "grid/client.hpp"
-#include "nn/loss.hpp"
 #include "nn/model_io.hpp"
-#include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "sim/cost.hpp"
 #include "sim/faults.hpp"
@@ -136,21 +133,8 @@ TrainResult VcTrainer::run() {
   const std::vector<InstanceType> fleet = make_client_fleet(
       catalog, spec_.clients, spec_.preemptible, spec_.interruption_per_hour);
 
-  const ResultValidator validator = [](const Blob& payload) {
-    try {
-      // Wire frames carry their own body checksum, so corruption is caught
-      // here without the decode base; sharded uploads validate per part,
-      // and full blobs go through load_params.
-      if (is_wire_frame(payload)) return validate_frame(payload);
-      if (is_shard_bundle(payload)) return validate_shard_bundle(payload);
-      load_params(payload);
-      return true;
-    } catch (const Error&) {
-      return false;
-    }
-  };
   GridServer server(engine, scheduler, trace_, spec_.parameter_servers,
-                    validator);
+                    validate_upload);
 
   WorkGenerator::Options wg_opts;
   wg_opts.num_shards = spec_.num_shards;
@@ -279,6 +263,8 @@ TrainResult VcTrainer::run() {
   checkpointer.snapshot();  // recovery floor: the initial weights
 
   // --- Client training callback ----------------------------------------------
+  // A subtask's client half: local SGD from the published params, the
+  // adversary's tamper, and the upload encode.
   Model worker_model = template_model;  // scratch replica (DES is serial)
   const ExecuteFn execute = [&](const Workunit& unit, ClientId client,
                                 ExecContext& exec) -> ExecOutcome {
@@ -299,78 +285,19 @@ TrainResult VcTrainer::run() {
     worker_model.set_flat_params(assimilator.published_params());
     auto optimizer = make_optimizer(spec_.optimizer, spec_.learning_rate);
     Rng task_rng = master.fork(0xE0E0 + (++subtask_counter));
-    std::vector<std::size_t> order(shard.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    for (std::size_t pass = 0; pass < spec_.local_epochs; ++pass) {
-      task_rng.shuffle(order.begin(), order.end());
-      for (std::size_t first = 0; first < order.size();
-           first += spec_.batch_size) {
-        const std::size_t count =
-            std::min(spec_.batch_size, order.size() - first);
-        std::span<const std::size_t> idx(order.data() + first, count);
-        const Tensor x = shard.gather_tensor(idx);
-        std::vector<std::uint16_t> labels(count);
-        for (std::size_t i = 0; i < count; ++i) labels[i] = shard.label(idx[i]);
-        const Tensor logits = worker_model.forward(x, exec, /*training=*/true);
-        const auto loss = softmax_cross_entropy(logits, labels);
-        worker_model.zero_grads();
-        worker_model.backward(loss.grad, exec);
-        optimizer->step(worker_model);
-      }
-    }
+    std::vector<std::size_t> order = identity_order(shard.size());
+    train_local(worker_model, *optimizer, shard, order, spec_.local_epochs,
+                spec_.batch_size, task_rng, exec);
+    std::vector<float> params = worker_model.flat_params();
     if (adversary != nullptr && adversary->is_adversary(client)) {
       // The attack tampers with the trained weights *before* encoding, so the
       // payload passes every checksum and the validator — only semantic
       // defenses (consensus, the blend guard) can catch it.
-      std::vector<float> tampered = worker_model.flat_params();
-      if (adversary->attack(tampered, unit.id)) {
-        worker_model.set_flat_params(tampered);
-      }
+      adversary->attack(params, unit.id);
     }
-    Blob payload;
-    if (wire_mode != WireMode::full && shard_plan.shards() > 1) {
-      // Sharded delta/q8 upload: one frame per shard, each encoded against
-      // that shard's slice of the training base, packed into a bundle. The
-      // frames are independent, so the client's exec pool encodes them in
-      // parallel (results land by shard index — deterministic).
-      const std::vector<float> flat = worker_model.flat_params();
-      std::vector<Blob> parts(shard_plan.shards());
-      const auto encode_shard = [&](std::size_t s) {
-        const auto base =
-            shard_plan.view(std::span<const float>(upload_base), s);
-        const auto target = shard_plan.view(std::span<const float>(flat), s);
-        parts[s] = wire_mode == WireMode::delta
-                       ? encode_params_delta(base, target, upload_base_version)
-                       : encode_params_q8(base, target, upload_base_version);
-      };
-      if (exec.pool != nullptr) {
-        exec.pool->parallel_for(0, parts.size(),
-                                [&](std::size_t begin, std::size_t end) {
-                                  for (std::size_t s = begin; s < end; ++s) {
-                                    encode_shard(s);
-                                  }
-                                });
-      } else {
-        for (std::size_t s = 0; s < parts.size(); ++s) encode_shard(s);
-      }
-      payload = pack_shard_frames(parts);
-    } else {
-      switch (wire_mode) {
-        case WireMode::full:
-          payload = save_params(worker_model);
-          break;
-        case WireMode::delta:
-          payload = encode_params_delta(upload_base,
-                                        worker_model.flat_params(),
-                                        upload_base_version);
-          break;
-        case WireMode::delta_q8:
-          payload = encode_params_q8(upload_base, worker_model.flat_params(),
-                                     upload_base_version);
-          break;
-      }
-    }
-    return ExecOutcome{std::move(payload), spec_.work_per_subtask};
+    return ExecOutcome{encode_upload(wire_mode, shard_plan, upload_base, params,
+                                     upload_base_version, exec.pool),
+                       spec_.work_per_subtask};
   };
 
   // --- Clients ----------------------------------------------------------------

@@ -37,11 +37,6 @@ ExperimentSpec tiny_image_spec(bool trace = false);
 /// The matching miniature ResNet (3x8x8 input, 4 base filters, 1 block).
 Model tiny_resnet(std::uint64_t seed);
 
-/// One training step on `model`: forward, softmax cross-entropy, backward.
-/// Returns the logits; leaves gradients populated for inspection.
-Tensor train_step(Model& model, ExecContext& ctx, const Tensor& x,
-                  std::span<const std::uint16_t> labels);
-
 /// Replays a completed P1C1T1 α=0 run as plain serial SGD and returns the
 /// final parameter vector, which must equal the run's
 /// TrainResult::final_params exactly (no tolerance). `trace` is the run's

@@ -14,6 +14,7 @@
 #include "common/compress.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/local_sgd.hpp"
 #include "core/trainer.hpp"
 #include "nn/model_io.hpp"
 #include "storage/checkpoint.hpp"
@@ -34,7 +35,6 @@ using testing::prop_assert;
 using testing::run_property;
 using testing::serial_vcasgd_reference;
 using testing::tiny_image_spec;
-using testing::train_step;
 
 // --- Serial vs pooled ExecContext on random models --------------------------
 
@@ -53,8 +53,9 @@ TEST(Equivalence, SerialVsThreadedTrainingStepOnRandomModels) {
     pooled_ctx.pool = &pool;
 
     const Tensor ys =
-        train_step(serial, serial_exec_context(), mc.input, mc.labels);
-    const Tensor yp = train_step(pooled, pooled_ctx, mc.input, mc.labels);
+        compute_gradients(serial, mc.input, mc.labels, serial_exec_context());
+    const Tensor yp =
+        compute_gradients(pooled, mc.input, mc.labels, pooled_ctx);
 
     // Contract (tensor/exec_context.hpp): forwards are bit-identical.
     prop_assert(ys.shape() == yp.shape(), mc.desc + ": logit shape differs");

@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/local_sgd.hpp"
 #include "core/trainer.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -32,7 +33,6 @@ namespace {
 // The shared miniature job + helpers (testing/oracles.hpp). The golden
 // values below are pinned to tiny_image_spec — see its doc comment.
 using testing::tiny_resnet;
-using testing::train_step;
 
 ExperimentSpec tiny_spec() { return testing::tiny_image_spec(); }
 
@@ -82,8 +82,8 @@ TEST(ExecThreading, OneThreadPoolBitIdenticalToSerial) {
   const Tensor x = Tensor::randn(Shape{6, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5};
 
-  const Tensor ys = train_step(serial, serial_exec_context(), x, labels);
-  const Tensor yp = train_step(pooled, pooled_ctx, x, labels);
+  const Tensor ys = compute_gradients(serial, x, labels, serial_exec_context());
+  const Tensor yp = compute_gradients(pooled, x, labels, pooled_ctx);
   ASSERT_TRUE(ys.shape() == yp.shape());
   for (std::size_t i = 0; i < ys.numel(); ++i) EXPECT_EQ(ys[i], yp[i]);
 
@@ -107,8 +107,8 @@ TEST(ExecThreading, FourThreadForwardBitIdenticalGradsWithinTolerance) {
   const Tensor x = Tensor::randn(Shape{8, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5, 6, 7};
 
-  const Tensor ys = train_step(serial, serial_exec_context(), x, labels);
-  const Tensor yp = train_step(pooled, pooled_ctx, x, labels);
+  const Tensor ys = compute_gradients(serial, x, labels, serial_exec_context());
+  const Tensor yp = compute_gradients(pooled, x, labels, pooled_ctx);
   // Forward batch-splitting writes disjoint slices: bit-identical.
   for (std::size_t i = 0; i < ys.numel(); ++i) EXPECT_EQ(ys[i], yp[i]);
   // Only the Conv2D weight-gradient reduction regroups float sums; every
@@ -166,7 +166,7 @@ TEST(CacheLifecycle, CloneCarriesNoCaches) {
   Rng rng(9);
   const Tensor x = Tensor::randn(Shape{4, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3};
-  (void)train_step(m, serial_exec_context(), x, labels);
+  (void)compute_gradients(m, x, labels, serial_exec_context());
   ASSERT_GT(m.cache_bytes(), 0u);
   const Model clone = m;
   EXPECT_EQ(clone.cache_bytes(), 0u);
@@ -323,9 +323,9 @@ TEST(ExecThreading, ForcedScalarTierBitIdenticalToActiveTierTrainStep) {
   const Tensor x = Tensor::randn(Shape{6, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5};
 
-  const Tensor ya = train_step(active, serial_exec_context(), x, labels);
+  const Tensor ya = compute_gradients(active, x, labels, serial_exec_context());
   ops::set_simd_tier_override(ops::SimdTier::scalar);
-  const Tensor ys = train_step(scalar, serial_exec_context(), x, labels);
+  const Tensor ys = compute_gradients(scalar, x, labels, serial_exec_context());
   ops::set_simd_tier_override(std::nullopt);
 
   for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], ys[i]);
