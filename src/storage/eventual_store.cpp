@@ -25,13 +25,13 @@ std::uint64_t EventualStore::put(const std::string& key, Blob value,
   auto& shard = shard_for(key);
   std::lock_guard lock(shard.mutex);
   auto& slot = shard.map[key];
-  const bool lost = read_version != 0 && slot.version != read_version;
+  const std::uint64_t lost = clobbered_updates(slot.version, read_version);
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
   store_metrics().writes.inc();
-  if (lost) {
-    // We clobber a version we never saw.
-    stats_.lost_updates.fetch_add(1, std::memory_order_relaxed);
-    store_metrics().lost_updates.inc();
+  if (lost > 0) {
+    // We clobber versions we never saw.
+    stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
+    store_metrics().lost_updates.inc(lost);
   }
   slot.value = std::move(value);
   return ++slot.version;

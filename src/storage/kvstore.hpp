@@ -37,11 +37,11 @@ struct VersionedValue {
 struct StoreStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  /// Writes (put with a non-zero read_version) that clobbered a version the
-  /// writer had not seen — the racing writer's update is lost. Both stores
-  /// count this: on the eventual store it is the accepted §III-D race, on
-  /// the strong store it flags a get→put misuse of an API whose atomic path
-  /// is update().
+  /// Updates clobbered by writes (put with a non-zero read_version) that
+  /// overwrote versions the writer had not seen — the racing writers'
+  /// updates are lost (clobbered_updates below). Both stores count this: on
+  /// the eventual store it is the accepted §III-D race, on the strong store
+  /// it flags a get→put misuse of an API whose atomic path is update().
   std::uint64_t lost_updates = 0;
   /// StrongStore: lock acquisitions that had to wait.
   std::uint64_t contended_updates = 0;
@@ -66,6 +66,17 @@ struct AtomicStoreStats {
     return s;
   }
 };
+
+/// Updates one put clobbers when the slot holds `slot_version` and the
+/// writer read `read_version` (0 = blind write, which charges nothing). A
+/// stale write overwrites every version that landed after its read, so it
+/// charges the gap; a slot behind the read (erased and rewritten since)
+/// charges one.
+inline std::uint64_t clobbered_updates(std::uint64_t slot_version,
+                                       std::uint64_t read_version) {
+  if (read_version == 0 || slot_version == read_version) return 0;
+  return slot_version > read_version ? slot_version - read_version : 1;
+}
 
 /// Simulated per-operation latency (seconds). The defaults reproduce §IV-D:
 /// one parameter *update* (read + blend + write) costs 0.87 s on Redis and

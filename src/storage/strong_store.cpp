@@ -34,9 +34,10 @@ std::uint64_t StrongStore::put(const std::string& key, Blob value,
   // get→put against this store races exactly like on the eventual store, so
   // a stale read_version is counted instead of silently discarded: the
   // misuse is observable in stats()/store_metrics.
-  if (read_version != 0 && slot.version != read_version) {
-    stats_.lost_updates.fetch_add(1, std::memory_order_relaxed);
-    store_metrics().lost_updates.inc();
+  const std::uint64_t lost = clobbered_updates(slot.version, read_version);
+  if (lost > 0) {
+    stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
+    store_metrics().lost_updates.inc(lost);
   }
   slot.value = std::move(value);
   return ++slot.version;
