@@ -27,9 +27,10 @@ check() {
   fi
 }
 
-# 1. Both scripts still parse.
+# 1. The scripts still parse.
 check "sanitize.sh syntax" bash -n ci/sanitize.sh
 check "soak.sh syntax" bash -n ci/soak.sh
+check "multicore.sh syntax" bash -n ci/multicore.sh
 
 # 2. Every ctest invocation in the CI scripts carries --no-tests=error.
 ctest_lines=$(grep -c '^ctest\|^  ctest\|ctest --test-dir' ci/sanitize.sh)
@@ -86,6 +87,19 @@ check "sanitize.sh tsan regex includes test_fleet" \
   bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_fleet"
 check "soak.sh tsan regex includes test_fleet" \
   bash -c "grep -E '^export VCDL_TSAN_REGEX=' ci/soak.sh | grep -q test_fleet"
+
+# 7. The multicore repeat stage keeps its empty-regex guard, and every suite
+#    its regex names is registered, so the stage can never repeat nothing.
+check "multicore.sh ctest call guarded" \
+  grep -qE -- '^ctest .*--no-tests=error' ci/multicore.sh
+for suite in test_fuzz test_thread_pool test_exec_threading test_kernels \
+             test_obs; do
+  check "multicore target ${suite} registered" \
+    bash -c "ctest --test-dir '${BUILD_DIR}' -N -R '^${suite}\$' \
+               2>/dev/null | grep -q 'Total Tests: 1'"
+  check "multicore regex names ${suite}" \
+    bash -c "grep -E '^MULTICORE_REGEX=' ci/multicore.sh | grep -q '${suite}'"
+done
 
 if [[ "${failures}" -ne 0 ]]; then
   echo "ci self-test: ${failures} check(s) failed"
