@@ -103,28 +103,15 @@ void VcAsgdAssimilator::publish_initial(const std::vector<float>& params) {
     base_rings_.assign(plan_.shards(), {});
     shard_stats_.assign(plan_.shards(), {});
   }
-  published_ = params;
-  for (std::size_t s = 0; s < plan_.shards(); ++s) {
-    Blob blob = save_params(plan_.view(std::span<const float>(params), s));
-    store_.put(shard_key(s), blob, 0);
-    files_.publish(shard_key(s), std::move(blob), /*compress=*/true,
-                   /*delta_capable=*/options_.wire_mode != WireMode::full);
-  }
-  if (options_.wire_mode != WireMode::full) {
-    // Checkpoint replay re-enters here with rewound params while commits_
-    // stays put; clear the rings so no stale pre-crash base survives under
-    // its old version number. Future commits will *reuse* those version
-    // numbers with different params — which is why ring hits also compare
-    // the frame's base_hash: a pre-crash upload whose base_version matches
-    // a post-replay entry hash-misses and takes the ring-miss path instead
-    // of silently decoding against the wrong base.
-    for (std::size_t s = 0; s < plan_.shards(); ++s) {
-      const auto slice = plan_.view(std::span<const float>(published_), s);
-      base_rings_[s].clear();
-      base_rings_[s][commits_] = {params_hash(slice),
-                                  {slice.begin(), slice.end()}};
-    }
-  }
+  // Checkpoint replay re-enters here with rewound params while commits_
+  // stays put; clear the rings so no stale pre-crash base survives under
+  // its old version number. Future commits will *reuse* those version
+  // numbers with different params — which is why ring hits also compare
+  // the frame's base_hash: a pre-crash upload whose base_version matches a
+  // post-replay entry hash-misses and takes the ring-miss path instead of
+  // silently decoding against the wrong base.
+  for (auto& ring : base_rings_) ring.clear();
+  write_shards(params, std::vector<std::uint64_t>(plan_.shards(), 0));
 }
 
 SimTime VcAsgdAssimilator::validation_time() const {
@@ -154,7 +141,7 @@ std::vector<float> VcAsgdAssimilator::read_shards(
   return server_params;
 }
 
-void VcAsgdAssimilator::commit(
+void VcAsgdAssimilator::write_shards(
     const std::vector<float>& params,
     const std::vector<std::uint64_t>& read_versions) {
   for (std::size_t s = 0; s < plan_.shards(); ++s) {
@@ -174,9 +161,7 @@ void VcAsgdAssimilator::commit(
     }
   }
   published_ = params;
-  ++commits_;
   remember_base();
-  metrics().updates.inc();
 }
 
 void VcAsgdAssimilator::remember_base() {
@@ -252,22 +237,6 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
 
 void VcAsgdAssimilator::note_exec_base(WorkunitId unit) {
   exec_base_[unit].push_back(commits_);
-}
-
-void VcAsgdAssimilator::observe_gradient_age(WorkunitId unit) {
-  const auto it = exec_base_.find(unit);
-  if (it == exec_base_.end()) return;  // trainer did not record this unit
-  metrics().gradient_age.observe(
-      static_cast<double>(commits_ - it->second.back()));
-  // Dropping every replica's pin here is safe because the grid server
-  // retires the unit on its first valid result (Scheduler::report_result)
-  // and later duplicates never reach assimilate() — no further decode for
-  // this unit can occur.
-  exec_base_.erase(it);
-}
-
-void VcAsgdAssimilator::release_exec_base(WorkunitId unit) {
-  exec_base_.erase(unit);
 }
 
 void VcAsgdAssimilator::assimilate(ResultEnvelope env, std::size_t ps_index,
@@ -397,15 +366,25 @@ VcAsgdAssimilator::Blend VcAsgdAssimilator::blend(const ResultEnvelope& env,
 }
 
 void VcAsgdAssimilator::commit_blend(WorkunitId unit, const Blend& blended) {
-  if (blended.applied) {
-    observe_gradient_age(unit);
-    commit(blended.params, blended.read_versions);
-  } else {
-    // The dropped upload's unit is already retired at the scheduler, so the
-    // pipeline still validates (the unchanged params) and reports — an
-    // abandoned chain would stall the epoch.
-    release_exec_base(unit);
+  // Release the unit's base-ring pins before the commit prunes the rings.
+  // Dropping every replica's pin is safe because the grid server retires the
+  // unit on its first valid result (Scheduler::report_result) and later
+  // duplicates never reach assimilate() — no further decode for this unit
+  // can occur. A dropped upload's unit is retired all the same, so it still
+  // validates (the unchanged params) and reports; an abandoned chain would
+  // stall the epoch.
+  const auto it = exec_base_.find(unit);
+  if (it != exec_base_.end()) {
+    if (blended.applied) {
+      metrics().gradient_age.observe(
+          static_cast<double>(commits_ - it->second.back()));
+    }
+    exec_base_.erase(it);
   }
+  if (!blended.applied) return;
+  ++commits_;
+  write_shards(blended.params, blended.read_versions);
+  metrics().updates.inc();
 }
 
 void VcAsgdAssimilator::validate_and_report(

@@ -170,16 +170,11 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   /// event (latency is modeled by the caller's schedule delay), so a
   /// one-shard plan performs exactly the monolithic read.
   std::vector<float> read_shards(std::vector<std::uint64_t>& read_versions);
-  /// Writes every shard slice back (one put + file publish per shard) and
-  /// advances the lockstep commit counter once.
-  void commit(const std::vector<float>& params,
-              const std::vector<std::uint64_t>& read_versions);
-  /// Observes gradient age for `unit` (if its exec base was recorded) just
-  /// before its blend commits, then releases the unit's base-ring pins.
-  void observe_gradient_age(WorkunitId unit);
-  /// Releases `unit`'s base-ring pins without observing an age — the path
-  /// for uploads that were dropped rather than blended.
-  void release_exec_base(WorkunitId unit);
+  /// Writes every shard slice (one store put + file publish per shard; a
+  /// zero read version is a blind write), makes `params` the published
+  /// copy, and records it in the base rings at the current commit count.
+  void write_shards(const std::vector<float>& params,
+                    const std::vector<std::uint64_t>& read_versions);
   /// One assimilation attempt; reschedules itself on injected store failures.
   void try_assimilate(std::shared_ptr<ResultEnvelope> env,
                       std::shared_ptr<std::function<void()>> done,
@@ -197,8 +192,9 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   /// rejection: a decoded copy deviating from the server copy beyond
   /// blend_outlier_threshold, traced and counted) leaves `applied` false.
   Blend blend(const ResultEnvelope& env, double alpha);
-  /// Commits an applied blend (observing its gradient age first); releases
-  /// the unit's base-ring pins for a dropped one.
+  /// Releases the unit's base-ring pins, then commits an applied blend:
+  /// observes its gradient age, advances the lockstep commit counter once
+  /// and writes every shard back.
   void commit_blend(WorkunitId unit, const Blend& blended);
   /// Validates `params` (real forward passes, virtual duration), then
   /// reports the unit's accuracy and calls `done` — unless the server
