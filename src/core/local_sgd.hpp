@@ -1,10 +1,12 @@
 // Client-side local SGD: the compute half of a VC-ASGD subtask (§III-C).
 //
 // A subtask trains the published W on one shard for a few passes and then
-// uploads the result. Every minibatch in the library takes the one path
-// below: the trainer's subtasks and the serial baseline run whole passes
-// through train_local, and the Downpour, DC-ASGD and EASGD worker steps,
-// which interleave single steps across workers, call compute_gradients.
+// uploads the result. Every training minibatch in the vcdl library takes
+// the one path below: the trainer's subtasks and the serial baseline run
+// whole passes through train_local, and the Downpour, DC-ASGD and EASGD
+// worker steps, which interleave single steps across workers, call
+// compute_gradients. Only the test oracles (testing/oracles.hpp) keep a
+// loop of their own, as the independent reference.
 #pragma once
 
 #include <cstdint>

@@ -224,6 +224,8 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
         ++(*counts)[s].frames_dropped;
         return std::nullopt;
       }
+      // q8 diffs live in float space: against the published slice the
+      // decode degrades to plain update application.
       base = plan_.view(std::span<const float>(published_), s);
     }
     const std::vector<float> slice = decode_params(parts[s], base);

@@ -5,12 +5,14 @@
 // the digest/metrics/params constants below were captured from the
 // pre-shard monolithic build, so a param_shards=1 run through the refactored
 // plane must reproduce them bit for bit — TraceDigest, metrics-snapshot
-// fingerprint and published parameters alike. Mutation checks flip the
-// core/test_hooks.hpp sabotage flags and require the oracles to fail, which
-// proves they have teeth. The rest of the suite covers the slicing edge
-// cases, the cross-shard blend property (concatenated per-shard Eq. (1)
-// blends equal the monolithic blend bitwise), per-shard wire-stat
-// set-equality against the global counters, and sharded-run determinism.
+// fingerprint and published parameters alike. Goldens of the same kind pin
+// the bundled (2 and 4 shards), consensus and chaos paths. Mutation checks
+// flip the core/test_hooks.hpp sabotage flags and require the oracles to
+// fail, which proves they have teeth. The rest of the suite covers the
+// slicing edge cases, the cross-shard blend property (concatenated
+// per-shard Eq. (1) blends equal the monolithic blend bitwise), per-shard
+// wire-stat set-equality against the global counters, and sharded-run
+// determinism.
 #include <gtest/gtest.h>
 
 #include <cstring>
