@@ -16,9 +16,10 @@
 // Overrides: batch=32 steps=20 warmup=3 base_filters=16 blocks=2 image=32
 //            oversub=0 smoke=0
 //
-// smoke=1 shrinks the job to seconds and exits nonzero if the pooled path is
-// slower than serial at the widest non-oversubscribed width — the CI guard
-// against reintroducing a thread-scaling regression (ci/sanitize.sh).
+// smoke=1 shrinks the job to seconds and exits nonzero if the pooled path's
+// fastest step is slower than serial's at the widest non-oversubscribed
+// width — the CI guard against reintroducing a thread-scaling regression
+// (ci/sanitize.sh).
 #include <chrono>
 #include <cstdint>
 #include <fstream>
