@@ -17,7 +17,7 @@ std::optional<VersionedValue> EventualStore::get(const std::string& key) {
   store_metrics().reads.inc();
   const auto it = shard.map.find(key);
   if (it == shard.map.end()) return std::nullopt;
-  return it->second;
+  return it->second.current;
 }
 
 std::uint64_t EventualStore::put(const std::string& key, Blob value,
@@ -25,7 +25,8 @@ std::uint64_t EventualStore::put(const std::string& key, Blob value,
   auto& shard = shard_for(key);
   std::lock_guard lock(shard.mutex);
   auto& slot = shard.map[key];
-  const std::uint64_t lost = clobbered_updates(slot.version, read_version);
+  const std::uint64_t lost =
+      slot.ledger.charge(slot.current.version, read_version);
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
   store_metrics().writes.inc();
   if (lost > 0) {
@@ -33,8 +34,8 @@ std::uint64_t EventualStore::put(const std::string& key, Blob value,
     stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
     store_metrics().lost_updates.inc(lost);
   }
-  slot.value = std::move(value);
-  return ++slot.version;
+  slot.current.value = std::move(value);
+  return ++slot.current.version;
 }
 
 std::uint64_t EventualStore::update(const std::string& key,

@@ -36,7 +36,7 @@ class EventualStore : public KvStore {
 
   struct Shard {
     std::mutex mutex;
-    std::map<std::string, VersionedValue> map;
+    std::map<std::string, StoreSlot> map;
   };
 
   Shard& shard_for(const std::string& key);

@@ -18,12 +18,15 @@
 // in-memory operation itself is fast; the model is what an experiment bills.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/blob.hpp"
 
@@ -37,11 +40,11 @@ struct VersionedValue {
 struct StoreStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  /// Updates clobbered by writes (put with a non-zero read_version) that
-  /// overwrote versions the writer had not seen — the racing writers'
-  /// updates are lost (clobbered_updates below). Both stores count this: on
-  /// the eventual store it is the accepted §III-D race, on the strong store
-  /// it flags a get→put misuse of an API whose atomic path is update().
+  /// Versions a put (with a non-zero read_version) overwrote unseen — the
+  /// racing writers' updates are lost. Each counts once (LostUpdateLedger
+  /// below). Both stores count this: on the eventual store it is the
+  /// accepted §III-D race, on the strong store it flags a get→put misuse of
+  /// an API whose atomic path is update().
   std::uint64_t lost_updates = 0;
   /// StrongStore: lock acquisitions that had to wait.
   std::uint64_t contended_updates = 0;
@@ -67,16 +70,41 @@ struct AtomicStoreStats {
   }
 };
 
-/// Updates one put clobbers when the slot holds `slot_version` and the
-/// writer read `read_version` (0 = blind write, which charges nothing). A
-/// stale write overwrites every version that landed after its read, so it
-/// charges the gap; a slot behind the read (erased and rewritten since)
-/// charges one.
-inline std::uint64_t clobbered_updates(std::uint64_t slot_version,
-                                       std::uint64_t read_version) {
-  if (read_version == 0 || slot_version == read_version) return 0;
-  return slot_version > read_version ? slot_version - read_version : 1;
-}
+/// One key's record of the versions stale puts were charged for. A put that
+/// read `read_version` (0 = blind write, which charges nothing) and lands on
+/// `slot_version` clobbers (read_version, slot_version] unseen; it is
+/// charged for the versions in that range no earlier put was charged for.
+/// A slot behind the read (erased and rewritten since) charges one.
+class LostUpdateLedger {
+ public:
+  std::uint64_t charge(std::uint64_t slot_version, std::uint64_t read_version) {
+    if (read_version == 0 || read_version == slot_version) return 0;
+    if (read_version > slot_version) return 1;
+    std::uint64_t first = read_version + 1;
+    std::uint64_t lost = slot_version - read_version;
+    // Fold the runs that overlap or touch the range into one.
+    while (!charged_.empty() && charged_.back().second >= read_version) {
+      const auto [lo, hi] = charged_.back();
+      charged_.pop_back();
+      if (hi >= first) lost -= hi - std::max(lo, first) + 1;
+      first = std::min(first, lo);
+    }
+    charged_.emplace_back(first, slot_version);
+    return lost;
+  }
+
+ private:
+  // Disjoint, non-adjacent runs [first, last] of charged versions, ascending.
+  // A clobbered range ends at the newest version, so it merges at the back,
+  // and each stale put adds at most one run.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> charged_;
+};
+
+/// A key's entry in either store; erasing the key drops its ledger too.
+struct StoreSlot {
+  VersionedValue current;
+  LostUpdateLedger ledger;
+};
 
 /// Simulated per-operation latency (seconds). The defaults reproduce §IV-D:
 /// one parameter *update* (read + blend + write) costs 0.87 s on Redis and

@@ -20,7 +20,7 @@ std::optional<VersionedValue> StrongStore::get(const std::string& key) {
   store_metrics().reads.inc();
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;
-  return it->second;
+  return it->second.current;
 }
 
 std::uint64_t StrongStore::put(const std::string& key, Blob value,
@@ -34,13 +34,14 @@ std::uint64_t StrongStore::put(const std::string& key, Blob value,
   // get→put against this store races exactly like on the eventual store, so
   // a stale read_version is counted instead of silently discarded: the
   // misuse is observable in stats()/store_metrics.
-  const std::uint64_t lost = clobbered_updates(slot.version, read_version);
+  const std::uint64_t lost =
+      slot.ledger.charge(slot.current.version, read_version);
   if (lost > 0) {
     stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
     store_metrics().lost_updates.inc(lost);
   }
-  slot.value = std::move(value);
-  return ++slot.version;
+  slot.current.value = std::move(value);
+  return ++slot.current.version;
 }
 
 std::uint64_t StrongStore::update(const std::string& key,
@@ -56,7 +57,7 @@ std::uint64_t StrongStore::update(const std::string& key,
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
   store_metrics().reads.inc();
   store_metrics().writes.inc();
-  auto& slot = map_[key];
+  auto& slot = map_[key].current;
   const Blob* current = slot.version > 0 ? &slot.value : nullptr;
   slot.value = fn(current);
   return ++slot.version;

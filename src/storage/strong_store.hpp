@@ -27,7 +27,7 @@ class StrongStore : public KvStore {
   // paper's bottleneck analysis (§IV-D) is about transaction latency, not
   // lock granularity, and the latency model is charged by the caller anyway.
   mutable std::mutex mutex_;
-  std::map<std::string, VersionedValue> map_;
+  std::map<std::string, StoreSlot> map_;
   // Relaxed atomics (kvstore.hpp AtomicStoreStats): stats() never takes the
   // store lock, and counting stays cheap inside it.
   AtomicStoreStats stats_;

@@ -184,6 +184,38 @@ TEST(StrongStore, StaleReadVersionPutCountsAsLostUpdate) {
   EXPECT_EQ(store.stats().lost_updates, 1u);
 }
 
+TEST(KvStore, StalePutsChargeEachClobberedVersionOnce) {
+  for (const char* kind : {"eventual", "strong"}) {
+    auto store = make_store(kind);
+    for (std::uint64_t v = 1; v <= 5; ++v) store->put("k", blob_of(v), 0);
+    // Three writers read version 5 and write in turn. The second clobbers
+    // version 6, the third clobbers 6 and 7: two updates are lost, not three.
+    store->put("k", blob_of(6), 5);
+    store->put("k", blob_of(7), 5);
+    EXPECT_EQ(store->stats().lost_updates, 1u) << kind;
+    store->put("k", blob_of(8), 5);
+    EXPECT_EQ(store->stats().lost_updates, 2u) << kind;
+    // A writer that read version 3 clobbers 4 to 8; 6 and 7 were charged.
+    store->put("k", blob_of(9), 3);
+    EXPECT_EQ(store->stats().lost_updates, 5u) << kind;
+    // A fresh write, then a writer that read 9 clobbers it (10). A writer
+    // that read 7 then clobbers 8 to 11, of which only 9 and 11 are new:
+    // the charged versions need not be one run below the newest.
+    store->put("k", blob_of(10), 9);
+    store->put("k", blob_of(11), 9);
+    EXPECT_EQ(store->stats().lost_updates, 6u) << kind;
+    store->put("k", blob_of(12), 7);
+    EXPECT_EQ(store->stats().lost_updates, 8u) << kind;
+    EXPECT_LE(store->stats().lost_updates, store->stats().writes) << kind;
+    // Erasing the key drops its ledger: the new key's versions start over.
+    store->erase("k");
+    store->put("k", blob_of(1), 0);
+    store->put("k", blob_of(2), 0);
+    store->put("k", blob_of(3), 1);
+    EXPECT_EQ(store->stats().lost_updates, 9u) << kind;
+  }
+}
+
 TEST(StrongStore, ContentionIsObservable) {
   StrongStore store;
   std::atomic<bool> go{false};
