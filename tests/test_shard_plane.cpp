@@ -30,6 +30,7 @@
 #include "nn/model_io.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "storage/eventual_store.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
@@ -233,71 +234,83 @@ constexpr Golden kMonolithicGoldens[] = {
 // Captured before the upload/assimilation paths were folded into one module,
 // so the fold must reproduce them bit for bit.
 //
-// The metrics fingerprints assume this file's test order. The process-wide
-// registry keeps the zero-valued names that earlier runs registered, and
-// the snapshot lists them (docs/OBSERVABILITY.md), so a filtered run of one
-// test sees a different fingerprint while digest and params stay put.
+// Their metrics fingerprint covers only the snapshot's non-zero entries
+// (live_fingerprint below), so it holds whichever tests ran first.
 struct PlaneGolden {
   const char* codec;
   const char* store;
   std::size_t shards;
   std::uint64_t digest;
-  std::uint64_t metrics;
+  std::uint64_t live_metrics;
   std::uint64_t params;
   std::uint64_t events;
 };
 constexpr PlaneGolden kShardedGoldens[] = {
-    {"full", "eventual", 2, 0x592d845426ae2242ULL, 0x6308a7814de2e51fULL,
+    {"full", "eventual", 2, 0x592d845426ae2242ULL, 0x3b59d06a1c0e9466ULL,
      0x4c26f882e71ad853ULL, 149},
-    {"delta", "eventual", 2, 0x204d50e7b48eec9bULL, 0x38ab820b63069f07ULL,
+    {"delta", "eventual", 2, 0x204d50e7b48eec9bULL, 0x7e58a6c5403f34c6ULL,
      0x4c26f882e71ad853ULL, 149},
-    {"delta_q8", "strong", 2, 0x7a29fe82665958ceULL, 0xcd06e8f1ce661f2eULL,
+    {"delta_q8", "strong", 2, 0x7a29fe82665958ceULL, 0xa1c5212a869b80d3ULL,
      0x6b3f0f9325ea4be6ULL, 149},
-    {"full", "eventual", 4, 0x893c6a5bdc847c2cULL, 0x61f5d300db74cc72ULL,
+    {"full", "eventual", 4, 0x893c6a5bdc847c2cULL, 0x545db3eb7034c71dULL,
      0x69e3f95fe498c7a3ULL, 149},
-    {"delta", "eventual", 4, 0x8096edae8ca80ae2ULL, 0x34e69222cdadc9a6ULL,
+    {"delta", "eventual", 4, 0x8096edae8ca80ae2ULL, 0xa80fbe4dfccd6511ULL,
      0x69e3f95fe498c7a3ULL, 149},
-    {"delta_q8", "strong", 4, 0xcc76d390f095adfeULL, 0xdf393b7a7bad0d7aULL,
+    {"delta_q8", "strong", 4, 0xcc76d390f095adfeULL, 0x9342b0c0d06daf47ULL,
      0x10db6267f59196e7ULL, 149},
 };
 // tiny_image_spec with a 1/3 noise adversary, triple replication, a 2-of-3
 // quorum and the blend guard (byzantine_spec below).
 constexpr PlaneGolden kConsensusGoldens[] = {
-    {"full", "eventual", 1, 0xf0c0a7c5ff1a992aULL, 0x94ea6215d29d10e8ULL,
+    {"full", "eventual", 1, 0xf0c0a7c5ff1a992aULL, 0xa75dc592312e3288ULL,
      0x8e999bdfe353015bULL, 438},
-    {"delta", "eventual", 1, 0x919ded6faf4cf6d0ULL, 0x0531e3e7ca77873aULL,
+    {"delta", "eventual", 1, 0x919ded6faf4cf6d0ULL, 0x6b20d2b045eb0b58ULL,
      0x8e999bdfe353015bULL, 438},
-    {"full", "eventual", 2, 0x918deddd17552d4aULL, 0xd14275238434fdb8ULL,
+    {"full", "eventual", 2, 0x918deddd17552d4aULL, 0x504a56fc8b1fa374ULL,
      0xd45ebfe9bb80ed23ULL, 438},
-    {"delta", "eventual", 2, 0xea6ab06ef5b1e92fULL, 0x5f45d2debb1cc367ULL,
+    {"delta", "eventual", 2, 0xea6ab06ef5b1e92fULL, 0x396363d9a2c123ebULL,
      0xd45ebfe9bb80ed23ULL, 438},
 };
 // tiny_image_spec under transfer drops and stalls, upload corruption, store
 // outages and spikes, and one grid-server crash replayed from checkpoints
 // (chaos_spec below).
 constexpr PlaneGolden kChaosGoldens[] = {
-    {"full", "eventual", 1, 0x0d74dc78527b723dULL, 0x6816c893df2e70f6ULL,
+    {"full", "eventual", 1, 0x0d74dc78527b723dULL, 0xe017130d4ff79fcfULL,
      0x3696e0e6d92a22cdULL, 186},
-    {"delta", "eventual", 1, 0xefd0d470e0f0e275ULL, 0xf455c54773503de7ULL,
+    {"delta", "eventual", 1, 0xefd0d470e0f0e275ULL, 0xd373ac4f4316ad69ULL,
      0xc178369bc23c17afULL, 186},
-    {"full", "eventual", 2, 0xc8d3a6b97e03991dULL, 0x942a070932739cdcULL,
+    {"full", "eventual", 2, 0xc8d3a6b97e03991dULL, 0x22cef95bd6663cd9ULL,
      0x90feba5e1d783851ULL, 195},
-    {"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0xc1addad5ba0e1c68ULL,
+    {"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0x2cb743e3cdcb1996ULL,
      0x94afeccd95c49b03ULL, 195},
 };
 
 struct RunFingerprint {
   std::uint64_t digest = 0;
   std::uint64_t metrics = 0;
+  std::uint64_t live_metrics = 0;
   std::uint64_t params = 0;
   std::uint64_t events = 0;
 };
+
+// Fingerprint of a snapshot's non-zero entries. The registry keeps, at zero,
+// every name an earlier run in the process registered (docs/OBSERVABILITY.md),
+// so the full fingerprint depends on which tests ran before; this one
+// depends on the run alone.
+std::uint64_t live_fingerprint(obs::MetricsSnapshot m) {
+  std::erase_if(m.counters, [](const auto& c) { return c.second == 0; });
+  std::erase_if(m.gauges, [](const auto& g) { return g.second == 0.0; });
+  std::erase_if(m.histograms,
+                [](const auto& h) { return h.second.count == 0; });
+  return m.fingerprint();
+}
 
 RunFingerprint fingerprint_of(const ExperimentSpec& spec) {
   VcTrainer t(spec);
   const TrainResult r = t.run();
   return {t.trace().digest().hash, r.metrics.fingerprint(),
-          params_hash(r.final_params), t.trace().digest().events};
+          live_fingerprint(r.metrics), params_hash(r.final_params),
+          t.trace().digest().events};
 }
 
 ExperimentSpec plane_spec(const char* codec, const char* store,
@@ -345,10 +358,10 @@ ExperimentSpec chaos_spec(const PlaneGolden& g) {
 void expect_golden(const PlaneGolden& g, const RunFingerprint& fp) {
   std::ostringstream label;
   label << g.codec << "/" << g.store << " shards=" << g.shards << std::hex
-        << " got {0x" << fp.digest << ", 0x" << fp.metrics << ", 0x"
+        << " got {0x" << fp.digest << ", 0x" << fp.live_metrics << ", 0x"
         << fp.params << std::dec << ", " << fp.events << "}";
   EXPECT_EQ(fp.digest, g.digest) << label.str();
-  EXPECT_EQ(fp.metrics, g.metrics) << label.str();
+  EXPECT_EQ(fp.live_metrics, g.live_metrics) << label.str();
   EXPECT_EQ(fp.params, g.params) << label.str();
   EXPECT_EQ(fp.events, g.events) << label.str();
 }
