@@ -16,22 +16,20 @@
 // Overrides: batch=32 steps=20 warmup=3 base_filters=16 blocks=2 image=32
 //            oversub=0 smoke=0
 //
-// smoke=1 shrinks the job to seconds and exits nonzero if the pooled path's
-// fastest step is slower than serial's at the widest non-oversubscribed
-// width — the CI guard against reintroducing a thread-scaling regression
-// (ci/sanitize.sh).
+// smoke=1 shrinks the job to seconds and exits nonzero if the pooled path is
+// slower than serial at the widest non-oversubscribed width — the CI guard
+// against reintroducing a thread-scaling regression (ci/sanitize.sh).
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
-#include "nn/loss.hpp"
+#include "core/local_sgd.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/exec_context.hpp"
@@ -43,7 +41,6 @@ struct ThreadResult {
   std::size_t threads = 1;
   double steps_per_sec = 0.0;
   double speedup_vs_1 = 0.0;
-  double fastest_step_s = 0.0;
   bool oversubscribed = false;
 };
 
@@ -58,24 +55,22 @@ int main(int argc, char** argv) {
                       "execution-context layer (not a paper figure)");
 
   // Smoke mode: CI-sized job. Small enough to finish in seconds under a
-  // sanitizer, big enough that the pooled path's win/loss is not noise. It
-  // keeps the full-size layers and cuts only steps and depth: at 16x16
-  // images and 8 base filters each GEMM is too small to pay for a pool
-  // dispatch, a 4-thread pool runs at 0.54-0.80x serial on a 4-core VM, and
-  // the gate would fail on the job rather than on a regression.
-  const auto batch = static_cast<std::size_t>(cfg.get_int("batch", 32));
+  // sanitizer, big enough that the pooled path's win/loss is not noise.
+  const auto batch =
+      static_cast<std::size_t>(cfg.get_int("batch", smoke ? 16 : 32));
   const auto steps =
       static_cast<std::size_t>(cfg.get_int("steps", smoke ? 4 : 20));
   const auto warmup =
       static_cast<std::size_t>(cfg.get_int("warmup", smoke ? 1 : 3));
-  const auto image = static_cast<std::size_t>(cfg.get_int("image", 32));
+  const auto image =
+      static_cast<std::size_t>(cfg.get_int("image", smoke ? 16 : 32));
 
   ResNetLiteSpec spec;
   spec.channels = 3;
   spec.height = image;
   spec.width = image;
   spec.base_filters =
-      static_cast<std::size_t>(cfg.get_int("base_filters", 16));
+      static_cast<std::size_t>(cfg.get_int("base_filters", smoke ? 8 : 16));
   spec.blocks = static_cast<std::size_t>(cfg.get_int("blocks", smoke ? 1 : 2));
 
   // Fixed input batch: contents don't matter for throughput, determinism does.
@@ -103,32 +98,21 @@ int main(int argc, char** argv) {
     ExecContext exec;
     exec.pool = pool.get();
 
+    // The minibatch step training runs (core/local_sgd.hpp).
     auto step = [&] {
-      const Tensor logits = model.forward(x, exec, /*training=*/true);
-      const LossResult loss = softmax_cross_entropy(logits, labels);
-      model.zero_grads();
-      model.backward(loss.grad, exec);
+      compute_gradients(model, x, labels, exec);
       optimizer->step(model);
     };
     for (std::size_t i = 0; i < warmup; ++i) step();
 
-    // Each step is timed on its own: the table reports the mean rate, the
-    // smoke gate the fastest step (see below).
-    double secs = 0.0;
-    double fastest = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < steps; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      step();
-      const auto t1 = std::chrono::steady_clock::now();
-      const double step_s = std::chrono::duration<double>(t1 - t0).count();
-      secs += step_s;
-      fastest = std::min(fastest, step_s);
-    }
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < steps; ++i) step();
+    const auto t1 = std::chrono::steady_clock::now();
+    const double secs = std::chrono::duration<double>(t1 - t0).count();
 
     ThreadResult r;
     r.threads = threads;
     r.steps_per_sec = static_cast<double>(steps) / secs;
-    r.fastest_step_s = fastest;
     r.oversubscribed = over;
     results.push_back(r);
   }
@@ -187,21 +171,14 @@ int main(int argc, char** argv) {
   if (smoke) {
     // CI gate: the widest in-core pool must not lose to serial. On a 1-core
     // host only the serial row exists and the gate passes trivially (there is
-    // nothing to scale into). It compares each width's fastest step, not the
-    // mean: on a VM whose vCPUs other tenants share, time stolen from the
-    // pool's threads lands in some steps and not others, and the mean of a
-    // few steps then measures the neighbours rather than the code.
+    // nothing to scale into).
     const ThreadResult* widest = nullptr;
     for (const ThreadResult& r : results) {
       if (!r.oversubscribed) widest = &r;
     }
-    const double fastest_speedup =
-        widest == nullptr
-            ? 1.0
-            : results.front().fastest_step_s / widest->fastest_step_s;
-    if (widest != nullptr && widest->threads > 1 && fastest_speedup < 1.0) {
+    if (widest != nullptr && widest->threads > 1 && widest->speedup_vs_1 < 1.0) {
       std::cerr << "SMOKE FAIL: " << widest->threads
-                << "-thread fastest-step speedup vs 1 = " << fastest_speedup
+                << "-thread speedup_vs_1 = " << widest->speedup_vs_1
                 << " < 1.0 — the pooled hot path is slower than serial\n";
       return 1;
     }
