@@ -31,6 +31,7 @@ struct RunRow {
   double val_acc = 0.0;
   double hours = 0.0;
   vcdl::RunTotals totals;
+  vcdl::obs::MetricsSnapshot metrics;
 };
 
 }  // namespace
@@ -102,6 +103,7 @@ int main(int argc, char** argv) {
       row.val_acc = r.final_epoch().val_acc;
       row.hours = r.totals.duration_s / 3600.0;
       row.totals = r.totals;
+      row.metrics = r.metrics;
       if (fraction == 0.0) baseline_acc[quorum ? 1 : 0] = row.final_acc;
       rows.push_back(row);
       table.add_row({row.policy, Table::fmt(fraction, 3),
@@ -152,6 +154,7 @@ int main(int argc, char** argv) {
 
   // Telemetry of the last (heaviest-attack, full-defense) run: consensus.*
   // counters alongside the usual grid/fault taxonomies.
-  bench::write_obs_json("byzantine", cfg.get_string("obs_out", "BENCH_obs.json"));
+  bench::write_obs_json("byzantine", rows.back().metrics,
+                        cfg.get_string("obs_out", "BENCH_obs.json"));
   return 0;
 }

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
 
   // Scope the wall-clock span telemetry (exec.gemm_s etc.) to the measured
   // sweep; exported as BENCH_obs.json below.
-  obs::registry().reset_values();
+  const obs::MetricsSnapshot before = obs::registry().snapshot();
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<ThreadResult> results;
@@ -163,10 +163,12 @@ int main(int argc, char** argv) {
 
   // Kernel-time telemetry from the same sweep: span counts and wall-clock
   // latency distributions for the GEMM/im2col hot paths.
-  const auto& gemm = obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
-  std::cout << "exec.gemm_s: " << gemm.count() << " spans, p95 "
+  const obs::MetricsSnapshot sweep = obs::registry().snapshot().diff(before);
+  const obs::HistogramSnapshot& gemm = sweep.histograms.at("exec.gemm_s");
+  std::cout << "exec.gemm_s: " << gemm.count << " spans, p95 "
             << Table::fmt(gemm.percentile(0.95) * 1e3, 3) << " ms\n";
-  bench::write_obs_json("hotpath", cfg.get_string("obs_out", "BENCH_obs.json"));
+  bench::write_obs_json("hotpath", sweep,
+                        cfg.get_string("obs_out", "BENCH_obs.json"));
 
   if (smoke) {
     // CI gate: the widest in-core pool must not lose to serial. On a 1-core

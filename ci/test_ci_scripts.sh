@@ -87,9 +87,14 @@ check "sanitize.sh tsan regex includes test_fleet" \
   bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_fleet"
 check "soak.sh tsan regex includes test_fleet" \
   bash -c "grep -E '^export VCDL_TSAN_REGEX=' ci/soak.sh | grep -q test_fleet"
+# And the obs suite: it runs two trainings on two threads at once
+# (ObsDeterminism.RunsDoNotShareMetrics), the race TSan exists to catch.
+check "sanitize.sh tsan regex includes test_obs" \
+  bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_obs"
 
 # 7. The multicore repeat stage keeps its empty-regex guard, and every suite
 #    its regex names is registered, so the stage can never repeat nothing.
+#    test_obs must stay among them: it holds the concurrent-runs test.
 check "multicore.sh ctest call guarded" \
   grep -qE -- '^ctest .*--no-tests=error' ci/multicore.sh
 for suite in test_fuzz test_thread_pool test_exec_threading test_kernels \
@@ -100,6 +105,13 @@ for suite in test_fuzz test_thread_pool test_exec_threading test_kernels \
   check "multicore regex names ${suite}" \
     bash -c "grep -E '^MULTICORE_REGEX=' ci/multicore.sh | grep -q '${suite}'"
 done
+
+# 8. Run components (core, grid, sim, storage) count into the registry
+#    their constructor is given. The process registry, obs::registry(),
+#    holds only the hot-path spans and the benches; a run component counting
+#    there would share its counts with every other run in the process.
+check "no obs::registry() in run components" \
+  bash -c "! grep -rn 'obs::registry()' src/core src/grid src/sim src/storage"
 
 if [[ "${failures}" -ne 0 ]]; then
   echo "ci self-test: ${failures} check(s) failed"

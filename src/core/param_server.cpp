@@ -10,40 +10,9 @@
 #include "core/vcasgd.hpp"
 #include "grid/consensus.hpp"
 #include "nn/model_io.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace vcdl {
-namespace {
-struct AssimilatorMetrics {
-  obs::Counter& updates =
-      obs::registry().counter("assimilator.updates_applied");
-  obs::Counter& outage_retries =
-      obs::registry().counter("store.outage_retries");
-  // Modeled (virtual-time) latencies — deterministic under simulation.
-  obs::Histogram& alpha_mix_s =
-      obs::registry().histogram("assimilator.alpha_mix_s", {0.0, 10.0, 50});
-  obs::Histogram& gradient_age =
-      obs::registry().histogram("assimilator.gradient_age", {0.0, 64.0, 64});
-  obs::Histogram& read_s =
-      obs::registry().histogram("store.read_s", {0.0, 5.0, 50});
-  obs::Histogram& write_s =
-      obs::registry().histogram("store.write_s", {0.0, 5.0, 50});
-  obs::Gauge& staleness = obs::registry().gauge("store.staleness_at_read");
-  // Wire-codec upload decoding (common/wire_codec.hpp).
-  obs::Counter& frames_decoded =
-      obs::registry().counter("wire_codec.frames_decoded");
-  obs::Counter& base_misses =
-      obs::registry().counter("wire_codec.base_misses");
-  obs::Counter& frames_dropped =
-      obs::registry().counter("wire_codec.frames_dropped");
-};
-
-AssimilatorMetrics& metrics() {
-  static AssimilatorMetrics m;
-  return m;
-}
-}  // namespace
 
 Blob encode_upload(WireMode mode, const ShardPlan& plan,
                    std::span<const float> base, std::span<const float> params,
@@ -83,13 +52,14 @@ bool validate_upload(const Blob& payload) {
 VcAsgdAssimilator::VcAsgdAssimilator(
     SimEngine& engine, KvStore& store, FileServer& files, GridServer& server,
     const AlphaSchedule& schedule, Model eval_model, const Dataset& validation,
-    InstanceType server_instance, Options options, TraceLog& trace, Rng rng,
+    InstanceType server_instance, Options options, TraceLog& trace,
+    obs::Registry& metrics, Rng rng,
     std::function<void(std::size_t, double)> on_assimilated)
     : engine_(engine), store_(store), files_(files), server_(server),
       schedule_(schedule), eval_model_(std::move(eval_model)),
       validation_(validation), server_instance_(std::move(server_instance)),
-      options_(std::move(options)), trace_(trace), rng_(rng),
-      on_assimilated_(std::move(on_assimilated)) {
+      options_(std::move(options)), trace_(trace), metrics_(metrics),
+      rng_(rng), on_assimilated_(std::move(on_assimilated)) {
   VCDL_CHECK(on_assimilated_ != nullptr, "VcAsgdAssimilator: null callback");
 }
 
@@ -156,7 +126,7 @@ void VcAsgdAssimilator::write_shards(
       // store when another worker's blend slipped in (its update is what we
       // clobbered). Shards commit in lockstep, so every shard reports the
       // same staleness and the gauge holds one value.
-      metrics().staleness.set(
+      metrics_.staleness.set(
           static_cast<double>(new_version - read_versions[s] - 1));
     }
   }
@@ -196,7 +166,7 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
   if (parts.size() != plan_.shards()) {
     // A bundle from a different plan (or a sabotaged client) cannot be
     // routed; drop it like a ring-missed delta.
-    if (counts != nullptr) metrics().frames_dropped.inc();
+    if (counts != nullptr) metrics_.frames_dropped.inc();
     return std::nullopt;
   }
   std::vector<float> out(plan_.total());
@@ -208,19 +178,19 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
     if (it != ring.end() && it->second.hash == frame.base_hash) {
       base = it->second.params;
       if (counts != nullptr) {
-        metrics().frames_decoded.inc();
+        metrics_.frames_decoded.inc();
         ++(*counts)[s].frames_decoded;
       }
     } else {
       // Peek has no fallback: an undecodable replica must stay
       // incomparable, not coincidentally match.
       if (counts == nullptr) return std::nullopt;
-      metrics().base_misses.inc();
+      metrics_.base_misses.inc();
       ++(*counts)[s].base_misses;
       if (frame.mode == WireMode::delta) {
         // One undecodable bit-space part poisons the whole vector, so the
         // upload is dropped rather than blended.
-        metrics().frames_dropped.inc();
+        metrics_.frames_dropped.inc();
         ++(*counts)[s].frames_dropped;
         return std::nullopt;
       }
@@ -270,7 +240,7 @@ void VcAsgdAssimilator::try_assimilate(
       // here would strand the workunit.
       trace_.record(engine_.now(), TraceKind::store_fault, ps_name,
                     env->unit.label() + " retry " + std::to_string(attempt));
-      metrics().outage_retries.inc();
+      metrics_.outage_retries.inc();
       const SimTime delay = store_retry_.delay(attempt, rng_);
       engine_.schedule(delay, [this, env, done, ps_index, attempt, gen] {
         if (server_.generation() != gen) return;
@@ -335,9 +305,9 @@ void VcAsgdAssimilator::try_assimilate(
 }
 
 void VcAsgdAssimilator::observe_store_latency(double latency_factor) {
-  metrics().read_s.observe(store_.latency().read_s * latency_factor);
-  metrics().write_s.observe(store_.latency().write_s * latency_factor);
-  metrics().alpha_mix_s.observe(store_.latency().update_s() * latency_factor);
+  metrics_.read_s.observe(store_.latency().read_s * latency_factor);
+  metrics_.write_s.observe(store_.latency().write_s * latency_factor);
+  metrics_.alpha_mix_s.observe(store_.latency().update_s() * latency_factor);
 }
 
 VcAsgdAssimilator::Blend VcAsgdAssimilator::blend(const ResultEnvelope& env,
@@ -350,6 +320,7 @@ VcAsgdAssimilator::Blend VcAsgdAssimilator::blend(const ResultEnvelope& env,
       blend_outlier(blended.params, *client,
                     options_.blend_outlier_threshold)) {
     ++blend_rejections_;
+    metrics_.blend_rejected.inc();
     trace_.record(engine_.now(), TraceKind::blend_rejected, "assimilator",
                   env.unit.label() + " client-" + std::to_string(env.client));
     client.reset();
@@ -378,7 +349,7 @@ void VcAsgdAssimilator::commit_blend(WorkunitId unit, const Blend& blended) {
   const auto it = exec_base_.find(unit);
   if (it != exec_base_.end()) {
     if (blended.applied) {
-      metrics().gradient_age.observe(
+      metrics_.gradient_age.observe(
           static_cast<double>(commits_ - it->second.back()));
     }
     exec_base_.erase(it);
@@ -386,7 +357,7 @@ void VcAsgdAssimilator::commit_blend(WorkunitId unit, const Blend& blended) {
   if (!blended.applied) return;
   ++commits_;
   write_shards(blended.params, blended.read_versions);
-  metrics().updates.inc();
+  metrics_.updates.inc();
 }
 
 void VcAsgdAssimilator::validate_and_report(

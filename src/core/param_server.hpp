@@ -28,6 +28,7 @@
 #include "grid/file_server.hpp"
 #include "grid/server.hpp"
 #include "nn/model.hpp"
+#include "obs/metrics.hpp"
 #include "sim/faults.hpp"
 #include "sim/instance.hpp"
 #include "sim/resource.hpp"
@@ -97,12 +98,13 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   };
 
   /// `on_assimilated(epoch, subtask_val_acc)` fires once per assimilated
-  /// result, after the store write lands.
+  /// result, after the store write lands. Counts into `metrics`, the run's
+  /// registry.
   VcAsgdAssimilator(SimEngine& engine, KvStore& store, FileServer& files,
                     GridServer& server, const AlphaSchedule& schedule,
                     Model eval_model, const Dataset& validation,
                     InstanceType server_instance, Options options,
-                    TraceLog& trace, Rng rng,
+                    TraceLog& trace, obs::Registry& metrics, Rng rng,
                     std::function<void(std::size_t, double)> on_assimilated);
 
   void assimilate(ResultEnvelope env, std::size_t ps_index,
@@ -223,6 +225,30 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   /// versions no in-flight unit is pinned to.
   void remember_base();
 
+  // Registry handles, resolved once at construction.
+  struct Metrics {
+    explicit Metrics(obs::Registry& r) : registry(r) {}
+    obs::Registry& registry;
+    obs::Counter& updates = registry.counter("assimilator.updates_applied");
+    obs::Counter& outage_retries = registry.counter("store.outage_retries");
+    obs::Counter& blend_rejected = registry.counter("consensus.blend_rejected");
+    // Modeled (virtual-time) latencies.
+    obs::Histogram& alpha_mix_s =
+        registry.histogram("assimilator.alpha_mix_s", {0.0, 10.0, 50});
+    obs::Histogram& gradient_age =
+        registry.histogram("assimilator.gradient_age", {0.0, 64.0, 64});
+    obs::Histogram& read_s = registry.histogram("store.read_s", {0.0, 5.0, 50});
+    obs::Histogram& write_s =
+        registry.histogram("store.write_s", {0.0, 5.0, 50});
+    obs::Gauge& staleness = registry.gauge("store.staleness_at_read");
+    // Wire-codec upload decoding (common/wire_codec.hpp).
+    obs::Counter& frames_decoded =
+        registry.counter("wire_codec.frames_decoded");
+    obs::Counter& base_misses = registry.counter("wire_codec.base_misses");
+    obs::Counter& frames_dropped =
+        registry.counter("wire_codec.frames_dropped");
+  };
+
   SimEngine& engine_;
   KvStore& store_;
   FileServer& files_;
@@ -233,6 +259,7 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   InstanceType server_instance_;
   Options options_;
   TraceLog& trace_;
+  Metrics metrics_;
   Rng rng_;
   std::function<void(std::size_t, double)> on_assimilated_;
   FaultInjector* faults_ = nullptr;

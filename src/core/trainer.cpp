@@ -35,10 +35,11 @@ VcTrainer::VcTrainer(ExperimentSpec spec) : spec_(std::move(spec)) {
 TrainResult VcTrainer::run() {
   trace_.clear();
   trace_.set_enabled(spec_.trace);
-  // The run owns the global metrics registry for its duration: values are
-  // zeroed at entry so the final snapshot covers exactly this run, making
-  // same-seed snapshots byte-identical (the deterministic-telemetry oracle).
-  obs::registry().reset_values();
+  // Everything this run counts goes into its own registry, handed to each
+  // component below; its snapshot is TrainResult::metrics. Nothing in it
+  // reads a clock, so same-seed snapshots are byte-identical (the
+  // deterministic-telemetry oracle) whatever else runs in the process.
+  obs::Registry metrics;
   Rng master(spec_.seed);
 
   // --- Data, shards, model --------------------------------------------------
@@ -92,16 +93,11 @@ TrainResult VcTrainer::run() {
 
   // --- Infrastructure --------------------------------------------------------
   SimEngine engine;
-  // All time-valued metrics (spans, latency histograms) read the engine's
-  // virtual clock for the rest of this run — wall time never leaks into the
-  // snapshot, so telemetry replays with the simulation.
-  obs::FunctionTimeSource sim_clock([&engine] { return engine.now(); });
-  obs::ScopedTimeSource time_guard(obs::registry(), sim_clock);
-  auto store = make_store(spec_.store);
+  auto store = make_store(spec_.store, metrics);
   const WireMode wire_mode = wire_mode_from_name(spec_.wire_codec);
-  FileServer files;
+  FileServer files(metrics);
   files.set_wire_codec(wire_mode, spec_.wire_version_ring);
-  Scheduler scheduler;
+  Scheduler scheduler(metrics);
   if (spec_.reliability_gate > 0.0) {
     scheduler.set_reliability_gate(spec_.reliability_gate);
   }
@@ -118,23 +114,23 @@ TrainResult VcTrainer::run() {
   std::unique_ptr<FaultInjector> injector;
   if (spec_.faults.any()) {
     injector = std::make_unique<FaultInjector>(spec_.faults,
-                                               master.fork(0xFA17));
+                                               master.fork(0xFA17), metrics);
   }
 
   // Byzantine adversaries (sim/faults.hpp): like the injector, only built
   // when the plan selects someone — honest runs draw nothing from 0xBAD0.
   std::unique_ptr<AdversaryModel> adversary;
   if (spec_.adversary.any()) {
-    adversary = std::make_unique<AdversaryModel>(spec_.adversary, spec_.clients,
-                                                 master.fork(0xBAD0));
+    adversary = std::make_unique<AdversaryModel>(
+        spec_.adversary, spec_.clients, master.fork(0xBAD0), metrics);
   }
 
   const FleetCatalog catalog = table1_catalog();
   const std::vector<InstanceType> fleet = make_client_fleet(
       catalog, spec_.clients, spec_.preemptible, spec_.interruption_per_hour);
 
-  GridServer server(engine, scheduler, trace_, spec_.parameter_servers,
-                    validate_upload);
+  GridServer server(engine, scheduler, trace_, metrics,
+                    spec_.parameter_servers, validate_upload);
 
   WorkGenerator::Options wg_opts;
   wg_opts.num_shards = spec_.num_shards;
@@ -174,7 +170,7 @@ TrainResult VcTrainer::run() {
 
   VcAsgdAssimilator assimilator(
       engine, *store, files, server, *schedule, template_model,
-      data.validation, catalog.server, ps_opts, trace_,
+      data.validation, catalog.server, ps_opts, trace_, metrics,
       master.fork(0xEAA1),
       [&](std::size_t epoch, double subtask_acc) {
         auto& acc = per_epoch[epoch];
@@ -313,7 +309,8 @@ TrainResult VcTrainer::run() {
     cc.exec_pool = exec_pool.get();
     clients.push_back(std::make_unique<SimClient>(
         i, fleet[i], cc, engine, spec_.network, catalog.server, files,
-        scheduler, server, trace_, master.fork(0xC11E + i), execute));
+        scheduler, server, trace_, metrics, master.fork(0xC11E + i),
+        execute));
     if (injector) clients.back()->set_fault_injector(injector.get());
   }
 
@@ -415,7 +412,7 @@ TrainResult VcTrainer::run() {
   result.totals.spot_checks = scheduler.stats().spot_checks;
   result.totals.parameter_count = template_model.parameter_count();
   result.final_params = assimilator.published_params();
-  result.metrics = obs::registry().snapshot();
+  result.metrics = metrics.snapshot();
   return result;
 }
 

@@ -6,48 +6,20 @@
 #include <memory>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace vcdl {
-namespace {
-struct ClientMetrics {
-  obs::Counter& bytes_downloaded =
-      obs::registry().counter("client.bytes_downloaded");
-  obs::Counter& bytes_uploaded =
-      obs::registry().counter("client.bytes_uploaded");
-  obs::Counter& completed = obs::registry().counter("client.completed");
-  obs::Counter& retries = obs::registry().counter("client.transfer_retries");
-  obs::Counter& abandoned =
-      obs::registry().counter("client.transfer_abandoned");
-  obs::Counter& preemptions = obs::registry().counter("client.preemptions");
-  obs::Counter& offline = obs::registry().counter("client.offline_events");
-  // Transfer latencies are modeled times (network model × stall factor), so
-  // the histograms are deterministic under simulation.
-  obs::Histogram& download_s =
-      obs::registry().histogram("client.download_s", {0.0, 120.0, 60});
-  obs::Histogram& upload_s =
-      obs::registry().histogram("client.upload_s", {0.0, 120.0, 60});
-  obs::Histogram& exec_s =
-      obs::registry().histogram("client.subtask_exec_s", {0.0, 600.0, 60});
-};
-
-ClientMetrics& metrics() {
-  static ClientMetrics m;
-  return m;
-}
-}  // namespace
 
 SimClient::SimClient(ClientId id, InstanceType instance, ClientConfig config,
                      SimEngine& engine, const NetworkModel& network,
                      InstanceType server_instance, FileServer& files,
                      Scheduler& scheduler, GridServer& server, TraceLog& trace,
-                     Rng rng, ExecuteFn execute)
+                     obs::Registry& metrics, Rng rng, ExecuteFn execute)
     : id_(id), instance_(std::move(instance)), config_(std::move(config)),
       engine_(engine), network_(network),
       server_instance_(std::move(server_instance)), files_(files),
-      scheduler_(scheduler), server_(server), trace_(trace), rng_(rng),
-      execute_(std::move(execute)) {
+      scheduler_(scheduler), server_(server), trace_(trace), metrics_(metrics),
+      rng_(rng), execute_(std::move(execute)) {
   exec_.pool = config_.exec_pool;
   VCDL_CHECK(config_.max_concurrent >= 1, "SimClient: Tn must be >= 1");
   VCDL_CHECK(config_.retry.max_attempts >= 1,
@@ -139,7 +111,7 @@ SimTime SimClient::download_time(const Workunit& unit) {
     }
     ++stats_.downloads;
     stats_.bytes_downloaded += bytes;
-    metrics().bytes_downloaded.inc(bytes);
+    metrics_.bytes_downloaded.inc(bytes);
     if (ref.sticky) {
       cache_[ref.name] = current;
       scheduler_.note_cached(id_, ref.name);
@@ -166,7 +138,7 @@ void SimClient::attempt_download(const Workunit& unit, std::size_t attempt) {
     return;
   }
   const SimTime dl = download_time(unit) * fault.time_factor;
-  metrics().download_s.observe(dl);
+  metrics_.download_s.observe(dl);
   trace_.record(engine_.now(), TraceKind::download, name(), unit.label());
   const EventId id = engine_.schedule(dl, [this, unit] { exec_unit(unit); });
   track(id);
@@ -184,7 +156,7 @@ void SimClient::exec_unit(const Workunit& unit) {
     exec_s *= rng_.lognormal(0.0, config_.compute.exec_jitter_sigma);
   }
   stats_.busy_s += exec_s;
-  metrics().exec_s.observe(exec_s);
+  metrics_.exec_s.observe(exec_s);
   auto payload = std::make_shared<Blob>(std::move(outcome.payload));
   const EventId id = engine_.schedule(exec_s, [this, unit, payload] {
     finish_unit(unit, std::move(*payload));
@@ -216,7 +188,7 @@ void SimClient::attempt_upload(const Workunit& unit,
   const SimTime up = network_.transfer_time(payload->size(), instance_,
                                             server_instance_, rng_) *
                      fault.time_factor;
-  metrics().upload_s.observe(up);
+  metrics_.upload_s.observe(up);
   const EventId id =
       engine_.schedule(up, [this, unit, payload, attempt] {
         if (!server_.is_up()) {
@@ -227,11 +199,11 @@ void SimClient::attempt_upload(const Workunit& unit,
         }
         trace_.record(engine_.now(), TraceKind::upload, name(), unit.label());
         stats_.bytes_uploaded += payload->size();
-        metrics().bytes_uploaded.inc(payload->size());
+        metrics_.bytes_uploaded.inc(payload->size());
         VCDL_CHECK(active_ > 0, "SimClient: completion without active subtask");
         --active_;
         ++stats_.completed;
-        metrics().completed.inc();
+        metrics_.completed.inc();
         server_.submit_result(id_, unit, std::move(*payload));
         schedule_poll(0.0);  // a slot just freed up
       });
@@ -250,7 +222,7 @@ void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
     // Fast-fail: give the replica back now rather than letting the deadline
     // discover the loss minutes later.
     ++stats_.abandoned;
-    metrics().abandoned.inc();
+    metrics_.abandoned.inc();
     trace_.record(engine_.now(), TraceKind::subtask_abandoned, name(),
                   unit.label());
     scheduler_.report_failure(id_, unit.id, engine_.now());
@@ -260,7 +232,7 @@ void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
     return;
   }
   ++stats_.retries;
-  metrics().retries.inc();
+  metrics_.retries.inc();
   const SimTime delay = config_.retry.delay(attempt, rng_);
   const EventId id = engine_.schedule(delay, [this, unit, stage, payload,
                                               attempt] {
@@ -284,7 +256,7 @@ void SimClient::preempt() {
   if (stopped_ || !up_) return;
   up_ = false;
   ++stats_.preemptions;
-  metrics().preemptions.inc();
+  metrics_.preemptions.inc();
   stats_.lost_inflight += active_;
   trace_.record(engine_.now(), TraceKind::preempted, name(),
                 std::to_string(active_) + " subtasks lost");
@@ -324,7 +296,7 @@ void SimClient::go_offline() {
   if (stopped_ || !up_) return;
   up_ = false;
   ++stats_.offline_events;
-  metrics().offline.inc();
+  metrics_.offline.inc();
   stats_.lost_inflight += active_;
   trace_.record(engine_.now(), TraceKind::preempted, name(),
                 "volunteer offline, " + std::to_string(active_) +

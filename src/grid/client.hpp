@@ -26,6 +26,7 @@
 #include "grid/file_server.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
+#include "obs/metrics.hpp"
 #include "sim/availability.hpp"
 #include "sim/faults.hpp"
 #include "sim/instance.hpp"
@@ -85,11 +86,12 @@ class SimClient {
     std::uint64_t abandoned = 0;          // fast-fail give-ups after max tries
   };
 
+  /// Counts into `metrics`, the run's registry.
   SimClient(ClientId id, InstanceType instance, ClientConfig config,
             SimEngine& engine, const NetworkModel& network,
             InstanceType server_instance, FileServer& files,
             Scheduler& scheduler, GridServer& server, TraceLog& trace,
-            Rng rng, ExecuteFn execute);
+            obs::Registry& metrics, Rng rng, ExecuteFn execute);
 
   /// Attaches the run's fault injector (nullptr = fault-free; the default).
   /// Call before start().
@@ -136,6 +138,27 @@ class SimClient {
   void cancel_pending();
   std::string name() const { return "client-" + std::to_string(id_); }
 
+  // Registry handles, resolved once at construction.
+  struct Metrics {
+    explicit Metrics(obs::Registry& r) : registry(r) {}
+    obs::Registry& registry;
+    obs::Counter& bytes_downloaded =
+        registry.counter("client.bytes_downloaded");
+    obs::Counter& bytes_uploaded = registry.counter("client.bytes_uploaded");
+    obs::Counter& completed = registry.counter("client.completed");
+    obs::Counter& retries = registry.counter("client.transfer_retries");
+    obs::Counter& abandoned = registry.counter("client.transfer_abandoned");
+    obs::Counter& preemptions = registry.counter("client.preemptions");
+    obs::Counter& offline = registry.counter("client.offline_events");
+    // Transfer latencies are modeled times (network model × stall factor).
+    obs::Histogram& download_s =
+        registry.histogram("client.download_s", {0.0, 120.0, 60});
+    obs::Histogram& upload_s =
+        registry.histogram("client.upload_s", {0.0, 120.0, 60});
+    obs::Histogram& exec_s =
+        registry.histogram("client.subtask_exec_s", {0.0, 600.0, 60});
+  };
+
   ClientId id_;
   InstanceType instance_;
   ClientConfig config_;
@@ -146,6 +169,7 @@ class SimClient {
   Scheduler& scheduler_;
   GridServer& server_;
   TraceLog& trace_;
+  Metrics metrics_;
   Rng rng_;
   ExecuteFn execute_;
   ExecContext exec_;  // pool from config_.exec_pool + this client's arena

@@ -5,28 +5,9 @@
 
 #include "common/error.hpp"
 #include "grid/test_hooks.hpp"
-#include "obs/metrics.hpp"
 
 namespace vcdl {
 namespace {
-// Resolved when the first ConsensusBuffer is constructed — consensus-off runs
-// never register these, keeping their metrics snapshots byte-identical to
-// pre-consensus builds (the registry snapshot exports zero-valued counters).
-struct ConsensusMetrics {
-  obs::Counter& held = obs::registry().counter("consensus.replicas_held");
-  obs::Counter& quorum = obs::registry().counter("consensus.quorum_promoted");
-  obs::Counter& fallback =
-      obs::registry().counter("consensus.fallback_promoted");
-  obs::Counter& outvoted =
-      obs::registry().counter("consensus.results_outvoted");
-  obs::Counter& flushed = obs::registry().counter("consensus.replicas_flushed");
-};
-
-ConsensusMetrics& metrics() {
-  static ConsensusMetrics m;
-  return m;
-}
-
 std::uint64_t blob_hash(const Blob& payload) {
   // FNV-1a over the raw payload bytes — the tolerance == 0 equivalence key.
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -48,13 +29,13 @@ const std::vector<std::string>& consensus_metric_names() {
   return names;
 }
 
-ConsensusBuffer::ConsensusBuffer(Config config, ConsensusDecoder decoder)
-    : config_(config), decoder_(std::move(decoder)) {
+ConsensusBuffer::ConsensusBuffer(Config config, ConsensusDecoder decoder,
+                                 obs::Registry& metrics)
+    : config_(config), decoder_(std::move(decoder)), metrics_(metrics) {
   VCDL_CHECK(config_.quorum >= 1, "ConsensusBuffer: quorum must be >= 1");
   VCDL_CHECK(config_.tolerance >= 0.0, "ConsensusBuffer: tolerance >= 0");
   VCDL_CHECK(config_.tolerance == 0.0 || decoder_ != nullptr,
              "ConsensusBuffer: tolerance mode needs a decoder");
-  metrics();  // registration is config-driven, not event-driven
 }
 
 bool ConsensusBuffer::equivalent(const Replica& a, const Replica& b) const {
@@ -140,7 +121,7 @@ ConsensusBuffer::Submission ConsensusBuffer::submit(const Workunit& unit,
   classify(held, replica);
   held.replicas.push_back(std::move(replica));
   ++stats_.replicas_held;
-  metrics().held.inc();
+  metrics_.held.inc();
 
   const std::size_t m = std::min(config_.quorum, held.effective_k);
   std::map<std::size_t, std::size_t> class_sizes;
@@ -199,7 +180,7 @@ ConsensusBuffer::Submission ConsensusBuffer::promote(WorkunitId id,
     if (r.cls == winning_class) continue;
     sub.outvoted.push_back(r.client);
     ++stats_.results_outvoted;
-    metrics().outvoted.inc();
+    metrics_.outvoted.inc();
   }
   std::sort(sub.outvoted.begin(), sub.outvoted.end());
 
@@ -211,10 +192,10 @@ ConsensusBuffer::Submission ConsensusBuffer::promote(WorkunitId id,
   sub.winner = std::move(env);
   if (outcome == Outcome::fallback) {
     ++stats_.fallback_promoted;
-    metrics().fallback.inc();
+    metrics_.fallback.inc();
   } else {
     ++stats_.quorum_promoted;
-    metrics().quorum.inc();
+    metrics_.quorum.inc();
   }
   return sub;
 }
@@ -235,7 +216,7 @@ ConsensusBuffer::drain() {
     for (const Replica& r : held.replicas) clients.push_back(r.client);
     std::sort(clients.begin(), clients.end());
     stats_.replicas_flushed += clients.size();
-    metrics().flushed.inc(clients.size());
+    metrics_.flushed.inc(clients.size());
     dropped.emplace_back(id, std::move(clients));
   }
   units_.clear();
@@ -245,10 +226,6 @@ ConsensusBuffer::drain() {
 bool blend_outlier(const std::vector<float>& reference,
                    const std::vector<float>& update, double threshold) {
   if (threshold <= 0.0) return false;
-  // Resolved on first guarded call only: runs without the guard keep their
-  // registry (and snapshot bytes) untouched.
-  static obs::Counter& rejected =
-      obs::registry().counter("consensus.blend_rejected");
   bool outlier = update.size() != reference.size();
   if (!outlier) {
     double diff = 0.0, norm = 0.0;
@@ -262,7 +239,6 @@ bool blend_outlier(const std::vector<float>& reference,
     outlier = !std::isfinite(diff) ||
               std::sqrt(diff) > threshold * std::max(std::sqrt(norm), 1e-12);
   }
-  if (outlier) rejected.inc();
   return outlier;
 }
 

@@ -21,9 +21,7 @@
 //     the largest (earliest on ties) class wins. A wrong plurality winner is
 //     still subject to the assimilator's blend outlier guard (blend_outlier).
 //
-// Counters live under the "consensus.*" taxonomy (consensus_metric_names());
-// everything registers lazily so consensus-off runs export byte-identical
-// metrics snapshots.
+// Counters live under the "consensus.*" taxonomy (consensus_metric_names()).
 #pragma once
 
 #include <functional>
@@ -32,6 +30,7 @@
 #include <vector>
 
 #include "grid/workunit.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcdl {
 
@@ -78,7 +77,9 @@ class ConsensusBuffer {
     std::size_t agreeing = 0;  // winning-class size (promoted/fallback)
   };
 
-  ConsensusBuffer(Config config, ConsensusDecoder decoder);
+  /// Counts into `metrics`, the run's registry.
+  ConsensusBuffer(Config config, ConsensusDecoder decoder,
+                  obs::Registry& metrics);
 
   /// Buffers one validated replica. `effective_k` is the total replica count
   /// the scheduler settled on for this unit (adaptive replication may differ
@@ -130,19 +131,31 @@ class ConsensusBuffer {
   /// Largest class, earliest first arrival on ties.
   std::size_t plurality_class(const HeldUnit& held) const;
 
+  // Registry handles, resolved once at construction.
+  struct Metrics {
+    explicit Metrics(obs::Registry& r) : registry(r) {}
+    obs::Registry& registry;
+    obs::Counter& held = registry.counter("consensus.replicas_held");
+    obs::Counter& quorum = registry.counter("consensus.quorum_promoted");
+    obs::Counter& fallback = registry.counter("consensus.fallback_promoted");
+    obs::Counter& outvoted = registry.counter("consensus.results_outvoted");
+    obs::Counter& flushed = registry.counter("consensus.replicas_flushed");
+  };
+
   Config config_;
   ConsensusDecoder decoder_;
   std::map<WorkunitId, HeldUnit> units_;
   std::uint64_t arrival_counter_ = 0;
+  Metrics metrics_;
   Stats stats_;
 };
 
 /// Last-line defense for outliers that survive (or bypass) consensus: true
 /// when `update` deviates from `reference` by more than `threshold` in
 /// relative L2 (‖u−r‖ / max(‖r‖, ε)). A sign-flipped copy sits at deviation
-/// ≈ 2, an honest local-training delta well below 1. Counted under
-/// "consensus.blend_rejected" (registered on first call with a positive
-/// threshold only). threshold <= 0 disables the guard.
+/// ≈ 2, an honest local-training delta well below 1. The assimilator counts
+/// each rejection under "consensus.blend_rejected". threshold <= 0 disables
+/// the guard.
 bool blend_outlier(const std::vector<float>& reference,
                    const std::vector<float>& update, double threshold);
 

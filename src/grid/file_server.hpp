@@ -26,6 +26,7 @@
 
 #include "common/blob.hpp"
 #include "common/wire_codec.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcdl {
 
@@ -52,6 +53,11 @@ class FileServer {
     std::size_t wire_bytes = 0;           // bytes billed on the sim network
     bool was_delta = false;
   };
+
+  /// Counts into a registry of its own (a file server outside a run).
+  FileServer();
+  /// Counts into `metrics`, the run's registry.
+  explicit FileServer(obs::Registry& metrics);
 
   /// Selects the wire codec for delta-capable files and how many past
   /// versions each keeps for delta encoding. Call before publishing.
@@ -115,7 +121,23 @@ class FileServer {
   const Entry& entry(const std::string& name) const;
   std::size_t delta_wire_size(Entry& e, std::uint64_t have_version);
 
+  // Registry handles, resolved once at construction.
+  struct Metrics {
+    explicit Metrics(obs::Registry& r) : registry(r) {}
+    obs::Registry& registry;
+    obs::Counter& publishes = registry.counter("file_server.publishes");
+    obs::Counter& fetches = registry.counter("file_server.fetches");
+    obs::Counter& bytes_raw = registry.counter("file_server.bytes_raw");
+    obs::Counter& bytes_wire = registry.counter("file_server.bytes_wire");
+    obs::Counter& cache_hits = registry.counter("file_server.cache_hits");
+    obs::Counter& delta_pulls = registry.counter("file_server.delta_pulls");
+    obs::Counter& delta_fallbacks =
+        registry.counter("file_server.delta_fallbacks");
+  };
+
   std::map<std::string, Entry> files_;
+  std::unique_ptr<obs::Registry> own_metrics_;  // null when given a registry
+  Metrics metrics_;
   Stats stats_;
   WireMode mode_ = WireMode::full;
   std::size_t version_ring_ = 8;

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -35,12 +36,9 @@
 
 #include "common/rng.hpp"
 #include "grid/workunit.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcdl {
-
-namespace obs {
-class Counter;
-}  // namespace obs
 
 class Scheduler {
  public:
@@ -71,6 +69,11 @@ class Scheduler {
     std::size_t untrusted_replication = 3;
     double spot_check_prob = 0.1;
   };
+
+  /// Counts into a registry of its own (a scheduler driven outside a run).
+  Scheduler();
+  /// Counts into `metrics`, the run's registry.
+  explicit Scheduler(obs::Registry& metrics);
 
   /// Registers a client; must be called before it requests work.
   void register_client(ClientId id);
@@ -399,10 +402,28 @@ class Scheduler {
   bool adaptive_enabled_ = false;
   AdaptiveReplication adaptive_;
   Rng adaptive_rng_;                    // spot-check draws
-  // Resolved at enable_adaptive_replication — "consensus.spot_checks" /
-  // "consensus.solo_grants" must not register on runs without the feature.
-  obs::Counter* spot_check_counter_ = nullptr;
-  obs::Counter* solo_grant_counter_ = nullptr;
+
+  // Registry handles, resolved once at construction.
+  struct Metrics {
+    explicit Metrics(obs::Registry& r) : registry(r) {}
+    obs::Registry& registry;
+    obs::Counter& dispatched = registry.counter("scheduler.dispatched");
+    obs::Counter& results = registry.counter("scheduler.results");
+    obs::Counter& timeout = registry.counter("scheduler.failure.timeout");
+    obs::Counter& fast_fail = registry.counter("scheduler.failure.fast_fail");
+    obs::Counter& invalid =
+        registry.counter("scheduler.failure.invalid_result");
+    obs::Counter& reissue = registry.counter("scheduler.failure.reissue_lost");
+    obs::Counter& replica_lost =
+        registry.counter("scheduler.failure.replica_lost");
+    // Adaptive replication's draws, filed under the consensus taxonomy.
+    obs::Counter& spot_checks = registry.counter("consensus.spot_checks");
+    obs::Counter& solo_grants = registry.counter("consensus.solo_grants");
+    obs::Gauge& queue_depth = registry.gauge("scheduler.queue_depth");
+    obs::Gauge& inflight = registry.gauge("scheduler.inflight");
+  };
+  std::unique_ptr<obs::Registry> own_metrics_;  // null when given a registry
+  Metrics metrics_;
   Stats stats_;
 };
 

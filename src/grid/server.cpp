@@ -1,35 +1,15 @@
 #include "grid/server.hpp"
 
-#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/engine.hpp"
 
 namespace vcdl {
-namespace {
-struct ServerMetrics {
-  obs::Counter& received = obs::registry().counter("server.results_received");
-  obs::Counter& invalid = obs::registry().counter("server.results_invalid");
-  obs::Counter& duplicates =
-      obs::registry().counter("server.results_duplicate");
-  obs::Counter& rejected_down =
-      obs::registry().counter("server.rejected_down");
-  obs::Counter& lost_results = obs::registry().counter("server.lost_results");
-  // "server_crash" is a fault kind (fault_kind_names()), injected here rather
-  // than in FaultInjector because crashes are scheduled at absolute times.
-  obs::Counter& crash = obs::registry().counter("faults.server_crash");
-  obs::Gauge& queue_depth = obs::registry().gauge("server.queue_depth");
-};
-
-ServerMetrics& metrics() {
-  static ServerMetrics m;
-  return m;
-}
-}  // namespace
 
 GridServer::GridServer(SimEngine& engine, Scheduler& scheduler, TraceLog& trace,
+                       obs::Registry& metrics,
                        std::size_t num_parameter_servers,
                        ResultValidator validator)
-    : engine_(engine), scheduler_(scheduler), trace_(trace),
+    : engine_(engine), scheduler_(scheduler), trace_(trace), metrics_(metrics),
       validator_(std::move(validator)), ps_(num_parameter_servers) {
   VCDL_CHECK(num_parameter_servers >= 1, "GridServer: need at least one PS");
   VCDL_CHECK(validator_ != nullptr, "GridServer: null validator");
@@ -40,8 +20,8 @@ void GridServer::enable_consensus(ConsensusBuffer::Config config,
   VCDL_CHECK(consensus_ == nullptr, "GridServer: consensus already enabled");
   VCDL_CHECK(config.fallback_s > 0.0,
              "GridServer: consensus fallback_s must be positive");
-  consensus_ =
-      std::make_unique<ConsensusBuffer>(config, std::move(decoder));
+  consensus_ = std::make_unique<ConsensusBuffer>(config, std::move(decoder),
+                                                 metrics_.registry);
 }
 
 std::size_t GridServer::held_replicas() const {
@@ -52,11 +32,11 @@ bool GridServer::submit_result(ClientId client, const Workunit& unit,
                                Blob payload) {
   if (!up_) {
     ++stats_.rejected_down;
-    metrics().rejected_down.inc();
+    metrics_.rejected_down.inc();
     return false;
   }
   ++stats_.received;
-  metrics().received.inc();
+  metrics_.received.inc();
   trace_.record(engine_.now(), TraceKind::result_received,
                 "client-" + std::to_string(client), unit.label());
   if (scheduler_.is_retired(unit.id)) {
@@ -66,13 +46,13 @@ bool GridServer::submit_result(ClientId client, const Workunit& unit,
     // scheduler still credits the client's delivery.
     ++stats_.retired_skips;
     ++stats_.duplicates;
-    metrics().duplicates.inc();
+    metrics_.duplicates.inc();
     (void)scheduler_.report_result(client, unit.id, engine_.now());
     return true;
   }
   if (!validator_(payload)) {
     ++stats_.invalid;
-    metrics().invalid.inc();
+    metrics_.invalid.inc();
     trace_.record(engine_.now(), TraceKind::result_invalid,
                   "client-" + std::to_string(client), unit.label());
     // Corruption feeds the reliability EMA and requeues the replica at once
@@ -100,7 +80,7 @@ bool GridServer::submit_result(ClientId client, const Workunit& unit,
   const bool first = scheduler_.report_result(client, unit.id, engine_.now());
   if (!first) {
     ++stats_.duplicates;
-    metrics().duplicates.inc();
+    metrics_.duplicates.inc();
     return true;  // replication extra or post-timeout duplicate
   }
   ResultEnvelope env;
@@ -110,7 +90,7 @@ bool GridServer::submit_result(ClientId client, const Workunit& unit,
   env.received_at = engine_.now();
   const std::size_t ps_index = rr_++ % ps_.size();
   ps_[ps_index].queue.push_back(std::move(env));
-  metrics().queue_depth.set(static_cast<double>(queued_results()));
+  metrics_.queue_depth.set(static_cast<double>(queued_results()));
   maybe_start(ps_index);
   return true;
 }
@@ -150,12 +130,12 @@ void GridServer::accept_promotion(ConsensusBuffer::Submission submission) {
     // A duplicate promotion can only follow a crash-reissue race; drop it
     // rather than assimilating the same unit twice.
     ++stats_.duplicates;
-    metrics().duplicates.inc();
+    metrics_.duplicates.inc();
     return;
   }
   const std::size_t ps_index = rr_++ % ps_.size();
   ps_[ps_index].queue.push_back(std::move(env));
-  metrics().queue_depth.set(static_cast<double>(queued_results()));
+  metrics_.queue_depth.set(static_cast<double>(queued_results()));
   maybe_start(ps_index);
 }
 
@@ -178,7 +158,7 @@ void GridServer::crash() {
   up_ = false;
   ++generation_;
   ++stats_.crashes;
-  metrics().crash.inc();
+  metrics_.crash.inc();
   // Accepted-but-unassimilated results die with the server process. Their
   // units were already retired at the scheduler, so un-retire them — the
   // alternative is an epoch that never completes.
@@ -210,8 +190,8 @@ void GridServer::crash() {
   }
   active_ = 0;
   stats_.lost_results += lost;
-  metrics().lost_results.inc(lost);
-  metrics().queue_depth.set(0.0);
+  metrics_.lost_results.inc(lost);
+  metrics_.queue_depth.set(0.0);
   trace_.record(engine_.now(), TraceKind::server_crash, "grid-server",
                 std::to_string(lost) + " results lost");
 }
@@ -237,7 +217,7 @@ void GridServer::maybe_start(std::size_t ps_index) {
   ++active_;
   ResultEnvelope env = std::move(worker.queue.front());
   worker.queue.pop_front();
-  metrics().queue_depth.set(static_cast<double>(queued_results()));
+  metrics_.queue_depth.set(static_cast<double>(queued_results()));
   const std::string label = env.unit.label();
   const std::uint64_t gen = generation_;
   backend_->assimilate(std::move(env), ps_index, [this, ps_index, label, gen] {
@@ -274,7 +254,7 @@ void GridServer::schedule_snapshot() {
   engine_.schedule(snapshot_period_s_, [this] {
     // Stopped between scheduling and firing: let the event drain as a no-op.
     if (snapshot_period_s_ == 0.0) return;
-    snapshot_sink_(engine_.now(), obs::registry().snapshot());
+    snapshot_sink_(engine_.now(), metrics_.registry.snapshot());
     schedule_snapshot();
   });
 }

@@ -30,12 +30,10 @@
 #include "grid/consensus.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/workunit.hpp"
+#include "obs/metrics.hpp"
 #include "sim/trace.hpp"
 
 namespace vcdl {
-namespace obs {
-struct MetricsSnapshot;
-}  // namespace obs
 
 class SimEngine;
 
@@ -73,8 +71,10 @@ class GridServer {
     std::uint64_t results_outvoted = 0;     // replicas reported invalid
   };
 
+  /// Counts into `metrics`, the run's registry (the consensus buffer too).
   GridServer(SimEngine& engine, Scheduler& scheduler, TraceLog& trace,
-             std::size_t num_parameter_servers, ResultValidator validator);
+             obs::Registry& metrics, std::size_t num_parameter_servers,
+             ResultValidator validator);
 
   /// The assimilation logic is provided by the core library after
   /// construction (it needs a reference to this server for contention info).
@@ -115,7 +115,7 @@ class GridServer {
   std::size_t parameter_servers() const { return ps_.size(); }
   std::size_t queued_results() const;
 
-  /// Receives a periodic snapshot of the global metrics registry.
+  /// Receives a periodic snapshot of the run's metrics registry.
   using SnapshotSink =
       std::function<void(SimTime, const obs::MetricsSnapshot&)>;
 
@@ -146,9 +146,25 @@ class GridServer {
   /// Arms the per-unit fallback timer when a replica is first held.
   void schedule_fallback(WorkunitId unit);
 
+  // Registry handles, resolved once at construction.
+  struct Metrics {
+    explicit Metrics(obs::Registry& r) : registry(r) {}
+    obs::Registry& registry;
+    obs::Counter& received = registry.counter("server.results_received");
+    obs::Counter& invalid = registry.counter("server.results_invalid");
+    obs::Counter& duplicates = registry.counter("server.results_duplicate");
+    obs::Counter& rejected_down = registry.counter("server.rejected_down");
+    obs::Counter& lost_results = registry.counter("server.lost_results");
+    // "server_crash" is a fault kind (fault_kind_names()), injected here
+    // rather than in FaultInjector: crashes are scheduled at absolute times.
+    obs::Counter& crash = registry.counter("faults.server_crash");
+    obs::Gauge& queue_depth = registry.gauge("server.queue_depth");
+  };
+
   SimEngine& engine_;
   Scheduler& scheduler_;
   TraceLog& trace_;
+  Metrics metrics_;
   ResultValidator validator_;
   AssimilatorBackend* backend_ = nullptr;
   std::unique_ptr<ConsensusBuffer> consensus_;

@@ -10,8 +10,8 @@
 namespace vcdl {
 namespace {
 
-// One sample per im2col/col2im expansion; concurrent observes from pool
-// workers are safe (relaxed atomics). Zero-duration under simulation.
+// One wall-clock sample per im2col/col2im expansion, on the process
+// registry; concurrent observes from pool workers are safe (relaxed atomics).
 obs::Histogram& im2col_metric() {
   static obs::Histogram& h =
       obs::registry().histogram("exec.im2col_s", {0.0, 0.02, 40});

@@ -83,14 +83,6 @@ double Histogram::percentile(double q) const {
   return std::min(options_.hi, std::max(options_.lo, b.hi));
 }
 
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  underflow_.store(0, std::memory_order_relaxed);
-  overflow_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 double WallTimeSource::now() const {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -169,13 +161,6 @@ std::vector<std::string> Registry::histogram_names() const {
 const TimeSource* Registry::set_time_source(const TimeSource* source) {
   return time_.exchange(source != nullptr ? source : &wall_,
                         std::memory_order_acq_rel);
-}
-
-void Registry::reset_values() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [_, c] : counters_) c->reset();
-  for (auto& [_, g] : gauges_) g->reset();
-  for (auto& [_, h] : histograms_) h->reset();
 }
 
 MetricsSnapshot Registry::snapshot() const {

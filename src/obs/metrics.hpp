@@ -3,28 +3,31 @@
 // The paper's experiments are all statements about where time and cost go —
 // transfer vs. compute, staleness vs. accuracy, preemption delay vs. price —
 // and BOINC ships server-side telemetry as a first-class subsystem. This
-// registry is VCDL's equivalent: every component records into named
-// monotonic counters, gauges, and fixed-bucket histograms owned by one
-// process-global registry, and a snapshot of the whole registry exports to
-// JSON/CSV (obs/snapshot.hpp).
+// registry is VCDL's equivalent: named monotonic counters, gauges, and
+// fixed-bucket histograms, and a snapshot of them that exports to JSON/CSV
+// (obs/snapshot.hpp). There are two kinds of registry:
 //
-// Design constraints, in priority order:
+//   * A run's registry. VcTrainer::run() builds one per run and passes it to
+//     every component it constructs; each component resolves its handles
+//     from it once, in its constructor. It holds counters, gauges and
+//     histograms observed with explicit virtual-time values, reads no
+//     clock, and its snapshot is TrainResult::metrics: a pure function of
+//     the run's seed (tests byte-compare snapshot JSON across same-seed
+//     runs), whatever else runs in the process.
+//   * The process registry, registry(). It holds the hot-path exec.* spans
+//     on the wall clock and the standalone benches' metrics, and never
+//     enters a TrainResult.
 //
-//   1. *Deterministic under simulation.* Time-valued metrics read the
-//      registry's TimeSource. A DES run installs its engine's virtual clock
-//      (ScopedTimeSource), so span durations, latency histograms, and
-//      therefore whole snapshots are pure functions of the run's seed —
-//      tests byte-compare snapshot JSON across same-seed runs. Outside a
-//      simulation the source defaults to the wall (steady) clock.
-//   2. *Lock-cheap on the hot path.* Metric handles are stable references;
+// Design constraints:
+//
+//   1. *Lock-cheap on the hot path.* Metric handles are stable references;
 //      all mutation is relaxed atomics (counters, gauge stores, histogram
 //      bucket increments). The registry mutex guards only name registration
-//      and snapshotting — never per-sample updates. Handles stay valid for
-//      the registry's lifetime; reset_values() zeroes values but never
-//      deregisters.
-//   3. *Thread-safe.* The registry is touched from pool workers (GEMM
-//      spans), client threads (store benches) and the assimilator;
-//      ci/sanitize.sh runs tests/test_obs.cpp under TSan.
+//      and snapshotting — never per-sample updates. Metrics are never
+//      deregistered, so handles stay valid for the registry's lifetime.
+//   2. *Thread-safe.* A registry is touched from pool workers (GEMM spans),
+//      client threads (store benches), the assimilator, and runs on other
+//      threads; ci/sanitize.sh runs tests/test_obs.cpp under TSan.
 //
 // Naming convention (docs/OBSERVABILITY.md): "<component>.<metric>[_unit]",
 // lowercase, [a-z0-9._] only — enforced at registration.
@@ -119,8 +122,6 @@ class Histogram {
   /// embed p50/p95/p99 in JSON).
   double percentile(double q) const;
 
-  void reset();
-
  private:
   HistogramOptions options_;
   double width_;
@@ -185,10 +186,6 @@ class Registry {
   /// previous source. Prefer ScopedTimeSource.
   const TimeSource* set_time_source(const TimeSource* source);
 
-  /// Zeroes every value; registrations (and handles) survive. A simulation
-  /// run resets at entry so its snapshot covers exactly that run.
-  void reset_values();
-
   /// Consistent point-in-time copy of every metric.
   MetricsSnapshot snapshot() const;
 
@@ -201,12 +198,13 @@ class Registry {
   std::atomic<const TimeSource*> time_;
 };
 
-/// The process-global default registry every instrumentation site records
-/// into. Tests and simulation drivers reset_values() to scope measurements.
+/// The process registry: the wall-clock exec.* hot-path spans and the
+/// standalone benches. Run components never record here; they count into
+/// the registry their constructor is given.
 Registry& registry();
 
-/// RAII guard installing a time source on a registry for a scope (a
-/// simulation run); restores the previous source on destruction.
+/// RAII guard installing a time source on a registry for a scope; restores
+/// the previous source on destruction.
 class ScopedTimeSource {
  public:
   ScopedTimeSource(Registry& registry, const TimeSource& source)

@@ -124,6 +124,11 @@ std::string MetricsSnapshot::to_csv() const {
   return out;
 }
 
+std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
 MetricsSnapshot MetricsSnapshot::diff(const MetricsSnapshot& earlier) const {
   MetricsSnapshot out;
   for (const auto& [name, value] : counters) {

@@ -43,6 +43,10 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
+  /// The named counter's value, or 0 when it was never registered (a run
+  /// that never built the counting component).
+  std::uint64_t counter(const std::string& name) const;
+
   /// Deterministic JSON: sorted keys, shortest-round-trip doubles, embedded
   /// p50/p95/p99 per histogram. Byte-identical for identical values.
   std::string to_json() const;

@@ -1,13 +1,10 @@
-// RAII span timers over the registry's time source (vcdl::obs).
+// RAII span timers over a registry's time source (vcdl::obs).
 //
 // A SpanTimer reads Registry::now() at construction and records the elapsed
-// time into a duration histogram at destruction. Under a simulation run the
-// registry carries the engine's virtual clock (ScopedTimeSource installed by
-// VcTrainer::run()), so spans around *real* compute inside a DES event —
-// GEMM kernels, im2col, validation forwards — record zero-duration samples
-// deterministically: the span *counts* stay exact and replayable while the
-// durations defer to the DES's own latency models. Outside a simulation
-// (benches, production paths) spans record wall time.
+// time into a duration histogram at destruction. The hot-path spans (GEMM,
+// im2col, pool queue wait) record into the process registry on its wall
+// clock, inside simulated runs too; a run's own registry holds no span,
+// because nothing in it reads a clock (obs/metrics.hpp).
 //
 // Usage — cache the histogram handle once, time each call:
 //

@@ -4,27 +4,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace vcdl {
-namespace {
-// One counter per fault kind, kind names matching fault_kind_names(). The
-// coverage test asserts the "faults." counter set equals that list.
-struct FaultMetrics {
-  obs::Counter& transfer_drop = obs::registry().counter("faults.transfer_drop");
-  obs::Counter& transfer_stall =
-      obs::registry().counter("faults.transfer_stall");
-  obs::Counter& corruption = obs::registry().counter("faults.corruption");
-  obs::Counter& store_failure = obs::registry().counter("faults.store_failure");
-  obs::Counter& store_slowdown =
-      obs::registry().counter("faults.store_slowdown");
-};
-
-FaultMetrics& metrics() {
-  static FaultMetrics m;
-  return m;
-}
-}  // namespace
 
 const std::vector<std::string>& fault_kind_names() {
   static const std::vector<std::string> kinds = {
@@ -33,8 +14,8 @@ const std::vector<std::string>& fault_kind_names() {
   return kinds;
 }
 
-FaultInjector::FaultInjector(FaultPlan plan, Rng rng)
-    : plan_(std::move(plan)), rng_(rng) {
+FaultInjector::FaultInjector(FaultPlan plan, Rng rng, obs::Registry& metrics)
+    : plan_(std::move(plan)), rng_(rng), metrics_(metrics) {
   auto check_transfer = [](const TransferFaults& m, const char* site) {
     VCDL_CHECK(m.drop_prob >= 0.0 && m.drop_prob <= 1.0,
                std::string("FaultPlan: ") + site + " drop_prob out of [0,1]");
@@ -62,13 +43,13 @@ FaultInjector::TransferOutcome FaultInjector::draw(const TransferFaults& model) 
   if (model.drop_prob > 0.0 && rng_.bernoulli(model.drop_prob)) {
     out.dropped = true;
     ++stats_.transfer_drops;
-    metrics().transfer_drop.inc();
+    metrics_.transfer_drop.inc();
     return out;
   }
   if (model.stall_prob > 0.0 && rng_.bernoulli(model.stall_prob)) {
     out.time_factor = model.stall_factor;
     ++stats_.transfer_stalls;
-    metrics().transfer_stall.inc();
+    metrics_.transfer_stall.inc();
   }
   return out;
 }
@@ -85,13 +66,13 @@ FaultInjector::TransferOutcome FaultInjector::on_transfer(FaultSite site) {
       if (plan_.store.fail_prob > 0.0 && rng_.bernoulli(plan_.store.fail_prob)) {
         out.dropped = true;
         ++stats_.store_failures;
-        metrics().store_failure.inc();
+        metrics_.store_failure.inc();
         return out;
       }
       if (plan_.store.slow_prob > 0.0 && rng_.bernoulli(plan_.store.slow_prob)) {
         out.time_factor = plan_.store.slow_factor;
         ++stats_.store_slowdowns;
-        metrics().store_slowdown.inc();
+        metrics_.store_slowdown.inc();
       }
       return out;
     }
@@ -104,7 +85,7 @@ bool FaultInjector::corrupt_result() {
   const bool hit = rng_.bernoulli(plan_.corruption_prob);
   if (hit) {
     ++stats_.corruptions;
-    metrics().corruption.inc();
+    metrics_.corruption.inc();
   }
   return hit;
 }
@@ -140,19 +121,10 @@ AttackMode attack_mode_from_name(const std::string& name) {
   return AttackMode::sign_flip;
 }
 
-namespace {
-// Registered only when an attack actually fires — default (adversary-free)
-// runs must export byte-identical metrics snapshots, and the registry
-// snapshot includes every registered counter, zero-valued or not.
-obs::Counter& byzantine_counter() {
-  static obs::Counter& c = obs::registry().counter("faults.byzantine_result");
-  return c;
-}
-}  // namespace
-
 AdversaryModel::AdversaryModel(AdversaryPlan plan, std::size_t fleet_size,
-                               Rng rng)
-    : plan_(std::move(plan)), rng_(rng) {
+                               Rng rng, obs::Registry& metrics)
+    : plan_(std::move(plan)), rng_(rng),
+      attacks_(metrics.counter("faults.byzantine_result")) {
   VCDL_CHECK(plan_.fraction >= 0.0 && plan_.fraction <= 1.0,
              "AdversaryPlan: fraction out of [0,1]");
   VCDL_CHECK(plan_.attack_prob >= 0.0 && plan_.attack_prob <= 1.0,
@@ -211,7 +183,7 @@ bool AdversaryModel::attack(std::vector<float>& params, std::uint64_t unit) {
     }
   }
   ++stats_.attacks;
-  byzantine_counter().inc();
+  attacks_.inc();
   return true;
 }
 

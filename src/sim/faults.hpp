@@ -26,6 +26,7 @@
 
 #include "common/blob.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace vcdl {
@@ -89,7 +90,8 @@ class FaultInjector {
     double time_factor = 1.0;  // stall multiplier on the transfer duration
   };
 
-  FaultInjector(FaultPlan plan, Rng rng);
+  /// Counts each injected fault into `metrics`, the run's registry.
+  FaultInjector(FaultPlan plan, Rng rng, obs::Registry& metrics);
 
   /// One draw per attempted transfer (or store operation for FaultSite::store).
   TransferOutcome on_transfer(FaultSite site);
@@ -104,8 +106,20 @@ class FaultInjector {
  private:
   TransferOutcome draw(const TransferFaults& model);
 
+  // One counter per fault kind, named after fault_kind_names().
+  struct Metrics {
+    explicit Metrics(obs::Registry& r) : registry(r) {}
+    obs::Registry& registry;
+    obs::Counter& transfer_drop = registry.counter("faults.transfer_drop");
+    obs::Counter& transfer_stall = registry.counter("faults.transfer_stall");
+    obs::Counter& corruption = registry.counter("faults.corruption");
+    obs::Counter& store_failure = registry.counter("faults.store_failure");
+    obs::Counter& store_slowdown = registry.counter("faults.store_slowdown");
+  };
+
   FaultPlan plan_;
   Rng rng_;
+  Metrics metrics_;
   Stats stats_;
 };
 
@@ -167,7 +181,9 @@ class AdversaryModel {
     std::uint64_t attacks = 0;  // results actually corrupted
   };
 
-  AdversaryModel(AdversaryPlan plan, std::size_t fleet_size, Rng rng);
+  /// Counts each attack into `metrics`, the run's registry.
+  AdversaryModel(AdversaryPlan plan, std::size_t fleet_size, Rng rng,
+                 obs::Registry& metrics);
 
   bool is_adversary(std::size_t client) const;
   /// Corrupts `params` in place per the plan; returns true when the attack
@@ -185,6 +201,7 @@ class AdversaryModel {
   Rng rng_;                   // attack_prob draws (event order = draw order)
   std::uint64_t noise_seed_ = 0;
   std::uint64_t attack_ordinal_ = 0;  // keys independent (non-collude) noise
+  obs::Counter& attacks_;  // "faults.byzantine_result"
   Stats stats_;
 };
 

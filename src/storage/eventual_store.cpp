@@ -2,7 +2,6 @@
 
 #include <functional>
 
-#include "storage/store_metrics.hpp"
 
 namespace vcdl {
 
@@ -14,7 +13,7 @@ std::optional<VersionedValue> EventualStore::get(const std::string& key) {
   auto& shard = shard_for(key);
   std::lock_guard lock(shard.mutex);
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().reads.inc();
+  metrics_.reads.inc();
   const auto it = shard.map.find(key);
   if (it == shard.map.end()) return std::nullopt;
   return it->second.current;
@@ -28,11 +27,11 @@ std::uint64_t EventualStore::put(const std::string& key, Blob value,
   const std::uint64_t lost =
       slot.ledger.charge(slot.current.version, read_version);
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().writes.inc();
+  metrics_.writes.inc();
   if (lost > 0) {
     // We clobber versions we never saw.
     stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
-    store_metrics().lost_updates.inc(lost);
+    metrics_.lost_updates.inc(lost);
   }
   slot.current.value = std::move(value);
   return ++slot.current.version;

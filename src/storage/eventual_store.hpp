@@ -19,7 +19,9 @@ namespace vcdl {
 
 class EventualStore : public KvStore {
  public:
-  EventualStore() { latency_ = redis_like_latency(); }
+  EventualStore() : KvStore(redis_like_latency()) {}
+  explicit EventualStore(obs::Registry& metrics)
+      : KvStore(redis_like_latency(), metrics) {}
 
   std::string kind() const override { return "eventual"; }
   std::optional<VersionedValue> get(const std::string& key) override;

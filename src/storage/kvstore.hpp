@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/blob.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcdl {
 
@@ -146,14 +147,39 @@ class KvStore {
   void set_latency(StoreLatencyModel model) { latency_ = model; }
 
  protected:
+  /// Counts into a registry of its own (a store outside a run).
+  explicit KvStore(StoreLatencyModel latency);
+  /// Counts into `metrics`, the run's registry.
+  KvStore(StoreLatencyModel latency, obs::Registry& metrics);
+
+  // Both consistency flavors record into the same "store.*" counters: a run
+  // uses one store, and its snapshot should not care which flavor it was.
+  struct Metrics {
+    explicit Metrics(obs::Registry& r) : registry(r) {}
+    obs::Registry& registry;
+    obs::Counter& reads = registry.counter("store.reads");
+    obs::Counter& writes = registry.counter("store.writes");
+    obs::Counter& lost_updates = registry.counter("store.lost_updates");
+    obs::Counter& contended = registry.counter("store.contended_updates");
+  };
+
   StoreLatencyModel latency_;
+
+ private:
+  std::unique_ptr<obs::Registry> own_metrics_;  // null when given a registry
+
+ protected:
+  Metrics metrics_;
 };
 
 /// Latency presets from the paper's measurements (§IV-D).
 StoreLatencyModel redis_like_latency();   // 0.87 s per update
 StoreLatencyModel mysql_like_latency();   // 1.29 s per update
 
-/// Factory: "strong" (MySQL-like) or "eventual" (Redis-like).
+/// Factory: "strong" (MySQL-like) or "eventual" (Redis-like), counting
+/// into a registry of its own, or into `metrics`.
 std::unique_ptr<KvStore> make_store(const std::string& kind);
+std::unique_ptr<KvStore> make_store(const std::string& kind,
+                                    obs::Registry& metrics);
 
 }  // namespace vcdl

@@ -1,6 +1,5 @@
 #include "storage/strong_store.hpp"
 
-#include "storage/store_metrics.hpp"
 
 namespace vcdl {
 
@@ -17,7 +16,7 @@ StoreLatencyModel mysql_like_latency() {
 std::optional<VersionedValue> StrongStore::get(const std::string& key) {
   std::lock_guard lock(mutex_);
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().reads.inc();
+  metrics_.reads.inc();
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;
   return it->second.current;
@@ -27,18 +26,18 @@ std::uint64_t StrongStore::put(const std::string& key, Blob value,
                                std::uint64_t read_version) {
   std::lock_guard lock(mutex_);
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().writes.inc();
+  metrics_.writes.inc();
   auto& slot = map_[key];
   // put() is still last-writer-wins — strong consistency lives in update(),
   // which serializes the whole read-modify-write. But a caller doing
   // get→put against this store races exactly like on the eventual store, so
   // a stale read_version is counted instead of silently discarded: the
-  // misuse is observable in stats()/store_metrics.
+  // misuse is observable in store.lost_updates.
   const std::uint64_t lost =
       slot.ledger.charge(slot.current.version, read_version);
   if (lost > 0) {
     stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
-    store_metrics().lost_updates.inc(lost);
+    metrics_.lost_updates.inc(lost);
   }
   slot.current.value = std::move(value);
   return ++slot.current.version;
@@ -51,12 +50,12 @@ std::uint64_t StrongStore::update(const std::string& key,
   if (!lock.owns_lock()) {
     lock.lock();
     stats_.contended_updates.fetch_add(1, std::memory_order_relaxed);
-    store_metrics().contended.inc();
+    metrics_.contended.inc();
   }
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().reads.inc();
-  store_metrics().writes.inc();
+  metrics_.reads.inc();
+  metrics_.writes.inc();
   auto& slot = map_[key].current;
   const Blob* current = slot.version > 0 ? &slot.value : nullptr;
   slot.value = fn(current);

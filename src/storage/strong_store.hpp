@@ -10,7 +10,9 @@ namespace vcdl {
 
 class StrongStore : public KvStore {
  public:
-  StrongStore() { latency_ = mysql_like_latency(); }
+  StrongStore() : KvStore(mysql_like_latency()) {}
+  explicit StrongStore(obs::Registry& metrics)
+      : KvStore(mysql_like_latency(), metrics) {}
 
   std::string kind() const override { return "strong"; }
   std::optional<VersionedValue> get(const std::string& key) override;

@@ -10,11 +10,10 @@
 namespace vcdl::ops {
 namespace {
 
-// Hot-path spans. Under a simulation run the registry carries the engine's
-// frozen virtual clock, so these record deterministic zero-duration samples
-// (pure call counts); benches run them on the wall clock and get real
-// kernel-time distributions. Handles are resolved once — obs::registry()
-// never invalidates references.
+// Hot-path spans on the process registry's wall clock, so they record real
+// kernel-time distributions wherever they run, simulated runs included; a
+// run's own registry and its fingerprint never see them. Handles are
+// resolved once — obs::registry() never invalidates references.
 struct ExecMetrics {
   obs::Histogram& gemm_s =
       obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});

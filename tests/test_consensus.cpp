@@ -67,7 +67,8 @@ std::optional<std::vector<float>> float_decoder(const Blob& payload) {
 // --- ConsensusBuffer: exact-hash mode ----------------------------------------
 
 TEST(ConsensusBuffer, QuorumOfMatchingHashesPromotesEarliestReplica) {
-  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr, metrics);
   const Workunit wu = make_unit(1);
   auto first = buf.submit(wu, 7, byte_payload(0xAA), 1.0, 3);
   EXPECT_EQ(first.outcome, ConsensusBuffer::Outcome::held);
@@ -83,12 +84,13 @@ TEST(ConsensusBuffer, QuorumOfMatchingHashesPromotesEarliestReplica) {
   EXPECT_EQ(second.agreeing, 2u);
   EXPECT_TRUE(second.outvoted.empty());
   EXPECT_FALSE(buf.holding(1));
-  EXPECT_EQ(buf.stats().quorum_promoted, 1u);
-  EXPECT_EQ(buf.stats().replicas_held, 2u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.quorum_promoted"), 1u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.replicas_held"), 2u);
 }
 
 TEST(ConsensusBuffer, DisagreeingMinorityIsOutvoted) {
-  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr, metrics);
   const Workunit wu = make_unit(1);
   (void)buf.submit(wu, 0, byte_payload(0xAA), 1.0, 3);
   auto liar = buf.submit(wu, 1, byte_payload(0xEE), 2.0, 3);
@@ -98,12 +100,13 @@ TEST(ConsensusBuffer, DisagreeingMinorityIsOutvoted) {
   EXPECT_EQ(third.winner->client, 0u);
   ASSERT_EQ(third.outvoted.size(), 1u);
   EXPECT_EQ(third.outvoted[0], 1u);
-  EXPECT_EQ(buf.stats().results_outvoted, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.results_outvoted"), 1u);
 }
 
 TEST(ConsensusBuffer, AllRepliesWithoutQuorumFallBackToPlurality) {
   // m = 3 but the three replicas split 2-vs-1: fallback, largest class wins.
-  ConsensusBuffer buf({.quorum = 3, .tolerance = 0.0}, nullptr);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 3, .tolerance = 0.0}, nullptr, metrics);
   const Workunit wu = make_unit(1);
   (void)buf.submit(wu, 0, byte_payload(0xAA), 1.0, 3);
   (void)buf.submit(wu, 1, byte_payload(0xAA), 2.0, 3);
@@ -113,12 +116,13 @@ TEST(ConsensusBuffer, AllRepliesWithoutQuorumFallBackToPlurality) {
   EXPECT_EQ(last.agreeing, 2u);
   ASSERT_EQ(last.outvoted.size(), 1u);
   EXPECT_EQ(last.outvoted[0], 2u);
-  EXPECT_EQ(buf.stats().fallback_promoted, 1u);
-  EXPECT_EQ(buf.stats().quorum_promoted, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.fallback_promoted"), 1u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.quorum_promoted"), 0u);
 }
 
 TEST(ConsensusBuffer, SameClientReuploadReplacesItsReplica) {
-  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr, metrics);
   const Workunit wu = make_unit(1);
   (void)buf.submit(wu, 0, byte_payload(0xAA), 1.0, 3);
   // Timeout loops the unit back to client 0; its re-upload must not let it
@@ -134,7 +138,8 @@ TEST(ConsensusBuffer, SameClientReuploadReplacesItsReplica) {
 
 TEST(ConsensusBuffer, SoloReplicationPromotesInstantly) {
   // m = min(quorum, k): an adaptive solo grant (k = 1) never waits.
-  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr, metrics);
   auto sub = buf.submit(make_unit(1), 4, byte_payload(0xAA), 1.0, 1);
   ASSERT_EQ(sub.outcome, ConsensusBuffer::Outcome::promoted);
   EXPECT_EQ(sub.winner->client, 4u);
@@ -142,7 +147,8 @@ TEST(ConsensusBuffer, SoloReplicationPromotesInstantly) {
 }
 
 TEST(ConsensusBuffer, FlushPromotesPluralityAndEmptiesUnit) {
-  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr, metrics);
   const Workunit wu = make_unit(1);
   (void)buf.submit(wu, 0, byte_payload(0xAA), 1.0, 3);
   (void)buf.submit(wu, 1, byte_payload(0xEE), 2.0, 3);
@@ -159,7 +165,8 @@ TEST(ConsensusBuffer, FlushPromotesPluralityAndEmptiesUnit) {
 }
 
 TEST(ConsensusBuffer, DrainReportsSortedHoldersAndClearsEverything) {
-  ConsensusBuffer buf({.quorum = 3, .tolerance = 0.0}, nullptr);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 3, .tolerance = 0.0}, nullptr, metrics);
   (void)buf.submit(make_unit(1), 5, byte_payload(0xAA), 1.0, 3);
   (void)buf.submit(make_unit(1), 2, byte_payload(0xBB), 2.0, 3);
   (void)buf.submit(make_unit(9), 8, byte_payload(0xCC), 3.0, 3);
@@ -174,7 +181,7 @@ TEST(ConsensusBuffer, DrainReportsSortedHoldersAndClearsEverything) {
   EXPECT_EQ(dropped[1].second, (std::vector<ClientId>{8}));
   EXPECT_EQ(buf.held_units(), 0u);
   EXPECT_EQ(buf.held_replicas(), 0u);
-  EXPECT_EQ(buf.stats().replicas_flushed, 3u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.replicas_flushed"), 3u);
 }
 
 // --- ConsensusBuffer: tolerance mode -----------------------------------------
@@ -182,7 +189,8 @@ TEST(ConsensusBuffer, DrainReportsSortedHoldersAndClearsEverything) {
 TEST(ConsensusBuffer, ToleranceGroupsNearbyDecodedVectors) {
   // Honest replicas of the same unit are never bit-identical — they must
   // still land in one equivalence class under the relative-L2 tolerance.
-  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.05}, float_decoder);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.05}, float_decoder, metrics);
   const Workunit wu = make_unit(1);
   const std::vector<float> honest = {1.0f, -2.0f, 3.0f, -4.0f};
   std::vector<float> nearby = honest;
@@ -203,7 +211,8 @@ TEST(ConsensusBuffer, ToleranceGroupsNearbyDecodedVectors) {
 TEST(ConsensusBuffer, UndecodablePayloadsStaySingletonClasses) {
   // A 3-byte blob fails float_decoder: two of them must NOT pair up into a
   // bogus quorum — nullopt never matches nullopt.
-  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.05}, float_decoder);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = 2, .tolerance = 0.05}, float_decoder, metrics);
   const Workunit wu = make_unit(1);
   const Blob junk(std::vector<std::uint8_t>{1, 2, 3});
   (void)buf.submit(wu, 0, junk, 1.0, 3);
@@ -249,10 +258,11 @@ TEST(BlendOutlier, SizeMismatchAndNonFiniteAreOutliers) {
 // --- Adversary model ----------------------------------------------------------
 
 TEST(AdversaryModel, SelectionIsSeededAndRoundsToNearest) {
+  obs::Registry metrics;
   AdversaryPlan plan;
   plan.fraction = 0.5;
-  AdversaryModel a(plan, 4, Rng(11));
-  AdversaryModel b(plan, 4, Rng(11));
+  AdversaryModel a(plan, 4, Rng(11), metrics);
+  AdversaryModel b(plan, 4, Rng(11), metrics);
   EXPECT_EQ(a.adversaries().size(), 2u);
   EXPECT_EQ(a.adversaries(), b.adversaries());
   std::size_t flagged = 0;
@@ -260,28 +270,29 @@ TEST(AdversaryModel, SelectionIsSeededAndRoundsToNearest) {
   EXPECT_EQ(flagged, 2u);
   // A different seed picks a different subset eventually; at least the
   // stream must differ.
-  AdversaryModel c(plan, 4, Rng(12));
+  AdversaryModel c(plan, 4, Rng(12), metrics);
   EXPECT_EQ(c.adversaries().size(), 2u);
 }
 
 TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
+  obs::Registry metrics;
   const std::vector<float> base = {1.0f, -2.0f, 0.5f};
   {
     AdversaryPlan plan;
     plan.fraction = 1.0;
     plan.mode = AttackMode::sign_flip;
-    AdversaryModel adv(plan, 1, Rng(1));
+    AdversaryModel adv(plan, 1, Rng(1), metrics);
     std::vector<float> p = base;
     EXPECT_TRUE(adv.attack(p, 1));
     EXPECT_EQ(p, (std::vector<float>{-1.0f, 2.0f, -0.5f}));
-    EXPECT_EQ(adv.stats().attacks, 1u);
+    EXPECT_EQ(metrics.snapshot().counter("faults.byzantine_result"), 1u);
   }
   {
     AdversaryPlan plan;
     plan.fraction = 1.0;
     plan.mode = AttackMode::constant;
     plan.constant_value = 7.0f;
-    AdversaryModel adv(plan, 1, Rng(1));
+    AdversaryModel adv(plan, 1, Rng(1), metrics);
     std::vector<float> p = base;
     EXPECT_TRUE(adv.attack(p, 1));
     EXPECT_EQ(p, (std::vector<float>{7.0f, 7.0f, 7.0f}));
@@ -291,7 +302,7 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
     plan.fraction = 1.0;
     plan.mode = AttackMode::scale;
     plan.scale_factor = -2.0;
-    AdversaryModel adv(plan, 1, Rng(1));
+    AdversaryModel adv(plan, 1, Rng(1), metrics);
     std::vector<float> p = base;
     EXPECT_TRUE(adv.attack(p, 1));
     EXPECT_EQ(p, (std::vector<float>{-2.0f, 4.0f, -1.0f}));
@@ -299,12 +310,13 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
 }
 
 TEST(AdversaryModel, CollusionKeysNoiseByUnitIndependentsDiverge) {
+  obs::Registry metrics;
   const std::vector<float> base(32, 1.0f);
   AdversaryPlan colluding;
   colluding.fraction = 1.0;
   colluding.mode = AttackMode::noise;
   colluding.collude = true;
-  AdversaryModel ring(colluding, 2, Rng(5));
+  AdversaryModel ring(colluding, 2, Rng(5), metrics);
   std::vector<float> a = base, b = base;
   EXPECT_TRUE(ring.attack(a, 42));
   EXPECT_TRUE(ring.attack(b, 42));
@@ -315,7 +327,7 @@ TEST(AdversaryModel, CollusionKeysNoiseByUnitIndependentsDiverge) {
 
   AdversaryPlan independent = colluding;
   independent.collude = false;
-  AdversaryModel lone(independent, 2, Rng(5));
+  AdversaryModel lone(independent, 2, Rng(5), metrics);
   std::vector<float> x = base, y = base;
   EXPECT_TRUE(lone.attack(x, 42));
   EXPECT_TRUE(lone.attack(y, 42));
@@ -380,7 +392,8 @@ TEST(SchedulerReplicas, HeldReplicaDropsDeadlineButKeepsTheHold) {
 }
 
 TEST(SchedulerReplicas, ReissueReplicaMakesTheHolderEligibleAgain) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.register_client(0);
   s.add_unit(make_unit(1, 50.0, /*replication=*/1));
   ASSERT_EQ(s.request_work(0, 1, 0.0).size(), 1u);
@@ -389,7 +402,7 @@ TEST(SchedulerReplicas, ReissueReplicaMakesTheHolderEligibleAgain) {
   // Crash: the held replica is gone; the unit must become issuable again —
   // to its original holder too (it may be the only client).
   s.reissue_replica(1, 0);
-  EXPECT_EQ(s.stats().lost_replicas, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("scheduler.failure.replica_lost"), 1u);
   const auto again = s.request_work(0, 1, 2.0);
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again[0].id, 1u);
@@ -400,7 +413,8 @@ TEST(SchedulerReplicas, ReissueReplicaMakesTheHolderEligibleAgain) {
 // --- Scheduler: adaptive replication -----------------------------------------
 
 TEST(AdaptiveReplication, NewClientTriggersFullRedundancy) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.enable_adaptive_replication({.trust_threshold = 0.7,
                                  .untrusted_replication = 3,
                                  .spot_check_prob = 0.0},
@@ -415,7 +429,7 @@ TEST(AdaptiveReplication, NewClientTriggersFullRedundancy) {
   EXPECT_EQ(s.effective_replication(1), 3u);
   EXPECT_EQ(s.request_work(1, 1, 0.0).size(), 1u);
   EXPECT_EQ(s.request_work(2, 1, 0.0).size(), 1u);
-  EXPECT_EQ(s.stats().solo_grants, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.solo_grants"), 0u);
 }
 
 // Three successes lift integrity 0.5 → 0.744 past the 0.7 threshold.
@@ -431,25 +445,28 @@ void build_trust(Scheduler& s, ClientId client, WorkunitId first_id) {
 }
 
 TEST(AdaptiveReplication, TrustedClientEarnsSoloGrants) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.enable_adaptive_replication({.trust_threshold = 0.7,
                                  .untrusted_replication = 3,
                                  .spot_check_prob = 0.0},
                                 Rng(1));
   s.register_client(0);
   build_trust(s, 0, 1);
-  const auto solos_before = s.stats().solo_grants;
+  const auto solos_before = metrics.snapshot().counter("consensus.solo_grants");
   s.add_unit(make_unit(100, 600.0, /*replication=*/3));
   ASSERT_EQ(s.request_work(0, 1, 10.0).size(), 1u);
   // Trust overrides even an explicit replication-3 unit down to solo.
   EXPECT_EQ(s.effective_replication(100), 1u);
-  EXPECT_EQ(s.stats().solo_grants, solos_before + 1);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.solo_grants"),
+            solos_before + 1);
   EXPECT_TRUE(s.report_result(0, 100, 11.0));
   EXPECT_TRUE(s.all_done());
 }
 
 TEST(AdaptiveReplication, SpotCheckAuditsTrustedClient) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   // Probability-1 audits make the draw deterministic.
   s.enable_adaptive_replication({.trust_threshold = 0.7,
                                  .untrusted_replication = 3,
@@ -461,8 +478,8 @@ TEST(AdaptiveReplication, SpotCheckAuditsTrustedClient) {
   ASSERT_EQ(s.request_work(0, 1, 10.0).size(), 1u);
   // Audited despite the trust: full redundancy, counted as a spot check.
   EXPECT_EQ(s.effective_replication(100), 3u);
-  EXPECT_EQ(s.stats().spot_checks, 1u);
-  EXPECT_EQ(s.stats().solo_grants, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.spot_checks"), 1u);
+  EXPECT_EQ(metrics.snapshot().counter("consensus.solo_grants"), 0u);
 }
 
 // --- GridServer integration ---------------------------------------------------
@@ -470,8 +487,9 @@ TEST(AdaptiveReplication, SpotCheckAuditsTrustedClient) {
 struct ConsensusHarness {
   SimEngine engine;
   TraceLog trace;
-  Scheduler scheduler;
-  GridServer server{engine, scheduler, trace, 1,
+  obs::Registry metrics;
+  Scheduler scheduler{metrics};
+  GridServer server{engine, scheduler, trace, metrics, 1,
                     [](const Blob& b) { return !b.empty(); }};
 
   struct RecordingBackend : AssimilatorBackend {
@@ -489,6 +507,10 @@ struct ConsensusHarness {
   explicit ConsensusHarness(ConsensusBuffer::Config config) {
     server.set_backend(&backend);
     server.enable_consensus(config, float_decoder);
+  }
+
+  std::uint64_t count(const std::string& name) const {
+    return metrics.snapshot().counter(name);
   }
 };
 
@@ -514,11 +536,11 @@ TEST(ConsensusIntegration, MajorityPromotesAndOutvotedLosesIntegrity) {
   ASSERT_EQ(h.backend.seen.size(), 1u);
   EXPECT_EQ(h.backend.seen[0].client, 0u);  // earliest of the winning class
   EXPECT_TRUE(h.scheduler.all_done());
-  EXPECT_EQ(h.server.stats().consensus_quorums, 1u);
-  EXPECT_EQ(h.server.stats().results_outvoted, 1u);
+  EXPECT_EQ(h.count("consensus.quorum_promoted"), 1u);
+  EXPECT_EQ(h.count("consensus.results_outvoted"), 1u);
   // The outvoted client's integrity took the consensus verdict.
   EXPECT_LT(h.scheduler.integrity(1), liar_integrity);
-  EXPECT_EQ(h.scheduler.stats().invalid_results, 1u);
+  EXPECT_EQ(h.count("scheduler.failure.invalid_result"), 1u);
   EXPECT_GT(h.trace.count(TraceKind::consensus_held), 0u);
   EXPECT_EQ(h.trace.count(TraceKind::consensus_quorum), 1u);
   EXPECT_EQ(h.trace.count(TraceKind::consensus_outvoted), 1u);
@@ -539,12 +561,12 @@ TEST(ConsensusIntegration, RetiredUnitEarlyOutSkipsValidator) {
   ASSERT_TRUE(h.scheduler.is_retired(1));
   // The straggler's payload is *empty* — the validator would reject it — but
   // a retired unit early-outs before validation: duplicate, not invalid.
-  const auto invalid_before = h.server.stats().invalid;
+  const auto invalid_before = h.count("server.results_invalid");
   const double avail_before = h.scheduler.availability(2);
   EXPECT_TRUE(h.server.submit_result(2, wu, Blob()));
   EXPECT_EQ(h.server.stats().retired_skips, 1u);
-  EXPECT_EQ(h.server.stats().invalid, invalid_before);
-  EXPECT_EQ(h.server.stats().duplicates, 1u);
+  EXPECT_EQ(h.count("server.results_invalid"), invalid_before);
+  EXPECT_EQ(h.count("server.results_duplicate"), 1u);
   // The late delivery still earns availability credit.
   EXPECT_GT(h.scheduler.availability(2), avail_before);
 }
@@ -565,7 +587,7 @@ TEST(ConsensusIntegration, CrashReissuesHeldReplicasNothingLeaks) {
 
   h.server.crash();
   EXPECT_EQ(h.server.held_replicas(), 0u);
-  EXPECT_EQ(h.scheduler.stats().lost_replicas, 2u);
+  EXPECT_EQ(h.count("scheduler.failure.replica_lost"), 2u);
   EXPECT_FALSE(h.scheduler.is_retired(1));
   h.engine.run();  // the orphaned fallback timer must no-op (generation guard)
   EXPECT_EQ(h.backend.seen.size(), 0u);
@@ -580,7 +602,7 @@ TEST(ConsensusIntegration, CrashReissuesHeldReplicasNothingLeaks) {
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
   ASSERT_EQ(h.backend.seen.size(), 1u);
-  EXPECT_EQ(h.server.stats().consensus_quorums, 1u);
+  EXPECT_EQ(h.count("consensus.quorum_promoted"), 1u);
 }
 
 TEST(ConsensusIntegration, FallbackDeadlinePromotesPluralityOfArrivals) {
@@ -600,8 +622,8 @@ TEST(ConsensusIntegration, FallbackDeadlinePromotesPluralityOfArrivals) {
   h.engine.run();  // fallback fires at t = 50
   ASSERT_EQ(h.backend.seen.size(), 1u);
   EXPECT_EQ(h.backend.seen[0].client, 0u);  // 1-vs-1 tie → earliest arrival
-  EXPECT_EQ(h.server.stats().consensus_fallbacks, 1u);
-  EXPECT_EQ(h.server.stats().consensus_quorums, 0u);
+  EXPECT_EQ(h.count("consensus.fallback_promoted"), 1u);
+  EXPECT_EQ(h.count("consensus.quorum_promoted"), 0u);
   EXPECT_EQ(h.trace.count(TraceKind::consensus_fallback), 1u);
   EXPECT_TRUE(h.scheduler.is_retired(1));
 }
@@ -629,37 +651,22 @@ TEST(ConsensusIntegration, DeadlineReassignRacesQuorumSafely) {
   EXPECT_TRUE(h.server.submit_result(2, wu, byte_payload(0xAA)));
   h.engine.run();
   ASSERT_EQ(h.backend.seen.size(), 1u);
-  EXPECT_EQ(h.server.stats().consensus_quorums, 1u);
+  EXPECT_EQ(h.count("consensus.quorum_promoted"), 1u);
   EXPECT_TRUE(h.scheduler.all_done());
 }
 
 // --- consensus.* instrumentation coverage ------------------------------------
-
-std::set<std::string> registered_with_prefix(const std::string& prefix) {
-  std::set<std::string> out;
-  for (const auto& name : obs::registry().counter_names()) {
-    if (name.rfind(prefix, 0) == 0) out.insert(name);
-  }
-  return out;
-}
 
 // Every name in consensus_metric_names() has a registered counter that its
 // emission site actually increments, and no undeclared consensus.* counter
 // exists — the same set-equality contract the scheduler/fault taxonomies
 // carry in test_obs.cpp.
 TEST(ConsensusCoverage, MetricNamesMatchRegisteredCounters) {
-  const auto before = [&] {
-    std::map<std::string, std::uint64_t> v;
-    for (const auto& name : consensus_metric_names()) {
-      v[name] = obs::registry().counter("consensus." + name).value();
-    }
-    return v;
-  }();
-
+  obs::Registry metrics;
   // Buffer counters: held, quorum_promoted, outvoted (promotion), then
   // fallback_promoted (flush) and replicas_flushed (drain).
   {
-    ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr);
+    ConsensusBuffer buf({.quorum = 2, .tolerance = 0.0}, nullptr, metrics);
     const Workunit wu = make_unit(1);
     (void)buf.submit(wu, 0, byte_payload(0xAA), 1.0, 3);
     (void)buf.submit(wu, 1, byte_payload(0xEE), 2.0, 3);
@@ -671,7 +678,7 @@ TEST(ConsensusCoverage, MetricNamesMatchRegisteredCounters) {
   }
   // Adaptive-replication counters: a solo grant and a spot check.
   {
-    Scheduler s;
+    Scheduler s(metrics);
     s.enable_adaptive_replication({.trust_threshold = 0.7,
                                    .untrusted_replication = 3,
                                    .spot_check_prob = 0.0},
@@ -682,7 +689,7 @@ TEST(ConsensusCoverage, MetricNamesMatchRegisteredCounters) {
     ASSERT_EQ(s.request_work(0, 1, 10.0).size(), 1u);  // solo grant
   }
   {
-    Scheduler s;
+    Scheduler s(metrics);
     s.enable_adaptive_replication({.trust_threshold = 0.7,
                                    .untrusted_replication = 3,
                                    .spot_check_prob = 1.0},
@@ -692,17 +699,30 @@ TEST(ConsensusCoverage, MetricNamesMatchRegisteredCounters) {
     s.add_unit(make_unit(100));
     ASSERT_EQ(s.request_work(0, 1, 10.0).size(), 1u);  // spot check
   }
-  // Blend guard.
-  EXPECT_TRUE(blend_outlier({1.0f, 1.0f}, {-9.0f, 9.0f}, 0.5));
+  // Blend guard: the assimilator counts a rejection into its run's registry
+  // when a sign-flipped copy reaches the blend.
+  ExperimentSpec guarded = tiny_image_spec();
+  guarded.clients = 3;
+  guarded.adversary.fraction = 1.0 / 3.0;
+  guarded.adversary.mode = AttackMode::sign_flip;
+  guarded.blend_outlier_threshold = 1.0;
+  const obs::MetricsSnapshot run = run_experiment(guarded).metrics;
 
-  std::set<std::string> expected;
+  const obs::MetricsSnapshot driven = metrics.snapshot();
+  std::set<std::string> expected, registered;
   for (const auto& name : consensus_metric_names()) {
     expected.insert("consensus." + name);
-    EXPECT_GT(obs::registry().counter("consensus." + name).value(),
-              before.at(name))
+    EXPECT_GT(driven.counter("consensus." + name) +
+                  run.counter("consensus." + name),
+              0u)
         << "consensus metric '" << name << "' never incremented its counter";
   }
-  EXPECT_EQ(registered_with_prefix("consensus."), expected);
+  for (const obs::MetricsSnapshot* snap : {&driven, &run}) {
+    for (const auto& [name, value] : snap->counters) {
+      if (name.rfind("consensus.", 0) == 0) registered.insert(name);
+    }
+  }
+  EXPECT_EQ(registered, expected);
 }
 
 // --- Quorum invariant property + mutation check -------------------------------
@@ -726,7 +746,8 @@ struct QuorumCase {
 // remaining replicas are never uploaded, so judging the winner against
 // replicas it never saw would be unsound.)
 bool winner_is_from_largest_class(const QuorumCase& qc, std::size_t quorum) {
-  ConsensusBuffer buf({.quorum = quorum, .tolerance = 0.0}, nullptr);
+  obs::Registry metrics;
+  ConsensusBuffer buf({.quorum = quorum, .tolerance = 0.0}, nullptr, metrics);
   const Workunit wu = make_unit(1);
   const std::size_t k = qc.replica_fill.size();
   std::map<std::uint8_t, std::size_t> seen;  // class sizes, submitted prefix

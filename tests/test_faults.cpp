@@ -7,6 +7,7 @@
 
 #include "core/trainer.hpp"
 #include "nn/model_io.hpp"
+#include "obs/snapshot.hpp"
 #include "sim/faults.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/kvstore.hpp"
@@ -17,15 +18,16 @@ namespace {
 // --- FaultInjector -----------------------------------------------------------
 
 TEST(FaultInjector, DisabledPlanNeverFaults) {
-  FaultInjector inj(FaultPlan{}, Rng(1));
+  obs::Registry metrics;
+  FaultInjector inj(FaultPlan{}, Rng(1), metrics);
   for (int i = 0; i < 100; ++i) {
     const auto out = inj.on_transfer(FaultSite::download);
     EXPECT_FALSE(out.dropped);
     EXPECT_DOUBLE_EQ(out.time_factor, 1.0);
     EXPECT_FALSE(inj.corrupt_result());
   }
-  EXPECT_EQ(inj.stats().transfer_drops, 0u);
-  EXPECT_EQ(inj.stats().corruptions, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("faults.transfer_drop"), 0u);
+  EXPECT_EQ(metrics.snapshot().counter("faults.corruption"), 0u);
 }
 
 TEST(FaultInjector, DisabledPlanDrawsNothing) {
@@ -33,7 +35,8 @@ TEST(FaultInjector, DisabledPlanDrawsNothing) {
   // this is what keeps fault-free runs bit-identical.
   Rng a(42);
   Rng b(42);
-  FaultInjector inj(FaultPlan{}, std::move(b));
+  obs::Registry metrics;
+  FaultInjector inj(FaultPlan{}, std::move(b), metrics);
   for (int i = 0; i < 50; ++i) {
     (void)inj.on_transfer(FaultSite::download);
     (void)inj.on_transfer(FaultSite::upload);
@@ -51,8 +54,9 @@ TEST(FaultInjector, DeterministicForSeed) {
   plan.download.drop_prob = 0.3;
   plan.download.stall_prob = 0.2;
   plan.corruption_prob = 0.1;
-  FaultInjector a(plan, Rng(7));
-  FaultInjector b(plan, Rng(7));
+  obs::Registry metrics;
+  FaultInjector a(plan, Rng(7), metrics);
+  FaultInjector b(plan, Rng(7), metrics);
   for (int i = 0; i < 200; ++i) {
     const auto oa = a.on_transfer(FaultSite::download);
     const auto ob = b.on_transfer(FaultSite::download);
@@ -67,7 +71,8 @@ TEST(FaultInjector, RatesMatchPlan) {
   plan.upload.drop_prob = 0.25;
   plan.upload.stall_prob = 0.25;
   plan.upload.stall_factor = 6.0;
-  FaultInjector inj(plan, Rng(3));
+  obs::Registry metrics;
+  FaultInjector inj(plan, Rng(3), metrics);
   int drops = 0, stalls = 0;
   const int n = 4000;
   for (int i = 0; i < n; ++i) {
@@ -81,8 +86,11 @@ TEST(FaultInjector, RatesMatchPlan) {
   }
   EXPECT_NEAR(static_cast<double>(drops) / n, 0.25, 0.03);
   EXPECT_GT(stalls, 0);
-  EXPECT_EQ(inj.stats().transfer_drops, static_cast<std::uint64_t>(drops));
-  EXPECT_EQ(inj.stats().transfer_stalls, static_cast<std::uint64_t>(stalls));
+  const obs::MetricsSnapshot counted = metrics.snapshot();
+  EXPECT_EQ(counted.counter("faults.transfer_drop"),
+            static_cast<std::uint64_t>(drops));
+  EXPECT_EQ(counted.counter("faults.transfer_stall"),
+            static_cast<std::uint64_t>(stalls));
 }
 
 TEST(FaultInjector, CorruptionBreaksParameterChecksum) {
@@ -91,28 +99,30 @@ TEST(FaultInjector, CorruptionBreaksParameterChecksum) {
   ASSERT_NO_THROW((void)load_params(blob));
   FaultPlan plan;
   plan.corruption_prob = 1.0;
-  FaultInjector inj(plan, Rng(11));
+  obs::Registry metrics;
+  FaultInjector inj(plan, Rng(11), metrics);
   ASSERT_TRUE(inj.corrupt_result());  // certain at prob 1.0
-  EXPECT_EQ(inj.stats().corruptions, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("faults.corruption"), 1u);
   inj.corrupt(blob);
   EXPECT_THROW((void)load_params(blob), Error);
 }
 
 TEST(FaultInjector, InvalidPlanRejected) {
+  obs::Registry metrics;
   FaultPlan bad;
   bad.download.drop_prob = 1.5;
-  EXPECT_THROW(FaultInjector(bad, Rng(1)), Error);
+  EXPECT_THROW(FaultInjector(bad, Rng(1), metrics), Error);
   bad = FaultPlan{};
   bad.store.fail_prob = 1.0;  // retries would never terminate
-  EXPECT_THROW(FaultInjector(bad, Rng(1)), Error);
+  EXPECT_THROW(FaultInjector(bad, Rng(1), metrics), Error);
   bad = FaultPlan{};
   bad.upload.stall_prob = 0.1;
   bad.upload.stall_factor = 0.5;  // a "stall" that speeds transfers up
-  EXPECT_THROW(FaultInjector(bad, Rng(1)), Error);
+  EXPECT_THROW(FaultInjector(bad, Rng(1), metrics), Error);
   bad = FaultPlan{};
   bad.server_crashes = {100.0};
   bad.server_recovery_s = 0.0;
-  EXPECT_THROW(FaultInjector(bad, Rng(1)), Error);
+  EXPECT_THROW(FaultInjector(bad, Rng(1), metrics), Error);
 }
 
 TEST(RetryPolicy, BackoffGrowsAndCaps) {

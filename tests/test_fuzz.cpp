@@ -20,6 +20,7 @@
 #include "grid/scheduler.hpp"
 #include "nn/model_io.hpp"
 #include "nn/model_zoo.hpp"
+#include "obs/snapshot.hpp"
 #include "sim/engine.hpp"
 #include "storage/kvstore.hpp"
 #include "testing/generators.hpp"
@@ -252,7 +253,8 @@ TEST(Fuzz, StoreMatchesShadowModelUnderRandomOps) {
   cfg.max_size = 16;
   const PropResult r = run_property(cfg, [](Rng& rng, int size) {
     for (const std::string kind : {"eventual", "strong"}) {
-      auto store = make_store(kind);
+      obs::Registry metrics;
+      auto store = make_store(kind, metrics);
       struct Slot {
         Blob value;
         std::uint64_t version = 0;
@@ -370,11 +372,11 @@ TEST(Fuzz, StoreMatchesShadowModelUnderRandomOps) {
           }
         }
       }
-      const auto stats = store->stats();
-      prop_assert(stats.lost_updates == expected_lost,
-                  kind + ": lost_updates=" +
-                      std::to_string(stats.lost_updates) + " expected " +
-                      std::to_string(expected_lost));
+      const std::uint64_t lost =
+          metrics.snapshot().counter("store.lost_updates");
+      prop_assert(lost == expected_lost,
+                  kind + ": lost_updates=" + std::to_string(lost) +
+                      " expected " + std::to_string(expected_lost));
     }
   });
   EXPECT_TRUE(r.passed) << r.message << "\nreplay: " << r.repro;
@@ -403,7 +405,8 @@ TEST(Fuzz, ConcurrentStrongStoreUpdatesNeverLoseIncrements) {
   constexpr std::size_t kThreads = 4;
   const std::size_t per_thread =
       200 * static_cast<std::size_t>(testing::soak_multiplier());
-  auto store = make_store("strong");
+  obs::Registry metrics;
+  auto store = make_store("strong", metrics);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -420,14 +423,15 @@ TEST(Fuzz, ConcurrentStrongStoreUpdatesNeverLoseIncrements) {
   ASSERT_TRUE(final_value.has_value());
   EXPECT_EQ(decode_counter(&final_value->value), kThreads * per_thread);
   EXPECT_EQ(final_value->version, kThreads * per_thread);
-  EXPECT_EQ(store->stats().lost_updates, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
 }
 
 TEST(Fuzz, ConcurrentEventualStoreCountsEveryLostIncrement) {
   constexpr std::size_t kThreads = 4;
   const std::size_t per_thread =
       200 * static_cast<std::size_t>(testing::soak_multiplier());
-  auto store = make_store("eventual");
+  obs::Registry metrics;
+  auto store = make_store("eventual", metrics);
   store->put("counter", encode_counter(0));
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -458,8 +462,9 @@ TEST(Fuzz, ConcurrentEventualStoreCountsEveryLostIncrement) {
   // value through a later write that had read it.) Each version is charged
   // at most once and the newest never is, so the charges cannot exceed the
   // increments.
-  EXPECT_GE(store->stats().lost_updates, total - counted);
-  EXPECT_LE(store->stats().lost_updates, total);
+  const std::uint64_t lost = metrics.snapshot().counter("store.lost_updates");
+  EXPECT_GE(lost, total - counted);
+  EXPECT_LE(lost, total);
 }
 
 // --- VC-ASGD assimilator ----------------------------------------------------
@@ -472,8 +477,9 @@ TEST(Fuzz, ConcurrentEventualStoreCountsEveryLostIncrement) {
 struct AssimilatorFuzzHarness {
   SimEngine engine;
   TraceLog trace;
-  Scheduler scheduler;
-  FileServer files;
+  obs::Registry metrics;
+  Scheduler scheduler{metrics};
+  FileServer files{metrics};
   std::unique_ptr<KvStore> store;
   std::unique_ptr<GridServer> server;
   std::unique_ptr<ConstantAlpha> schedule;
@@ -484,7 +490,7 @@ struct AssimilatorFuzzHarness {
 
   AssimilatorFuzzHarness(const std::string& store_kind, double alpha,
                          std::size_t num_ps)
-      : store(make_store(store_kind)),
+      : store(make_store(store_kind, metrics)),
         data(make_synthetic_cifar({.height = 8,
                                    .width = 8,
                                    .train = 40,
@@ -493,14 +499,15 @@ struct AssimilatorFuzzHarness {
                                    .seed = 3})),
         model(make_resnet_lite(
             {.height = 8, .width = 8, .base_filters = 4, .blocks = 1}, 5)) {
-    server = std::make_unique<GridServer>(engine, scheduler, trace, num_ps,
+    server = std::make_unique<GridServer>(engine, scheduler, trace, metrics,
+                                          num_ps,
                                           [](const Blob&) { return true; });
     schedule = std::make_unique<ConstantAlpha>(alpha);
     VcAsgdAssimilator::Options opts;
     opts.validation_subsample = 8;
     assimilator = std::make_unique<VcAsgdAssimilator>(
         engine, *store, files, *server, *schedule, model, data.validation,
-        table1_catalog().server, opts, trace, Rng(1),
+        table1_catalog().server, opts, trace, metrics, Rng(1),
         [this](std::size_t, double acc) { accs.push_back(acc); });
     server->set_backend(assimilator.get());
     assimilator->publish_initial(model.flat_params());
@@ -558,9 +565,11 @@ TEST(Fuzz, AssimilatorRetiresEveryRandomSubmission) {
     prop_assert(stored->version == k + 1,
                 kind + ": version " + std::to_string(stored->version) +
                     " after " + std::to_string(k) + " assimilations");
-    prop_assert(h.store->stats().writes == k + 1, kind + ": write count off");
+    const obs::MetricsSnapshot counted = h.metrics.snapshot();
+    prop_assert(counted.counter("store.writes") == k + 1,
+                kind + ": write count off");
     if (kind == "strong") {
-      prop_assert(h.store->stats().lost_updates == 0,
+      prop_assert(counted.counter("store.lost_updates") == 0,
                   "strong store lost an update");
     }
     // The published copy matches the store exactly (same commit).

@@ -4,6 +4,7 @@
 #include "grid/file_server.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
+#include "obs/snapshot.hpp"
 
 namespace vcdl {
 namespace {
@@ -42,17 +43,19 @@ TEST(FileServer, MissingFileThrows) {
 }
 
 TEST(FileServer, StatsAccumulate) {
-  FileServer fs;
+  obs::Registry metrics;
+  FileServer fs(metrics);
   fs.publish("f", payload_of(1000), true);
   (void)fs.fetch("f");
   (void)fs.fetch("f");
   fs.record_cache_hit();
-  const auto& s = fs.stats();
-  EXPECT_EQ(s.publishes, 1u);
-  EXPECT_EQ(s.fetches, 2u);
-  EXPECT_EQ(s.bytes_raw, 2000u);
-  EXPECT_LT(s.bytes_wire, s.bytes_raw);
-  EXPECT_EQ(s.cache_hits, 1u);
+  const obs::MetricsSnapshot s = metrics.snapshot();
+  EXPECT_EQ(s.counter("file_server.publishes"), 1u);
+  EXPECT_EQ(s.counter("file_server.fetches"), 2u);
+  EXPECT_EQ(s.counter("file_server.bytes_raw"), 2000u);
+  EXPECT_LT(s.counter("file_server.bytes_wire"),
+            s.counter("file_server.bytes_raw"));
+  EXPECT_EQ(s.counter("file_server.cache_hits"), 1u);
 }
 
 // --- Scheduler ---------------------------------------------------------------
@@ -219,7 +222,8 @@ TEST(Scheduler, ReadyQueueDropsRetiredReplicatedUnits) {
 }
 
 TEST(Scheduler, ReportFailureRequeuesReplicaImmediately) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.register_client(0);
   s.register_client(1);
   s.add_unit(make_unit(1, 0, 1000.0));
@@ -227,7 +231,7 @@ TEST(Scheduler, ReportFailureRequeuesReplicaImmediately) {
   const double before = s.reliability(0);
   s.report_failure(0, 1, 5.0);
   EXPECT_EQ(s.inflight_count(), 0u);
-  EXPECT_EQ(s.stats().failures, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("scheduler.failure.fast_fail"), 1u);
   EXPECT_LT(s.reliability(0), before);  // same hit a timeout would cost
   // Requeued at once — no waiting out the 1000 s deadline.
   const auto got = s.request_work(1, 1, 6.0);
@@ -250,13 +254,14 @@ TEST(Scheduler, ReportFailureAfterExpiryIsHarmless) {
 }
 
 TEST(Scheduler, ReportInvalidPenalizesAndRequeues) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.register_client(0);
   s.add_unit(make_unit(1, 0, 1000.0));
   (void)s.request_work(0, 1, 0.0);
   const double before = s.reliability(0);
   s.report_invalid(0, 1, 5.0);
-  EXPECT_EQ(s.stats().invalid_results, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("scheduler.failure.invalid_result"), 1u);
   EXPECT_LT(s.reliability(0), before);
   EXPECT_FALSE(s.all_done());
   // The same client may retry (it is the only machine).
@@ -267,7 +272,8 @@ TEST(Scheduler, ReportInvalidPenalizesAndRequeues) {
 }
 
 TEST(Scheduler, ReissueLostUnretiresUnit) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.register_client(0);
   s.add_unit(make_unit(1));
   s.add_unit(make_unit(2));
@@ -275,11 +281,11 @@ TEST(Scheduler, ReissueLostUnretiresUnit) {
   s.report_result(0, 1, 1.0);
   s.reissue_lost(1);
   EXPECT_FALSE(s.all_done());
-  EXPECT_EQ(s.stats().reissues, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("scheduler.failure.reissue_lost"), 1u);
   // Reissuing a unit that was never retired is a no-op (deadline recovery
   // owns pending units).
   s.reissue_lost(2);
-  EXPECT_EQ(s.stats().reissues, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("scheduler.failure.reissue_lost"), 1u);
   // The producing client itself can pick the unit back up — essential when
   // it is the only client in the fleet.
   const auto got = s.request_work(0, 1, 2.0);
@@ -310,14 +316,15 @@ TEST(Scheduler, LateResultAfterExpiryIsDuplicateAndStillCredits) {
 }
 
 TEST(Scheduler, ReliabilityGateEarnBackAfterFailures) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.set_reliability_gate(0.4);
   s.register_client(0);
   for (WorkunitId id = 1; id <= 8; ++id) s.add_unit(make_unit(id, 0, 100.0));
   auto got = s.request_work(0, 4, 0.0);
   ASSERT_EQ(got.size(), 4u);
   for (const auto& wu : got) s.report_failure(0, wu.id, 1.0);
-  EXPECT_EQ(s.stats().failures, 4u);
+  EXPECT_EQ(metrics.snapshot().counter("scheduler.failure.fast_fail"), 4u);
   EXPECT_LT(s.reliability(0), 0.4);
   // Below the gate: one unit per request (the abandoned units are issuable
   // again immediately).
@@ -350,11 +357,12 @@ TEST(Scheduler, NextDeadlineReported) {
 struct Harness {
   SimEngine engine;
   TraceLog trace;
-  Scheduler scheduler;
-  FileServer files;
+  obs::Registry metrics;
+  Scheduler scheduler{metrics};
+  FileServer files{metrics};
   NetworkModel network;
   FleetCatalog catalog = table1_catalog();
-  GridServer server{engine, scheduler, trace, 2,
+  GridServer server{engine, scheduler, trace, metrics, 2,
                     [](const Blob& b) { return !b.empty(); }};
 
   // Records assimilations and finishes after a fixed service time.
@@ -391,7 +399,12 @@ struct Harness {
                                          ExecuteFn exec) {
     return std::make_unique<SimClient>(
         id, catalog.client_types[0], cfg, engine, network, catalog.server,
-        files, scheduler, server, trace, Rng(id + 1), std::move(exec));
+        files, scheduler, server, trace, metrics, Rng(id + 1),
+        std::move(exec));
+  }
+
+  std::uint64_t count(const std::string& name) const {
+    return metrics.snapshot().counter(name);
   }
 };
 
@@ -414,7 +427,7 @@ TEST(GridIntegration, SingleClientCompletesUnits) {
   EXPECT_TRUE(h.scheduler.all_done());
   EXPECT_EQ(h.backend.seen.size(), 4u);
   EXPECT_EQ(h.server.stats().assimilated, 4u);
-  EXPECT_EQ(client->stats().completed, 4u);
+  EXPECT_EQ(h.count("client.completed"), 4u);
 }
 
 TEST(GridIntegration, StickyFilesCachedAcrossUnits) {
@@ -429,8 +442,7 @@ TEST(GridIntegration, StickyFilesCachedAcrossUnits) {
   h.engine.run_until(sim_hours(1.0));
   client->stop();
   h.engine.run();
-  EXPECT_GE(client->stats().cache_hits, 2u);
-  EXPECT_EQ(h.files.stats().cache_hits, client->stats().cache_hits);
+  EXPECT_GE(h.count("file_server.cache_hits"), 2u);
 }
 
 TEST(GridIntegration, InvalidResultIsDroppedAndRecovered) {
@@ -456,11 +468,11 @@ TEST(GridIntegration, InvalidResultIsDroppedAndRecovered) {
   client->stop();
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
-  EXPECT_EQ(h.server.stats().invalid, 1u);
+  EXPECT_EQ(h.count("server.results_invalid"), 1u);
   EXPECT_EQ(h.server.stats().assimilated, 1u);
   // The invalid result is requeued immediately via report_invalid — recovery
   // no longer has to wait for the deadline sweep.
-  EXPECT_EQ(h.scheduler.stats().invalid_results, 1u);
+  EXPECT_EQ(h.count("scheduler.failure.invalid_result"), 1u);
   EXPECT_EQ(h.scheduler.stats().timeouts, 0u);
 }
 
@@ -484,7 +496,7 @@ TEST(GridIntegration, PreemptionLosesInflightThenRecovers) {
   client->stop();
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
-  EXPECT_GT(client->stats().preemptions, 0u);
+  EXPECT_GT(h.count("client.preemptions"), 0u);
   EXPECT_GT(h.scheduler.stats().timeouts, 0u);
   EXPECT_EQ(h.backend.seen.size(), 3u);
   EXPECT_GT(h.trace.count(TraceKind::preempted), 0u);
@@ -546,15 +558,15 @@ TEST(GridServer, CrashDropsQueuedResultsAndRecovers) {
   h.server.crash();
   EXPECT_FALSE(h.server.is_up());
   EXPECT_EQ(h.server.generation(), 1u);
-  EXPECT_EQ(h.server.stats().lost_results, 4u);
+  EXPECT_EQ(h.count("server.lost_results"), 4u);
   EXPECT_EQ(h.server.queued_results(), 0u);
   EXPECT_EQ(h.server.active_assimilations(), 0u);
   // All four accepted-but-unassimilated units are un-retired.
-  EXPECT_EQ(h.scheduler.stats().reissues, 4u);
+  EXPECT_EQ(h.count("scheduler.failure.reissue_lost"), 4u);
   EXPECT_FALSE(h.scheduler.all_done());
   // Uploads are rejected while down.
   EXPECT_FALSE(h.server.submit_result(0, h.unit(99, 0), payload_of(8)));
-  EXPECT_EQ(h.server.stats().rejected_down, 1u);
+  EXPECT_EQ(h.count("server.rejected_down"), 1u);
   // Draining the engine fires the stale backend completions; the generation
   // guard must stop them from freeing slots or counting assimilations.
   h.engine.run();
@@ -579,9 +591,10 @@ TEST(GridServer, CrashDropsQueuedResultsAndRecovers) {
 TEST(GridServer, NoBackendIsAnError) {
   SimEngine engine;
   TraceLog trace;
-  Scheduler scheduler;
+  obs::Registry metrics;
+  Scheduler scheduler(metrics);
   scheduler.register_client(0);
-  GridServer server(engine, scheduler, trace, 1,
+  GridServer server(engine, scheduler, trace, metrics, 1,
                     [](const Blob&) { return true; });
   Workunit wu = make_unit(1);
   scheduler.add_unit(wu);

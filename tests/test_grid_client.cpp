@@ -6,6 +6,7 @@
 #include "grid/file_server.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
+#include "obs/snapshot.hpp"
 
 namespace vcdl {
 namespace {
@@ -24,11 +25,12 @@ struct CountingBackend : AssimilatorBackend {
 struct ClientHarness {
   SimEngine engine;
   TraceLog trace;
-  Scheduler scheduler;
-  FileServer files;
+  obs::Registry metrics;
+  Scheduler scheduler{metrics};
+  FileServer files{metrics};
   NetworkModel network;
   FleetCatalog catalog = table1_catalog();
-  GridServer server{engine, scheduler, trace, 1,
+  GridServer server{engine, scheduler, trace, metrics, 1,
                     [](const Blob& b) { return !b.empty(); }};
   CountingBackend backend{engine};
 
@@ -56,10 +58,18 @@ struct ClientHarness {
                                   std::uint64_t seed = 1) {
     return std::make_unique<SimClient>(
         0, catalog.client_types[0], cfg, engine, network, catalog.server,
-        files, scheduler, server, trace, Rng(seed),
+        files, scheduler, server, trace, metrics, Rng(seed),
         [work](const Workunit&, ClientId, ExecContext&) {
           return ExecOutcome{Blob(std::vector<std::uint8_t>(16, 7)), work};
         });
+  }
+
+  std::uint64_t count(const std::string& name) const {
+    return metrics.snapshot().counter(name);
+  }
+  /// Summed virtual execution time of every subtask the clients ran.
+  double busy_s() const {
+    return metrics.snapshot().histograms.at("client.subtask_exec_s").sum;
   }
 };
 
@@ -78,7 +88,7 @@ TEST(SimClientTest, ConcurrencyNeverExceedsTn) {
     if (h.scheduler.all_done()) client->stop();
   }
   EXPECT_EQ(peak, 3u);  // the limit is actually reached
-  EXPECT_EQ(client->stats().completed, 12u);
+  EXPECT_EQ(h.count("client.completed"), 12u);
 }
 
 TEST(SimClientTest, IdleClientPollsAtConfiguredInterval) {
@@ -91,8 +101,8 @@ TEST(SimClientTest, IdleClientPollsAtConfiguredInterval) {
   client->stop();
   h.engine.run();
   // ~10 polls in 300 s; nothing completed, nothing downloaded.
-  EXPECT_EQ(client->stats().completed, 0u);
-  EXPECT_EQ(client->stats().downloads, 0u);
+  EXPECT_EQ(h.count("client.completed"), 0u);
+  EXPECT_EQ(h.count("file_server.fetches"), 0u);
 }
 
 TEST(SimClientTest, CacheWarmsAcrossSequentialUnits) {
@@ -105,7 +115,7 @@ TEST(SimClientTest, CacheWarmsAcrossSequentialUnits) {
   client->start();
   h.engine.run_until(400.0);
   // First unit(s) done with warm cache.
-  const auto hits_before = client->stats().cache_hits;
+  const auto hits_before = h.count("file_server.cache_hits");
   EXPECT_GT(hits_before, 0u);
   client->stop();
   h.engine.run();
@@ -123,7 +133,7 @@ TEST(SimClientTest, StopCancelsEverythingPending) {
   client->stop();
   h.engine.run();  // must drain instantly — no lingering events
   EXPECT_LT(h.engine.now(), 3600.0);
-  EXPECT_EQ(client->stats().completed, 0u);
+  EXPECT_EQ(h.count("client.completed"), 0u);
 }
 
 TEST(SimClientTest, ExecJitterIsDeterministicPerSeed) {
@@ -137,7 +147,7 @@ TEST(SimClientTest, ExecJitterIsDeterministicPerSeed) {
     h.engine.run_until(sim_hours(2.0));
     client->stop();
     h.engine.run();
-    return client->stats().busy_s;
+    return h.busy_s();
   };
   EXPECT_DOUBLE_EQ(run_once(42), run_once(42));
   EXPECT_NE(run_once(42), run_once(43));
@@ -154,8 +164,8 @@ TEST(SimClientTest, BusyTimeAccountsForAllExecutions) {
   h.engine.run_until(sim_hours(1.0));
   client->stop();
   h.engine.run();
-  EXPECT_EQ(client->stats().completed, 6u);
-  EXPECT_NEAR(client->stats().busy_s, 6 * 10.0, 1e-6);
+  EXPECT_EQ(h.count("client.completed"), 6u);
+  EXPECT_NEAR(h.busy_s(), 6 * 10.0, 1e-6);
 }
 
 TEST(SimClientTest, RejectsBadConfig) {

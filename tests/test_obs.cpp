@@ -3,25 +3,28 @@
 // Three tiers of guarantees, all tier 1:
 //   1. Registry semantics — counters, gauges, fixed-bucket histograms,
 //      percentile brackets, snapshot export/diff — pinned by unit tests on
-//      *local* Registry instances (the global registry stays clean for the
-//      coverage tests below).
+//      local Registry instances.
 //   2. Instrumentation coverage — set-equality between the declared failure
 //      taxonomies (scheduler_failure_kinds, fault_kind_names) and the
-//      counters actually registered, plus increment checks per kind. A new
-//      failure path added without its counter fails here.
+//      counters the components register in the registry they are given,
+//      plus increment checks per kind. A new failure path added without its
+//      counter fails here.
 //   3. Determinism — two same-seed chaos runs must export byte-identical
 //      snapshot JSON (the acceptance criterion the tier-2 trace-replay suite
-//      extends), and simulated-time spans must record exactly-zero durations.
+//      extends), and a run's snapshot must not depend on runs before it or
+//      beside it in the process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "common/wire_codec.hpp"
 #include "core/trainer.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/server.hpp"
@@ -108,25 +111,6 @@ TEST(ObsRegistry, HistogramOptionMismatchThrows) {
   EXPECT_THROW(reg.histogram("h", {0.0, 2.0, 4}), Error);
   EXPECT_THROW(reg.histogram("h", {0.0, 1.0, 8}), Error);
   EXPECT_NO_THROW(reg.histogram("h", {0.0, 1.0, 4}));
-}
-
-TEST(ObsRegistry, ResetValuesKeepsRegistrations) {
-  Registry reg;
-  Counter& c = reg.counter("c");
-  Gauge& g = reg.gauge("g");
-  Histogram& h = reg.histogram("h", {0.0, 1.0, 4});
-  c.inc(5);
-  g.set(3.0);
-  h.observe(0.5);
-  reg.reset_values();
-  // Handles survive and read zero; names are still listed.
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-  EXPECT_EQ(reg.counter_names(), std::vector<std::string>{"c"});
-  EXPECT_EQ(reg.gauge_names(), std::vector<std::string>{"g"});
-  EXPECT_EQ(reg.histogram_names(), std::vector<std::string>{"h"});
 }
 
 TEST(ObsRegistry, GlobalRegistryIsASingleton) {
@@ -393,9 +377,10 @@ TEST(ObsProperty, PercentileBracketContainsExactNearestRank) {
 
 // --- Instrumentation coverage -----------------------------------------------
 
-std::set<std::string> registered_with_prefix(const std::string& prefix) {
+std::set<std::string> registered_with_prefix(const Registry& reg,
+                                             const std::string& prefix) {
   std::set<std::string> out;
-  for (const auto& name : obs::registry().counter_names()) {
+  for (const auto& name : reg.counter_names()) {
     if (name.rfind(prefix, 0) == 0) out.insert(name);
   }
   return out;
@@ -405,15 +390,8 @@ std::set<std::string> registered_with_prefix(const std::string& prefix) {
 // registered scheduler.failure.* counter has a declared kind, and driving
 // each failure path increments its counter.
 TEST(ObsCoverage, SchedulerFailureKindsMatchRegisteredCounters) {
-  const auto before = [&] {
-    std::map<std::string, std::uint64_t> v;
-    for (const auto& k : scheduler_failure_kinds()) {
-      v[k] = obs::registry().counter("scheduler.failure." + k).value();
-    }
-    return v;
-  }();
-
-  Scheduler s;
+  Registry metrics;
+  Scheduler s(metrics);
   s.register_client(1);
   auto make_unit = [](WorkunitId id) {
     Workunit u;
@@ -445,46 +423,39 @@ TEST(ObsCoverage, SchedulerFailureKindsMatchRegisteredCounters) {
   s.report_replica(1, 5);
   s.reissue_replica(5, 1);
 
+  const MetricsSnapshot counted = metrics.snapshot();
   std::set<std::string> expected;
   for (const auto& k : scheduler_failure_kinds()) {
     expected.insert("scheduler.failure." + k);
-    EXPECT_GT(obs::registry().counter("scheduler.failure." + k).value(),
-              before.at(k))
+    EXPECT_GT(counted.counter("scheduler.failure." + k), 0u)
         << "failure kind '" << k << "' never incremented its counter";
   }
-  EXPECT_EQ(registered_with_prefix("scheduler.failure."), expected);
+  EXPECT_EQ(registered_with_prefix(metrics, "scheduler.failure."), expected);
 }
 
 // Same contract for the fault injector: every fault kind in
 // fault_kind_names() maps to a registered "faults.<kind>" counter that its
 // injection site actually increments.
 TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
-  const auto counter_for = [](const std::string& kind) -> obs::Counter& {
-    return obs::registry().counter("faults." + kind);
-  };
-  const auto before = [&] {
-    std::map<std::string, std::uint64_t> v;
-    for (const auto& k : fault_kind_names()) v[k] = counter_for(k).value();
-    return v;
-  }();
+  Registry metrics;
 
   // Probability-1 plans make each injector draw deterministic.
   {
     FaultPlan plan;
     plan.download.drop_prob = 1.0;
-    FaultInjector inj(plan, Rng(1));
+    FaultInjector inj(plan, Rng(1), metrics);
     EXPECT_TRUE(inj.on_transfer(FaultSite::download).dropped);
   }
   {
     FaultPlan plan;
     plan.upload.stall_prob = 1.0;
-    FaultInjector inj(plan, Rng(2));
+    FaultInjector inj(plan, Rng(2), metrics);
     EXPECT_GT(inj.on_transfer(FaultSite::upload).time_factor, 1.0);
   }
   {
     FaultPlan plan;
     plan.corruption_prob = 1.0;
-    FaultInjector inj(plan, Rng(3));
+    FaultInjector inj(plan, Rng(3), metrics);
     EXPECT_TRUE(inj.corrupt_result());
   }
   {
@@ -492,7 +463,7 @@ TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
     // the failure fires — deterministic for the fixed seed.
     FaultPlan plan;
     plan.store.fail_prob = 0.9;
-    FaultInjector inj(plan, Rng(4));
+    FaultInjector inj(plan, Rng(4), metrics);
     bool dropped = false;
     for (int i = 0; i < 64 && !dropped; ++i) {
       dropped = inj.on_transfer(FaultSite::store).dropped;
@@ -502,15 +473,15 @@ TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
   {
     FaultPlan plan;
     plan.store.slow_prob = 1.0;
-    FaultInjector inj(plan, Rng(5));
+    FaultInjector inj(plan, Rng(5), metrics);
     EXPECT_GT(inj.on_transfer(FaultSite::store).time_factor, 1.0);
   }
   // server_crash is metered at its injection site, GridServer::crash().
   {
     SimEngine engine;
-    Scheduler sched;
+    Scheduler sched(metrics);
     TraceLog trace;
-    GridServer server(engine, sched, trace, 1,
+    GridServer server(engine, sched, trace, metrics, 1,
                       [](const Blob&) { return true; });
     server.crash();
     EXPECT_FALSE(server.is_up());
@@ -519,19 +490,20 @@ TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
   {
     AdversaryPlan plan;
     plan.fraction = 1.0;
-    AdversaryModel adv(plan, 1, Rng(6));
+    AdversaryModel adv(plan, 1, Rng(6), metrics);
     std::vector<float> params = {1.0f, -2.0f, 3.0f};
     EXPECT_TRUE(adv.is_adversary(0));
     EXPECT_TRUE(adv.attack(params, 1));
   }
 
+  const MetricsSnapshot counted = metrics.snapshot();
   std::set<std::string> expected;
   for (const auto& k : fault_kind_names()) {
     expected.insert("faults." + k);
-    EXPECT_GT(counter_for(k).value(), before.at(k))
+    EXPECT_GT(counted.counter("faults." + k), 0u)
         << "fault kind '" << k << "' never incremented its counter";
   }
-  EXPECT_EQ(registered_with_prefix("faults."), expected);
+  EXPECT_EQ(registered_with_prefix(metrics, "faults."), expected);
 }
 
 // --- End-to-end determinism (the tier-1 acceptance criterion) ---------------
@@ -555,6 +527,12 @@ ExperimentSpec chaos_spec() {
 
 TEST(ObsDeterminism, SameSeedChaosRunsExportIdenticalSnapshots) {
   const ExperimentSpec spec = chaos_spec();
+  const auto gemm_spans = [] {
+    const MetricsSnapshot process = obs::registry().snapshot();
+    const auto it = process.histograms.find("exec.gemm_s");
+    return it == process.histograms.end() ? 0 : it->second.count;
+  };
+  const std::uint64_t gemm_before = gemm_spans();
   VcTrainer a(spec);
   const TrainResult ra = a.run();
   VcTrainer b(spec);
@@ -571,14 +549,58 @@ TEST(ObsDeterminism, SameSeedChaosRunsExportIdenticalSnapshots) {
   EXPECT_GT(ra.metrics.counters.at("scheduler.dispatched"), 0u);
   EXPECT_GT(ra.metrics.counters.at("assimilator.updates_applied"), 0u);
 
-  // Hot-path spans ran under the simulation's frozen virtual clock: nonzero
-  // sample counts, exactly-zero total duration.
-  const auto& gemm = ra.metrics.histograms.at("exec.gemm_s");
-  EXPECT_GT(gemm.count, 0u);
-  EXPECT_EQ(gemm.sum, 0.0);
+  // The hot-path spans ran on the process registry's wall clock, outside
+  // the run's snapshot.
+  for (const auto& [name, h] : ra.metrics.histograms) {
+    EXPECT_NE(name.rfind("exec.", 0), 0u) << name << " in a run snapshot";
+  }
+  EXPECT_GT(gemm_spans(), gemm_before);
   const auto& exec = ra.metrics.histograms.at("client.subtask_exec_s");
   EXPECT_GT(exec.count, 0u);
   EXPECT_GT(exec.sum, 0.0);  // virtual-time client latency is real sim time
+}
+
+// Each run counts into a registry of its own, so its snapshot is a function
+// of the run alone: the same whether it runs first, after a consensus run
+// with faults, or beside another run on a second thread.
+TEST(ObsDeterminism, RunsDoNotShareMetrics) {
+  struct RunPrint {
+    std::uint64_t digest = 0;
+    std::uint64_t params = 0;
+    std::string metrics;
+  };
+  const auto run = [](const ExperimentSpec& spec) {
+    VcTrainer trainer(spec);
+    const TrainResult r = trainer.run();
+    return RunPrint{trainer.trace().digest().hash, params_hash(r.final_params),
+                    r.metrics.to_json()};
+  };
+  const ExperimentSpec spec = tiny_image_spec(/*trace=*/true);
+  const RunPrint alone = run(spec);
+
+  ExperimentSpec noisy = chaos_spec();
+  noisy.clients = 3;
+  noisy.replication = 3;
+  noisy.adversary.fraction = 1.0 / 3.0;
+  noisy.adversary.mode = AttackMode::noise;
+  noisy.consensus.enabled = true;
+  noisy.consensus.quorum = 2;
+  noisy.consensus.tolerance = 0.1;
+  (void)run(noisy);
+  const RunPrint after = run(spec);
+
+  ExperimentSpec other = tiny_image_spec(/*trace=*/true);
+  other.seed = 11;
+  other.wire_codec = "delta";
+  std::thread beside([&] { (void)run(other); });
+  const RunPrint concurrent = run(spec);
+  beside.join();
+
+  for (const RunPrint* p : {&after, &concurrent}) {
+    EXPECT_EQ(p->digest, alone.digest);
+    EXPECT_EQ(p->params, alone.params);
+    EXPECT_EQ(p->metrics, alone.metrics);
+  }
 }
 
 TEST(ObsDeterminism, PeriodicSnapshotTimelineIsMonotone) {

@@ -8,7 +8,7 @@
 #include "data/synthetic.hpp"
 #include "nn/model_io.hpp"
 #include "nn/model_zoo.hpp"
-#include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "storage/eventual_store.hpp"
 #include "storage/strong_store.hpp"
 
@@ -18,8 +18,9 @@ namespace {
 struct PsHarness {
   SimEngine engine;
   TraceLog trace;
-  Scheduler scheduler;
-  FileServer files;
+  obs::Registry metrics;
+  Scheduler scheduler{metrics};
+  FileServer files{metrics};
   std::unique_ptr<KvStore> store;
   std::unique_ptr<GridServer> server;
   std::unique_ptr<ConstantAlpha> schedule;
@@ -31,7 +32,7 @@ struct PsHarness {
   explicit PsHarness(const std::string& store_kind, double alpha = 0.5,
                      std::size_t num_ps = 2, WireMode wire = WireMode::full,
                      std::size_t version_ring = 8)
-      : store(make_store(store_kind)),
+      : store(make_store(store_kind, metrics)),
         data(make_synthetic_cifar({.height = 8,
                                    .width = 8,
                                    .train = 40,
@@ -40,7 +41,8 @@ struct PsHarness {
                                    .seed = 3})),
         model(make_resnet_lite(
             {.height = 8, .width = 8, .base_filters = 4, .blocks = 1}, 5)) {
-    server = std::make_unique<GridServer>(engine, scheduler, trace, num_ps,
+    server = std::make_unique<GridServer>(engine, scheduler, trace, metrics,
+                                          num_ps,
                                           [](const Blob&) { return true; });
     schedule = std::make_unique<ConstantAlpha>(alpha);
     VcAsgdAssimilator::Options opts;
@@ -49,7 +51,7 @@ struct PsHarness {
     opts.version_ring = version_ring;
     assimilator = std::make_unique<VcAsgdAssimilator>(
         engine, *store, files, *server, *schedule, model, data.validation,
-        table1_catalog().server, opts, trace, Rng(1),
+        table1_catalog().server, opts, trace, metrics, Rng(1),
         [this](std::size_t, double acc) { accs.push_back(acc); });
     server->set_backend(assimilator.get());
     assimilator->publish_initial(model.flat_params());
@@ -77,13 +79,11 @@ struct PsHarness {
     const auto v = store->get("params");
     return load_params(v->value);
   }
-};
 
-// Global registry counters accumulate across tests in this binary; assert on
-// deltas around each scenario instead of absolute values.
-std::uint64_t counter_value(const std::string& name) {
-  return obs::registry().counter(name).value();
-}
+  std::uint64_t count(const std::string& name) const {
+    return metrics.snapshot().counter(name);
+  }
+};
 
 TEST(ParamServer, SingleResultAppliesEquationOne) {
   PsHarness h("eventual", /*alpha=*/0.5);
@@ -123,7 +123,7 @@ TEST(ParamServer, OverlappingEventualWorkersLoseAnUpdate) {
   h.submit(1, 0, a);
   h.submit(2, 1, b);
   h.engine.run();
-  EXPECT_EQ(h.store->stats().lost_updates, 1u);
+  EXPECT_EQ(h.count("store.lost_updates"), 1u);
   // LWW: the surviving copy is w0 blended with exactly one client (the one
   // whose write landed last), not both.
   const auto w1 = h.stored_params();
@@ -144,7 +144,7 @@ TEST(ParamServer, OverlappingStrongWorkersSerialize) {
   h.submit(1, 0, a);
   h.submit(2, 1, b);
   h.engine.run();
-  EXPECT_EQ(h.store->stats().lost_updates, 0u);
+  EXPECT_EQ(h.count("store.lost_updates"), 0u);
   const auto w1 = h.stored_params();
   // Order-independent here because a = -b: 0.25*w0 + 0.5*second + 0.25*first.
   const float expected = 0.25f * w0[0] + 0.25f * a[0] + 0.5f * b[0];
@@ -171,11 +171,11 @@ TEST(ParamServerWire, RingedDeltaFrameBlendsBitExact) {
   const std::vector<float> w0 = h.model.flat_params();
   std::vector<float> client = w0;
   for (auto& v : client) v += 0.25f;
-  const std::uint64_t decoded_before = counter_value("wire_codec.frames_decoded");
+  const std::uint64_t decoded_before = h.count("wire_codec.frames_decoded");
   h.submit_payload(1, 0,
                    encode_params_delta(w0, client, h.assimilator->commits()));
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.frames_decoded"), decoded_before + 1);
+  EXPECT_EQ(h.count("wire_codec.frames_decoded"), decoded_before + 1);
   const auto w1 = h.stored_params();
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(w1[i], 0.5f * w0[i] + 0.5f * client[i], 1e-6f);
@@ -194,13 +194,13 @@ TEST(ParamServerWire, RingMissedDeltaUploadIsDroppedNotMisapplied) {
   std::vector<float> foreign_base(w0.size(), 123.0f);
   std::vector<float> client = foreign_base;
   for (auto& v : client) v += 0.01f;
-  const std::uint64_t dropped_before = counter_value("wire_codec.frames_dropped");
-  const std::uint64_t misses_before = counter_value("wire_codec.base_misses");
+  const std::uint64_t dropped_before = h.count("wire_codec.frames_dropped");
+  const std::uint64_t misses_before = h.count("wire_codec.base_misses");
   h.submit_payload(1, 0,
                    encode_params_delta(foreign_base, client, /*version=*/999));
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.frames_dropped"), dropped_before + 1);
-  EXPECT_EQ(counter_value("wire_codec.base_misses"), misses_before + 1);
+  EXPECT_EQ(h.count("wire_codec.frames_dropped"), dropped_before + 1);
+  EXPECT_EQ(h.count("wire_codec.base_misses"), misses_before + 1);
   // Server params untouched; the result still validated + reported so the
   // epoch bookkeeping cannot stall on a dropped upload.
   EXPECT_EQ(h.stored_params(), w0);
@@ -227,12 +227,12 @@ TEST(ParamServerWire, ReplayReusedVersionIsHashMissNotWrongBaseHit) {
   h.assimilator->publish_initial(replayed);
   ASSERT_EQ(h.assimilator->commits(), 0u);  // version number reused
 
-  const std::uint64_t hits_before = counter_value("wire_codec.frames_decoded");
-  const std::uint64_t dropped_before = counter_value("wire_codec.frames_dropped");
+  const std::uint64_t hits_before = h.count("wire_codec.frames_decoded");
+  const std::uint64_t dropped_before = h.count("wire_codec.frames_dropped");
   h.submit_payload(1, 0, in_flight);
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.frames_decoded"), hits_before);
-  EXPECT_EQ(counter_value("wire_codec.frames_dropped"), dropped_before + 1);
+  EXPECT_EQ(h.count("wire_codec.frames_decoded"), hits_before);
+  EXPECT_EQ(h.count("wire_codec.frames_dropped"), dropped_before + 1);
   EXPECT_EQ(h.stored_params(), replayed);
 }
 
@@ -243,12 +243,12 @@ TEST(ParamServerWire, RingMissedQ8UploadDegradesToUpdateApplication) {
   const std::vector<float> w0 = h.model.flat_params();
   std::vector<float> client = w0;
   for (auto& v : client) v += 0.25f;
-  const std::uint64_t misses_before = counter_value("wire_codec.base_misses");
+  const std::uint64_t misses_before = h.count("wire_codec.base_misses");
   // Right base params, aged-out version number: hash never gets checked
   // because the version lookup already misses.
   h.submit_payload(1, 0, encode_params_q8(w0, client, /*version=*/999));
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.base_misses"), misses_before + 1);
+  EXPECT_EQ(h.count("wire_codec.base_misses"), misses_before + 1);
   const auto w1 = h.stored_params();
   // The uniform +0.25 diff quantizes exactly (every block has lo == hi), so
   // the fallback blend matches Eq. (1) up to float arithmetic.
@@ -285,13 +285,13 @@ TEST(ParamServerWire, EarlierReplicaBaseStaysPinnedAcrossRingChurn) {
 
   // Replica A's result arrives first and must decode bit-exact against the
   // still-pinned commit-0 base.
-  const std::uint64_t dropped_before = counter_value("wire_codec.frames_dropped");
-  const std::uint64_t decoded_before = counter_value("wire_codec.frames_decoded");
+  const std::uint64_t dropped_before = h.count("wire_codec.frames_dropped");
+  const std::uint64_t decoded_before = h.count("wire_codec.frames_decoded");
   const std::vector<float> before = h.stored_params();
   h.submit_payload(42, 0, frame_a);
   h.engine.run();
-  EXPECT_EQ(counter_value("wire_codec.frames_dropped"), dropped_before);
-  EXPECT_EQ(counter_value("wire_codec.frames_decoded"), decoded_before + 1);
+  EXPECT_EQ(h.count("wire_codec.frames_dropped"), dropped_before);
+  EXPECT_EQ(h.count("wire_codec.frames_decoded"), decoded_before + 1);
   const auto w1 = h.stored_params();
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(w1[i], 0.5f * before[i] + 0.5f * client_a[i], 1e-6f);

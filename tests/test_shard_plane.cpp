@@ -446,16 +446,13 @@ TEST(ShardPlane, MutationMisroutedBlendShiftsShardedDigest) {
 
 // --- Per-shard wire stats: set-equality vs the global counters --------------
 
-std::uint64_t counter_value(const std::string& name) {
-  return obs::registry().counter(name).value();
-}
-
 // Minimal assimilator rig (the test_param_server harness, plus a plan).
 struct ShardRig {
   SimEngine engine;
   TraceLog trace;
-  Scheduler scheduler;
-  FileServer files;
+  obs::Registry metrics;
+  Scheduler scheduler{metrics};
+  FileServer files{metrics};
   std::unique_ptr<KvStore> store;
   std::unique_ptr<GridServer> server;
   std::unique_ptr<ConstantAlpha> schedule;
@@ -466,7 +463,7 @@ struct ShardRig {
   std::vector<double> accs;
 
   ShardRig(std::size_t shards, WireMode wire)
-      : store(make_store("eventual")),
+      : store(make_store("eventual", metrics)),
         data(make_synthetic_cifar({.height = 8,
                                    .width = 8,
                                    .train = 40,
@@ -483,8 +480,8 @@ struct ShardRig {
       }
     }
     plan = ShardPlan::build(layer_sizes, shards);
-    server = std::make_unique<GridServer>(engine, scheduler, trace, 1,
-                                          [](const Blob&) { return true; });
+    server = std::make_unique<GridServer>(engine, scheduler, trace, metrics,
+                                          1, [](const Blob&) { return true; });
     schedule = std::make_unique<ConstantAlpha>(0.5);
     VcAsgdAssimilator::Options opts;
     opts.validation_subsample = 16;
@@ -492,10 +489,14 @@ struct ShardRig {
     opts.plan = plan;
     assimilator = std::make_unique<VcAsgdAssimilator>(
         engine, *store, files, *server, *schedule, model, data.validation,
-        table1_catalog().server, opts, trace, Rng(1),
+        table1_catalog().server, opts, trace, metrics, Rng(1),
         [this](std::size_t, double acc) { accs.push_back(acc); });
     server->set_backend(assimilator.get());
     assimilator->publish_initial(model.flat_params());
+  }
+
+  std::uint64_t count(const std::string& name) const {
+    return metrics.snapshot().counter(name);
   }
 
   void submit(WorkunitId id, Blob payload) {
@@ -526,13 +527,9 @@ struct ShardRig {
 };
 
 // The fields of the wire-codec decode taxonomy, checked as a set (the
-// test_obs idiom): per-shard sums must equal the global counter deltas field
-// for field, for every shard count.
+// test_obs idiom): per-shard sums must equal the rig's registry counters
+// field for field, for every shard count.
 void expect_shard_stats_match_global(std::size_t shards, WireMode wire) {
-  const std::uint64_t decoded0 = counter_value("wire_codec.frames_decoded");
-  const std::uint64_t misses0 = counter_value("wire_codec.base_misses");
-  const std::uint64_t dropped0 = counter_value("wire_codec.frames_dropped");
-
   ShardRig rig(shards, wire);
   const std::vector<float> base = rig.model.flat_params();
   std::vector<float> target = base;
@@ -549,10 +546,9 @@ void expect_shard_stats_match_global(std::size_t shards, WireMode wire) {
   rig.engine.run();
 
   const std::map<std::string, std::uint64_t> global = {
-      {"frames_decoded", counter_value("wire_codec.frames_decoded") - decoded0},
-      {"base_misses", counter_value("wire_codec.base_misses") - misses0},
-      {"frames_dropped",
-       counter_value("wire_codec.frames_dropped") - dropped0},
+      {"frames_decoded", rig.count("wire_codec.frames_decoded")},
+      {"base_misses", rig.count("wire_codec.base_misses")},
+      {"frames_dropped", rig.count("wire_codec.frames_dropped")},
   };
   const auto& per_shard = rig.assimilator->shard_wire_stats();
   ASSERT_EQ(per_shard.size(), shards);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/snapshot.hpp"
 #include "storage/eventual_store.hpp"
 #include "storage/strong_store.hpp"
 
@@ -21,7 +22,8 @@ std::uint64_t value_of(const Blob& b) { return BinaryReader(b).read<std::uint64_
 
 class StoreKinds : public ::testing::TestWithParam<const char*> {
  protected:
-  std::unique_ptr<KvStore> store_ = make_store(GetParam());
+  obs::Registry metrics_;
+  std::unique_ptr<KvStore> store_ = make_store(GetParam(), metrics_);
 };
 
 TEST_P(StoreKinds, GetMissingReturnsNullopt) {
@@ -72,9 +74,9 @@ TEST_P(StoreKinds, StatsCountOperations) {
   store_->put("k", blob_of(1), 0);
   (void)store_->get("k");
   (void)store_->get("k");
-  const auto s = store_->stats();
-  EXPECT_GE(s.reads, 2u);
-  EXPECT_GE(s.writes, 1u);
+  const obs::MetricsSnapshot s = metrics_.snapshot();
+  EXPECT_GE(s.counter("store.reads"), 2u);
+  EXPECT_GE(s.counter("store.writes"), 1u);
 }
 
 TEST_P(StoreKinds, IndependentKeys) {
@@ -94,7 +96,8 @@ TEST(StoreFactory, RejectsUnknownKind) {
 // --- Consistency semantics under real concurrency ---------------------------
 
 TEST(StrongStore, ConcurrentUpdatesNeverLost) {
-  StrongStore store;
+  obs::Registry metrics;
+  StrongStore store(metrics);
   store.put("counter", blob_of(0), 0);
   constexpr int kThreads = 8;
   constexpr int kIncrements = 500;
@@ -112,11 +115,12 @@ TEST(StrongStore, ConcurrentUpdatesNeverLost) {
   // Serializable: every increment is applied exactly once.
   EXPECT_EQ(value_of(store.get("counter")->value),
             static_cast<std::uint64_t>(kThreads * kIncrements));
-  EXPECT_EQ(store.stats().lost_updates, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
 }
 
 TEST(EventualStore, ConcurrentUpdatesCanBeLost) {
-  EventualStore store;
+  obs::Registry metrics;
+  EventualStore store(metrics);
   store.put("counter", blob_of(0), 0);
   constexpr int kThreads = 8;
   constexpr int kIncrements = 2000;
@@ -138,7 +142,7 @@ TEST(EventualStore, ConcurrentUpdatesCanBeLost) {
   const auto expected = static_cast<std::uint64_t>(kThreads * kIncrements);
   // Last-writer-wins: some read-modify-writes raced and were clobbered.
   EXPECT_LE(final_value, expected);
-  const auto lost = store.stats().lost_updates;
+  const auto lost = metrics.snapshot().counter("store.lost_updates");
   // With 8 threads hammering one key, losses actually happen — and every
   // deficit implies at least one detected stale write.
   EXPECT_GT(lost, 0u);
@@ -146,78 +150,86 @@ TEST(EventualStore, ConcurrentUpdatesCanBeLost) {
 }
 
 TEST(EventualStore, StaleReadVersionCountsAsLostUpdate) {
-  EventualStore store;
+  obs::Registry metrics;
+  EventualStore store(metrics);
   store.put("k", blob_of(1), 0);       // version 1
   const auto snapshot = store.get("k");
   store.put("k", blob_of(2), snapshot->version);  // fine: still version 1
-  EXPECT_EQ(store.stats().lost_updates, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
   // A writer still holding version 1 now clobbers version 2.
   store.put("k", blob_of(3), snapshot->version);
-  EXPECT_EQ(store.stats().lost_updates, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 1u);
   EXPECT_EQ(value_of(store.get("k")->value), 3u);  // LWW
 }
 
 TEST(EventualStore, BlindWritesNeverCountAsLost) {
-  EventualStore store;
+  obs::Registry metrics;
+  EventualStore store(metrics);
   store.put("k", blob_of(1), 0);
   store.put("k", blob_of(2), 0);
-  EXPECT_EQ(store.stats().lost_updates, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
 }
 
 TEST(StrongStore, StaleReadVersionPutCountsAsLostUpdate) {
   // put() is last-writer-wins on the strong store too — only update() is the
   // serialized read-modify-write. A get→put misuse must be observable, not
   // silently discarded with the read_version argument.
-  StrongStore store;
+  obs::Registry metrics;
+  StrongStore store(metrics);
   store.put("k", blob_of(1), 0);  // version 1
   const auto snapshot = store.get("k");
   store.put("k", blob_of(2), snapshot->version);  // fine: still version 1
-  EXPECT_EQ(store.stats().lost_updates, 0u);
+  EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
   // A writer still holding version 1 now clobbers version 2.
   store.put("k", blob_of(3), snapshot->version);
-  EXPECT_EQ(store.stats().lost_updates, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 1u);
   EXPECT_EQ(value_of(store.get("k")->value), 3u);  // LWW
 
   // Blind writes and correctly-versioned writes stay clean.
   store.put("k", blob_of(4), 0);
   store.put("k", blob_of(5), store.get("k")->version);
-  EXPECT_EQ(store.stats().lost_updates, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 1u);
 }
 
 TEST(KvStore, StalePutsChargeEachClobberedVersionOnce) {
   for (const char* kind : {"eventual", "strong"}) {
-    auto store = make_store(kind);
+    obs::Registry metrics;
+    auto store = make_store(kind, metrics);
+    const auto count = [&metrics](const char* name) {
+      return metrics.snapshot().counter(name);
+    };
     for (std::uint64_t v = 1; v <= 5; ++v) store->put("k", blob_of(v), 0);
     // Three writers read version 5 and write in turn. The second clobbers
     // version 6, the third clobbers 6 and 7: two updates are lost, not three.
     store->put("k", blob_of(6), 5);
     store->put("k", blob_of(7), 5);
-    EXPECT_EQ(store->stats().lost_updates, 1u) << kind;
+    EXPECT_EQ(count("store.lost_updates"), 1u) << kind;
     store->put("k", blob_of(8), 5);
-    EXPECT_EQ(store->stats().lost_updates, 2u) << kind;
+    EXPECT_EQ(count("store.lost_updates"), 2u) << kind;
     // A writer that read version 3 clobbers 4 to 8; 6 and 7 were charged.
     store->put("k", blob_of(9), 3);
-    EXPECT_EQ(store->stats().lost_updates, 5u) << kind;
+    EXPECT_EQ(count("store.lost_updates"), 5u) << kind;
     // A fresh write, then a writer that read 9 clobbers it (10). A writer
     // that read 7 then clobbers 8 to 11, of which only 9 and 11 are new:
     // the charged versions need not be one run below the newest.
     store->put("k", blob_of(10), 9);
     store->put("k", blob_of(11), 9);
-    EXPECT_EQ(store->stats().lost_updates, 6u) << kind;
+    EXPECT_EQ(count("store.lost_updates"), 6u) << kind;
     store->put("k", blob_of(12), 7);
-    EXPECT_EQ(store->stats().lost_updates, 8u) << kind;
-    EXPECT_LE(store->stats().lost_updates, store->stats().writes) << kind;
+    EXPECT_EQ(count("store.lost_updates"), 8u) << kind;
+    EXPECT_LE(count("store.lost_updates"), count("store.writes")) << kind;
     // Erasing the key drops its ledger: the new key's versions start over.
     store->erase("k");
     store->put("k", blob_of(1), 0);
     store->put("k", blob_of(2), 0);
     store->put("k", blob_of(3), 1);
-    EXPECT_EQ(store->stats().lost_updates, 9u) << kind;
+    EXPECT_EQ(count("store.lost_updates"), 9u) << kind;
   }
 }
 
 TEST(StrongStore, ContentionIsObservable) {
-  StrongStore store;
+  obs::Registry metrics;
+  StrongStore store(metrics);
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -231,7 +243,7 @@ TEST(StrongStore, ContentionIsObservable) {
   }
   go = true;
   for (auto& t : threads) t.join();
-  EXPECT_EQ(store.stats().writes, 800u);
+  EXPECT_EQ(metrics.snapshot().counter("store.writes"), 800u);
 }
 
 // --- Latency presets (§IV-D) -------------------------------------------------
