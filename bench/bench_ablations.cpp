@@ -54,15 +54,16 @@ int main(int argc, char** argv) {
   std::cout << "\n2) Sticky-file caching (BOINC feature, §III-B):\n";
   {
     const TrainResult r = p3c3t4([](ExperimentSpec&) {});
-    const auto hits = r.totals.cache_hits;
+    const auto hits = r.metrics.counter("file_server.cache_hits");
     const double measured_mb =
-        static_cast<double>(r.totals.bytes_wire) / (1024.0 * 1024.0);
+        static_cast<double>(r.metrics.counter("file_server.bytes_wire")) /
+        (1024.0 * 1024.0);
     Table cache_tbl({"setting", "wire MB", "cache hits"});
     cache_tbl.add_row({"sticky cache on (measured)", Table::fmt(measured_mb, 1),
                        Table::fmt(hits)});
     // Counterfactual: each hit would have re-downloaded an average-sized
     // sticky artifact (shards dominate).
-    const double avg_sticky_mb = measured_mb > 0 && r.totals.cache_hits > 0
+    const double avg_sticky_mb = measured_mb > 0 && hits > 0
                                      ? measured_mb * 0.5 / 50.0  // ~per-shard
                                      : 0.0;
     cache_tbl.add_row(
@@ -82,8 +83,9 @@ int main(int argc, char** argv) {
       s.interruption_per_hour = 0.5;
     });
     rep_tbl.add_row({Table::fmt(rep), Table::fmt(r.totals.duration_s / 3600.0, 2),
-                     Table::fmt(r.totals.duplicates),
-                     Table::fmt(r.totals.timeouts)});
+                     Table::fmt(r.metrics.counter("server.results_duplicate")),
+                     Table::fmt(
+                         r.metrics.counter("scheduler.failure.timeout"))});
   }
   rep_tbl.print(std::cout);
 
@@ -118,10 +120,14 @@ int main(int argc, char** argv) {
     const TrainResult r =
         p3c3t4([&](ExperimentSpec& s) { s.wire_codec = mode; });
     const double mb = 1024.0 * 1024.0;
-    const double upload_mb = static_cast<double>(r.totals.bytes_uploaded) / mb;
+    const auto megabytes = [&r, mb](const char* counter) {
+      return static_cast<double>(r.metrics.counter(counter)) / mb;
+    };
+    const double upload_mb = megabytes("client.bytes_uploaded");
     const double uploads = std::max(
-        1.0, static_cast<double>(r.metrics.counters.at("client.completed")));
-    const bool has_split = r.totals.param_bytes_full > 0;
+        1.0, static_cast<double>(r.metrics.counter("client.completed")));
+    const bool has_split =
+        r.metrics.counter("file_server.bytes_delta_full") > 0;
     if (std::string(mode) == "full") {
       full_upload_mb = upload_mb;
       full_acc = r.final_epoch().mean_subtask_acc;
@@ -129,14 +135,10 @@ int main(int argc, char** argv) {
     wire_tbl.add_row(
         {mode, Table::fmt(upload_mb, 2),
          Table::fmt(upload_mb * 1024.0 / uploads, 1),
-         has_split
-             ? Table::fmt(static_cast<double>(r.totals.param_bytes_wire) / mb,
-                          2)
-             : "-",
-         has_split
-             ? Table::fmt(static_cast<double>(r.totals.param_bytes_full) / mb,
-                          2)
-             : "-",
+         has_split ? Table::fmt(megabytes("file_server.bytes_delta_wire"), 2)
+                   : "-",
+         has_split ? Table::fmt(megabytes("file_server.bytes_delta_full"), 2)
+                   : "-",
          Table::fmt(r.final_epoch().mean_subtask_acc, 3)});
     if (std::string(mode) == "delta_q8" && full_upload_mb > 0.0) {
       std::cout << "   q8 upload reduction vs full: "

@@ -30,7 +30,6 @@ struct RunRow {
   double final_acc = 0.0;
   double val_acc = 0.0;
   double hours = 0.0;
-  vcdl::RunTotals totals;
   vcdl::obs::MetricsSnapshot metrics;
 };
 
@@ -102,18 +101,20 @@ int main(int argc, char** argv) {
       row.final_acc = r.final_epoch().mean_subtask_acc;
       row.val_acc = r.final_epoch().val_acc;
       row.hours = r.totals.duration_s / 3600.0;
-      row.totals = r.totals;
       row.metrics = r.metrics;
       if (fraction == 0.0) baseline_acc[quorum ? 1 : 0] = row.final_acc;
       rows.push_back(row);
       table.add_row({row.policy, Table::fmt(fraction, 3),
                      Table::fmt(row.final_acc, 3), Table::fmt(row.val_acc, 3),
                      Table::fmt(row.hours, 2),
-                     Table::fmt(r.totals.byzantine_attacks),
-                     Table::fmt(r.totals.consensus_quorums),
-                     Table::fmt(r.totals.consensus_fallbacks),
-                     Table::fmt(r.totals.results_outvoted),
-                     Table::fmt(r.totals.blend_rejections)});
+                     Table::fmt(r.metrics.counter("faults.byzantine_result")),
+                     Table::fmt(r.metrics.counter("consensus.quorum_promoted")),
+                     Table::fmt(
+                         r.metrics.counter("consensus.fallback_promoted")),
+                     Table::fmt(
+                         r.metrics.counter("consensus.results_outvoted")),
+                     Table::fmt(
+                         r.metrics.counter("consensus.blend_rejected"))});
     }
   }
   table.print(std::cout);
@@ -142,11 +143,16 @@ int main(int argc, char** argv) {
         << ", \"fraction\": " << r.fraction
         << ", \"final_acc\": " << r.final_acc
         << ", \"val_acc\": " << r.val_acc << ", \"hours\": " << r.hours
-        << ", \"byzantine_attacks\": " << r.totals.byzantine_attacks
-        << ", \"consensus_quorums\": " << r.totals.consensus_quorums
-        << ", \"consensus_fallbacks\": " << r.totals.consensus_fallbacks
-        << ", \"results_outvoted\": " << r.totals.results_outvoted
-        << ", \"blend_rejections\": " << r.totals.blend_rejections << "}"
+        << ", \"byzantine_attacks\": "
+        << r.metrics.counter("faults.byzantine_result")
+        << ", \"consensus_quorums\": "
+        << r.metrics.counter("consensus.quorum_promoted")
+        << ", \"consensus_fallbacks\": "
+        << r.metrics.counter("consensus.fallback_promoted")
+        << ", \"results_outvoted\": "
+        << r.metrics.counter("consensus.results_outvoted")
+        << ", \"blend_rejections\": "
+        << r.metrics.counter("consensus.blend_rejected") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
     spec.faults.corruption_prob = rate / 5.0;
     spec.client_retry.base_backoff_s = 2.0;
     const TrainResult r = run_experiment(spec);
+    const obs::MetricsSnapshot& m = r.metrics;
     const double hours = r.totals.duration_s / 3600.0;
     if (rate == 0.0) {
       baseline_h = hours;
@@ -43,10 +44,12 @@ int main(int argc, char** argv) {
     }
     sweep.add_row({Table::fmt(rate, 2), Table::fmt(hours, 2),
                    Table::fmt(hours / baseline_h, 2) + "x",
-                   Table::fmt(r.totals.transfer_failures),
-                   Table::fmt(r.totals.abandoned_subtasks),
-                   Table::fmt(r.totals.invalid_results),
-                   Table::fmt(r.totals.timeouts),
+                   // Each dropped transfer is either retried or abandoned.
+                   Table::fmt(m.counter("client.transfer_retries") +
+                              m.counter("client.transfer_abandoned")),
+                   Table::fmt(m.counter("client.transfer_abandoned")),
+                   Table::fmt(m.counter("scheduler.failure.invalid_result")),
+                   Table::fmt(m.counter("scheduler.failure.timeout")),
                    Table::fmt(r.final_epoch().mean_subtask_acc, 3)});
   }
   sweep.print(std::cout);
@@ -78,10 +81,12 @@ int main(int argc, char** argv) {
     last_metrics = r.metrics;
     if (n_crashes == 0) crash_base_s = r.totals.duration_s;
     const double hours = r.totals.duration_s / 3600.0;
-    crashes.add_row({Table::fmt(r.totals.server_crashes), Table::fmt(hours, 2),
+    const obs::MetricsSnapshot& m = r.metrics;
+    crashes.add_row({Table::fmt(m.counter("faults.server_crash")),
+                     Table::fmt(hours, 2),
                      Table::fmt(hours / (crash_base_s / 3600.0), 2) + "x",
-                     Table::fmt(r.totals.reissued_units),
-                     Table::fmt(r.totals.checkpoint_restores),
+                     Table::fmt(m.counter("scheduler.failure.reissue_lost")),
+                     Table::fmt(m.counter("checkpoint.restores")),
                      Table::fmt(r.final_epoch().mean_subtask_acc, 3)});
   }
   crashes.print(std::cout);

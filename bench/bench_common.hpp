@@ -115,8 +115,9 @@ inline void print_run_summary(const TrainResult& r) {
             << " epochs in " << Table::fmt(r.totals.duration_s / 3600.0, 2)
             << " virtual hours, final mean_acc "
             << Table::fmt(r.final_epoch().mean_subtask_acc) << ", lost updates "
-            << r.totals.lost_updates << "/" << r.totals.store_writes
-            << ", timeouts " << r.totals.timeouts << "\n";
+            << r.metrics.counter("store.lost_updates") << "/"
+            << r.metrics.counter("store.writes") << ", timeouts "
+            << r.metrics.counter("scheduler.failure.timeout") << "\n";
 }
 
 }  // namespace vcdl::bench

@@ -61,16 +61,19 @@ int main(int argc, char** argv) {
     spec.wire_codec = mode;
     const TrainResult r = run_experiment(spec);
     const double mb = 1024.0 * 1024.0;
-    const bool has_split = r.totals.param_bytes_full > 0;
-    const double wire = static_cast<double>(r.totals.param_bytes_wire);
-    const double full = static_cast<double>(r.totals.param_bytes_full);
+    const obs::MetricsSnapshot& m = r.metrics;
+    const auto bytes = [&m](const char* counter) {
+      return static_cast<double>(m.counter(counter));
+    };
+    const bool has_split = m.counter("file_server.bytes_delta_full") > 0;
+    const double wire = bytes("file_server.bytes_delta_wire");
+    const double full = bytes("file_server.bytes_delta_full");
     codec_tbl.add_row(
-        {mode,
-         Table::fmt(static_cast<double>(r.totals.bytes_wire) / mb, 2),
+        {mode, Table::fmt(bytes("file_server.bytes_wire") / mb, 2),
          has_split ? Table::fmt(wire / mb, 2) : "-",
          has_split ? Table::fmt(full / mb, 2) : "-",
          has_split ? Table::fmt(full / std::max(wire, 1.0), 1) + "x" : "-",
-         Table::fmt(r.totals.delta_pulls),
+         Table::fmt(m.counter("file_server.delta_pulls")),
          Table::fmt(r.final_epoch().mean_subtask_acc, 3)});
   }
   codec_tbl.print(std::cout);
@@ -94,21 +97,27 @@ int main(int argc, char** argv) {
     spec.param_shards = shards;
     const TrainResult r = run_experiment(spec);
     const double mb = 1024.0 * 1024.0;
+    const std::uint64_t param_wire =
+        r.metrics.counter("file_server.bytes_delta_wire");
+    const std::uint64_t param_full =
+        r.metrics.counter("file_server.bytes_delta_full");
+    const std::uint64_t delta_pulls =
+        r.metrics.counter("file_server.delta_pulls");
     shard_tbl.add_row(
         {Table::fmt(shards), Table::fmt(r.totals.duration_s / 3600.0, 2),
          Table::fmt(r.final_epoch().mean_subtask_acc, 3),
-         Table::fmt(static_cast<double>(r.totals.param_bytes_wire) / mb, 2),
-         Table::fmt(static_cast<double>(r.totals.param_bytes_full) / mb, 2),
-         Table::fmt(r.totals.delta_pulls)});
+         Table::fmt(static_cast<double>(param_wire) / mb, 2),
+         Table::fmt(static_cast<double>(param_full) / mb, 2),
+         Table::fmt(delta_pulls)});
     if (shards != 1) rows << ", ";
     rows << "{\"param_shards\": " << shards << ", \"label\": \""
          << spec.label() << "\", \"wire_codec\": \"delta\", \"hours\": "
          << Table::fmt(r.totals.duration_s / 3600.0, 4)
          << ", \"final_mean_acc\": "
          << Table::fmt(r.final_epoch().mean_subtask_acc, 4)
-         << ", \"param_bytes_wire\": " << r.totals.param_bytes_wire
-         << ", \"param_bytes_full\": " << r.totals.param_bytes_full
-         << ", \"delta_pulls\": " << r.totals.delta_pulls << "}";
+         << ", \"param_bytes_wire\": " << param_wire
+         << ", \"param_bytes_full\": " << param_full
+         << ", \"delta_pulls\": " << delta_pulls << "}";
   }
   rows << "]";
   shard_tbl.print(std::cout);

@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
     bench::print_run_summary(r);
     end2end.add_row({kind, Table::fmt(r.totals.duration_s / 3600.0, 2),
                      Table::fmt(r.final_epoch().mean_subtask_acc, 3),
-                     Table::fmt(r.totals.lost_updates),
-                     Table::fmt(r.totals.store_writes)});
+                     Table::fmt(r.metrics.counter("store.lost_updates")),
+                     Table::fmt(r.metrics.counter("store.writes"))});
   }
   std::cout << "\n";
   end2end.print(std::cout);

@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
     inject.add_row({rate == 0.0 ? "standard" : "preemptible",
                     Table::fmt(rate, 2), Table::fmt(hours, 2),
                     Table::fmt(hours / baseline_h, 2) + "x",
-                    Table::fmt(r.totals.preemptions),
-                    Table::fmt(r.totals.timeouts),
+                    Table::fmt(r.metrics.counter("client.preemptions")),
+                    Table::fmt(r.metrics.counter("scheduler.failure.timeout")),
                     Table::fmt(r.final_epoch().mean_subtask_acc, 3)});
   }
   std::cout << "\n";

@@ -77,20 +77,22 @@ int main(int argc, char** argv) {
   std::cout << "\nAttack / defense ledger:\n";
   Table ledger({"event", "count"});
   ledger.add_row({"byzantine payloads sent",
-                  Table::fmt(r.totals.byzantine_attacks)});
+                  Table::fmt(r.metrics.counter("faults.byzantine_result"))});
   ledger.add_row({"replicas held for voting",
                   Table::fmt(trace.count(TraceKind::consensus_held))});
   ledger.add_row({"quorum promotions (2-of-3 agreed)",
-                  Table::fmt(r.totals.consensus_quorums)});
+                  Table::fmt(r.metrics.counter("consensus.quorum_promoted"))});
   ledger.add_row({"plurality fallbacks (deadline)",
-                  Table::fmt(r.totals.consensus_fallbacks)});
-  ledger.add_row({"replicas outvoted", Table::fmt(r.totals.results_outvoted)});
+                  Table::fmt(
+                      r.metrics.counter("consensus.fallback_promoted"))});
+  ledger.add_row({"replicas outvoted",
+                  Table::fmt(r.metrics.counter("consensus.results_outvoted"))});
   ledger.add_row({"blend outliers rejected",
-                  Table::fmt(r.totals.blend_rejections)});
+                  Table::fmt(r.metrics.counter("consensus.blend_rejected"))});
   ledger.add_row({"adaptive solo grants (trusted)",
                   Table::fmt(r.metrics.counters.at("consensus.solo_grants"))});
   ledger.add_row({"adaptive spot-check audits",
-                  Table::fmt(r.totals.spot_checks)});
+                  Table::fmt(r.metrics.counter("consensus.spot_checks"))});
   ledger.print(std::cout);
 
   std::cout << "\nReading: the lying replicas were outvoted by their honest "

@@ -55,18 +55,24 @@ int main(int argc, char** argv) {
 
   const TraceLog& trace = trainer.trace();
   std::cout << "\nFailure / recovery ledger:\n";
+  const obs::MetricsSnapshot& m = r.metrics;
   Table ledger({"event", "count"});
-  ledger.add_row({"transfer failures", Table::fmt(r.totals.transfer_failures)});
+  // Each dropped transfer is either retried or abandoned.
+  ledger.add_row({"transfer failures",
+                  Table::fmt(m.counter("client.transfer_retries") +
+                             m.counter("client.transfer_abandoned"))});
   ledger.add_row({"subtasks abandoned (fast-fail)",
-                  Table::fmt(r.totals.abandoned_subtasks)});
+                  Table::fmt(m.counter("client.transfer_abandoned"))});
   ledger.add_row({"invalid results (corruption)",
-                  Table::fmt(r.totals.invalid_results)});
-  ledger.add_row({"deadline timeouts", Table::fmt(r.totals.timeouts)});
-  ledger.add_row({"server crashes", Table::fmt(r.totals.server_crashes)});
+                  Table::fmt(m.counter("scheduler.failure.invalid_result"))});
+  ledger.add_row({"deadline timeouts",
+                  Table::fmt(m.counter("scheduler.failure.timeout"))});
+  ledger.add_row(
+      {"server crashes", Table::fmt(m.counter("faults.server_crash"))});
   ledger.add_row({"checkpoint restores",
-                  Table::fmt(r.totals.checkpoint_restores)});
+                  Table::fmt(m.counter("checkpoint.restores"))});
   ledger.add_row({"units reissued after crash",
-                  Table::fmt(r.totals.reissued_units)});
+                  Table::fmt(m.counter("scheduler.failure.reissue_lost"))});
   ledger.add_row({"checkpoints saved",
                   Table::fmt(trace.count(TraceKind::checkpoint_saved))});
   ledger.add_row({"store faults",

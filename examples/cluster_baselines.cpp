@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
     const TrainResult r = run_experiment(spec);
     table.add_row({"VC-ASGD", faulty ? "preemptions" : "none",
                    Table::fmt(r.final_epoch().val_acc, 3),
-                   faulty ? Table::fmt(r.totals.preemptions) +
+                   faulty ? Table::fmt(
+                                r.metrics.counter("client.preemptions")) +
                                 " preemptions, work reassigned"
                           : "-"});
     std::cout << "  VC-ASGD" << (faulty ? " (faulty)" : "") << " done\n";

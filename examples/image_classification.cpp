@@ -62,17 +62,21 @@ int main(int argc, char** argv) {
   }
 
   const auto& t = result.totals;
+  const auto& m = result.metrics;
   std::cout << "\nSummary\n"
             << "  duration        : " << Table::fmt(t.duration_s / 3600.0, 2)
             << " virtual hours\n"
             << "  final val acc   : "
             << Table::fmt(result.final_epoch().val_acc, 3) << "\n"
-            << "  preemptions     : " << t.preemptions << "\n"
-            << "  timeouts        : " << t.timeouts << "\n"
-            << "  duplicates      : " << t.duplicates << "\n"
-            << "  lost updates    : " << t.lost_updates << "\n"
-            << "  wire traffic    : " << t.bytes_wire / 1024 << " KiB ("
-            << t.cache_hits << " sticky-cache hits)\n"
+            << "  preemptions     : " << m.counter("client.preemptions") << "\n"
+            << "  timeouts        : " << m.counter("scheduler.failure.timeout")
+            << "\n"
+            << "  duplicates      : " << m.counter("server.results_duplicate")
+            << "\n"
+            << "  lost updates    : " << m.counter("store.lost_updates") << "\n"
+            << "  wire traffic    : "
+            << m.counter("file_server.bytes_wire") / 1024 << " KiB ("
+            << m.counter("file_server.cache_hits") << " sticky-cache hits)\n"
             << "  cost            : $" << Table::fmt(t.cost_preemptible_usd, 2)
             << " preemptible vs $" << Table::fmt(t.cost_standard_usd, 2)
             << " standard\n";

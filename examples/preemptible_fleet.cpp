@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
     measured.add_row(
         {Table::fmt(rate, 1), Table::fmt(hours, 2),
          Table::fmt((hours - base_hours) * 60.0, 0) + " min",
-         Table::fmt(r.totals.preemptions), Table::fmt(r.totals.timeouts),
+         Table::fmt(r.metrics.counter("client.preemptions")),
+         Table::fmt(r.metrics.counter("scheduler.failure.timeout")),
          Table::fmt(r.final_epoch().mean_subtask_acc, 3),
          "$" + Table::fmt(r.totals.cost_preemptible_usd, 2),
          "$" + Table::fmt(r.totals.cost_standard_usd, 2)});

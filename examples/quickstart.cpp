@@ -58,15 +58,17 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   const auto& t = result.totals;
+  const auto& m = result.metrics;
   std::cout << "\nmodel parameters : " << t.parameter_count
             << "\nvirtual duration : " << t.duration_s / 3600.0 << " h"
             << "\nfleet cost       : $" << t.cost_standard_usd << " standard, $"
             << t.cost_preemptible_usd << " preemptible"
-            << "\ntimeouts         : " << t.timeouts
-            << "\npreemptions      : " << t.preemptions
-            << "\nlost updates     : " << t.lost_updates << " (of "
-            << t.store_writes << " store writes)"
-            << "\nsticky cache hits: " << t.cache_hits << "\n";
+            << "\ntimeouts         : " << m.counter("scheduler.failure.timeout")
+            << "\npreemptions      : " << m.counter("client.preemptions")
+            << "\nlost updates     : " << m.counter("store.lost_updates")
+            << " (of " << m.counter("store.writes") << " store writes)"
+            << "\nsticky cache hits: " << m.counter("file_server.cache_hits")
+            << "\n";
 
   // Optional machine-readable exports for replotting.
   if (cfg.has("json")) {

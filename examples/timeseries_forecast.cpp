@@ -39,8 +39,9 @@ int main(int argc, char** argv) {
     table.add_row({"T" + std::to_string(tn),
                    Table::fmt(r.totals.duration_s / 3600.0, 2),
                    Table::fmt(r.final_epoch().mean_subtask_acc, 3),
-                   Table::fmt(r.totals.bytes_wire / 1024),
-                   Table::fmt(r.totals.cache_hits)});
+                   Table::fmt(
+                       r.metrics.counter("file_server.bytes_wire") / 1024),
+                   Table::fmt(r.metrics.counter("file_server.cache_hits"))});
     std::cout << "  T" << tn << " done ("
               << Table::fmt(r.totals.duration_s / 3600.0, 2) << " h)\n";
   }

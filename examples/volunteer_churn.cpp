@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
                    Table::fmt(fleet.availability.duty_cycle() * 100.0, 0) + "%",
                    Table::fmt(r.totals.duration_s / 3600.0, 2),
                    Table::fmt(r.final_epoch().mean_subtask_acc, 3),
-                   Table::fmt(churn), Table::fmt(r.totals.timeouts)});
+                   Table::fmt(churn),
+                   Table::fmt(r.metrics.counter("scheduler.failure.timeout"))});
     std::cout << "  " << fleet.name << " done\n";
   }
   std::cout << "\n";

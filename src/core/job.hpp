@@ -170,39 +170,13 @@ struct EpochStats {
   std::size_t results = 0;      // subtask results assimilated this epoch
 };
 
+/// The run facts that are not counters. Everything the run counts is in
+/// TrainResult::metrics (read with MetricsSnapshot::counter).
 struct RunTotals {
   SimTime duration_s = 0.0;
   double cost_standard_usd = 0.0;
   double cost_preemptible_usd = 0.0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t preemptions = 0;
-  std::uint64_t lost_updates = 0;     // eventual-store clobbered writes
-  std::uint64_t store_reads = 0;
-  std::uint64_t store_writes = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t bytes_wire = 0;
-  std::uint64_t bytes_uploaded = 0;   // client→server result payload bytes
-  // Parameter-file pulls only (wire codec accounting): billed bytes vs what
-  // the same pulls would have cost as full blobs. Zero under "full".
-  std::uint64_t param_bytes_wire = 0;
-  std::uint64_t param_bytes_full = 0;
-  std::uint64_t delta_pulls = 0;      // pulls served as version deltas
-  std::uint64_t duplicates = 0;
   std::size_t parameter_count = 0;
-  // Chaos accounting (all zero on fault-free runs).
-  std::uint64_t transfer_failures = 0;   // dropped download/upload attempts
-  std::uint64_t abandoned_subtasks = 0;  // client fast-fail give-ups
-  std::uint64_t invalid_results = 0;     // validator rejections (corruption)
-  std::uint64_t server_crashes = 0;
-  std::uint64_t checkpoint_restores = 0;
-  std::uint64_t reissued_units = 0;      // units un-retired by crash recovery
-  // Byzantine-resilience accounting (all zero with the features off).
-  std::uint64_t byzantine_attacks = 0;   // adversary payload tamperings
-  std::uint64_t consensus_quorums = 0;   // units promoted by m-of-k agreement
-  std::uint64_t consensus_fallbacks = 0; // plurality promotions (no quorum)
-  std::uint64_t results_outvoted = 0;    // replicas rejected by consensus
-  std::uint64_t blend_rejections = 0;    // blend outlier-guard drops
-  std::uint64_t spot_checks = 0;         // adaptive-replication audits
 };
 
 /// One periodic metrics-snapshot delivery (spec.metrics_snapshot_period_s).
@@ -218,9 +192,9 @@ struct TrainResult {
   /// Authoritative (published) parameter vector at job end. Equivalence
   /// oracles compare this bitwise against reference replays.
   std::vector<float> final_params;
-  /// Final state of the global obs registry for this run (the registry is
-  /// reset at run entry, so this covers exactly this run). Deterministic
-  /// under same-seed replay: the telemetry oracle byte-compares to_json().
+  /// Final state of the run's own metrics registry: every count the run
+  /// made, and nothing from any other run. Deterministic under same-seed
+  /// replay: the telemetry oracle byte-compares to_json().
   obs::MetricsSnapshot metrics;
   /// Periodic snapshots, when enabled; empty otherwise.
   std::vector<MetricsSample> metric_timeline;

@@ -319,7 +319,6 @@ VcAsgdAssimilator::Blend VcAsgdAssimilator::blend(const ResultEnvelope& env,
   if (client.has_value() &&
       blend_outlier(blended.params, *client,
                     options_.blend_outlier_threshold)) {
-    ++blend_rejections_;
     metrics_.blend_rejected.inc();
     trace_.record(engine_.now(), TraceKind::blend_rejected, "assimilator",
                   env.unit.label() + " client-" + std::to_string(env.client));

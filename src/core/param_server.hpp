@@ -150,9 +150,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
     return decode_upload(payload, /*counts=*/nullptr);
   }
 
-  /// Blend-guard rejections so far (Options::blend_outlier_threshold).
-  std::uint64_t blend_rejections() const { return blend_rejections_; }
-
   /// Called by the trainer when a client *starts computing* `unit`: records
   /// the commit count its gradient will be based on. When the unit's result
   /// is later assimilated, "assimilator.gradient_age" observes how many
@@ -231,6 +228,7 @@ class VcAsgdAssimilator : public AssimilatorBackend {
     obs::Registry& registry;
     obs::Counter& updates = registry.counter("assimilator.updates_applied");
     obs::Counter& outage_retries = registry.counter("store.outage_retries");
+    // Blend-guard drops (Options::blend_outlier_threshold).
     obs::Counter& blend_rejected = registry.counter("consensus.blend_rejected");
     // Modeled (virtual-time) latencies.
     obs::Histogram& alpha_mix_s =
@@ -268,7 +266,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   SimMutex txn_lock_;  // strong-store transaction serialization
   std::vector<float> published_;
   std::uint64_t commits_ = 0;
-  std::uint64_t blend_rejections_ = 0;
   // unit → commit counts its replicas started from, newest last. A unit can
   // run as several replicas (redundancy, timeout reissue), each trained from
   // whatever commit was current when *it* started; all of those bases stay

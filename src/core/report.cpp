@@ -73,15 +73,16 @@ std::string to_json(const TrainResult& result) {
   }
   w.close_array();
   const auto& t = result.totals;
+  const auto& m = result.metrics;
   w.field("duration_hours", t.duration_s / 3600.0);
   w.field("cost_standard_usd", t.cost_standard_usd);
   w.field("cost_preemptible_usd", t.cost_preemptible_usd);
-  w.field("timeouts", t.timeouts);
-  w.field("preemptions", t.preemptions);
-  w.field("lost_updates", t.lost_updates);
-  w.field("store_writes", t.store_writes);
-  w.field("cache_hits", t.cache_hits);
-  w.field("bytes_wire", t.bytes_wire);
+  w.field("timeouts", m.counter("scheduler.failure.timeout"));
+  w.field("preemptions", m.counter("client.preemptions"));
+  w.field("lost_updates", m.counter("store.lost_updates"));
+  w.field("store_writes", m.counter("store.writes"));
+  w.field("cache_hits", m.counter("file_server.cache_hits"));
+  w.field("bytes_wire", m.counter("file_server.bytes_wire"));
   w.field("parameter_count", t.parameter_count);
   w.close_object();
   return os.str();

@@ -235,7 +235,8 @@ TrainResult VcTrainer::run() {
     checkpoint_keys.push_back(shard_plan.shard_key("params", s));
   }
   Checkpointer checkpointer(
-      *store, std::move(checkpoint_keys), [&](const std::vector<Blob>& blobs) {
+      *store, std::move(checkpoint_keys),
+      [&](const std::vector<Blob>& blobs) {
         // Reassemble the full vector from the per-shard snapshot blobs;
         // publish_initial re-slices and republishes every shard.
         std::vector<float> params;
@@ -245,7 +246,8 @@ TrainResult VcTrainer::run() {
           params.insert(params.end(), slice.begin(), slice.end());
         }
         assimilator.publish_initial(params);
-      });
+      },
+      metrics);
   checkpointer.set_state_hooks(
       [&] {
         BinaryWriter w;
@@ -330,7 +332,7 @@ TrainResult VcTrainer::run() {
     if (!running) return;
     if (checkpointer.snapshot()) {
       trace_.record(engine.now(), TraceKind::checkpoint_saved, "checkpointer",
-                    "snapshot #" + std::to_string(checkpointer.stats().snapshots));
+                    "snapshot #" + std::to_string(checkpointer.snapshots()));
     }
     engine.schedule(spec_.checkpoint_interval_s, checkpoint_tick);
   };
@@ -346,7 +348,7 @@ TrainResult VcTrainer::run() {
           trace_.record(engine.now(), TraceKind::checkpoint_restored,
                         "checkpointer",
                         "replayed snapshot after crash #" +
-                            std::to_string(server.stats().crashes));
+                            std::to_string(server.generation()));
         }
         server.restore();
       });
@@ -380,36 +382,6 @@ TrainResult VcTrainer::run() {
   result.totals.duration_s = job_end_time;
   result.totals.cost_standard_usd = ledger.standard_cost_usd();
   result.totals.cost_preemptible_usd = ledger.preemptible_cost_usd();
-  result.totals.timeouts = scheduler.stats().timeouts;
-  for (const auto& c : clients) {
-    result.totals.preemptions += c->stats().preemptions;
-    result.totals.transfer_failures += c->stats().transfer_failures;
-    result.totals.abandoned_subtasks += c->stats().abandoned;
-  }
-  result.totals.invalid_results = scheduler.stats().invalid_results;
-  result.totals.reissued_units = scheduler.stats().reissues;
-  result.totals.server_crashes = server.stats().crashes;
-  result.totals.checkpoint_restores = checkpointer.stats().restores;
-  result.totals.lost_updates = store->stats().lost_updates;
-  result.totals.store_reads = store->stats().reads;
-  result.totals.store_writes = store->stats().writes;
-  result.totals.cache_hits = files.stats().cache_hits;
-  result.totals.bytes_wire = files.stats().bytes_wire;
-  for (const auto& c : clients) {
-    result.totals.bytes_uploaded += c->stats().bytes_uploaded;
-  }
-  result.totals.param_bytes_wire = files.stats().bytes_delta_wire;
-  result.totals.param_bytes_full = files.stats().bytes_delta_full;
-  result.totals.delta_pulls = files.stats().delta_pulls;
-  result.totals.duplicates = server.stats().duplicates;
-  if (adversary != nullptr) {
-    result.totals.byzantine_attacks = adversary->stats().attacks;
-  }
-  result.totals.consensus_quorums = server.stats().consensus_quorums;
-  result.totals.consensus_fallbacks = server.stats().consensus_fallbacks;
-  result.totals.results_outvoted = server.stats().results_outvoted;
-  result.totals.blend_rejections = assimilator.blend_rejections();
-  result.totals.spot_checks = scheduler.stats().spot_checks;
   result.totals.parameter_count = template_model.parameter_count();
   result.final_params = assimilator.published_params();
   result.metrics = metrics.snapshot();

@@ -88,7 +88,6 @@ SimTime SimClient::download_time(const Workunit& unit) {
     if (ref.sticky) {
       const auto it = cache_.find(ref.name);
       if (it != cache_.end() && it->second == current) {
-        ++stats_.cache_hits;
         files_.record_cache_hit();
         continue;
       }
@@ -109,8 +108,6 @@ SimTime SimClient::download_time(const Workunit& unit) {
       auto& slowest = group_slowest[ref.fetch_group];
       slowest = std::max(slowest, t);
     }
-    ++stats_.downloads;
-    stats_.bytes_downloaded += bytes;
     metrics_.bytes_downloaded.inc(bytes);
     if (ref.sticky) {
       cache_[ref.name] = current;
@@ -155,7 +152,6 @@ void SimClient::exec_unit(const Workunit& unit) {
   if (config_.compute.exec_jitter_sigma > 0.0) {
     exec_s *= rng_.lognormal(0.0, config_.compute.exec_jitter_sigma);
   }
-  stats_.busy_s += exec_s;
   metrics_.exec_s.observe(exec_s);
   auto payload = std::make_shared<Blob>(std::move(outcome.payload));
   const EventId id = engine_.schedule(exec_s, [this, unit, payload] {
@@ -198,11 +194,9 @@ void SimClient::attempt_upload(const Workunit& unit,
           return;
         }
         trace_.record(engine_.now(), TraceKind::upload, name(), unit.label());
-        stats_.bytes_uploaded += payload->size();
         metrics_.bytes_uploaded.inc(payload->size());
         VCDL_CHECK(active_ > 0, "SimClient: completion without active subtask");
         --active_;
-        ++stats_.completed;
         metrics_.completed.inc();
         server_.submit_result(id_, unit, std::move(*payload));
         schedule_poll(0.0);  // a slot just freed up
@@ -213,7 +207,6 @@ void SimClient::attempt_upload(const Workunit& unit,
 void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
                                 std::shared_ptr<Blob> payload,
                                 std::size_t attempt) {
-  ++stats_.transfer_failures;
   trace_.record(engine_.now(), TraceKind::transfer_failed, name(),
                 unit.label() + (stage == TransferStage::download
                                     ? " download"
@@ -221,7 +214,6 @@ void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
   if (attempt + 1 >= config_.retry.max_attempts) {
     // Fast-fail: give the replica back now rather than letting the deadline
     // discover the loss minutes later.
-    ++stats_.abandoned;
     metrics_.abandoned.inc();
     trace_.record(engine_.now(), TraceKind::subtask_abandoned, name(),
                   unit.label());
@@ -231,7 +223,6 @@ void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
     schedule_poll(config_.poll_interval_s);
     return;
   }
-  ++stats_.retries;
   metrics_.retries.inc();
   const SimTime delay = config_.retry.delay(attempt, rng_);
   const EventId id = engine_.schedule(delay, [this, unit, stage, payload,
@@ -255,9 +246,8 @@ void SimClient::arm_preemption() {
 void SimClient::preempt() {
   if (stopped_ || !up_) return;
   up_ = false;
-  ++stats_.preemptions;
   metrics_.preemptions.inc();
-  stats_.lost_inflight += active_;
+  metrics_.lost_inflight.inc(active_);
   trace_.record(engine_.now(), TraceKind::preempted, name(),
                 std::to_string(active_) + " subtasks lost");
   cancel_pending();
@@ -295,9 +285,8 @@ void SimClient::arm_availability() {
 void SimClient::go_offline() {
   if (stopped_ || !up_) return;
   up_ = false;
-  ++stats_.offline_events;
   metrics_.offline.inc();
-  stats_.lost_inflight += active_;
+  metrics_.lost_inflight.inc(active_);
   trace_.record(engine_.now(), TraceKind::preempted, name(),
                 "volunteer offline, " + std::to_string(active_) +
                     " subtasks lost");

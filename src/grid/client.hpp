@@ -71,21 +71,6 @@ struct ClientConfig {
 
 class SimClient {
  public:
-  struct Stats {
-    std::uint64_t completed = 0;
-    std::uint64_t preemptions = 0;
-    std::uint64_t offline_events = 0;  // volunteer availability churn
-    std::uint64_t lost_inflight = 0;  // subtasks killed by preemption
-    std::uint64_t cache_hits = 0;
-    SimTime busy_s = 0.0;             // summed virtual execution time
-    std::uint64_t downloads = 0;
-    std::uint64_t bytes_downloaded = 0;
-    std::uint64_t bytes_uploaded = 0;
-    std::uint64_t transfer_failures = 0;  // dropped download/upload attempts
-    std::uint64_t retries = 0;            // backoff retries scheduled
-    std::uint64_t abandoned = 0;          // fast-fail give-ups after max tries
-  };
-
   /// Counts into `metrics`, the run's registry.
   SimClient(ClientId id, InstanceType instance, ClientConfig config,
             SimEngine& engine, const NetworkModel& network,
@@ -107,7 +92,6 @@ class SimClient {
   bool is_up() const { return up_; }
   const InstanceType& instance() const { return instance_; }
   std::size_t active_subtasks() const { return active_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   enum class TransferStage { download, upload };
@@ -138,7 +122,10 @@ class SimClient {
   void cancel_pending();
   std::string name() const { return "client-" + std::to_string(id_); }
 
-  // Registry handles, resolved once at construction.
+  // Registry handles, resolved once at construction. A dropped transfer is
+  // either retried or abandoned, so transfer failures are their sum; the
+  // busy time is the subtask_exec_s sum, and a cache hit is counted by the
+  // file server.
   struct Metrics {
     explicit Metrics(obs::Registry& r) : registry(r) {}
     obs::Registry& registry;
@@ -150,6 +137,8 @@ class SimClient {
     obs::Counter& abandoned = registry.counter("client.transfer_abandoned");
     obs::Counter& preemptions = registry.counter("client.preemptions");
     obs::Counter& offline = registry.counter("client.offline_events");
+    // Subtasks killed by a preemption or by going offline.
+    obs::Counter& lost_inflight = registry.counter("client.lost_inflight");
     // Transfer latencies are modeled times (network model × stall factor).
     obs::Histogram& download_s =
         registry.histogram("client.download_s", {0.0, 120.0, 60});
@@ -187,7 +176,6 @@ class SimClient {
   // Whole EventId handles keyed by seq (cancel() needs the slot half too);
   // cancellable on preemption.
   std::map<std::uint64_t, EventId> pending_events_;
-  Stats stats_;
 };
 
 }  // namespace vcdl

@@ -120,7 +120,6 @@ ConsensusBuffer::Submission ConsensusBuffer::submit(const Workunit& unit,
   if (dup != held.replicas.end()) held.replicas.erase(dup);
   classify(held, replica);
   held.replicas.push_back(std::move(replica));
-  ++stats_.replicas_held;
   metrics_.held.inc();
 
   const std::size_t m = std::min(config_.quorum, held.effective_k);
@@ -179,7 +178,6 @@ ConsensusBuffer::Submission ConsensusBuffer::promote(WorkunitId id,
   for (const Replica& r : held.replicas) {
     if (r.cls == winning_class) continue;
     sub.outvoted.push_back(r.client);
-    ++stats_.results_outvoted;
     metrics_.outvoted.inc();
   }
   std::sort(sub.outvoted.begin(), sub.outvoted.end());
@@ -190,13 +188,7 @@ ConsensusBuffer::Submission ConsensusBuffer::promote(WorkunitId id,
   env.payload = winner->payload;  // copy: winner points into held
   env.received_at = winner->received_at;
   sub.winner = std::move(env);
-  if (outcome == Outcome::fallback) {
-    ++stats_.fallback_promoted;
-    metrics_.fallback.inc();
-  } else {
-    ++stats_.quorum_promoted;
-    metrics_.quorum.inc();
-  }
+  (outcome == Outcome::fallback ? metrics_.fallback : metrics_.quorum).inc();
   return sub;
 }
 
@@ -215,7 +207,6 @@ ConsensusBuffer::drain() {
     clients.reserve(held.replicas.size());
     for (const Replica& r : held.replicas) clients.push_back(r.client);
     std::sort(clients.begin(), clients.end());
-    stats_.replicas_flushed += clients.size();
     metrics_.flushed.inc(clients.size());
     dropped.emplace_back(id, std::move(clients));
   }

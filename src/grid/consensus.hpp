@@ -54,14 +54,6 @@ class ConsensusBuffer {
     SimTime fallback_s = 300.0;
   };
 
-  struct Stats {
-    std::uint64_t replicas_held = 0;
-    std::uint64_t quorum_promoted = 0;    // units promoted by an m-match
-    std::uint64_t fallback_promoted = 0;  // plurality promotions (no quorum)
-    std::uint64_t results_outvoted = 0;   // replicas in losing classes
-    std::uint64_t replicas_flushed = 0;   // replicas dropped by drain()
-  };
-
   enum class Outcome : std::uint8_t {
     held,      // buffered; quorum not yet decided
     promoted,  // an equivalence class reached m — winner is canonical
@@ -104,7 +96,6 @@ class ConsensusBuffer {
   std::vector<std::pair<WorkunitId, std::vector<ClientId>>> drain();
 
   const Config& config() const { return config_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   struct Replica {
@@ -136,8 +127,10 @@ class ConsensusBuffer {
     explicit Metrics(obs::Registry& r) : registry(r) {}
     obs::Registry& registry;
     obs::Counter& held = registry.counter("consensus.replicas_held");
+    // Units promoted by an m-match, and by plurality (no quorum).
     obs::Counter& quorum = registry.counter("consensus.quorum_promoted");
     obs::Counter& fallback = registry.counter("consensus.fallback_promoted");
+    // Replicas in losing classes, and replicas dropped by drain().
     obs::Counter& outvoted = registry.counter("consensus.results_outvoted");
     obs::Counter& flushed = registry.counter("consensus.replicas_flushed");
   };
@@ -147,7 +140,6 @@ class ConsensusBuffer {
   std::map<WorkunitId, HeldUnit> units_;
   std::uint64_t arrival_counter_ = 0;
   Metrics metrics_;
-  Stats stats_;
 };
 
 /// Last-line defense for outliers that survive (or bypass) consensus: true

@@ -32,7 +32,6 @@ void FileServer::publish(const std::string& name, Blob payload,
     // bases; drop the oldest beyond that.
     while (e.ring.size() > version_ring_) e.ring.erase(e.ring.begin());
   }
-  ++stats_.publishes;
   metrics_.publishes.inc();
 }
 
@@ -60,16 +59,10 @@ std::size_t FileServer::wire_size(const std::string& name) const {
   return entry(name).wire_size;
 }
 
-void FileServer::record_cache_hit() {
-  ++stats_.cache_hits;
-  metrics_.cache_hits.inc();
-}
+void FileServer::record_cache_hit() { metrics_.cache_hits.inc(); }
 
 std::shared_ptr<const Blob> FileServer::fetch(const std::string& name) {
   const Entry& e = entry(name);
-  ++stats_.fetches;
-  stats_.bytes_raw += e.payload->size();
-  stats_.bytes_wire += e.wire_size;
   metrics_.fetches.inc();
   metrics_.bytes_raw.inc(e.payload->size());
   metrics_.bytes_wire.inc(e.wire_size);
@@ -107,30 +100,29 @@ FileServer::PullReceipt FileServer::pull(const std::string& name,
       }
     }
     if (receipt.was_delta) {
-      ++stats_.delta_pulls;
       ++e.wire_stats.delta_pulls;
       metrics_.delta_pulls.inc();
     } else {
       // Base aged out of the ring, or the delta did not beat the full blob.
-      ++stats_.delta_fallbacks;
       ++e.wire_stats.delta_fallbacks;
       metrics_.delta_fallbacks.inc();
     }
   }
 
-  ++stats_.fetches;
-  stats_.bytes_raw += e.payload->size();
-  stats_.bytes_wire += receipt.wire_bytes;
   metrics_.fetches.inc();
   metrics_.bytes_raw.inc(e.payload->size());
   metrics_.bytes_wire.inc(receipt.wire_bytes);
   if (e.delta_capable) {
-    stats_.bytes_delta_wire += receipt.wire_bytes;
-    stats_.bytes_delta_full += e.wire_size;
+    metrics_.bytes_delta_wire.inc(receipt.wire_bytes);
+    metrics_.bytes_delta_full.inc(e.wire_size);
     e.wire_stats.bytes_delta_wire += receipt.wire_bytes;
     e.wire_stats.bytes_delta_full += e.wire_size;
   }
   return receipt;
+}
+
+FileServer::Stats FileServer::stats() const {
+  return {metrics_.delta_pulls.value(), metrics_.delta_fallbacks.value()};
 }
 
 const FileServer::FileWireStats& FileServer::file_wire_stats(

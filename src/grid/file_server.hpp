@@ -32,18 +32,12 @@ namespace vcdl {
 
 class FileServer {
  public:
+  /// A read-out of two of the file server's counters (its registry holds
+  /// them all): pulls served as version deltas, and delta-capable pulls
+  /// served as full blobs.
   struct Stats {
-    std::uint64_t publishes = 0;
-    std::uint64_t fetches = 0;
-    std::uint64_t bytes_raw = 0;    // payload bytes served (uncompressed)
-    std::uint64_t bytes_wire = 0;   // bytes actually transferred
-    std::uint64_t cache_hits = 0;   // downloads avoided by client caches
-    std::uint64_t delta_pulls = 0;      // pulls served as version deltas
-    std::uint64_t delta_fallbacks = 0;  // delta-capable pulls served full
-    // Delta-capable files only: billed bytes vs what full blobs would have
-    // cost for the same pulls — the codec's measured download win.
-    std::uint64_t bytes_delta_wire = 0;
-    std::uint64_t bytes_delta_full = 0;
+    std::uint64_t delta_pulls = 0;
+    std::uint64_t delta_fallbacks = 0;
   };
 
   /// What one client download transfer is charged for.
@@ -90,8 +84,9 @@ class FileServer {
 
   /// Per-file slice of the delta-protocol counters (zeroes for files never
   /// pulled under the delta protocol). Summed over every file these equal
-  /// the global Stats fields — the per-shard wire-accounting invariant the
-  /// sharded parameter plane is tested against (tests/test_shard_plane.cpp).
+  /// the registry's file_server.* counters — the per-shard wire-accounting
+  /// invariant the sharded parameter plane is tested against
+  /// (tests/test_shard_plane.cpp).
   struct FileWireStats {
     std::uint64_t delta_pulls = 0;
     std::uint64_t delta_fallbacks = 0;
@@ -101,7 +96,7 @@ class FileServer {
   /// Throws NotFound for an unpublished name.
   const FileWireStats& file_wire_stats(const std::string& name) const;
 
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
 
  private:
   struct Entry {
@@ -133,12 +128,17 @@ class FileServer {
     obs::Counter& delta_pulls = registry.counter("file_server.delta_pulls");
     obs::Counter& delta_fallbacks =
         registry.counter("file_server.delta_fallbacks");
+    // Delta-capable files only: billed bytes vs what full blobs would have
+    // cost for the same pulls — the codec's measured download win.
+    obs::Counter& bytes_delta_wire =
+        registry.counter("file_server.bytes_delta_wire");
+    obs::Counter& bytes_delta_full =
+        registry.counter("file_server.bytes_delta_full");
   };
 
   std::map<std::string, Entry> files_;
   std::unique_ptr<obs::Registry> own_metrics_;  // null when given a registry
   Metrics metrics_;
-  Stats stats_;
   WireMode mode_ = WireMode::full;
   std::size_t version_ring_ = 8;
 };

@@ -108,7 +108,7 @@ void Scheduler::add_unit(const Workunit& unit) {
   p.replication_total = unit.replication;
   units_.emplace(unit.id, std::move(p));
   ++outstanding_;
-  ++stats_.generated;
+  metrics_.generated.inc();
   push_ready(unit.id);
   update_gauges();
 }
@@ -127,15 +127,11 @@ void Scheduler::grant_unit(ClientId client, ClientState& state, PendingUnit& p,
                          adaptive_rng_.bernoulli(adaptive_.spot_check_prob);
     if (trusted && !audited) {
       p.replication_total = 1;
-      ++stats_.solo_grants;
       metrics_.solo_grants.inc();
     } else {
       p.replication_total =
           std::max(p.unit.replication, adaptive_.untrusted_replication);
-      if (audited) {
-        ++stats_.spot_checks;
-        metrics_.spot_checks.inc();
-      }
+      if (audited) metrics_.spot_checks.inc();
     }
     p.replicas_left = p.replication_total;
     p.unit.replication = p.replication_total;
@@ -152,7 +148,6 @@ void Scheduler::grant_unit(ClientId client, ClientState& state, PendingUnit& p,
   dary_push<kDeadlineArity>(
       deadline_heap_, DeadlineEntry{deadline, seq, slot, p.unit.id, client},
       DeadlineAfter{});
-  ++stats_.assignments;
   metrics_.dispatched.inc();
   out.push_back(p.unit);
   if (p.replicas_left == 0) remove_ready(p);
@@ -211,7 +206,7 @@ std::vector<Workunit> Scheduler::request_work(ClientId client,
       PendingUnit& p = *pu;
       if (p.done || p.replicas_left == 0) continue;  // hook-only staleness
       if (holds(p.issued_to, client)) continue;
-      ++stats_.affinity_hits;
+      metrics_.affinity_hits.inc();
       grant_unit(client, state, p, now, out);
     }
   }
@@ -286,13 +281,11 @@ bool Scheduler::report_result(ClientId client, WorkunitId unit, SimTime now) {
   VCDL_CHECK(c != nullptr, "Scheduler: result from unknown client");
   bump_availability(*c, true);
   bump_integrity(*c, true);
-  if (uit->second.done) {
-    ++stats_.duplicate_results;
-    return false;
-  }
+  // A duplicate (replication extra or late arrival) is counted by the
+  // caller, the grid server, as server.results_duplicate.
+  if (uit->second.done) return false;
   uit->second.done = true;
   --outstanding_;
-  ++stats_.results;
   // Any queued replicas are no longer needed; the unit leaves the ready
   // queue (and the sticky index) with it.
   uit->second.replicas_left = 0;
@@ -318,7 +311,6 @@ void Scheduler::report_failure(ClientId client, WorkunitId unit, SimTime now) {
   ClientState* c = clients_.find(client);
   VCDL_CHECK(c != nullptr, "Scheduler: failure from unknown client");
   bump_availability(*c, false);
-  ++stats_.failures;
   metrics_.fast_fail.inc();
   release_assignment(client, unit);
   update_gauges();
@@ -332,7 +324,6 @@ void Scheduler::report_invalid(ClientId client, WorkunitId unit, SimTime now) {
   ClientState* c = clients_.find(client);
   VCDL_CHECK(c != nullptr, "Scheduler: invalid result from unknown client");
   bump_integrity(*c, false);
-  ++stats_.invalid_results;
   metrics_.invalid.inc();
   release_assignment(client, unit);
   update_gauges();
@@ -346,13 +337,12 @@ void Scheduler::report_replica(ClientId client, WorkunitId unit) {
   // the same unit again while its replica awaits quorum) and defer all
   // reputation movement to the consensus verdict.
   erase_assignment(uit->second, client);
-  ++stats_.held_replicas;
+  metrics_.held_replicas.inc();
   update_gauges();
 }
 
 void Scheduler::reissue_replica(WorkunitId unit, ClientId client) {
   auto& p = units_.at(unit);
-  ++stats_.lost_replicas;
   metrics_.replica_lost.inc();
   if (p.done) return;  // promoted before the crash; nothing to replace
   drop_hold(p.issued_to, client);
@@ -378,7 +368,6 @@ void Scheduler::reissue_lost(WorkunitId unit) {
   if (!p.done) return;  // still pending; deadline recovery will handle it
   p.done = false;
   ++outstanding_;
-  ++stats_.reissues;
   metrics_.reissue.inc();
   // Keep replica holds only for assignments still actively in flight. The
   // producer's hold (its assignment was erased when its result arrived) is
@@ -462,7 +451,6 @@ std::vector<WorkunitId> Scheduler::expire_deadlines(SimTime now) {
   for (const DeadlineEntry& e : due) {
     auto& p = units_.at(e.unit);
     bump_availability(*clients_.find(e.client), false);  // live ⇒ registered
-    ++stats_.timeouts;
     metrics_.timeout.inc();
     if (!p.done) {
       // Reissue. The missed client becomes eligible again too — after a
@@ -485,6 +473,11 @@ std::optional<SimTime> Scheduler::next_deadline() const {
     --stale_deadlines_;
   }
   return std::nullopt;
+}
+
+Scheduler::Stats Scheduler::stats() const {
+  return {metrics_.dispatched.value(), metrics_.results.value(),
+          metrics_.timeout.value()};
 }
 
 double Scheduler::reliability(ClientId id) const {

@@ -42,20 +42,12 @@ namespace vcdl {
 
 class Scheduler {
  public:
+  /// A read-out of three of the scheduler's counters (its registry holds
+  /// them all): units dispatched, first results, deadline expiries.
   struct Stats {
-    std::uint64_t generated = 0;
     std::uint64_t assignments = 0;
     std::uint64_t results = 0;
-    std::uint64_t duplicate_results = 0;  // replication extras / late arrivals
     std::uint64_t timeouts = 0;
-    std::uint64_t affinity_hits = 0;  // assignment matched a cached sticky file
-    std::uint64_t failures = 0;       // client fast-fail abandonments
-    std::uint64_t invalid_results = 0;  // validator/consensus rejections
-    std::uint64_t reissues = 0;       // retired units un-retired after a crash
-    std::uint64_t held_replicas = 0;  // uploads parked in a consensus buffer
-    std::uint64_t lost_replicas = 0;  // held replicas requeued after a crash
-    std::uint64_t spot_checks = 0;    // trusted clients audited anyway
-    std::uint64_t solo_grants = 0;    // units issued unreplicated on trust
   };
 
   /// BOINC-style adaptive replication (enable_adaptive_replication): a unit
@@ -189,7 +181,7 @@ class Scheduler {
   double availability(ClientId id) const;
   /// Correctness track record: validator and consensus verdicts.
   double integrity(ClientId id) const;
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
 
  private:
   // Fleet-scale layout (docs/SIMULATION.md §6). The indexes keep every
@@ -407,8 +399,13 @@ class Scheduler {
   struct Metrics {
     explicit Metrics(obs::Registry& r) : registry(r) {}
     obs::Registry& registry;
+    obs::Counter& generated = registry.counter("scheduler.generated");
     obs::Counter& dispatched = registry.counter("scheduler.dispatched");
+    // Grants that matched a sticky file the client already caches.
+    obs::Counter& affinity_hits = registry.counter("scheduler.affinity_hits");
     obs::Counter& results = registry.counter("scheduler.results");
+    // Uploads parked in a consensus buffer awaiting quorum.
+    obs::Counter& held_replicas = registry.counter("scheduler.held_replicas");
     obs::Counter& timeout = registry.counter("scheduler.failure.timeout");
     obs::Counter& fast_fail = registry.counter("scheduler.failure.fast_fail");
     obs::Counter& invalid =
@@ -424,7 +421,6 @@ class Scheduler {
   };
   std::unique_ptr<obs::Registry> own_metrics_;  // null when given a registry
   Metrics metrics_;
-  Stats stats_;
 };
 
 /// The scheduler's failure/requeue paths; each increments the obs counter

@@ -31,11 +31,9 @@ std::size_t GridServer::held_replicas() const {
 bool GridServer::submit_result(ClientId client, const Workunit& unit,
                                Blob payload) {
   if (!up_) {
-    ++stats_.rejected_down;
     metrics_.rejected_down.inc();
     return false;
   }
-  ++stats_.received;
   metrics_.received.inc();
   trace_.record(engine_.now(), TraceKind::result_received,
                 "client-" + std::to_string(client), unit.label());
@@ -44,14 +42,12 @@ bool GridServer::submit_result(ClientId client, const Workunit& unit,
     // (no point paying validation compute, and a garbled late duplicate must
     // not skew the invalid stats) and record the duplicate directly — the
     // scheduler still credits the client's delivery.
-    ++stats_.retired_skips;
-    ++stats_.duplicates;
+    metrics_.retired_skips.inc();
     metrics_.duplicates.inc();
     (void)scheduler_.report_result(client, unit.id, engine_.now());
     return true;
   }
   if (!validator_(payload)) {
-    ++stats_.invalid;
     metrics_.invalid.inc();
     trace_.record(engine_.now(), TraceKind::result_invalid,
                   "client-" + std::to_string(client), unit.label());
@@ -79,7 +75,6 @@ bool GridServer::submit_result(ClientId client, const Workunit& unit,
   }
   const bool first = scheduler_.report_result(client, unit.id, engine_.now());
   if (!first) {
-    ++stats_.duplicates;
     metrics_.duplicates.inc();
     return true;  // replication extra or post-timeout duplicate
   }
@@ -100,28 +95,21 @@ void GridServer::accept_promotion(ConsensusBuffer::Submission submission) {
              "GridServer: promotion without a winner");
   ResultEnvelope env = std::move(*submission.winner);
   const std::string label = env.unit.label();
+  // The consensus buffer counts promotions and outvoted replicas.
   const bool by_quorum =
       submission.outcome == ConsensusBuffer::Outcome::promoted;
-  if (by_quorum) {
-    ++stats_.consensus_quorums;
-    trace_.record(engine_.now(), TraceKind::consensus_quorum,
-                  "client-" + std::to_string(env.client),
-                  label + " " + std::to_string(submission.agreeing) +
-                      " agreeing");
-  } else {
-    ++stats_.consensus_fallbacks;
-    trace_.record(engine_.now(), TraceKind::consensus_fallback,
-                  "client-" + std::to_string(env.client),
-                  label + " " + std::to_string(submission.agreeing) +
-                      " agreeing");
-  }
+  trace_.record(engine_.now(),
+                by_quorum ? TraceKind::consensus_quorum
+                          : TraceKind::consensus_fallback,
+                "client-" + std::to_string(env.client),
+                label + " " + std::to_string(submission.agreeing) +
+                    " agreeing");
   // The winner retires the unit; agreeing and outvoted replicas are judged
   // afterwards, so their scheduler calls see a retired unit and only touch
   // reputations (no requeue).
   const bool first =
       scheduler_.report_result(env.client, env.unit.id, engine_.now());
   for (const ClientId loser : submission.outvoted) {
-    ++stats_.results_outvoted;
     trace_.record(engine_.now(), TraceKind::consensus_outvoted,
                   "client-" + std::to_string(loser), label);
     scheduler_.report_invalid(loser, env.unit.id, engine_.now());
@@ -129,7 +117,6 @@ void GridServer::accept_promotion(ConsensusBuffer::Submission submission) {
   if (!first) {
     // A duplicate promotion can only follow a crash-reissue race; drop it
     // rather than assimilating the same unit twice.
-    ++stats_.duplicates;
     metrics_.duplicates.inc();
     return;
   }
@@ -157,7 +144,6 @@ void GridServer::crash() {
   if (!up_) return;
   up_ = false;
   ++generation_;
-  ++stats_.crashes;
   metrics_.crash.inc();
   // Accepted-but-unassimilated results die with the server process. Their
   // units were already retired at the scheduler, so un-retire them — the
@@ -189,7 +175,6 @@ void GridServer::crash() {
     }
   }
   active_ = 0;
-  stats_.lost_results += lost;
   metrics_.lost_results.inc(lost);
   metrics_.queue_depth.set(0.0);
   trace_.record(engine_.now(), TraceKind::server_crash, "grid-server",
@@ -228,7 +213,7 @@ void GridServer::maybe_start(std::size_t ps_index) {
     w.busy = false;
     w.current = 0;
     --active_;
-    ++stats_.assimilated;
+    metrics_.assimilated.inc();
     trace_.record(engine_.now(), TraceKind::assimilated,
                   "ps-" + std::to_string(ps_index), label);
     maybe_start(ps_index);

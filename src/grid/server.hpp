@@ -56,21 +56,6 @@ class AssimilatorBackend {
 
 class GridServer {
  public:
-  struct Stats {
-    std::uint64_t received = 0;
-    std::uint64_t invalid = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t assimilated = 0;
-    std::uint64_t rejected_down = 0;   // uploads refused while crashed
-    std::uint64_t crashes = 0;
-    std::uint64_t lost_results = 0;    // accepted results dropped by a crash
-    std::uint64_t retired_skips = 0;   // late extras early-outed pre-validator
-    // Consensus accounting (zero when the quorum buffer is off).
-    std::uint64_t consensus_quorums = 0;    // m-of-k promotions
-    std::uint64_t consensus_fallbacks = 0;  // plurality promotions
-    std::uint64_t results_outvoted = 0;     // replicas reported invalid
-  };
-
   /// Counts into `metrics`, the run's registry (the consensus buffer too).
   GridServer(SimEngine& engine, Scheduler& scheduler, TraceLog& trace,
              obs::Registry& metrics, std::size_t num_parameter_servers,
@@ -105,8 +90,8 @@ class GridServer {
   void restore();
 
   bool is_up() const { return up_; }
-  /// Bumped on every crash; backends snapshot it at assimilate() entry and
-  /// abandon their chain when it moves.
+  /// Bumped on every crash (so it counts them); backends snapshot it at
+  /// assimilate() entry and abandon their chain when it moves.
   std::uint64_t generation() const { return generation_; }
 
   /// Parameter servers currently processing a result — used by backends to
@@ -127,8 +112,6 @@ class GridServer {
   /// Stops the hook; the pending event fires once more as a no-op so the
   /// engine can drain.
   void stop_metrics_snapshots();
-
-  const Stats& stats() const { return stats_; }
 
  private:
   struct PsWorker {
@@ -153,6 +136,11 @@ class GridServer {
     obs::Counter& received = registry.counter("server.results_received");
     obs::Counter& invalid = registry.counter("server.results_invalid");
     obs::Counter& duplicates = registry.counter("server.results_duplicate");
+    obs::Counter& assimilated =
+        registry.counter("server.results_assimilated");
+    // Late extras for a retired unit, early-outed before the validator.
+    obs::Counter& retired_skips = registry.counter("server.retired_skips");
+    // Uploads refused while crashed, and accepted results a crash dropped.
     obs::Counter& rejected_down = registry.counter("server.rejected_down");
     obs::Counter& lost_results = registry.counter("server.lost_results");
     // "server_crash" is a fault kind (fault_kind_names()), injected here
@@ -175,7 +163,6 @@ class GridServer {
   std::uint64_t generation_ = 0;
   SimTime snapshot_period_s_ = 0.0;  // 0 = hook disabled
   SnapshotSink snapshot_sink_;
-  Stats stats_;
 };
 
 }  // namespace vcdl

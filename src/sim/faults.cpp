@@ -42,13 +42,11 @@ FaultInjector::TransferOutcome FaultInjector::draw(const TransferFaults& model) 
   if (!model.any()) return out;
   if (model.drop_prob > 0.0 && rng_.bernoulli(model.drop_prob)) {
     out.dropped = true;
-    ++stats_.transfer_drops;
     metrics_.transfer_drop.inc();
     return out;
   }
   if (model.stall_prob > 0.0 && rng_.bernoulli(model.stall_prob)) {
     out.time_factor = model.stall_factor;
-    ++stats_.transfer_stalls;
     metrics_.transfer_stall.inc();
   }
   return out;
@@ -65,13 +63,11 @@ FaultInjector::TransferOutcome FaultInjector::on_transfer(FaultSite site) {
       if (!plan_.store.any()) return out;
       if (plan_.store.fail_prob > 0.0 && rng_.bernoulli(plan_.store.fail_prob)) {
         out.dropped = true;
-        ++stats_.store_failures;
         metrics_.store_failure.inc();
         return out;
       }
       if (plan_.store.slow_prob > 0.0 && rng_.bernoulli(plan_.store.slow_prob)) {
         out.time_factor = plan_.store.slow_factor;
-        ++stats_.store_slowdowns;
         metrics_.store_slowdown.inc();
       }
       return out;
@@ -83,10 +79,7 @@ FaultInjector::TransferOutcome FaultInjector::on_transfer(FaultSite site) {
 bool FaultInjector::corrupt_result() {
   if (plan_.corruption_prob <= 0.0) return false;
   const bool hit = rng_.bernoulli(plan_.corruption_prob);
-  if (hit) {
-    ++stats_.corruptions;
-    metrics_.corruption.inc();
-  }
+  if (hit) metrics_.corruption.inc();
   return hit;
 }
 
@@ -182,7 +175,6 @@ bool AdversaryModel::attack(std::vector<float>& params, std::uint64_t unit) {
       break;
     }
   }
-  ++stats_.attacks;
   attacks_.inc();
   return true;
 }

@@ -77,14 +77,6 @@ struct FaultPlan {
 /// replay exactly.
 class FaultInjector {
  public:
-  struct Stats {
-    std::uint64_t transfer_drops = 0;
-    std::uint64_t transfer_stalls = 0;
-    std::uint64_t corruptions = 0;
-    std::uint64_t store_failures = 0;
-    std::uint64_t store_slowdowns = 0;
-  };
-
   struct TransferOutcome {
     bool dropped = false;
     double time_factor = 1.0;  // stall multiplier on the transfer duration
@@ -101,7 +93,6 @@ class FaultInjector {
   void corrupt(Blob& payload);
 
   const FaultPlan& plan() const { return plan_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   TransferOutcome draw(const TransferFaults& model);
@@ -120,7 +111,6 @@ class FaultInjector {
   FaultPlan plan_;
   Rng rng_;
   Metrics metrics_;
-  Stats stats_;
 };
 
 /// Every fault kind the stack can inject; each increments the obs counter
@@ -177,10 +167,6 @@ struct AdversaryPlan {
 /// valid by construction.
 class AdversaryModel {
  public:
-  struct Stats {
-    std::uint64_t attacks = 0;  // results actually corrupted
-  };
-
   /// Counts each attack into `metrics`, the run's registry.
   AdversaryModel(AdversaryPlan plan, std::size_t fleet_size, Rng rng,
                  obs::Registry& metrics);
@@ -193,7 +179,6 @@ class AdversaryModel {
 
   const std::vector<std::size_t>& adversaries() const { return adversaries_; }
   const AdversaryPlan& plan() const { return plan_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   AdversaryPlan plan_;
@@ -202,7 +187,6 @@ class AdversaryModel {
   std::uint64_t noise_seed_ = 0;
   std::uint64_t attack_ordinal_ = 0;  // keys independent (non-collude) noise
   obs::Counter& attacks_;  // "faults.byzantine_result"
-  Stats stats_;
 };
 
 /// Capped exponential backoff with jitter — the client-side retry policy for

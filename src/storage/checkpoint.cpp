@@ -4,8 +4,11 @@
 
 namespace vcdl {
 
-Checkpointer::Checkpointer(KvStore& store, std::string key, Republish republish)
-    : store_(store), keys_{std::move(key)} {
+Checkpointer::Checkpointer(KvStore& store, std::string key, Republish republish,
+                           obs::Registry& metrics)
+    : store_(store), keys_{std::move(key)},
+      snapshots_(metrics.counter("checkpoint.snapshots")),
+      restores_(metrics.counter("checkpoint.restores")) {
   VCDL_CHECK(!keys_.front().empty(), "Checkpointer: empty key");
   VCDL_CHECK(republish != nullptr, "Checkpointer: null republish hook");
   republish_ = [single = std::move(republish)](const std::vector<Blob>& blobs) {
@@ -14,8 +17,10 @@ Checkpointer::Checkpointer(KvStore& store, std::string key, Republish republish)
 }
 
 Checkpointer::Checkpointer(KvStore& store, std::vector<std::string> keys,
-                           RepublishAll republish)
-    : store_(store), keys_(std::move(keys)), republish_(std::move(republish)) {
+                           RepublishAll republish, obs::Registry& metrics)
+    : store_(store), keys_(std::move(keys)), republish_(std::move(republish)),
+      snapshots_(metrics.counter("checkpoint.snapshots")),
+      restores_(metrics.counter("checkpoint.restores")) {
   VCDL_CHECK(!keys_.empty(), "Checkpointer: need >= 1 key");
   for (const auto& key : keys_) {
     VCDL_CHECK(!key.empty(), "Checkpointer: empty key");
@@ -40,7 +45,7 @@ bool Checkpointer::snapshot() {
   }
   snap_ = std::move(blobs);
   if (capture_state_) state_snap_ = capture_state_();
-  ++stats_.snapshots;
+  snapshots_.inc();
   return true;
 }
 
@@ -48,7 +53,7 @@ bool Checkpointer::restore() {
   if (!snap_.has_value()) return false;
   republish_(*snap_);
   if (restore_state_ && state_snap_.has_value()) restore_state_(*state_snap_);
-  ++stats_.restores;
+  restores_.inc();
   return true;
 }
 

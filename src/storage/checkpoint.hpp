@@ -17,17 +17,13 @@
 #include <vector>
 
 #include "common/blob.hpp"
+#include "obs/metrics.hpp"
 #include "storage/kvstore.hpp"
 
 namespace vcdl {
 
 class Checkpointer {
  public:
-  struct Stats {
-    std::uint64_t snapshots = 0;
-    std::uint64_t restores = 0;
-  };
-
   /// `republish` re-installs a snapshot as the authoritative parameter state
   /// (typically VcAsgdAssimilator::publish_initial: store put + file-server
   /// publish + published-copy reset).
@@ -46,9 +42,11 @@ class Checkpointer {
   using CaptureState = std::function<Blob()>;
   using RestoreState = std::function<void(const Blob&)>;
 
-  Checkpointer(KvStore& store, std::string key, Republish republish);
+  /// Both count snapshots and restores into `metrics`, the run's registry.
+  Checkpointer(KvStore& store, std::string key, Republish republish,
+               obs::Registry& metrics);
   Checkpointer(KvStore& store, std::vector<std::string> keys,
-               RepublishAll republish);
+               RepublishAll republish, obs::Registry& metrics);
 
   void set_state_hooks(CaptureState capture, RestoreState restore);
 
@@ -61,7 +59,8 @@ class Checkpointer {
   bool restore();
 
   bool has_snapshot() const { return snap_.has_value(); }
-  const Stats& stats() const { return stats_; }
+  /// Snapshots taken so far (the "checkpoint.snapshots" counter).
+  std::uint64_t snapshots() const { return snapshots_.value(); }
 
  private:
   KvStore& store_;
@@ -71,7 +70,8 @@ class Checkpointer {
   RestoreState restore_state_;
   std::optional<std::vector<Blob>> snap_;
   std::optional<Blob> state_snap_;
-  Stats stats_;
+  obs::Counter& snapshots_;
+  obs::Counter& restores_;
 };
 
 }  // namespace vcdl

@@ -12,7 +12,6 @@ EventualStore::Shard& EventualStore::shard_for(const std::string& key) {
 std::optional<VersionedValue> EventualStore::get(const std::string& key) {
   auto& shard = shard_for(key);
   std::lock_guard lock(shard.mutex);
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
   metrics_.reads.inc();
   const auto it = shard.map.find(key);
   if (it == shard.map.end()) return std::nullopt;
@@ -26,11 +25,9 @@ std::uint64_t EventualStore::put(const std::string& key, Blob value,
   auto& slot = shard.map[key];
   const std::uint64_t lost =
       slot.ledger.charge(slot.current.version, read_version);
-  stats_.writes.fetch_add(1, std::memory_order_relaxed);
   metrics_.writes.inc();
   if (lost > 0) {
     // We clobber versions we never saw.
-    stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
     metrics_.lost_updates.inc(lost);
   }
   slot.current.value = std::move(value);
@@ -59,7 +56,5 @@ void EventualStore::erase(const std::string& key) {
   std::lock_guard lock(shard.mutex);
   shard.map.erase(key);
 }
-
-StoreStats EventualStore::stats() const { return stats_.snapshot(); }
 
 }  // namespace vcdl

@@ -31,7 +31,6 @@ class EventualStore : public KvStore {
                        const std::function<Blob(const Blob*)>& fn) override;
   bool contains(const std::string& key) override;
   void erase(const std::string& key) override;
-  StoreStats stats() const override;
 
  private:
   static constexpr std::size_t kShards = 16;
@@ -44,9 +43,6 @@ class EventualStore : public KvStore {
   Shard& shard_for(const std::string& key);
 
   std::array<Shard, kShards> shards_;
-  // Relaxed atomics: stat bumps must not re-serialize the sharded hot path
-  // on a global lock (kvstore.hpp AtomicStoreStats).
-  AtomicStoreStats stats_;
 };
 
 }  // namespace vcdl

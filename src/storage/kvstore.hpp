@@ -19,7 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,39 +35,6 @@ namespace vcdl {
 struct VersionedValue {
   Blob value;
   std::uint64_t version = 0;
-};
-
-struct StoreStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  /// Versions a put (with a non-zero read_version) overwrote unseen — the
-  /// racing writers' updates are lost. Each counts once (LostUpdateLedger
-  /// below). Both stores count this: on the eventual store it is the
-  /// accepted §III-D race, on the strong store it flags a get→put misuse of
-  /// an API whose atomic path is update().
-  std::uint64_t lost_updates = 0;
-  /// StrongStore: lock acquisitions that had to wait.
-  std::uint64_t contended_updates = 0;
-};
-
-/// Relaxed-atomic StoreStats accumulator (the src/obs counter pattern):
-/// stores bump these on their hot paths without touching any mutex — each
-/// counter is an independent monotonic event count, so per-counter atomicity
-/// is all a stats() snapshot needs.
-struct AtomicStoreStats {
-  std::atomic<std::uint64_t> reads{0};
-  std::atomic<std::uint64_t> writes{0};
-  std::atomic<std::uint64_t> lost_updates{0};
-  std::atomic<std::uint64_t> contended_updates{0};
-
-  StoreStats snapshot() const {
-    StoreStats s;
-    s.reads = reads.load(std::memory_order_relaxed);
-    s.writes = writes.load(std::memory_order_relaxed);
-    s.lost_updates = lost_updates.load(std::memory_order_relaxed);
-    s.contended_updates = contended_updates.load(std::memory_order_relaxed);
-    return s;
-  }
 };
 
 /// One key's record of the versions stale puts were charged for. A put that
@@ -141,8 +107,6 @@ class KvStore {
   virtual bool contains(const std::string& key) = 0;
   virtual void erase(const std::string& key) = 0;
 
-  virtual StoreStats stats() const = 0;
-
   const StoreLatencyModel& latency() const { return latency_; }
   void set_latency(StoreLatencyModel model) { latency_ = model; }
 
@@ -159,7 +123,13 @@ class KvStore {
     obs::Registry& registry;
     obs::Counter& reads = registry.counter("store.reads");
     obs::Counter& writes = registry.counter("store.writes");
+    // Versions a put (with a non-zero read_version) overwrote unseen — the
+    // racing writers' updates are lost. Each counts once (LostUpdateLedger).
+    // Both stores count this: on the eventual store it is the accepted
+    // §III-D race, on the strong store it flags a get→put misuse of an API
+    // whose atomic path is update().
     obs::Counter& lost_updates = registry.counter("store.lost_updates");
+    // StrongStore: lock acquisitions that had to wait.
     obs::Counter& contended = registry.counter("store.contended_updates");
   };
 

@@ -15,7 +15,6 @@ StoreLatencyModel mysql_like_latency() {
 
 std::optional<VersionedValue> StrongStore::get(const std::string& key) {
   std::lock_guard lock(mutex_);
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
   metrics_.reads.inc();
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;
@@ -25,7 +24,6 @@ std::optional<VersionedValue> StrongStore::get(const std::string& key) {
 std::uint64_t StrongStore::put(const std::string& key, Blob value,
                                std::uint64_t read_version) {
   std::lock_guard lock(mutex_);
-  stats_.writes.fetch_add(1, std::memory_order_relaxed);
   metrics_.writes.inc();
   auto& slot = map_[key];
   // put() is still last-writer-wins — strong consistency lives in update(),
@@ -36,7 +34,6 @@ std::uint64_t StrongStore::put(const std::string& key, Blob value,
   const std::uint64_t lost =
       slot.ledger.charge(slot.current.version, read_version);
   if (lost > 0) {
-    stats_.lost_updates.fetch_add(lost, std::memory_order_relaxed);
     metrics_.lost_updates.inc(lost);
   }
   slot.current.value = std::move(value);
@@ -45,15 +42,12 @@ std::uint64_t StrongStore::put(const std::string& key, Blob value,
 
 std::uint64_t StrongStore::update(const std::string& key,
                                   const std::function<Blob(const Blob*)>& fn) {
-  // try_lock first so contention is observable in stats.
+  // try_lock first so contention is observable in store.contended_updates.
   std::unique_lock lock(mutex_, std::try_to_lock);
   if (!lock.owns_lock()) {
     lock.lock();
-    stats_.contended_updates.fetch_add(1, std::memory_order_relaxed);
     metrics_.contended.inc();
   }
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  stats_.writes.fetch_add(1, std::memory_order_relaxed);
   metrics_.reads.inc();
   metrics_.writes.inc();
   auto& slot = map_[key].current;
@@ -71,7 +65,5 @@ void StrongStore::erase(const std::string& key) {
   std::lock_guard lock(mutex_);
   map_.erase(key);
 }
-
-StoreStats StrongStore::stats() const { return stats_.snapshot(); }
 
 }  // namespace vcdl

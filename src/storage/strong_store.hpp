@@ -22,7 +22,6 @@ class StrongStore : public KvStore {
                        const std::function<Blob(const Blob*)>& fn) override;
   bool contains(const std::string& key) override;
   void erase(const std::string& key) override;
-  StoreStats stats() const override;
 
  private:
   // One global lock keeps the implementation obviously serializable; the
@@ -30,9 +29,6 @@ class StrongStore : public KvStore {
   // lock granularity, and the latency model is charged by the caller anyway.
   mutable std::mutex mutex_;
   std::map<std::string, StoreSlot> map_;
-  // Relaxed atomics (kvstore.hpp AtomicStoreStats): stats() never takes the
-  // store lock, and counting stays cheap inside it.
-  AtomicStoreStats stats_;
 };
 
 }  // namespace vcdl

@@ -376,7 +376,8 @@ TEST(SchedulerReputation, AcceptedResultCreditsBothScores) {
 // --- Scheduler: held replicas -------------------------------------------------
 
 TEST(SchedulerReplicas, HeldReplicaDropsDeadlineButKeepsTheHold) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.register_client(0);
   s.add_unit(make_unit(1, /*deadline=*/50.0, /*replication=*/2));
   ASSERT_EQ(s.request_work(0, 1, 0.0).size(), 1u);
@@ -388,7 +389,7 @@ TEST(SchedulerReplicas, HeldReplicaDropsDeadlineButKeepsTheHold) {
   EXPECT_FALSE(s.is_retired(1));
   // The holder must not be handed the same unit again while quorum pends.
   EXPECT_TRUE(s.request_work(0, 1, 2.0).empty());
-  EXPECT_EQ(s.stats().held_replicas, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("scheduler.held_replicas"), 1u);
 }
 
 TEST(SchedulerReplicas, ReissueReplicaMakesTheHolderEligibleAgain) {
@@ -564,7 +565,7 @@ TEST(ConsensusIntegration, RetiredUnitEarlyOutSkipsValidator) {
   const auto invalid_before = h.count("server.results_invalid");
   const double avail_before = h.scheduler.availability(2);
   EXPECT_TRUE(h.server.submit_result(2, wu, Blob()));
-  EXPECT_EQ(h.server.stats().retired_skips, 1u);
+  EXPECT_EQ(h.count("server.retired_skips"), 1u);
   EXPECT_EQ(h.count("server.results_invalid"), invalid_before);
   EXPECT_EQ(h.count("server.results_duplicate"), 1u);
   // The late delivery still earns availability credit.
@@ -844,11 +845,9 @@ TEST(ByzantineEndToEnd, SameSeedRunsAreDigestAndMetricsIdentical) {
       << b.trace().digest().to_string();
   EXPECT_EQ(ra.metrics.to_json(), rb.metrics.to_json());
   // The attack actually fired and consensus actually voted.
-  EXPECT_GT(ra.totals.byzantine_attacks, 0u);
-  EXPECT_GT(ra.totals.consensus_quorums, 0u);
-  EXPECT_GT(ra.totals.results_outvoted, 0u);
-  EXPECT_EQ(ra.totals.byzantine_attacks,
-            ra.metrics.counters.at("faults.byzantine_result"));
+  EXPECT_GT(ra.metrics.counter("faults.byzantine_result"), 0u);
+  EXPECT_GT(ra.metrics.counter("consensus.quorum_promoted"), 0u);
+  EXPECT_GT(ra.metrics.counter("consensus.results_outvoted"), 0u);
 }
 
 TEST(ByzantineEndToEnd, QuorumKeepsSignFlipperOutOfTheBlend) {
@@ -857,7 +856,7 @@ TEST(ByzantineEndToEnd, QuorumKeepsSignFlipperOutOfTheBlend) {
   // and run accuracy survives (the bench sweeps this across fractions).
   ExperimentSpec spec = byzantine_fleet_spec();
   const TrainResult r = VcTrainer(spec).run();
-  EXPECT_GT(r.totals.results_outvoted, 0u);
+  EXPECT_GT(r.metrics.counter("consensus.results_outvoted"), 0u);
   // The epoch accuracies stayed finite and the job converged to completion.
   ASSERT_FALSE(r.epochs.empty());
   for (const auto& e : r.epochs) {
@@ -878,7 +877,7 @@ TEST(ByzantineEndToEnd, AdaptiveReplicationSpotChecksAndSoloGrants) {
   const TrainResult r = VcTrainer(spec).run();
   // Early units replicate (new clients), later ones go solo; some audits.
   EXPECT_GT(r.metrics.counters.at("consensus.solo_grants"), 0u);
-  EXPECT_GT(r.totals.spot_checks, 0u);
+  EXPECT_GT(r.metrics.counter("consensus.spot_checks"), 0u);
 }
 
 }  // namespace

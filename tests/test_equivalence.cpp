@@ -127,11 +127,12 @@ TEST(Equivalence, Alpha0SingleClientEqualsSerialSgdMlp) {
 // --- Checkpoint save/restore vs uninterrupted run ---------------------------
 
 TEST(Equivalence, CheckpointerStateHooksRewindSideState) {
-  auto store = make_store("eventual");
+  obs::Registry metrics;
+  auto store = make_store("eventual", metrics);
   std::vector<float> published;
-  Checkpointer cp(*store, "params", [&](const Blob& blob) {
-    published = load_params(blob);
-  });
+  Checkpointer cp(
+      *store, "params",
+      [&](const Blob& blob) { published = load_params(blob); }, metrics);
   std::uint64_t counter = 7;
   cp.set_state_hooks(
       [&] {
@@ -196,7 +197,7 @@ TEST(Equivalence, CrashRecoveryRunStaysDeterministic) {
   const TrainResult ra = a.run();
   VcTrainer b(spec);
   const TrainResult rb = b.run();
-  ASSERT_EQ(ra.totals.checkpoint_restores, 1u);
+  ASSERT_EQ(ra.metrics.counter("checkpoint.restores"), 1u);
   ASSERT_EQ(ra.epochs.size(), rb.epochs.size());
   for (std::size_t e = 0; e < ra.epochs.size(); ++e) {
     EXPECT_EQ(ra.epochs[e].mean_subtask_acc, rb.epochs[e].mean_subtask_acc);

@@ -143,13 +143,17 @@ TEST(RetryPolicy, BackoffGrowsAndCaps) {
 // --- Checkpointer ------------------------------------------------------------
 
 TEST(Checkpointer, SnapshotRestoreRoundTrip) {
-  auto store = make_store("eventual");
+  obs::Registry metrics;
+  auto store = make_store("eventual", metrics);
   Blob replayed;
   int replays = 0;
-  Checkpointer cp(*store, "params", [&](const Blob& b) {
-    replayed = b;
-    ++replays;
-  });
+  Checkpointer cp(
+      *store, "params",
+      [&](const Blob& b) {
+        replayed = b;
+        ++replays;
+      },
+      metrics);
   // Nothing published yet: both operations are no-ops.
   EXPECT_FALSE(cp.snapshot());
   EXPECT_FALSE(cp.restore());
@@ -166,11 +170,18 @@ TEST(Checkpointer, SnapshotRestoreRoundTrip) {
   EXPECT_TRUE(cp.restore());
   EXPECT_EQ(replays, 1);
   EXPECT_TRUE(replayed == v1);
-  EXPECT_EQ(cp.stats().snapshots, 1u);
-  EXPECT_EQ(cp.stats().restores, 1u);
+  EXPECT_EQ(cp.snapshots(), 1u);
+  EXPECT_EQ(metrics.snapshot().counter("checkpoint.snapshots"), 1u);
+  EXPECT_EQ(metrics.snapshot().counter("checkpoint.restores"), 1u);
 }
 
 // --- End-to-end chaos runs ---------------------------------------------------
+
+// Dropped download/upload attempts: each is either retried or abandoned.
+std::uint64_t transfer_failures(const TrainResult& r) {
+  return r.metrics.counter("client.transfer_retries") +
+         r.metrics.counter("client.transfer_abandoned");
+}
 
 // Miniature job mirroring tests/test_trainer_integration.cpp.
 ExperimentSpec tiny_spec() {
@@ -214,9 +225,9 @@ TEST(ChaosIntegration, ChaosMachineryIsFreeWhenIdle) {
                      b.epochs[i].mean_subtask_acc);
     EXPECT_DOUBLE_EQ(base.epochs[i].val_acc, b.epochs[i].val_acc);
   }
-  EXPECT_EQ(b.totals.transfer_failures, 0u);
-  EXPECT_EQ(b.totals.server_crashes, 0u);
-  EXPECT_EQ(b.totals.invalid_results, 0u);
+  EXPECT_EQ(transfer_failures(b), 0u);
+  EXPECT_EQ(b.metrics.counter("faults.server_crash"), 0u);
+  EXPECT_EQ(b.metrics.counter("scheduler.failure.invalid_result"), 0u);
 }
 
 TEST(ChaosIntegration, TransferFaultsRetryAndComplete) {
@@ -228,7 +239,7 @@ TEST(ChaosIntegration, TransferFaultsRetryAndComplete) {
   const TrainResult result = run_experiment(spec);
   ASSERT_EQ(result.epochs.size(), 2u);
   for (const auto& e : result.epochs) EXPECT_EQ(e.results, 8u);
-  EXPECT_GT(result.totals.transfer_failures, 0u);
+  EXPECT_GT(transfer_failures(result), 0u);
 }
 
 TEST(ChaosIntegration, CorruptionIsCaughtAndRequeued) {
@@ -238,9 +249,9 @@ TEST(ChaosIntegration, CorruptionIsCaughtAndRequeued) {
   const TrainResult result = trainer.run();
   ASSERT_EQ(result.epochs.size(), 2u);
   for (const auto& e : result.epochs) EXPECT_EQ(e.results, 8u);
-  EXPECT_GT(result.totals.invalid_results, 0u);
+  EXPECT_GT(result.metrics.counter("scheduler.failure.invalid_result"), 0u);
   EXPECT_EQ(trainer.trace().count(TraceKind::result_invalid),
-            result.totals.invalid_results);
+            result.metrics.counter("scheduler.failure.invalid_result"));
 }
 
 TEST(ChaosIntegration, StoreFaultsRetryAndComplete) {
@@ -278,8 +289,8 @@ TEST(ChaosIntegration, AcceptanceChaosRunRecoversEndToEnd) {
   for (const auto& e : chaos.epochs) EXPECT_EQ(e.results, 8u);
 
   // Both crashes happened and recovered via checkpoint replay.
-  EXPECT_EQ(chaos.totals.server_crashes, 2u);
-  EXPECT_EQ(chaos.totals.checkpoint_restores, 2u);
+  EXPECT_EQ(chaos.metrics.counter("faults.server_crash"), 2u);
+  EXPECT_EQ(chaos.metrics.counter("checkpoint.restores"), 2u);
   const TraceLog& trace = trainer.trace();
   EXPECT_EQ(trace.count(TraceKind::server_crash), 2u);
   EXPECT_EQ(trace.count(TraceKind::server_recovered), 2u);
@@ -287,7 +298,7 @@ TEST(ChaosIntegration, AcceptanceChaosRunRecoversEndToEnd) {
   EXPECT_GT(trace.count(TraceKind::checkpoint_saved), 0u);
 
   // Transfer faults actually fired and the run paid for them in time.
-  EXPECT_GT(chaos.totals.transfer_failures, 0u);
+  EXPECT_GT(transfer_failures(chaos), 0u);
   EXPECT_GT(chaos.totals.duration_s, clean.totals.duration_s);
 
   // Accuracy lands in the same band as the fault-free run — chaos slows
@@ -309,8 +320,8 @@ TEST(ChaosIntegration, ChaosRunIsDeterministic) {
     EXPECT_DOUBLE_EQ(a.epochs[i].mean_subtask_acc,
                      b.epochs[i].mean_subtask_acc);
   }
-  EXPECT_EQ(a.totals.transfer_failures, b.totals.transfer_failures);
-  EXPECT_EQ(a.totals.invalid_results, b.totals.invalid_results);
+  EXPECT_EQ(transfer_failures(a), transfer_failures(b));
+  EXPECT_EQ(a.metrics.counter("scheduler.failure.invalid_result"), b.metrics.counter("scheduler.failure.invalid_result"));
 }
 
 }  // namespace

@@ -103,9 +103,8 @@ TEST(Scheduler, FirstResultWinsDuplicatesFlagged) {
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_TRUE(s.report_result(0, 1, 10.0));
-  EXPECT_FALSE(s.report_result(1, 1, 11.0));
+  EXPECT_FALSE(s.report_result(1, 1, 11.0));  // a duplicate
   EXPECT_TRUE(s.all_done());
-  EXPECT_EQ(s.stats().duplicate_results, 1u);
 }
 
 TEST(Scheduler, ReplicaNeverIssuedTwiceToSameClient) {
@@ -167,7 +166,8 @@ TEST(Scheduler, ReliabilityMovesWithOutcomes) {
 }
 
 TEST(Scheduler, StickyAffinityPreferred) {
-  Scheduler s;
+  obs::Registry metrics;
+  Scheduler s(metrics);
   s.register_client(0);
   s.note_cached(0, "shard/7");
   s.add_unit(make_unit(1, 3));
@@ -175,7 +175,7 @@ TEST(Scheduler, StickyAffinityPreferred) {
   const auto got = s.request_work(0, 1, 0.0);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].shard, 7u);
-  EXPECT_EQ(s.stats().affinity_hits, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("scheduler.affinity_hits"), 1u);
 }
 
 TEST(Scheduler, ReliabilityGateLimitsFlakyClients) {
@@ -307,7 +307,6 @@ TEST(Scheduler, LateResultAfterExpiryIsDuplicateAndStillCredits) {
   (void)s.request_work(1, 1, 61.0);
   EXPECT_TRUE(s.report_result(1, 1, 70.0));   // replacement retires the unit
   EXPECT_FALSE(s.report_result(0, 1, 80.0));  // straggler: duplicate
-  EXPECT_EQ(s.stats().duplicate_results, 1u);
   EXPECT_EQ(s.stats().results, 1u);
   EXPECT_TRUE(s.all_done());
   // The late upload still counts toward reliability — the machine is slow,
@@ -426,7 +425,7 @@ TEST(GridIntegration, SingleClientCompletesUnits) {
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
   EXPECT_EQ(h.backend.seen.size(), 4u);
-  EXPECT_EQ(h.server.stats().assimilated, 4u);
+  EXPECT_EQ(h.count("server.results_assimilated"), 4u);
   EXPECT_EQ(h.count("client.completed"), 4u);
 }
 
@@ -469,7 +468,7 @@ TEST(GridIntegration, InvalidResultIsDroppedAndRecovered) {
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
   EXPECT_EQ(h.count("server.results_invalid"), 1u);
-  EXPECT_EQ(h.server.stats().assimilated, 1u);
+  EXPECT_EQ(h.count("server.results_assimilated"), 1u);
   // The invalid result is requeued immediately via report_invalid — recovery
   // no longer has to wait for the deadline sweep.
   EXPECT_EQ(h.count("scheduler.failure.invalid_result"), 1u);
@@ -512,7 +511,7 @@ TEST(GridIntegration, RoundRobinAcrossParameterServers) {
   h.engine.run_until(sim_hours(1.0));
   client->stop();
   h.engine.run();
-  EXPECT_EQ(h.server.stats().assimilated, 6u);
+  EXPECT_EQ(h.count("server.results_assimilated"), 6u);
   EXPECT_EQ(h.server.parameter_servers(), 2u);
 }
 
@@ -536,7 +535,7 @@ TEST(GridIntegration, ReplicatedUnitSurvivesPreemptedHolder) {
   h.engine.run();
   // The surviving replica retires the unit; nothing waits for the deadline.
   EXPECT_TRUE(h.scheduler.all_done());
-  EXPECT_EQ(h.server.stats().assimilated, 1u);
+  EXPECT_EQ(h.count("server.results_assimilated"), 1u);
   EXPECT_EQ(h.backend.seen.size(), 1u);
   EXPECT_EQ(h.scheduler.stats().results, 1u);
 }
@@ -570,7 +569,7 @@ TEST(GridServer, CrashDropsQueuedResultsAndRecovers) {
   // Draining the engine fires the stale backend completions; the generation
   // guard must stop them from freeing slots or counting assimilations.
   h.engine.run();
-  EXPECT_EQ(h.server.stats().assimilated, 0u);
+  EXPECT_EQ(h.count("server.results_assimilated"), 0u);
   EXPECT_EQ(h.server.active_assimilations(), 0u);
 
   h.server.restore();
@@ -583,7 +582,7 @@ TEST(GridServer, CrashDropsQueuedResultsAndRecovers) {
   }
   h.engine.run();
   EXPECT_TRUE(h.scheduler.all_done());
-  EXPECT_EQ(h.server.stats().assimilated, 4u);
+  EXPECT_EQ(h.count("server.results_assimilated"), 4u);
   EXPECT_EQ(h.trace.count(TraceKind::server_crash), 1u);
   EXPECT_EQ(h.trace.count(TraceKind::server_recovered), 1u);
 }

@@ -29,7 +29,7 @@ TrainResult fake_result() {
   r.epochs = {e1, e2};
   r.totals.duration_s = 7200.0;
   r.totals.cost_standard_usd = 2.5;
-  r.totals.lost_updates = 3;
+  r.metrics.counters["store.lost_updates"] = 3;
   r.totals.parameter_count = 1234;
   return r;
 }

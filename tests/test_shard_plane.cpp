@@ -211,21 +211,22 @@ TEST(ShardPlane, CrossShardBlendMatchesMonolithicBlend) {
 
 // Captured from the pre-shard monolithic build (same tiny_image_spec, same
 // seeds): a param_shards=1 run must reproduce every one of these bits. The
-// metrics word is the live fingerprint (below).
+// metrics word fingerprints the run's whole snapshot, which depends on the
+// run alone (each run counts into a registry of its own).
 struct Golden {
   const char* codec;
   const char* store;
   std::uint64_t digest;
-  std::uint64_t live_metrics;
+  std::uint64_t metrics;
   std::uint64_t params;
   std::uint64_t events;
 };
 constexpr Golden kMonolithicGoldens[] = {
-    {"full", "eventual", 0x09af42a07a9c7ad6ULL, 0xb16261fdce007a7cULL,
+    {"full", "eventual", 0x09af42a07a9c7ad6ULL, 0x5a871e89876e356dULL,
      0xe550207a31cc88daULL, 149},
-    {"delta", "eventual", 0xc89e5cfadefc59f5ULL, 0xd12326a74787e4c6ULL,
+    {"delta", "eventual", 0xc89e5cfadefc59f5ULL, 0x8cfc3f4af5a776c5ULL,
      0xe550207a31cc88daULL, 149},
-    {"delta_q8", "strong", 0xa455084954823cd6ULL, 0x0b0841c397991f7cULL,
+    {"delta_q8", "strong", 0xa455084954823cd6ULL, 0x389da0bfe00e82e3ULL,
      0x3cba8a2a2e242ec3ULL, 149},
 };
 
@@ -235,83 +236,67 @@ constexpr Golden kMonolithicGoldens[] = {
 // Captured before the upload/assimilation paths were folded into one module,
 // so the fold must reproduce them bit for bit.
 //
-// Like the monolithic goldens, their metrics word is the live fingerprint.
 struct PlaneGolden {
   const char* codec;
   const char* store;
   std::size_t shards;
   std::uint64_t digest;
-  std::uint64_t live_metrics;
+  std::uint64_t metrics;
   std::uint64_t params;
   std::uint64_t events;
 };
 constexpr PlaneGolden kShardedGoldens[] = {
-    {"full", "eventual", 2, 0x592d845426ae2242ULL, 0x6ba226c15bfbe70dULL,
+    {"full", "eventual", 2, 0x592d845426ae2242ULL, 0xd80126d5cd1b1366ULL,
      0x4c26f882e71ad853ULL, 149},
-    {"delta", "eventual", 2, 0x204d50e7b48eec9bULL, 0xae1e3e167dcbf06dULL,
+    {"delta", "eventual", 2, 0x204d50e7b48eec9bULL, 0x1b86ff5417894ef5ULL,
      0x4c26f882e71ad853ULL, 149},
-    {"delta_q8", "strong", 2, 0x7a29fe82665958ceULL, 0x973da8b9fe411096ULL,
+    {"delta_q8", "strong", 2, 0x7a29fe82665958ceULL, 0xcec79ce4bf23409fULL,
      0x6b3f0f9325ea4be6ULL, 149},
-    {"full", "eventual", 4, 0x893c6a5bdc847c2cULL, 0x8d826bc7c609e44aULL,
+    {"full", "eventual", 4, 0x893c6a5bdc847c2cULL, 0xdfda442f9c8d5709ULL,
      0x69e3f95fe498c7a3ULL, 149},
-    {"delta", "eventual", 4, 0x8096edae8ca80ae2ULL, 0xf4a2cf6989513176ULL,
+    {"delta", "eventual", 4, 0x8096edae8ca80ae2ULL, 0xaf8bb60763308e31ULL,
      0x69e3f95fe498c7a3ULL, 149},
-    {"delta_q8", "strong", 4, 0xcc76d390f095adfeULL, 0x295a1cc5a9ebc652ULL,
+    {"delta_q8", "strong", 4, 0xcc76d390f095adfeULL, 0x04f906612f58c754ULL,
      0x10db6267f59196e7ULL, 149},
 };
 // tiny_image_spec with a 1/3 noise adversary, triple replication, a 2-of-3
 // quorum and the blend guard (byzantine_spec below).
 constexpr PlaneGolden kConsensusGoldens[] = {
-    {"full", "eventual", 1, 0xf0c0a7c5ff1a992aULL, 0xef70421eb6828499ULL,
+    {"full", "eventual", 1, 0xf0c0a7c5ff1a992aULL, 0xc503084073a83fe8ULL,
      0x8e999bdfe353015bULL, 438},
-    {"delta", "eventual", 1, 0x919ded6faf4cf6d0ULL, 0x4893a13c6ca321a9ULL,
+    {"delta", "eventual", 1, 0x919ded6faf4cf6d0ULL, 0x6dfd567aae86fb5bULL,
      0x8e999bdfe353015bULL, 438},
-    {"full", "eventual", 2, 0x918deddd17552d4aULL, 0xfc4db2912e66bdddULL,
+    {"full", "eventual", 2, 0x918deddd17552d4aULL, 0x66666beb871be1d6ULL,
      0xd45ebfe9bb80ed23ULL, 438},
-    {"delta", "eventual", 2, 0xea6ab06ef5b1e92fULL, 0xc52ffb4f8b5e0e26ULL,
+    {"delta", "eventual", 2, 0xea6ab06ef5b1e92fULL, 0x4781e9cffa62378eULL,
      0xd45ebfe9bb80ed23ULL, 438},
 };
 // tiny_image_spec under transfer drops and stalls, upload corruption, store
 // outages and spikes, and one grid-server crash replayed from checkpoints
 // (chaos_spec below).
 constexpr PlaneGolden kChaosGoldens[] = {
-    {"full", "eventual", 1, 0x0d74dc78527b723dULL, 0x9fb9b0cd17d7396eULL,
+    {"full", "eventual", 1, 0x0d74dc78527b723dULL, 0xa7987157218528caULL,
      0x3696e0e6d92a22cdULL, 186},
-    {"delta", "eventual", 1, 0xefd0d470e0f0e275ULL, 0xb87e4438e1a6b2f0ULL,
+    {"delta", "eventual", 1, 0xefd0d470e0f0e275ULL, 0x888fbb9470d9ae47ULL,
      0xc178369bc23c17afULL, 186},
-    {"full", "eventual", 2, 0xc8d3a6b97e03991dULL, 0xf5046e532e8da20aULL,
+    {"full", "eventual", 2, 0xc8d3a6b97e03991dULL, 0x9bde66e5a11d4cfdULL,
      0x90feba5e1d783851ULL, 195},
-    {"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0xc251173a7485ad59ULL,
+    {"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0x75dab7948c2532a7ULL,
      0x94afeccd95c49b03ULL, 195},
 };
 
 struct RunFingerprint {
   std::uint64_t digest = 0;
   std::uint64_t metrics = 0;
-  std::uint64_t live_metrics = 0;
   std::uint64_t params = 0;
   std::uint64_t events = 0;
 };
-
-// Fingerprint of a snapshot's non-zero entries, without the exec.* hot-path
-// spans. The registry keeps, at zero, every name an earlier run in the
-// process registered (docs/OBSERVABILITY.md), so the full fingerprint
-// depends on which tests ran before; this one depends on the run alone.
-std::uint64_t live_fingerprint(obs::MetricsSnapshot m) {
-  std::erase_if(m.counters, [](const auto& c) { return c.second == 0; });
-  std::erase_if(m.gauges, [](const auto& g) { return g.second == 0.0; });
-  std::erase_if(m.histograms, [](const auto& h) {
-    return h.second.count == 0 || h.first.rfind("exec.", 0) == 0;
-  });
-  return m.fingerprint();
-}
 
 RunFingerprint fingerprint_of(const ExperimentSpec& spec) {
   VcTrainer t(spec);
   const TrainResult r = t.run();
   return {t.trace().digest().hash, r.metrics.fingerprint(),
-          live_fingerprint(r.metrics), params_hash(r.final_params),
-          t.trace().digest().events};
+          params_hash(r.final_params), t.trace().digest().events};
 }
 
 ExperimentSpec plane_spec(const char* codec, const char* store,
@@ -359,10 +344,10 @@ ExperimentSpec chaos_spec(const PlaneGolden& g) {
 void expect_golden(const PlaneGolden& g, const RunFingerprint& fp) {
   std::ostringstream label;
   label << g.codec << "/" << g.store << " shards=" << g.shards << std::hex
-        << " got {0x" << fp.digest << ", 0x" << fp.live_metrics << ", 0x"
+        << " got {0x" << fp.digest << ", 0x" << fp.metrics << ", 0x"
         << fp.params << std::dec << ", " << fp.events << "}";
   EXPECT_EQ(fp.digest, g.digest) << label.str();
-  EXPECT_EQ(fp.live_metrics, g.live_metrics) << label.str();
+  EXPECT_EQ(fp.metrics, g.metrics) << label.str();
   EXPECT_EQ(fp.params, g.params) << label.str();
   EXPECT_EQ(fp.events, g.events) << label.str();
 }
@@ -371,7 +356,7 @@ TEST(ShardPlane, ShardsOneMatchesMonolithicGoldens) {
   for (const Golden& g : kMonolithicGoldens) {
     const RunFingerprint fp = run_fingerprint(g.codec, g.store, 1);
     EXPECT_EQ(fp.digest, g.digest) << g.codec << "/" << g.store;
-    EXPECT_EQ(fp.live_metrics, g.live_metrics) << g.codec << "/" << g.store;
+    EXPECT_EQ(fp.metrics, g.metrics) << g.codec << "/" << g.store;
     EXPECT_EQ(fp.params, g.params) << g.codec << "/" << g.store;
     EXPECT_EQ(fp.events, g.events) << g.codec << "/" << g.store;
   }
@@ -392,8 +377,7 @@ TEST(ShardPlane, MutationMisroutedBlendFailsGoldenOracle) {
   const Golden& g = kMonolithicGoldens[0];
   const RunFingerprint fp = run_fingerprint(g.codec, g.store, 1);
   EXPECT_NE(fp.params, g.params);
-  const bool all_match = fp.digest == g.digest &&
-                         fp.live_metrics == g.live_metrics &&
+  const bool all_match = fp.digest == g.digest && fp.metrics == g.metrics &&
                          fp.params == g.params;
   EXPECT_FALSE(all_match);
 
@@ -575,9 +559,10 @@ TEST(ShardPlane, ShardWireStatsSumToGlobalCountersSharded) {
 }
 
 // Per-file pull accounting on the download side: the shard files' pull
-// stats must sum to the server-wide delta-protocol totals.
+// stats must sum to the server-wide delta-protocol counters.
 TEST(ShardPlane, PerFilePullStatsSumToGlobalTotals) {
-  FileServer files;
+  obs::Registry metrics;
+  FileServer files(metrics);
   files.set_wire_codec(WireMode::delta, 4);
   std::vector<float> v(512, 1.0f);
   const auto blob = [&] { return save_params(std::span<const float>(v)); };
@@ -591,7 +576,7 @@ TEST(ShardPlane, PerFilePullStatsSumToGlobalTotals) {
   (void)files.pull("params/1", 1);  // delta pull
   (void)files.pull("params/1", 0);  // first contact: full blob, no delta path
 
-  const FileServer::Stats& global = files.stats();
+  const obs::MetricsSnapshot global = metrics.snapshot();
   FileServer::FileWireStats sum;
   for (const char* name : {"params/0", "params/1"}) {
     const auto& fs = files.file_wire_stats(name);
@@ -600,10 +585,12 @@ TEST(ShardPlane, PerFilePullStatsSumToGlobalTotals) {
     sum.bytes_delta_wire += fs.bytes_delta_wire;
     sum.bytes_delta_full += fs.bytes_delta_full;
   }
-  EXPECT_EQ(sum.delta_pulls, global.delta_pulls);
-  EXPECT_EQ(sum.delta_fallbacks, global.delta_fallbacks);
-  EXPECT_EQ(sum.bytes_delta_wire, global.bytes_delta_wire);
-  EXPECT_EQ(sum.bytes_delta_full, global.bytes_delta_full);
+  EXPECT_EQ(sum.delta_pulls, global.counter("file_server.delta_pulls"));
+  EXPECT_EQ(sum.delta_fallbacks, global.counter("file_server.delta_fallbacks"));
+  EXPECT_EQ(sum.bytes_delta_wire,
+            global.counter("file_server.bytes_delta_wire"));
+  EXPECT_EQ(sum.bytes_delta_full,
+            global.counter("file_server.bytes_delta_full"));
   EXPECT_EQ(sum.delta_pulls, 2u);
 }
 

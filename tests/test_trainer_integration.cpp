@@ -66,8 +66,8 @@ TEST(TrainerIntegration, StrongStoreCompletesWithoutLostUpdates) {
   spec.store = "strong";
   const TrainResult result = run_experiment(spec);
   EXPECT_EQ(result.epochs.size(), 2u);
-  EXPECT_EQ(result.totals.lost_updates, 0u);
-  EXPECT_GE(result.totals.store_writes, 16u);  // one per assimilation + init
+  EXPECT_EQ(result.metrics.counter("store.lost_updates"), 0u);
+  EXPECT_GE(result.metrics.counter("store.writes"), 16u);  // one per assimilation + init
 }
 
 TEST(TrainerIntegration, StrongStoreIsSlowerThanEventual) {
@@ -90,7 +90,7 @@ TEST(TrainerIntegration, PreemptionRunCompletesWithFaults) {
   spec.max_epochs = 2;
   const TrainResult result = run_experiment(spec);
   EXPECT_EQ(result.epochs.size(), 2u);
-  EXPECT_GT(result.totals.preemptions, 0u);
+  EXPECT_GT(result.metrics.counter("client.preemptions"), 0u);
   // Every epoch still assimilated all its subtasks exactly once.
   for (const auto& e : result.epochs) EXPECT_EQ(e.results, 8u);
 }
@@ -104,7 +104,7 @@ TEST(TrainerIntegration, PreemptionCostsTime) {
   const TrainResult a = run_experiment(calm);
   const TrainResult b = run_experiment(hostile);
   EXPECT_GT(b.totals.duration_s, a.totals.duration_s);
-  EXPECT_GE(b.totals.timeouts, 1u);
+  EXPECT_GE(b.metrics.counter("scheduler.failure.timeout"), 1u);
 }
 
 TEST(TrainerIntegration, LabelSkewShardsStillComplete) {
@@ -121,7 +121,7 @@ TEST(TrainerIntegration, ReplicationProducesDuplicates) {
   const TrainResult result = run_experiment(spec);
   EXPECT_EQ(result.epochs.size(), 2u);
   for (const auto& e : result.epochs) EXPECT_EQ(e.results, 8u);
-  EXPECT_GT(result.totals.duplicates, 0u);
+  EXPECT_GT(result.metrics.counter("server.results_duplicate"), 0u);
 }
 
 TEST(TrainerIntegration, TargetAccuracyStopsEarly) {
@@ -135,8 +135,8 @@ TEST(TrainerIntegration, TargetAccuracyStopsEarly) {
 TEST(TrainerIntegration, StickyCacheReducesTraffic) {
   const TrainResult result = run_experiment(tiny_spec());
   // Architecture + shards are re-used across the 16 subtasks.
-  EXPECT_GT(result.totals.cache_hits, 0u);
-  EXPECT_GT(result.totals.bytes_wire, 0u);
+  EXPECT_GT(result.metrics.counter("file_server.cache_hits"), 0u);
+  EXPECT_GT(result.metrics.counter("file_server.bytes_wire"), 0u);
 }
 
 TEST(TrainerIntegration, TraceCapturesLifecycle) {

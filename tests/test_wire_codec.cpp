@@ -16,6 +16,7 @@
 #include "core/trainer.hpp"
 #include "grid/file_server.hpp"
 #include "nn/model_io.hpp"
+#include "obs/snapshot.hpp"
 #include "testing/generators.hpp"
 #include "testing/oracles.hpp"
 #include "testing/prop.hpp"
@@ -304,7 +305,8 @@ Blob republished_blob(Rng& rng, const Blob& previous) {
 
 TEST(FileServerPull, DeltaBilledWhenBaseInRing) {
   Rng rng(13);
-  FileServer fs;
+  obs::Registry metrics;
+  FileServer fs(metrics);
   fs.set_wire_codec(WireMode::delta, /*version_ring=*/4);
   Blob v1 = param_blob(rng, 4000);
   Blob v2 = republished_blob(rng, v1);
@@ -323,12 +325,13 @@ TEST(FileServerPull, DeltaBilledWhenBaseInRing) {
   // The acceptance bar: a delta pull costs under half the full blob.
   EXPECT_LT(second.wire_bytes * 2, fs.wire_size("params"));
 
-  const auto& s = fs.stats();
-  EXPECT_EQ(s.delta_pulls, 1u);
-  EXPECT_EQ(s.delta_fallbacks, 0u);
-  EXPECT_EQ(s.bytes_delta_full,
+  const obs::MetricsSnapshot s = metrics.snapshot();
+  EXPECT_EQ(s.counter("file_server.delta_pulls"), 1u);
+  EXPECT_EQ(s.counter("file_server.delta_fallbacks"), 0u);
+  EXPECT_EQ(s.counter("file_server.bytes_delta_full"),
             first.wire_bytes + fs.wire_size("params"));
-  EXPECT_EQ(s.bytes_delta_wire, first.wire_bytes + second.wire_bytes);
+  EXPECT_EQ(s.counter("file_server.bytes_delta_wire"),
+            first.wire_bytes + second.wire_bytes);
 }
 
 TEST(FileServerPull, SameVersionRepullIsNearlyFree) {
@@ -366,7 +369,8 @@ TEST(FileServerPull, AgedOutVersionFallsBackToFullBlob) {
 
 TEST(FileServerPull, FullModeBillsExactlyLikeFetch) {
   Rng rng(16);
-  FileServer fs;  // default codec: full
+  obs::Registry metrics;
+  FileServer fs(metrics);  // default codec: full
   fs.publish("params", param_blob(rng, 2000), true, true);
   const auto a = fs.pull("params", 0);
   const auto b = fs.pull("params", a.version);
@@ -374,8 +378,9 @@ TEST(FileServerPull, FullModeBillsExactlyLikeFetch) {
   EXPECT_FALSE(b.was_delta);
   EXPECT_EQ(a.wire_bytes, fs.wire_size("params"));
   EXPECT_EQ(b.wire_bytes, fs.wire_size("params"));
-  EXPECT_EQ(fs.stats().delta_pulls, 0u);
-  EXPECT_EQ(fs.stats().bytes_wire, 2 * fs.wire_size("params"));
+  EXPECT_EQ(metrics.snapshot().counter("file_server.delta_pulls"), 0u);
+  EXPECT_EQ(metrics.snapshot().counter("file_server.bytes_wire"),
+            2 * fs.wire_size("params"));
 }
 
 // Satellite regression: fetch()/pull() payloads are version-pinned. Before
@@ -422,10 +427,13 @@ TEST(WireCodecE2E, LosslessDeltaRunsAreDeterministicAndHalveParamBytes) {
 
   // The codec actually engaged and paid off: parameter pulls cost less than
   // half of what the same pulls would have moved as full blobs.
-  EXPECT_GT(ra.totals.delta_pulls, 0u);
-  EXPECT_GT(ra.totals.param_bytes_full, 0u);
-  EXPECT_LE(ra.totals.param_bytes_wire * 2, ra.totals.param_bytes_full);
-  EXPECT_LT(ra.totals.bytes_wire, ra.totals.param_bytes_full);
+  const obs::MetricsSnapshot& m = ra.metrics;
+  EXPECT_GT(m.counter("file_server.delta_pulls"), 0u);
+  EXPECT_GT(m.counter("file_server.bytes_delta_full"), 0u);
+  EXPECT_LE(m.counter("file_server.bytes_delta_wire") * 2,
+            m.counter("file_server.bytes_delta_full"));
+  EXPECT_LT(m.counter("file_server.bytes_wire"),
+            m.counter("file_server.bytes_delta_full"));
 
   // Lossless means training still works: both epochs completed with finite
   // published parameters.
@@ -436,10 +444,9 @@ TEST(WireCodecE2E, LosslessDeltaRunsAreDeterministicAndHalveParamBytes) {
 TEST(WireCodecE2E, FullModeKeepsDeltaCountersAtZero) {
   VcTrainer t(codec_spec("full"));
   const TrainResult r = t.run();
-  EXPECT_EQ(r.totals.delta_pulls, 0u);
-  EXPECT_EQ(r.totals.param_bytes_wire, 0u);
-  EXPECT_EQ(r.totals.param_bytes_full, 0u);
   EXPECT_EQ(r.metrics.counters.at("file_server.delta_pulls"), 0u);
+  EXPECT_EQ(r.metrics.counters.at("file_server.bytes_delta_wire"), 0u);
+  EXPECT_EQ(r.metrics.counters.at("file_server.bytes_delta_full"), 0u);
   EXPECT_EQ(r.metrics.counters.at("wire_codec.frames_decoded"), 0u);
 }
 
@@ -453,7 +460,7 @@ TEST(WireCodecE2E, QuantizedUploadsShrinkPerResultAndStillLearn) {
   // bytes change transfer timings): q8 frames are ~4x smaller than full
   // parameter blobs; assert a conservative 3x.
   const auto per_upload = [](const TrainResult& r) {
-    return static_cast<double>(r.totals.bytes_uploaded) /
+    return static_cast<double>(r.metrics.counter("client.bytes_uploaded")) /
            static_cast<double>(r.metrics.counters.at("client.completed"));
   };
   EXPECT_GE(per_upload(rf), per_upload(rq) * 3.0);
