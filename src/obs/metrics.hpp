@@ -51,7 +51,6 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -63,7 +62,6 @@ class Gauge {
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
   void add(double d);
   double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0.0};

@@ -58,18 +58,16 @@ using testing::tiny_image_spec;
 
 // --- Counter / gauge semantics ----------------------------------------------
 
-TEST(ObsCounter, IncrementsAndResets) {
+TEST(ObsCounter, Increments) {
   Registry reg;
   Counter& c = reg.counter("test.counter");
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.inc(3);
   EXPECT_EQ(c.value(), 4u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(ObsGauge, SetAddReset) {
+TEST(ObsGauge, SetAndAdd) {
   Registry reg;
   Gauge& g = reg.gauge("test.gauge");
   g.set(2.5);
@@ -78,8 +76,6 @@ TEST(ObsGauge, SetAddReset) {
   EXPECT_DOUBLE_EQ(g.value(), 1.5);
   g.set(-7.0);
   EXPECT_DOUBLE_EQ(g.value(), -7.0);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 // --- Registry registration contract -----------------------------------------
