@@ -12,8 +12,7 @@
 #include "data/synthetic.hpp"
 #include "grid/scheduler.hpp"
 #include "nn/model_zoo.hpp"
-#include "storage/eventual_store.hpp"
-#include "storage/strong_store.hpp"
+#include "storage/kvstore.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -78,19 +77,18 @@ void BM_DecompressShard(benchmark::State& state) {
 }
 BENCHMARK(BM_DecompressShard);
 
-template <typename Store>
-void BM_StoreUpdate(benchmark::State& state) {
-  Store store;
+void BM_StoreUpdate(benchmark::State& state, const char* name) {
+  const auto store = vcdl::make_store(name);
   const std::vector<std::uint8_t> value(64 * 1024, 0x42);
-  store.put("params", vcdl::Blob(std::vector<std::uint8_t>(value)), 0);
+  store->put("params", vcdl::Blob(std::vector<std::uint8_t>(value)), 0);
   for (auto _ : state) {
-    store.update("params", [&value](const vcdl::Blob*) {
+    store->update("params", [&value](const vcdl::Blob*) {
       return vcdl::Blob(std::vector<std::uint8_t>(value));
     });
   }
 }
-BENCHMARK(BM_StoreUpdate<vcdl::StrongStore>)->Name("BM_StoreUpdate/strong");
-BENCHMARK(BM_StoreUpdate<vcdl::EventualStore>)->Name("BM_StoreUpdate/eventual");
+BENCHMARK_CAPTURE(BM_StoreUpdate, strong, "strong");
+BENCHMARK_CAPTURE(BM_StoreUpdate, eventual, "eventual");
 
 void BM_SchedulerRequest(benchmark::State& state) {
   const bool affinity = state.range(0) != 0;

@@ -7,16 +7,15 @@
 //   * end-to-end: the same training job run against both stores — the strong
 //     store loses nothing but takes longer; the eventual store drops a few
 //     percent of updates with no material accuracy loss;
-//   * raw in-memory throughput of both store implementations under real
-//     concurrent threads (ours, not the paper's — shows the data structures
-//     are not the bottleneck; the modeled transaction latency is).
+//   * raw in-memory throughput of the store under each consistency with real
+//     concurrent threads (ours, not the paper's — shows the data structure
+//     is not the bottleneck; the modeled transaction latency is).
 #include <chrono>
 #include <iostream>
 #include <thread>
 
 #include "bench_common.hpp"
-#include "storage/eventual_store.hpp"
-#include "storage/strong_store.hpp"
+#include "storage/kvstore.hpp"
 
 namespace {
 
@@ -98,13 +97,12 @@ int main(int argc, char** argv) {
   // 4. Raw data-structure throughput with real threads.
   const int threads = static_cast<int>(cfg.get_int("threads", 4));
   const int ops = static_cast<int>(cfg.get_int("ops", 2000));
-  StrongStore strong;
-  EventualStore eventual;
   Table raw({"store", "threads", "updates/s (in-memory)"});
-  raw.add_row({"eventual", Table::fmt(static_cast<std::size_t>(threads)),
-               Table::fmt(measure_throughput(eventual, threads, ops), 0)});
-  raw.add_row({"strong", Table::fmt(static_cast<std::size_t>(threads)),
-               Table::fmt(measure_throughput(strong, threads, ops), 0)});
+  for (const char* kind : {"eventual", "strong"}) {
+    raw.add_row({kind, Table::fmt(static_cast<std::size_t>(threads)),
+                 Table::fmt(measure_throughput(*make_store(kind), threads, ops),
+                            0)});
+  }
   std::cout << "\n";
   raw.print(std::cout);
   std::cout << "(in-memory structure cost is negligible against the modeled "

@@ -14,6 +14,11 @@
 
 namespace vcdl {
 
+namespace {
+// vCPUs one validation's forward passes can use on the server instance.
+constexpr double kPsThreads = 2.0;
+}  // namespace
+
 Blob encode_upload(WireMode mode, const ShardPlan& plan,
                    std::span<const float> base, std::span<const float> params,
                    std::uint64_t base_version, ThreadPool* pool) {
@@ -71,7 +76,6 @@ void VcAsgdAssimilator::publish_initial(const std::vector<float>& params) {
                 ? ShardPlan::single(params.size())
                 : options_.plan;
     base_rings_.assign(plan_.shards(), {});
-    shard_stats_.assign(plan_.shards(), {});
   }
   // Checkpoint replay re-enters here with rewound params while commits_
   // stays put; clear the rings so no stale pre-crash base survives under
@@ -85,12 +89,11 @@ void VcAsgdAssimilator::publish_initial(const std::vector<float>& params) {
 }
 
 SimTime VcAsgdAssimilator::validation_time() const {
-  // Busy workers share the server instance's vCPUs; each wants ps_threads.
+  // Busy workers share the server instance's vCPUs; each wants kPsThreads.
   const std::size_t busy = std::max<std::size_t>(1, server_.active_assimilations());
   const double share =
       static_cast<double>(server_instance_.vcpus) / static_cast<double>(busy);
-  const double eff =
-      std::min(static_cast<double>(options_.ps_threads), share);
+  const double eff = std::min(kPsThreads, share);
   return options_.validate_work / (server_instance_.clock_ghz * eff);
 }
 
@@ -157,7 +160,7 @@ void VcAsgdAssimilator::remember_base() {
 }
 
 std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
-    const Blob& payload, std::vector<ShardWireStats>* counts) const {
+    const Blob& payload, bool peek) const {
   const bool bundle = is_shard_bundle(payload);
   if (!bundle && !is_wire_frame(payload)) return load_params(payload);
   // A bare frame is a one-part bundle.
@@ -166,7 +169,7 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
   if (parts.size() != plan_.shards()) {
     // A bundle from a different plan (or a sabotaged client) cannot be
     // routed; drop it like a ring-missed delta.
-    if (counts != nullptr) metrics_.frames_dropped.inc();
+    if (!peek) metrics_.frames_dropped.inc();
     return std::nullopt;
   }
   std::vector<float> out(plan_.total());
@@ -177,21 +180,16 @@ std::optional<std::vector<float>> VcAsgdAssimilator::decode_upload(
     std::span<const float> base;
     if (it != ring.end() && it->second.hash == frame.base_hash) {
       base = it->second.params;
-      if (counts != nullptr) {
-        metrics_.frames_decoded.inc();
-        ++(*counts)[s].frames_decoded;
-      }
+      if (!peek) metrics_.frames_decoded.inc();
     } else {
       // Peek has no fallback: an undecodable replica must stay
       // incomparable, not coincidentally match.
-      if (counts == nullptr) return std::nullopt;
+      if (peek) return std::nullopt;
       metrics_.base_misses.inc();
-      ++(*counts)[s].base_misses;
       if (frame.mode == WireMode::delta) {
         // One undecodable bit-space part poisons the whole vector, so the
         // upload is dropped rather than blended.
         metrics_.frames_dropped.inc();
-        ++(*counts)[s].frames_dropped;
         return std::nullopt;
       }
       // q8 diffs live in float space: against the published slice the
@@ -257,7 +255,7 @@ void VcAsgdAssimilator::try_assimilate(
 
   const double alpha = schedule_.alpha(env->unit.epoch);
 
-  if (store_.kind() == "strong") {
+  if (store_.consistency() == Consistency::strong) {
     // MySQL-like: the read-blend-write is one serializable transaction; the
     // virtual lock makes concurrent workers queue, then each pays the full
     // 1.29 s update latency. Validation happens outside the transaction.
@@ -315,7 +313,7 @@ VcAsgdAssimilator::Blend VcAsgdAssimilator::blend(const ResultEnvelope& env,
   Blend blended;
   blended.params = read_shards(blended.read_versions);
   std::optional<std::vector<float>> client =
-      decode_upload(env.payload, &shard_stats_);
+      decode_upload(env.payload, /*peek=*/false);
   if (client.has_value() &&
       blend_outlier(blended.params, *client,
                     options_.blend_outlier_threshold)) {

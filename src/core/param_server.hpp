@@ -65,8 +65,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   struct Options {
     double validate_work = 110.0;          // abstract compute per validation
     std::size_t validation_subsample = 128;
-    std::size_t ps_threads = 2;            // vCPUs one validation can use
-    std::string params_key = "params";
     /// Wire codec for parameter traffic (common/wire_codec.hpp). With a
     /// non-`full` mode, the parameter file is published delta-capable and
     /// client uploads arrive as frames decoded against the base ring.
@@ -81,20 +79,11 @@ class VcAsgdAssimilator : public AssimilatorBackend {
     /// survive (or bypass) replica consensus. 0 disables the guard.
     double blend_outlier_threshold = 0.0;
     /// Sharded parameter plane (core/shard_plan.hpp): each shard gets its
-    /// own store key ("<params_key>/<i>"), parameter file, version ring and
+    /// own store key ("params/<i>"), parameter file, version ring and
     /// wire-codec base ring; the VC-ASGD blend and the commit run per shard
     /// slice. An empty plan (default) means one monolithic shard — store
     /// keys, traces and metrics identical to the pre-shard plane.
     ShardPlan plan;
-  };
-
-  /// Per-shard upload wire-codec accounting. Across all shards these sum to
-  /// the global wire_codec.* registry counters — the set-equality invariant
-  /// tests/test_shard_plane.cpp holds at every shard count.
-  struct ShardWireStats {
-    std::uint64_t frames_decoded = 0;
-    std::uint64_t base_misses = 0;
-    std::uint64_t frames_dropped = 0;
   };
 
   /// `on_assimilated(epoch, subtask_val_acc)` fires once per assimilated
@@ -125,7 +114,7 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   void publish_initial(const std::vector<float>& params);
 
   /// Worker pool for the validation forward passes (null = serial). Models
-  /// the parameter server's ps_threads vCPUs doing the real compute.
+  /// the parameter server's vCPUs doing the real compute.
   void set_exec_pool(ThreadPool* pool) { exec_.pool = pool; }
 
   /// Commits applied so far — the logical clock gradient age is measured in.
@@ -136,18 +125,13 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   /// publish_initial for a monolithic configuration).
   const ShardPlan& plan() const { return plan_; }
 
-  /// Per-shard upload decode counters, indexed by shard.
-  const std::vector<ShardWireStats>& shard_wire_stats() const {
-    return shard_stats_;
-  }
-
   /// Side-effect-free payload decode for replica-consensus equivalence
   /// (ConsensusDecoder): the peek mode of decode_upload. No metrics move and
   /// no fallback decode happens — a ring-missed frame returns nullopt (it
   /// forms a singleton class rather than mispairing with honest replicas).
   /// Malformed payloads never reach here (the grid server validates first).
   std::optional<std::vector<float>> peek_decode(const Blob& payload) const {
-    return decode_upload(payload, /*counts=*/nullptr);
+    return decode_upload(payload, /*peek=*/true);
   }
 
   /// Called by the trainer when a client *starts computing* `unit`: records
@@ -162,7 +146,7 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   SimTime validation_time() const;
   /// Store key / file name for shard `s` ("params" on a one-shard plan).
   std::string shard_key(std::size_t s) const {
-    return plan_.shard_key(options_.params_key, s);
+    return plan_.shard_key(kParamsName, s);
   }
   /// Synchronously reads every shard's store value into one full vector.
   /// The per-shard KvStore calls happen inside a single virtual-time read
@@ -214,10 +198,10 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   ///    other base they decode to arbitrary floats — so the whole upload is
   ///    dropped (nullopt).
   /// Hits, misses and drops are counted in the wire_codec.* registry
-  /// counters and in `*counts` per shard. With `counts` null (peek mode)
-  /// nothing is counted and any ring miss returns nullopt.
-  std::optional<std::vector<float>> decode_upload(
-      const Blob& payload, std::vector<ShardWireStats>* counts) const;
+  /// counters. In peek mode nothing is counted and any ring miss returns
+  /// nullopt.
+  std::optional<std::vector<float>> decode_upload(const Blob& payload,
+                                                  bool peek) const;
   /// Records the just-committed published copy in the base ring and prunes
   /// versions no in-flight unit is pinned to.
   void remember_base();
@@ -282,7 +266,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   std::vector<std::map<std::uint64_t, BaseEntry>> base_rings_;
   // Resolved at publish_initial (Options::plan, or single(total)).
   ShardPlan plan_;
-  std::vector<ShardWireStats> shard_stats_;
 };
 
 }  // namespace vcdl

@@ -26,6 +26,10 @@
 
 namespace vcdl {
 
+/// Base name of the parameter plane's store keys and parameter files;
+/// ShardPlan::shard_key derives each shard's name from it.
+inline constexpr const char* kParamsName = "params";
+
 class ShardPlan {
  public:
   struct Slice {

@@ -136,8 +136,7 @@ TrainResult VcTrainer::run() {
   wg_opts.num_shards = spec_.num_shards;
   wg_opts.subtask_timeout_s = spec_.subtask_timeout_s;
   wg_opts.replication = spec_.replication;
-  wg_opts.param_shards = spec_.param_shards;
-  WorkGenerator work_gen(scheduler, files, trace_, engine, wg_opts);
+  WorkGenerator work_gen(scheduler, files, trace_, engine, shard_plan, wg_opts);
 
   std::vector<Blob> shard_blobs;
   shard_blobs.reserve(shards.count());
@@ -232,7 +231,7 @@ TrainResult VcTrainer::run() {
   std::uint64_t subtask_counter = 0;
   std::vector<std::string> checkpoint_keys;
   for (std::size_t s = 0; s < shard_plan.shards(); ++s) {
-    checkpoint_keys.push_back(shard_plan.shard_key("params", s));
+    checkpoint_keys.push_back(shard_plan.shard_key(kParamsName, s));
   }
   Checkpointer checkpointer(
       *store, std::move(checkpoint_keys),

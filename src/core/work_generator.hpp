@@ -7,8 +7,7 @@
 // of converting a training job into a data parallel training job."
 #pragma once
 
-#include <string>
-
+#include "core/shard_plan.hpp"
 #include "grid/file_server.hpp"
 #include "grid/scheduler.hpp"
 #include "sim/trace.hpp"
@@ -21,18 +20,13 @@ class WorkGenerator {
     std::size_t num_shards = 50;
     SimTime subtask_timeout_s = 300.0;
     std::size_t replication = 1;
-    std::string arch_file = "arch";
-    std::string params_file = "params";
-    std::string shard_prefix = "shard/";
-    /// Parameter-plane shard count (core/shard_plan.hpp): at > 1 each
-    /// workunit references every per-shard parameter file
-    /// ("<params_file>/<i>") in one parallel fetch group. 1 = the single
-    /// monolithic parameter ref.
-    std::size_t param_shards = 1;
   };
 
+  /// `plan` is the parameter plane's slicing: each workunit references
+  /// every shard's parameter file (ShardPlan::shard_key), at more than one
+  /// shard in a single parallel fetch group.
   WorkGenerator(Scheduler& scheduler, FileServer& files, TraceLog& trace,
-                SimEngine& engine, Options options);
+                SimEngine& engine, ShardPlan plan, Options options);
 
   /// Publishes the architecture file and the (sticky, wire-compressed)
   /// shard files. Call once before the first epoch.
@@ -41,12 +35,6 @@ class WorkGenerator {
   /// Creates the epoch's workunits (one per shard). Epochs are 1-based.
   void generate_epoch(std::size_t epoch);
 
-  std::string shard_file(std::size_t shard) const {
-    return options_.shard_prefix + std::to_string(shard);
-  }
-  /// Parameter file for one plane shard ("params" at param_shards = 1,
-  /// "params/<i>" otherwise — matching ShardPlan::shard_key).
-  std::string param_file(std::size_t shard) const;
   std::size_t epochs_generated() const { return epochs_generated_; }
 
  private:
@@ -54,6 +42,7 @@ class WorkGenerator {
   FileServer& files_;
   TraceLog& trace_;
   SimEngine& engine_;
+  ShardPlan plan_;
   Options options_;
   WorkunitId next_id_ = 1;
   std::size_t epochs_generated_ = 0;

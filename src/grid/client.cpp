@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -27,6 +26,16 @@ SimClient::SimClient(ClientId id, InstanceType instance, ClientConfig config,
   VCDL_CHECK(execute_ != nullptr, "SimClient: null execute callback");
 }
 
+template <typename F>
+void SimClient::schedule_tracked(SimTime delay, F fn) {
+  const std::uint64_t key = ++scheduled_;
+  pending_events_.emplace(
+      key, engine_.schedule(delay, [this, key, fn = std::move(fn)]() mutable {
+        pending_events_.erase(key);
+        fn();
+      }));
+}
+
 void SimClient::start() {
   scheduler_.register_client(id_);
   up_ = true;
@@ -44,11 +53,10 @@ void SimClient::stop() {
 void SimClient::schedule_poll(SimTime delay) {
   if (stopped_ || !up_ || poll_scheduled_) return;
   poll_scheduled_ = true;
-  const EventId id = engine_.schedule(delay, [this] {
+  schedule_tracked(delay, [this] {
     poll_scheduled_ = false;
     poll();
   });
-  track(id);
 }
 
 void SimClient::poll() {
@@ -137,8 +145,7 @@ void SimClient::attempt_download(const Workunit& unit, std::size_t attempt) {
   const SimTime dl = download_time(unit) * fault.time_factor;
   metrics_.download_s.observe(dl);
   trace_.record(engine_.now(), TraceKind::download, name(), unit.label());
-  const EventId id = engine_.schedule(dl, [this, unit] { exec_unit(unit); });
-  track(id);
+  schedule_tracked(dl, [this, unit] { exec_unit(unit); });
 }
 
 void SimClient::exec_unit(const Workunit& unit) {
@@ -154,10 +161,9 @@ void SimClient::exec_unit(const Workunit& unit) {
   }
   metrics_.exec_s.observe(exec_s);
   auto payload = std::make_shared<Blob>(std::move(outcome.payload));
-  const EventId id = engine_.schedule(exec_s, [this, unit, payload] {
+  schedule_tracked(exec_s, [this, unit, payload] {
     finish_unit(unit, std::move(*payload));
   });
-  track(id);
 }
 
 void SimClient::finish_unit(const Workunit& unit, Blob payload) {
@@ -185,23 +191,21 @@ void SimClient::attempt_upload(const Workunit& unit,
                                             server_instance_, rng_) *
                      fault.time_factor;
   metrics_.upload_s.observe(up);
-  const EventId id =
-      engine_.schedule(up, [this, unit, payload, attempt] {
-        if (!server_.is_up()) {
-          // The grid server is down: the upload bounced. Back off and retry —
-          // the server may have recovered (checkpoint replay) by then.
-          transfer_failed(unit, TransferStage::upload, payload, attempt);
-          return;
-        }
-        trace_.record(engine_.now(), TraceKind::upload, name(), unit.label());
-        metrics_.bytes_uploaded.inc(payload->size());
-        VCDL_CHECK(active_ > 0, "SimClient: completion without active subtask");
-        --active_;
-        metrics_.completed.inc();
-        server_.submit_result(id_, unit, std::move(*payload));
-        schedule_poll(0.0);  // a slot just freed up
-      });
-  track(id);
+  schedule_tracked(up, [this, unit, payload, attempt] {
+    if (!server_.is_up()) {
+      // The grid server is down: the upload bounced. Back off and retry —
+      // the server may have recovered (checkpoint replay) by then.
+      transfer_failed(unit, TransferStage::upload, payload, attempt);
+      return;
+    }
+    trace_.record(engine_.now(), TraceKind::upload, name(), unit.label());
+    metrics_.bytes_uploaded.inc(payload->size());
+    VCDL_CHECK(active_ > 0, "SimClient: completion without active subtask");
+    --active_;
+    metrics_.completed.inc();
+    server_.submit_result(id_, unit, std::move(*payload));
+    schedule_poll(0.0);  // a slot just freed up
+  });
 }
 
 void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
@@ -225,22 +229,19 @@ void SimClient::transfer_failed(const Workunit& unit, TransferStage stage,
   }
   metrics_.retries.inc();
   const SimTime delay = config_.retry.delay(attempt, rng_);
-  const EventId id = engine_.schedule(delay, [this, unit, stage, payload,
-                                              attempt] {
+  schedule_tracked(delay, [this, unit, stage, payload, attempt] {
     if (stage == TransferStage::download) {
       attempt_download(unit, attempt + 1);
     } else {
       attempt_upload(unit, payload, attempt + 1);
     }
   });
-  track(id);
 }
 
 void SimClient::arm_preemption() {
   const SimTime next = config_.preemption.sample_next(rng_);
   if (!std::isfinite(next)) return;
-  const EventId id = engine_.schedule(next, [this] { preempt(); });
-  track(id);
+  schedule_tracked(next, [this] { preempt(); });
 }
 
 void SimClient::preempt() {
@@ -261,9 +262,7 @@ void SimClient::preempt() {
   seen_versions_.clear();
   scheduler_.clear_cache(id_);
   exec_.arena.release();
-  const EventId id =
-      engine_.schedule(config_.preemption.downtime_s, [this] { restore(); });
-  track(id);
+  schedule_tracked(config_.preemption.downtime_s, [this] { restore(); });
 }
 
 void SimClient::restore() {
@@ -278,8 +277,7 @@ void SimClient::restore() {
 void SimClient::arm_availability() {
   if (!config_.availability.enabled()) return;
   const SimTime next = config_.availability.sample_up(rng_);
-  const EventId id = engine_.schedule(next, [this] { go_offline(); });
-  track(id);
+  schedule_tracked(next, [this] { go_offline(); });
 }
 
 void SimClient::go_offline() {
@@ -295,8 +293,7 @@ void SimClient::go_offline() {
   poll_scheduled_ = false;
   // The volunteer's disk survives: sticky cache intact (unlike a preemption).
   const SimTime down = config_.availability.sample_down(rng_);
-  const EventId id = engine_.schedule(down, [this] { come_online(); });
-  track(id);
+  schedule_tracked(down, [this] { come_online(); });
 }
 
 void SimClient::come_online() {
@@ -310,11 +307,7 @@ void SimClient::come_online() {
 }
 
 void SimClient::cancel_pending() {
-  // Copy: cancel() mutates nothing here, but keep iteration safe anyway.
-  std::vector<EventId> ids;
-  ids.reserve(pending_events_.size());
-  for (const auto& [seq, id] : pending_events_) ids.push_back(id);
-  for (const EventId id : ids) engine_.cancel(id);
+  for (const auto& [key, id] : pending_events_) engine_.cancel(id);
   pending_events_.clear();
 }
 

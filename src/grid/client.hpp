@@ -92,6 +92,10 @@ class SimClient {
   bool is_up() const { return up_; }
   const InstanceType& instance() const { return instance_; }
   std::size_t active_subtasks() const { return active_; }
+  /// Events this client scheduled that have neither run nor been cancelled:
+  /// its poll, preemption and availability timers and its subtasks' next
+  /// steps.
+  std::size_t pending_events() const { return pending_events_.size(); }
 
  private:
   enum class TransferStage { download, upload };
@@ -117,8 +121,10 @@ class SimClient {
   bool needs_transfer(const Workunit& unit) const;
   /// Simulated download time for the unit's inputs; updates caches.
   SimTime download_time(const Workunit& unit);
-  void track(EventId id) { pending_events_.emplace(id.seq, id); }
-  void untrack(std::uint64_t seq) { pending_events_.erase(seq); }
+  /// Schedules `fn` after `delay`, tracked for cancel_pending() until it
+  /// runs.
+  template <typename F>
+  void schedule_tracked(SimTime delay, F fn);
   void cancel_pending();
   std::string name() const { return "client-" + std::to_string(id_); }
 
@@ -173,9 +179,11 @@ class SimClient {
   // FileServer pull protocol encodes against. Wiped on preemption (the
   // replacement instance holds no copy), kept across offline periods.
   std::map<std::string, std::uint64_t> seen_versions_;
-  // Whole EventId handles keyed by seq (cancel() needs the slot half too);
+  // Whole EventId handles (cancel() needs the slot half too) of the events
+  // that have not run yet, keyed by a per-client schedule counter;
   // cancellable on preemption.
   std::map<std::uint64_t, EventId> pending_events_;
+  std::uint64_t scheduled_ = 0;
 };
 
 }  // namespace vcdl

@@ -21,7 +21,6 @@ void FileServer::publish(const std::string& name, Blob payload,
   auto& e = files_[name];
   e.wire_size =
       compress_on_wire ? compressed_size(payload.view()) : payload.size();
-  e.compressed = compress_on_wire;
   e.delta_capable = delta_capable;
   e.payload = std::make_shared<const Blob>(std::move(payload));
   ++e.version;
@@ -61,14 +60,6 @@ std::size_t FileServer::wire_size(const std::string& name) const {
 
 void FileServer::record_cache_hit() { metrics_.cache_hits.inc(); }
 
-std::shared_ptr<const Blob> FileServer::fetch(const std::string& name) {
-  const Entry& e = entry(name);
-  metrics_.fetches.inc();
-  metrics_.bytes_raw.inc(e.payload->size());
-  metrics_.bytes_wire.inc(e.wire_size);
-  return e.payload;
-}
-
 std::size_t FileServer::delta_wire_size(Entry& e, std::uint64_t have_version) {
   const auto cached = e.delta_sizes.find(have_version);
   if (cached != e.delta_sizes.end()) return cached->second;
@@ -100,11 +91,9 @@ FileServer::PullReceipt FileServer::pull(const std::string& name,
       }
     }
     if (receipt.was_delta) {
-      ++e.wire_stats.delta_pulls;
       metrics_.delta_pulls.inc();
     } else {
       // Base aged out of the ring, or the delta did not beat the full blob.
-      ++e.wire_stats.delta_fallbacks;
       metrics_.delta_fallbacks.inc();
     }
   }
@@ -115,19 +104,12 @@ FileServer::PullReceipt FileServer::pull(const std::string& name,
   if (e.delta_capable) {
     metrics_.bytes_delta_wire.inc(receipt.wire_bytes);
     metrics_.bytes_delta_full.inc(e.wire_size);
-    e.wire_stats.bytes_delta_wire += receipt.wire_bytes;
-    e.wire_stats.bytes_delta_full += e.wire_size;
   }
   return receipt;
 }
 
 FileServer::Stats FileServer::stats() const {
   return {metrics_.delta_pulls.value(), metrics_.delta_fallbacks.value()};
-}
-
-const FileServer::FileWireStats& FileServer::file_wire_stats(
-    const std::string& name) const {
-  return entry(name).wire_stats;
 }
 
 }  // namespace vcdl

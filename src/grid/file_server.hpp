@@ -70,31 +70,14 @@ class FileServer {
   /// Bytes a full-blob transfer is charged for.
   std::size_t wire_size(const std::string& name) const;
 
-  /// Fetches the payload; records serving stats and bills the full wire
-  /// size. The returned payload stays valid across republishes.
-  std::shared_ptr<const Blob> fetch(const std::string& name);
-
   /// Download protocol: a client that last downloaded `have_version` of the
   /// file (0 = never) gets the current payload, billed at the delta wire
   /// size when the codec and ring allow it, the full wire size otherwise.
+  /// The receipt's payload stays valid across republishes.
   PullReceipt pull(const std::string& name, std::uint64_t have_version);
 
   /// Called by clients when a sticky-file cache hit avoids a transfer.
   void record_cache_hit();
-
-  /// Per-file slice of the delta-protocol counters (zeroes for files never
-  /// pulled under the delta protocol). Summed over every file these equal
-  /// the registry's file_server.* counters — the per-shard wire-accounting
-  /// invariant the sharded parameter plane is tested against
-  /// (tests/test_shard_plane.cpp).
-  struct FileWireStats {
-    std::uint64_t delta_pulls = 0;
-    std::uint64_t delta_fallbacks = 0;
-    std::uint64_t bytes_delta_wire = 0;
-    std::uint64_t bytes_delta_full = 0;
-  };
-  /// Throws NotFound for an unpublished name.
-  const FileWireStats& file_wire_stats(const std::string& name) const;
 
   Stats stats() const;
 
@@ -103,14 +86,12 @@ class FileServer {
     std::shared_ptr<const Blob> payload;
     std::uint64_t version = 0;
     std::size_t wire_size = 0;
-    bool compressed = false;
     bool delta_capable = false;
     // version -> payload for the current + recent versions (delta bases).
     std::map<std::uint64_t, std::shared_ptr<const Blob>> ring;
     // from-version -> encoded delta size against the *current* version;
     // cleared on publish, filled lazily on first pull per base version.
     std::map<std::uint64_t, std::size_t> delta_sizes;
-    FileWireStats wire_stats;
   };
 
   const Entry& entry(const std::string& name) const;

@@ -72,7 +72,6 @@ class GridServer {
   /// starts; the decoder is typically the assimilator's peek_decode.
   void enable_consensus(ConsensusBuffer::Config config,
                         ConsensusDecoder decoder);
-  bool consensus_enabled() const { return consensus_ != nullptr; }
   /// Replicas currently parked awaiting quorum (0 when consensus is off).
   std::size_t held_replicas() const;
 
@@ -97,7 +96,6 @@ class GridServer {
   /// Parameter servers currently processing a result — used by backends to
   /// model CPU contention on the shared server instance.
   std::size_t active_assimilations() const { return active_; }
-  std::size_t parameter_servers() const { return ps_.size(); }
   std::size_t queued_results() const;
 
   /// Receives a periodic snapshot of the run's metrics registry.

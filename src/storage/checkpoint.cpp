@@ -4,18 +4,6 @@
 
 namespace vcdl {
 
-Checkpointer::Checkpointer(KvStore& store, std::string key, Republish republish,
-                           obs::Registry& metrics)
-    : store_(store), keys_{std::move(key)},
-      snapshots_(metrics.counter("checkpoint.snapshots")),
-      restores_(metrics.counter("checkpoint.restores")) {
-  VCDL_CHECK(!keys_.front().empty(), "Checkpointer: empty key");
-  VCDL_CHECK(republish != nullptr, "Checkpointer: null republish hook");
-  republish_ = [single = std::move(republish)](const std::vector<Blob>& blobs) {
-    single(blobs.front());
-  };
-}
-
 Checkpointer::Checkpointer(KvStore& store, std::vector<std::string> keys,
                            RepublishAll republish, obs::Registry& metrics)
     : store_(store), keys_(std::move(keys)), republish_(std::move(republish)),

@@ -25,12 +25,11 @@ namespace vcdl {
 class Checkpointer {
  public:
   /// `republish` re-installs a snapshot as the authoritative parameter state
-  /// (typically VcAsgdAssimilator::publish_initial: store put + file-server
-  /// publish + published-copy reset).
-  using Republish = std::function<void(const Blob&)>;
-  /// Multi-key variant for the sharded parameter plane: one blob per shard
-  /// key, in key order — a snapshot is only taken when every key is present
-  /// (shards commit in lockstep, so a partial set never exists).
+  /// (typically through VcAsgdAssimilator::publish_initial: store put +
+  /// file-server publish + published-copy reset). It receives one blob per
+  /// key, in key order — one per shard of the parameter plane. A snapshot is
+  /// only taken when every key is present (shards commit in lockstep, so a
+  /// partial set never exists).
   using RepublishAll = std::function<void(const std::vector<Blob>&)>;
 
   /// Optional side-channel for non-parameter state (RNG stream cursors,
@@ -42,9 +41,7 @@ class Checkpointer {
   using CaptureState = std::function<Blob()>;
   using RestoreState = std::function<void(const Blob&)>;
 
-  /// Both count snapshots and restores into `metrics`, the run's registry.
-  Checkpointer(KvStore& store, std::string key, Republish republish,
-               obs::Registry& metrics);
+  /// Counts snapshots and restores into `metrics`, the run's registry.
   Checkpointer(KvStore& store, std::vector<std::string> keys,
                RepublishAll republish, obs::Registry& metrics);
 

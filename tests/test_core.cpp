@@ -190,7 +190,8 @@ TEST(WorkGenerator, PublishesAndGeneratesInOrder) {
   FileServer files;
   WorkGenerator::Options opts;
   opts.num_shards = 4;
-  WorkGenerator gen(scheduler, files, trace, engine, opts);
+  WorkGenerator gen(scheduler, files, trace, engine, ShardPlan::single(8),
+                    opts);
 
   std::vector<Blob> shards;
   for (int i = 0; i < 4; ++i) {
@@ -219,7 +220,8 @@ TEST(WorkGenerator, ShardBlobCountMustMatch) {
   FileServer files;
   WorkGenerator::Options opts;
   opts.num_shards = 3;
-  WorkGenerator gen(scheduler, files, trace, engine, opts);
+  WorkGenerator gen(scheduler, files, trace, engine, ShardPlan::single(8),
+                    opts);
   std::vector<Blob> two(2, Blob(std::vector<std::uint8_t>(8, 1)));
   EXPECT_THROW(gen.publish_static(Blob(), std::move(two)), Error);
 }
@@ -233,7 +235,8 @@ TEST(WorkGenerator, UnitInputsReferencePublishedFiles) {
   WorkGenerator::Options opts;
   opts.num_shards = 2;
   opts.subtask_timeout_s = 123.0;
-  WorkGenerator gen(scheduler, files, trace, engine, opts);
+  WorkGenerator gen(scheduler, files, trace, engine, ShardPlan::single(8),
+                    opts);
   std::vector<Blob> shards(2, Blob(std::vector<std::uint8_t>(8, 1)));
   gen.publish_static(Blob(std::vector<std::uint8_t>(8, 2)), std::move(shards));
   files.publish("params", Blob(std::vector<std::uint8_t>(8, 3)), true);
@@ -252,6 +255,40 @@ TEST(WorkGenerator, UnitInputsReferencePublishedFiles) {
     EXPECT_TRUE(wu.inputs[0].sticky);   // architecture
     EXPECT_TRUE(wu.inputs[2].sticky);   // shard
   }
+}
+
+TEST(WorkGenerator, ShardedPlanFetchesEveryParameterFileInOneGroup) {
+  SimEngine engine;
+  TraceLog trace;
+  Scheduler scheduler;
+  scheduler.register_client(0);
+  FileServer files;
+  WorkGenerator::Options opts;
+  opts.num_shards = 1;
+  const ShardPlan plan = ShardPlan::build({4, 4, 4}, 3);
+  WorkGenerator gen(scheduler, files, trace, engine, plan, opts);
+  gen.publish_static(Blob(std::vector<std::uint8_t>(8, 2)),
+                     {Blob(std::vector<std::uint8_t>(8, 1))});
+  for (std::size_t s = 0; s < 2; ++s) {
+    files.publish(plan.shard_key("params", s),
+                  Blob(std::vector<std::uint8_t>(8, 3)), true);
+  }
+  // Every shard's parameter file must be published first.
+  EXPECT_THROW(gen.generate_epoch(1), Error);
+  files.publish("params/2", Blob(std::vector<std::uint8_t>(8, 3)), true);
+  gen.generate_epoch(1);
+  const auto units = scheduler.request_work(0, 1, 0.0);
+  ASSERT_EQ(units.size(), 1u);
+  const auto& inputs = units[0].inputs;
+  ASSERT_EQ(inputs.size(), 5u);
+  EXPECT_EQ(inputs[0].name, "arch");
+  EXPECT_EQ(inputs[4].name, "shard/0");
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(inputs[1 + s].name, "params/" + std::to_string(s));
+    EXPECT_FALSE(inputs[1 + s].sticky);
+    EXPECT_EQ(inputs[1 + s].fetch_group, 1u);
+  }
+  EXPECT_EQ(inputs[0].fetch_group, 0u);
 }
 
 }  // namespace

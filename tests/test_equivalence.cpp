@@ -131,8 +131,11 @@ TEST(Equivalence, CheckpointerStateHooksRewindSideState) {
   auto store = make_store("eventual", metrics);
   std::vector<float> published;
   Checkpointer cp(
-      *store, "params",
-      [&](const Blob& blob) { published = load_params(blob); }, metrics);
+      *store, {"params"},
+      [&](const std::vector<Blob>& blobs) {
+        published = load_params(blobs.front());
+      },
+      metrics);
   std::uint64_t counter = 7;
   cp.set_state_hooks(
       [&] {

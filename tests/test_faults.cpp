@@ -148,9 +148,9 @@ TEST(Checkpointer, SnapshotRestoreRoundTrip) {
   Blob replayed;
   int replays = 0;
   Checkpointer cp(
-      *store, "params",
-      [&](const Blob& b) {
-        replayed = b;
+      *store, {"params"},
+      [&](const std::vector<Blob>& blobs) {
+        replayed = blobs.front();
         ++replays;
       },
       metrics);

@@ -242,10 +242,10 @@ TEST(Fuzz, DecompressNeverCrashesOnGarbage) {
 
 // --- Parameter stores: shadow-model fuzz ------------------------------------
 //
-// Random get/put/update/erase sequences against BOTH store kinds, mirrored
+// Random get/put/update/erase sequences against BOTH consistencies, mirrored
 // into an exact shadow model of the documented semantics — versions bump on
-// every write, EventualStore counts a lost update whenever a write's
-// read_version is stale, StrongStore never loses anything.
+// every write, a stale read_version counts a lost update, and a strong
+// store's update() never loses anything.
 
 TEST(Fuzz, StoreMatchesShadowModelUnderRandomOps) {
   PropConfig cfg;
@@ -403,7 +403,7 @@ Blob encode_counter(std::uint64_t value) {
   return w.take();
 }
 
-TEST(Fuzz, ConcurrentStrongStoreUpdatesNeverLoseIncrements) {
+TEST(Fuzz, ConcurrentStrongUpdatesNeverLoseIncrements) {
   constexpr std::size_t kThreads = 4;
   const std::size_t per_thread =
       200 * static_cast<std::size_t>(testing::soak_multiplier());
@@ -428,7 +428,7 @@ TEST(Fuzz, ConcurrentStrongStoreUpdatesNeverLoseIncrements) {
   EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
 }
 
-TEST(Fuzz, ConcurrentEventualStoreCountsEveryLostIncrement) {
+TEST(Fuzz, ConcurrentEventualUpdatesCountEveryLostIncrement) {
   constexpr std::size_t kThreads = 4;
   const std::size_t per_thread =
       200 * static_cast<std::size_t>(testing::soak_multiplier());

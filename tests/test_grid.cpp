@@ -1,3 +1,5 @@
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "grid/client.hpp"
@@ -32,13 +34,13 @@ TEST(FileServer, CompressedWireSizeSmallerForRuns) {
   fs.publish("runs", payload_of(10000), /*compress=*/true);
   EXPECT_LT(fs.wire_size("runs"), 1000u);
   EXPECT_EQ(fs.raw_size("runs"), 10000u);
-  // Payload fetch returns the uncompressed bytes.
-  EXPECT_EQ(fs.fetch("runs")->size(), 10000u);
+  // A pull returns the uncompressed bytes.
+  EXPECT_EQ(fs.pull("runs", 0).payload->size(), 10000u);
 }
 
 TEST(FileServer, MissingFileThrows) {
   FileServer fs;
-  EXPECT_THROW(fs.fetch("nope"), NotFound);
+  EXPECT_THROW(fs.pull("nope", 0), NotFound);
   EXPECT_THROW(fs.version("nope"), NotFound);
 }
 
@@ -46,8 +48,8 @@ TEST(FileServer, StatsAccumulate) {
   obs::Registry metrics;
   FileServer fs(metrics);
   fs.publish("f", payload_of(1000), true);
-  (void)fs.fetch("f");
-  (void)fs.fetch("f");
+  (void)fs.pull("f", 0);
+  (void)fs.pull("f", 0);
   fs.record_cache_hit();
   const obs::MetricsSnapshot s = metrics.snapshot();
   EXPECT_EQ(s.counter("file_server.publishes"), 1u);
@@ -368,10 +370,12 @@ struct Harness {
   struct RecordingBackend : AssimilatorBackend {
     SimEngine& engine;
     std::vector<WorkunitId> seen;
+    std::set<std::size_t> parameter_servers;  // ps_index of each assimilation
     explicit RecordingBackend(SimEngine& e) : engine(e) {}
-    void assimilate(ResultEnvelope env, std::size_t,
+    void assimilate(ResultEnvelope env, std::size_t ps_index,
                     std::function<void()> on_done) override {
       seen.push_back(env.unit.id);
+      parameter_servers.insert(ps_index);
       engine.schedule(1.0, [cb = std::move(on_done)] { cb(); });
     }
   };
@@ -512,7 +516,7 @@ TEST(GridIntegration, RoundRobinAcrossParameterServers) {
   client->stop();
   h.engine.run();
   EXPECT_EQ(h.count("server.results_assimilated"), 6u);
-  EXPECT_EQ(h.server.parameter_servers(), 2u);
+  EXPECT_EQ(h.backend.parameter_servers, (std::set<std::size_t>{0, 1}));
 }
 
 TEST(GridIntegration, ReplicatedUnitSurvivesPreemptedHolder) {

@@ -136,6 +136,23 @@ TEST(SimClientTest, StopCancelsEverythingPending) {
   EXPECT_EQ(h.count("client.completed"), 0u);
 }
 
+TEST(SimClientTest, ForgetsEventsOnceTheyRun) {
+  ClientHarness h;
+  h.add_units(40);
+  ClientConfig cfg;
+  cfg.max_concurrent = 2;
+  auto client = h.make(cfg);
+  client->start();
+  // Every event the client scheduled has run, been cancelled or is still in
+  // the engine's queue; only the last kind may stay tracked.
+  while (!h.scheduler.all_done() && h.engine.step()) {
+    ASSERT_LE(client->pending_events(), h.engine.pending());
+  }
+  EXPECT_EQ(h.count("client.completed"), 40u);
+  client->stop();
+  EXPECT_EQ(client->pending_events(), 0u);
+}
+
 TEST(SimClientTest, ExecJitterIsDeterministicPerSeed) {
   auto run_once = [](std::uint64_t seed) {
     ClientHarness h;

@@ -9,8 +9,7 @@
 #include "nn/model_io.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/snapshot.hpp"
-#include "storage/eventual_store.hpp"
-#include "storage/strong_store.hpp"
+#include "storage/kvstore.hpp"
 
 namespace vcdl {
 namespace {

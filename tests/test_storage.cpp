@@ -4,8 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/snapshot.hpp"
-#include "storage/eventual_store.hpp"
-#include "storage/strong_store.hpp"
+#include "storage/kvstore.hpp"
 
 namespace vcdl {
 namespace {
@@ -18,7 +17,7 @@ Blob blob_of(std::uint64_t v) {
 
 std::uint64_t value_of(const Blob& b) { return BinaryReader(b).read<std::uint64_t>(); }
 
-// --- Shared semantics across both stores ------------------------------------
+// --- Shared semantics across both consistencies -----------------------------
 
 class StoreKinds : public ::testing::TestWithParam<const char*> {
  protected:
@@ -93,19 +92,24 @@ TEST(StoreFactory, RejectsUnknownKind) {
   EXPECT_THROW(make_store("mysql"), Error);
 }
 
+TEST(StoreFactory, NamesSelectConsistency) {
+  EXPECT_EQ(make_store("strong")->consistency(), Consistency::strong);
+  EXPECT_EQ(make_store("eventual")->consistency(), Consistency::eventual);
+}
+
 // --- Consistency semantics under real concurrency ---------------------------
 
-TEST(StrongStore, ConcurrentUpdatesNeverLost) {
+TEST(StrongConsistency, ConcurrentUpdatesNeverLost) {
   obs::Registry metrics;
-  StrongStore store(metrics);
-  store.put("counter", blob_of(0), 0);
+  const auto store = make_store("strong", metrics);
+  store->put("counter", blob_of(0), 0);
   constexpr int kThreads = 8;
   constexpr int kIncrements = 500;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store] {
       for (int i = 0; i < kIncrements; ++i) {
-        store.update("counter", [](const Blob* current) {
+        store->update("counter", [](const Blob* current) {
           return blob_of(value_of(*current) + 1);
         });
       }
@@ -113,15 +117,15 @@ TEST(StrongStore, ConcurrentUpdatesNeverLost) {
   }
   for (auto& t : threads) t.join();
   // Serializable: every increment is applied exactly once.
-  EXPECT_EQ(value_of(store.get("counter")->value),
+  EXPECT_EQ(value_of(store->get("counter")->value),
             static_cast<std::uint64_t>(kThreads * kIncrements));
   EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
 }
 
-TEST(EventualStore, ConcurrentUpdatesCanBeLost) {
+TEST(EventualConsistency, ConcurrentUpdatesCanBeLost) {
   obs::Registry metrics;
-  EventualStore store(metrics);
-  store.put("counter", blob_of(0), 0);
+  const auto store = make_store("eventual", metrics);
+  store->put("counter", blob_of(0), 0);
   constexpr int kThreads = 8;
   constexpr int kIncrements = 2000;
   std::vector<std::thread> threads;
@@ -130,15 +134,16 @@ TEST(EventualStore, ConcurrentUpdatesCanBeLost) {
       for (int i = 0; i < kIncrements; ++i) {
         // Manual read-modify-write with a widened race window: this is what
         // update() does, made reliably racy on any scheduler.
-        const auto current = store.get("counter");
+        const auto current = store->get("counter");
         std::this_thread::yield();
-        store.put("counter", blob_of(current ? value_of(current->value) + 1 : 1),
-                  current ? current->version : 0);
+        store->put("counter",
+                   blob_of(current ? value_of(current->value) + 1 : 1),
+                   current ? current->version : 0);
       }
     });
   }
   for (auto& t : threads) t.join();
-  const auto final_value = value_of(store.get("counter")->value);
+  const auto final_value = value_of(store->get("counter")->value);
   const auto expected = static_cast<std::uint64_t>(kThreads * kIncrements);
   // Last-writer-wins: some read-modify-writes raced and were clobbered.
   EXPECT_LE(final_value, expected);
@@ -149,45 +154,45 @@ TEST(EventualStore, ConcurrentUpdatesCanBeLost) {
   if (final_value < expected) EXPECT_GE(lost, 1u);
 }
 
-TEST(EventualStore, StaleReadVersionCountsAsLostUpdate) {
+TEST(EventualConsistency, StaleReadVersionCountsAsLostUpdate) {
   obs::Registry metrics;
-  EventualStore store(metrics);
-  store.put("k", blob_of(1), 0);       // version 1
-  const auto snapshot = store.get("k");
-  store.put("k", blob_of(2), snapshot->version);  // fine: still version 1
+  const auto store = make_store("eventual", metrics);
+  store->put("k", blob_of(1), 0);       // version 1
+  const auto snapshot = store->get("k");
+  store->put("k", blob_of(2), snapshot->version);  // fine: still version 1
   EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
   // A writer still holding version 1 now clobbers version 2.
-  store.put("k", blob_of(3), snapshot->version);
+  store->put("k", blob_of(3), snapshot->version);
   EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 1u);
-  EXPECT_EQ(value_of(store.get("k")->value), 3u);  // LWW
+  EXPECT_EQ(value_of(store->get("k")->value), 3u);  // LWW
 }
 
-TEST(EventualStore, BlindWritesNeverCountAsLost) {
+TEST(EventualConsistency, BlindWritesNeverCountAsLost) {
   obs::Registry metrics;
-  EventualStore store(metrics);
-  store.put("k", blob_of(1), 0);
-  store.put("k", blob_of(2), 0);
+  const auto store = make_store("eventual", metrics);
+  store->put("k", blob_of(1), 0);
+  store->put("k", blob_of(2), 0);
   EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
 }
 
-TEST(StrongStore, StaleReadVersionPutCountsAsLostUpdate) {
+TEST(StrongConsistency, StaleReadVersionPutCountsAsLostUpdate) {
   // put() is last-writer-wins on the strong store too — only update() is the
   // serialized read-modify-write. A get→put misuse must be observable, not
   // silently discarded with the read_version argument.
   obs::Registry metrics;
-  StrongStore store(metrics);
-  store.put("k", blob_of(1), 0);  // version 1
-  const auto snapshot = store.get("k");
-  store.put("k", blob_of(2), snapshot->version);  // fine: still version 1
+  const auto store = make_store("strong", metrics);
+  store->put("k", blob_of(1), 0);  // version 1
+  const auto snapshot = store->get("k");
+  store->put("k", blob_of(2), snapshot->version);  // fine: still version 1
   EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 0u);
   // A writer still holding version 1 now clobbers version 2.
-  store.put("k", blob_of(3), snapshot->version);
+  store->put("k", blob_of(3), snapshot->version);
   EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 1u);
-  EXPECT_EQ(value_of(store.get("k")->value), 3u);  // LWW
+  EXPECT_EQ(value_of(store->get("k")->value), 3u);  // LWW
 
   // Blind writes and correctly-versioned writes stay clean.
-  store.put("k", blob_of(4), 0);
-  store.put("k", blob_of(5), store.get("k")->version);
+  store->put("k", blob_of(4), 0);
+  store->put("k", blob_of(5), store->get("k")->version);
   EXPECT_EQ(metrics.snapshot().counter("store.lost_updates"), 1u);
 }
 
@@ -227,9 +232,9 @@ TEST(KvStore, StalePutsChargeEachClobberedVersionOnce) {
   }
 }
 
-TEST(StrongStore, ContentionIsObservable) {
+TEST(StrongConsistency, ContentionIsObservable) {
   obs::Registry metrics;
-  StrongStore store(metrics);
+  const auto store = make_store("strong", metrics);
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -237,7 +242,7 @@ TEST(StrongStore, ContentionIsObservable) {
       while (!go.load()) {
       }
       for (int i = 0; i < 200; ++i) {
-        store.update("k", [](const Blob*) { return Blob(); });
+        store->update("k", [](const Blob*) { return Blob(); });
       }
     });
   }
@@ -257,14 +262,8 @@ TEST(LatencyModels, MatchPaperMeasurements) {
 }
 
 TEST(LatencyModels, DefaultsAttachedToStores) {
-  EXPECT_NEAR(EventualStore().latency().update_s(), 0.87, 1e-9);
-  EXPECT_NEAR(StrongStore().latency().update_s(), 1.29, 1e-9);
-}
-
-TEST(LatencyModels, Overridable) {
-  EventualStore store;
-  store.set_latency(StoreLatencyModel{.read_s = 0.1, .write_s = 0.2});
-  EXPECT_NEAR(store.latency().update_s(), 0.3, 1e-12);
+  EXPECT_NEAR(make_store("eventual")->latency().update_s(), 0.87, 1e-9);
+  EXPECT_NEAR(make_store("strong")->latency().update_s(), 1.29, 1e-9);
 }
 
 }  // namespace

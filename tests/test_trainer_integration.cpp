@@ -61,7 +61,7 @@ TEST(TrainerIntegration, DeterministicForSeed) {
   EXPECT_NE(a.epochs.back().end_time, c.epochs.back().end_time);
 }
 
-TEST(TrainerIntegration, StrongStoreCompletesWithoutLostUpdates) {
+TEST(TrainerIntegration, StrongConsistencyCompletesWithoutLostUpdates) {
   ExperimentSpec spec = tiny_spec();
   spec.store = "strong";
   const TrainResult result = run_experiment(spec);
@@ -70,7 +70,7 @@ TEST(TrainerIntegration, StrongStoreCompletesWithoutLostUpdates) {
   EXPECT_GE(result.metrics.counter("store.writes"), 16u);  // one per assimilation + init
 }
 
-TEST(TrainerIntegration, StrongStoreIsSlowerThanEventual) {
+TEST(TrainerIntegration, StrongConsistencyIsSlowerThanEventual) {
   ExperimentSpec eventual = tiny_spec();
   ExperimentSpec strong = tiny_spec();
   strong.store = "strong";

@@ -383,7 +383,7 @@ TEST(FileServerPull, FullModeBillsExactlyLikeFetch) {
             2 * fs.wire_size("params"));
 }
 
-// Satellite regression: fetch()/pull() payloads are version-pinned. Before
+// Satellite regression: pull() payloads are version-pinned. Before
 // the shared_ptr payload, publish() replaced the Entry's Blob in place and a
 // held reference dangled — exactly the lifetime of an in-flight simulated
 // transfer that straddles a republish.
@@ -396,7 +396,7 @@ TEST(FileServerPull, PayloadSurvivesRepublishMidTransfer) {
   fs.publish("params", std::move(v1), true, true);
 
   // Transfer starts: the client holds the version-1 payload...
-  const std::shared_ptr<const Blob> in_flight = fs.fetch("params");
+  const std::shared_ptr<const Blob> in_flight = fs.pull("params", 0).payload;
   // ...and the assimilator republishes twice before it completes.
   fs.publish("params", republished_blob(rng, v1_copy), true, true);
   fs.publish("params", param_blob(rng, 3000), true, true);
