@@ -11,9 +11,9 @@ set -euo pipefail
 BUILD_DIR="${1:?usage: ci/multicore.sh <build-dir>}"
 
 # The suites whose tests run real threads: the store and assimilator fuzz,
-# the worker pool, ExecContext forward/backward, the GEMM kernels and the
-# metrics registry.
-MULTICORE_REGEX='^(test_fuzz|test_thread_pool|test_exec_threading|test_kernels|test_obs)$'
+# the store's concurrent updates, the worker pool, ExecContext
+# forward/backward, the GEMM kernels and the metrics registry.
+MULTICORE_REGEX='^(test_fuzz|test_storage|test_thread_pool|test_exec_threading|test_kernels|test_obs)$'
 
 echo "nproc: $(nproc)"
 # --no-tests=error: a regex that matches nothing must fail the stage, not

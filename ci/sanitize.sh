@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build the project with ASan+UBSan and run the tier-1 test suite under them,
 # then rebuild with TSan and run the threading-sensitive suites (the worker
-# pool, the GEMM kernels, and the ExecContext forward/backward paths).
+# pool, the GEMM kernels, the ExecContext forward/backward paths, and the
+# parameter store's concurrent updates).
 #
 # Usage: ci/sanitize.sh [extra ctest args...]   (extra args apply to the
 # ASan/UBSan stage only). Set VCDL_SKIP_TSAN=1 to run just the first stage,
@@ -58,7 +59,7 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # vector tier the host dispatches (plus a shared 4-thread pool), so the TSan
 # stage exercises the packed-panel sharing and caller-participation paths
 # with SIMD enabled — not just the scalar fallback.
-TSAN_REGEX="${VCDL_TSAN_REGEX:-test_thread_pool|test_tensor|test_nn_layers|test_nn_model|test_exec_threading|test_kernels|test_obs|test_wire_codec|test_consensus|test_shard_plane|test_fleet}"
+TSAN_REGEX="${VCDL_TSAN_REGEX:-test_thread_pool|test_tensor|test_nn_layers|test_nn_model|test_exec_threading|test_kernels|test_obs|test_wire_codec|test_consensus|test_shard_plane|test_fleet|test_storage}"
 # Explicit status propagation: the TSan ctest is the last command, but making
 # the exit code visible keeps the contract obvious (and ci/test_ci_scripts.sh
 # asserts a failing stage fails the script).

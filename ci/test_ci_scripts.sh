@@ -60,7 +60,7 @@ check "failing test status propagates" \
 #    build, so the regex can never silently select nothing.
 for suite in test_thread_pool test_tensor test_nn_layers test_nn_model \
              test_exec_threading test_kernels test_obs test_wire_codec \
-             test_consensus test_shard_plane test_fleet; do
+             test_consensus test_shard_plane test_fleet test_storage; do
   check "tsan target ${suite} registered" \
     bash -c "ctest --test-dir '${BUILD_DIR}' -N -R '^${suite}\$' \
                2>/dev/null | grep -q 'Total Tests: 1'"
@@ -91,14 +91,20 @@ check "soak.sh tsan regex includes test_fleet" \
 # (ObsDeterminism.RunsDoNotShareMetrics), the race TSan exists to catch.
 check "sanitize.sh tsan regex includes test_obs" \
   bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_obs"
+# And the storage suite: its strong-consistency atomic-update and
+# eventual-consistency lost-update tests run the store's locking on 4-8 real
+# threads.
+check "sanitize.sh tsan regex includes test_storage" \
+  bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_storage"
 
 # 7. The multicore repeat stage keeps its empty-regex guard, and every suite
 #    its regex names is registered, so the stage can never repeat nothing.
-#    test_obs must stay among them: it holds the concurrent-runs test.
+#    test_obs must stay among them: it holds the concurrent-runs test; so
+#    must test_storage: it holds the store's real-thread update tests.
 check "multicore.sh ctest call guarded" \
   grep -qE -- '^ctest .*--no-tests=error' ci/multicore.sh
-for suite in test_fuzz test_thread_pool test_exec_threading test_kernels \
-             test_obs; do
+for suite in test_fuzz test_storage test_thread_pool test_exec_threading \
+             test_kernels test_obs; do
   check "multicore target ${suite} registered" \
     bash -c "ctest --test-dir '${BUILD_DIR}' -N -R '^${suite}\$' \
                2>/dev/null | grep -q 'Total Tests: 1'"
