@@ -10,8 +10,8 @@
 // in-memory operation itself is fast; the model is what an experiment bills.
 //
 // In a simulated run the consistency semantics live in the assimilator
-// (core/param_server.hpp), which reads consistency() to pick its
-// virtual-time path:
+// (core/param_server.hpp), which reads consistency() to pick how it
+// schedules a read-blend-write in simulated time:
 //
 //  * strong   — each read-blend-write holds the assimilator's transaction
 //    lock, so concurrent workers queue and no update is lost;
