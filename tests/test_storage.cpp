@@ -151,7 +151,9 @@ TEST(EventualConsistency, ConcurrentUpdatesCanBeLost) {
   // With 8 threads hammering one key, losses actually happen — and every
   // deficit implies at least one detected stale write.
   EXPECT_GT(lost, 0u);
-  if (final_value < expected) EXPECT_GE(lost, 1u);
+  if (final_value < expected) {
+    EXPECT_GE(lost, 1u);
+  }
 }
 
 TEST(EventualConsistency, StaleReadVersionCountsAsLostUpdate) {
