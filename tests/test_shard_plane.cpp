@@ -6,7 +6,9 @@
 // pre-shard monolithic build, so a param_shards=1 run through the refactored
 // plane must reproduce them bit for bit — TraceDigest, metrics-snapshot
 // fingerprint and published parameters alike. Goldens of the same kind pin
-// the bundled (2 and 4 shards), consensus and chaos paths. Mutation checks
+// the bundled (2 and 4 shards), consensus and chaos paths, adversaries that
+// attack only some results, the periodic metrics timeline, and preemption
+// with two crashes replayed from checkpoints. Mutation checks
 // flip the core/test_hooks.hpp sabotage flags and require the oracles to
 // fail, which proves they have teeth. The rest of the suite covers the
 // slicing edge cases, the cross-shard blend property (concatenated
@@ -20,6 +22,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/rng.hpp"
 #include "common/wire_codec.hpp"
 #include "core/param_server.hpp"
 #include "core/shard_plan.hpp"
@@ -291,11 +294,16 @@ struct RunFingerprint {
   std::uint64_t events = 0;
 };
 
-RunFingerprint fingerprint_of(const ExperimentSpec& spec) {
+// `result`, when given, receives the run's TrainResult.
+RunFingerprint fingerprint_of(const ExperimentSpec& spec,
+                              TrainResult* result = nullptr) {
   VcTrainer t(spec);
-  const TrainResult r = t.run();
-  return {t.trace().digest().hash, r.metrics.fingerprint(),
-          params_hash(r.final_params), t.trace().digest().events};
+  TrainResult r = t.run();
+  const RunFingerprint fp{t.trace().digest().hash, r.metrics.fingerprint(),
+                          params_hash(r.final_params),
+                          t.trace().digest().events};
+  if (result != nullptr) *result = std::move(r);
+  return fp;
 }
 
 ExperimentSpec plane_spec(const char* codec, const char* store,
@@ -394,6 +402,115 @@ TEST(ShardPlane, ConsensusRunsMatchGoldens) {
 TEST(ShardPlane, ChaosRunsMatchGoldens) {
   for (const PlaneGolden& g : kChaosGoldens) {
     expect_golden(g, fingerprint_of(chaos_spec(g)));
+  }
+}
+
+// byzantine_spec with adversaries that attack only some of their results,
+// so each attack is a Bernoulli draw: a noise adversary at attack_prob 0.5
+// and a colluding scale adversary at 0.7, each at full/eventual with one
+// shard and at delta/strong with two. `attacks` is faults.byzantine_result.
+struct AdversaryGolden {
+  PlaneGolden plane;
+  AttackMode mode;
+  double attack_prob;
+  bool collude;
+  std::uint64_t attacks;
+};
+constexpr AdversaryGolden kPartialAttackGoldens[] = {
+    {{"full", "eventual", 1, 0x321e778e9b387063ULL, 0x909bd6b9817d03a9ULL,
+      0x5f2933280c9c1243ULL, 411},
+     AttackMode::noise, 0.5, false, 7},
+    {{"delta", "strong", 2, 0x6967b50e234ead08ULL, 0xcfc8bd4b7ad7e408ULL,
+      0x585e6c83078c192fULL, 411},
+     AttackMode::noise, 0.5, false, 7},
+    {{"full", "eventual", 1, 0x2b75b4ef6ee38416ULL, 0xb6929ba953d8042dULL,
+      0x8bbd0165458bcd72ULL, 426},
+     AttackMode::scale, 0.7, true, 12},
+    {{"delta", "strong", 2, 0x1550558fa8571a2dULL, 0x69881e4334481fb3ULL,
+      0x246e87cc1dd4fd1cULL, 426},
+     AttackMode::scale, 0.7, true, 12},
+};
+
+TEST(ShardPlane, PartialAttackRunsMatchGoldens) {
+  for (const AdversaryGolden& g : kPartialAttackGoldens) {
+    ExperimentSpec spec = byzantine_spec(g.plane);
+    spec.adversary.mode = g.mode;
+    spec.adversary.attack_prob = g.attack_prob;
+    spec.adversary.collude = g.collude;
+    TrainResult r;
+    expect_golden(g.plane, fingerprint_of(spec, &r));
+    EXPECT_EQ(r.metrics.counter("faults.byzantine_result"), g.attacks)
+        << g.plane.codec << " shards=" << g.plane.shards;
+  }
+}
+
+// chaos_spec with a 60 s metrics-snapshot period. `timeline` hashes each
+// sample's time bits and snapshot fingerprint, in order.
+struct TimelineGolden {
+  PlaneGolden plane;
+  std::size_t samples;
+  std::uint64_t timeline;
+};
+constexpr TimelineGolden kTimelineGoldens[] = {
+    {{"full", "eventual", 1, 0x0d74dc78527b723dULL, 0xa7987157218528caULL,
+      0x3696e0e6d92a22cdULL, 186},
+     16, 0x7bea58ccc536f929ULL},
+    {{"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0x75dab7948c2532a7ULL,
+      0x94afeccd95c49b03ULL, 195},
+     18, 0xa9ec9cb9e06cd712ULL},
+};
+
+std::uint64_t timeline_hash(const std::vector<MetricsSample>& timeline) {
+  std::uint64_t h = 0;
+  for (const MetricsSample& sample : timeline) {
+    std::uint64_t time_bits = 0;
+    std::memcpy(&time_bits, &sample.time, sizeof time_bits);
+    h = mix64(mix64(h, time_bits), sample.snapshot.fingerprint());
+  }
+  return h;
+}
+
+TEST(ShardPlane, ChaosTimelinesMatchGoldens) {
+  for (const TimelineGolden& g : kTimelineGoldens) {
+    ExperimentSpec spec = chaos_spec(g.plane);
+    spec.metrics_snapshot_period_s = 60.0;
+    TrainResult r;
+    expect_golden(g.plane, fingerprint_of(spec, &r));
+    EXPECT_EQ(r.metric_timeline.size(), g.samples) << g.plane.codec;
+    EXPECT_EQ(timeline_hash(r.metric_timeline), g.timeline) << g.plane.codec;
+  }
+}
+
+// Preemptible clients at 6 interruptions per hour, and grid-server crashes
+// at 150 s and 320 s replayed from 60 s checkpoints.
+struct PreemptionGolden {
+  PlaneGolden plane;
+  std::uint64_t preemptions;
+  std::uint64_t restores;
+};
+constexpr PreemptionGolden kPreemptionGoldens[] = {
+    {{"full", "eventual", 1, 0x5765876e33928f92ULL, 0xf1cc98fafcf0741eULL,
+      0x645ed8795cef07acULL, 228},
+     2, 2},
+    {{"delta", "eventual", 2, 0x9b61ae6f584cd30fULL, 0x4da569319d39b57fULL,
+      0xa506c08a846b1958ULL, 196},
+     2, 2},
+};
+
+TEST(ShardPlane, PreemptionWithCrashesMatchesGoldens) {
+  for (const PreemptionGolden& g : kPreemptionGoldens) {
+    ExperimentSpec spec = plane_spec(g.plane.codec, g.plane.store,
+                                     g.plane.shards);
+    spec.preemptible = true;
+    spec.interruption_per_hour = 6.0;
+    spec.faults.server_crashes = {150.0, 320.0};
+    spec.checkpoint_interval_s = 60.0;
+    TrainResult r;
+    expect_golden(g.plane, fingerprint_of(spec, &r));
+    EXPECT_EQ(r.metrics.counter("client.preemptions"), g.preemptions)
+        << g.plane.codec;
+    EXPECT_EQ(r.metrics.counter("checkpoint.restores"), g.restores)
+        << g.plane.codec;
   }
 }
 
