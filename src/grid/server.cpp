@@ -1,6 +1,5 @@
 #include "grid/server.hpp"
 
-#include "obs/snapshot.hpp"
 #include "sim/engine.hpp"
 
 namespace vcdl {
@@ -217,30 +216,6 @@ void GridServer::maybe_start(std::size_t ps_index) {
     trace_.record(engine_.now(), TraceKind::assimilated,
                   "ps-" + std::to_string(ps_index), label);
     maybe_start(ps_index);
-  });
-}
-
-void GridServer::enable_metrics_snapshots(SimTime period_s, SnapshotSink sink) {
-  VCDL_CHECK(period_s > 0.0, "GridServer: snapshot period must be positive");
-  VCDL_CHECK(sink != nullptr, "GridServer: null snapshot sink");
-  VCDL_CHECK(snapshot_period_s_ == 0.0,
-             "GridServer: snapshot hook already enabled");
-  snapshot_period_s_ = period_s;
-  snapshot_sink_ = std::move(sink);
-  schedule_snapshot();
-}
-
-void GridServer::stop_metrics_snapshots() {
-  snapshot_period_s_ = 0.0;
-  snapshot_sink_ = nullptr;
-}
-
-void GridServer::schedule_snapshot() {
-  engine_.schedule(snapshot_period_s_, [this] {
-    // Stopped between scheduling and firing: let the event drain as a no-op.
-    if (snapshot_period_s_ == 0.0) return;
-    snapshot_sink_(engine_.now(), metrics_.registry.snapshot());
-    schedule_snapshot();
   });
 }
 

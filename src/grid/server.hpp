@@ -19,7 +19,7 @@
 // (Scheduler::reissue_lost), held consensus replicas are flushed and reissued
 // (Scheduler::reissue_replica), and the crash bumps a generation counter that
 // backends check so stale assimilation chains abort instead of committing
-// pre-crash state. The caller replays the last Checkpointer snapshot before
+// pre-crash state. The caller replays its last parameter checkpoint before
 // restore() so clients resume from the checkpoint.
 #pragma once
 
@@ -98,19 +98,6 @@ class GridServer {
   std::size_t active_assimilations() const { return active_; }
   std::size_t queued_results() const;
 
-  /// Receives a periodic snapshot of the run's metrics registry.
-  using SnapshotSink =
-      std::function<void(SimTime, const obs::MetricsSnapshot&)>;
-
-  /// Starts delivering a registry snapshot to `sink` every `period_s` of
-  /// virtual time (first delivery one period from now). The hook is a
-  /// self-rescheduling engine event; it keeps firing across crashes (the
-  /// telemetry pipeline is not the crashing process) until stopped.
-  void enable_metrics_snapshots(SimTime period_s, SnapshotSink sink);
-  /// Stops the hook; the pending event fires once more as a no-op so the
-  /// engine can drain.
-  void stop_metrics_snapshots();
-
  private:
   struct PsWorker {
     std::deque<ResultEnvelope> queue;
@@ -119,7 +106,6 @@ class GridServer {
   };
 
   void maybe_start(std::size_t ps_index);
-  void schedule_snapshot();
   /// Feeds a consensus promotion through the legacy accept path: credits the
   /// winner (and agreeing duplicates), reports the outvoted invalid, and
   /// queues the canonical envelope for assimilation.
@@ -159,8 +145,6 @@ class GridServer {
   std::size_t active_ = 0;
   bool up_ = true;
   std::uint64_t generation_ = 0;
-  SimTime snapshot_period_s_ = 0.0;  // 0 = hook disabled
-  SnapshotSink snapshot_sink_;
 };
 
 }  // namespace vcdl

@@ -140,43 +140,54 @@ bool AdversaryModel::is_adversary(std::size_t client) const {
   return std::binary_search(adversaries_.begin(), adversaries_.end(), client);
 }
 
-bool AdversaryModel::attack(std::vector<float>& params, std::uint64_t unit) {
-  if (adversaries_.empty() || params.empty()) return false;
+std::optional<Tamper> AdversaryModel::draw(std::uint64_t unit) {
+  if (adversaries_.empty()) return std::nullopt;
   if (plan_.attack_prob < 1.0 && !rng_.bernoulli(plan_.attack_prob)) {
-    return false;
+    return std::nullopt;
   }
-  switch (plan_.mode) {
+  Tamper tamper{.mode = plan_.mode,
+                .scale_factor = plan_.scale_factor,
+                .constant_value = plan_.constant_value,
+                .noise_sigma = plan_.noise_sigma};
+  if (plan_.mode == AttackMode::noise) {
+    // The stream is keyed by the workunit when colluding (identical payloads
+    // per unit across all adversaries) and by a fresh ordinal otherwise
+    // (replicas never agree).
+    const std::uint64_t key =
+        plan_.collude ? unit : mix64(unit, ++attack_ordinal_);
+    tamper.noise_seed = mix64(noise_seed_, key);
+  }
+  attacks_.inc();
+  return tamper;
+}
+
+void Tamper::apply(std::vector<float>& params) const {
+  switch (mode) {
     case AttackMode::sign_flip:
       for (float& p : params) p = -p;
       break;
     case AttackMode::scale:
-      for (float& p : params) p *= static_cast<float>(plan_.scale_factor);
+      for (float& p : params) p *= static_cast<float>(scale_factor);
       break;
     case AttackMode::constant:
-      for (float& p : params) p = plan_.constant_value;
+      for (float& p : params) p = constant_value;
       break;
     case AttackMode::noise: {
-      // Subtle poisoning: gaussian noise scaled to the vector's RMS. The
-      // stream is keyed by the workunit when colluding (identical payloads
-      // per unit across all adversaries) and by a fresh ordinal otherwise
-      // (replicas never agree).
+      // Subtle poisoning: gaussian noise scaled to the vector's RMS.
+      if (params.empty()) return;
       double sq = 0.0;
       for (const float p : params) {
         sq += static_cast<double>(p) * static_cast<double>(p);
       }
       const double rms = std::sqrt(sq / static_cast<double>(params.size()));
-      const double sigma = plan_.noise_sigma * std::max(rms, 1e-6);
-      const std::uint64_t key =
-          plan_.collude ? unit : mix64(unit, ++attack_ordinal_);
-      Rng noise(mix64(noise_seed_, key));
+      const double sigma = noise_sigma * std::max(rms, 1e-6);
+      Rng noise(noise_seed);
       for (float& p : params) {
         p += static_cast<float>(sigma * noise.normal());
       }
       break;
     }
   }
-  attacks_.inc();
-  return true;
 }
 
 SimTime RetryPolicy::delay(std::size_t attempt, Rng& rng) const {

@@ -15,12 +15,13 @@
 //     abandons the subtask via Scheduler::report_failure() after max_attempts
 //     (fast-fail requeue instead of waiting out the deadline);
 //   * GridServer::crash()/restore() drops un-assimilated results back into
-//     the ready queue and replays the last Checkpointer snapshot;
+//     the ready queue, and the trainer replays its last checkpoint;
 //   * the result validator catches corrupted payloads, which feed the
 //     scheduler's reliability EMA through Scheduler::report_invalid().
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,7 +117,7 @@ class FaultInjector {
 /// Every fault kind the stack can inject; each increments the obs counter
 /// "faults.<kind>" at its injection site (the first five here, in
 /// FaultInjector; "server_crash" in GridServer::crash; "byzantine_result" in
-/// AdversaryModel::attack). The coverage test asserts set equality against
+/// AdversaryModel::draw). The coverage test asserts set equality against
 /// the registry, so a new fault kind must land with its counter.
 const std::vector<std::string>& fault_kind_names();
 
@@ -161,8 +162,21 @@ struct AdversaryPlan {
   bool any() const { return fraction > 0.0; }
 };
 
+/// One attack's arithmetic, decided by AdversaryModel::draw. apply() reads
+/// nothing but these fields and the parameters it corrupts.
+struct Tamper {
+  AttackMode mode = AttackMode::sign_flip;
+  double scale_factor = -8.0;
+  float constant_value = 0.0f;
+  double noise_sigma = 0.25;
+  std::uint64_t noise_seed = 0;  // AttackMode::noise stream
+
+  /// Corrupts `params` in place.
+  void apply(std::vector<float>& params) const;
+};
+
 /// Selects the byzantine subset of the fleet (seeded, deterministic) and
-/// applies the plan's attack to their outgoing parameter payloads. The
+/// decides which of their outgoing parameter payloads are attacked. The
 /// attacked floats re-encode through the normal wire path, so checksums stay
 /// valid by construction.
 class AdversaryModel {
@@ -172,10 +186,12 @@ class AdversaryModel {
                  obs::Registry& metrics);
 
   bool is_adversary(std::size_t client) const;
-  /// Corrupts `params` in place per the plan; returns true when the attack
-  /// fired (counted under "faults.byzantine_result"). Deterministic per
-  /// (seed, unit, attack ordinal) — colluders keyed by unit alone.
-  bool attack(std::vector<float>& params, std::uint64_t unit);
+  /// Decides whether an adversary's result for `unit` is attacked: the
+  /// attack_prob draw, the noise key (the unit alone for colluders, the unit
+  /// and a fresh attack ordinal otherwise) and the "faults.byzantine_result"
+  /// count. nullopt leaves the result honest. Draws happen in call order, so
+  /// runs replay exactly.
+  std::optional<Tamper> draw(std::uint64_t unit);
 
   const std::vector<std::size_t>& adversaries() const { return adversaries_; }
   const AdversaryPlan& plan() const { return plan_; }

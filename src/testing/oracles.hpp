@@ -11,7 +11,8 @@
 //     client's parameters (server·0 + client·1), so replaying its subtasks
 //     as plain serial SGD reproduces the run's final parameters exactly;
 //   * checkpoint save/restore vs uninterrupted run — covered in
-//     tests/test_equivalence.cpp on top of the Checkpointer state hooks.
+//     tests/test_equivalence.cpp: a run's checkpoint rewinds its subtask
+//     counter with the params.
 //
 // Also hosts the miniature-job helpers the threading / integration /
 // equivalence suites previously duplicated per file.

@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -257,6 +258,15 @@ TEST(BlendOutlier, SizeMismatchAndNonFiniteAreOutliers) {
 
 // --- Adversary model ----------------------------------------------------------
 
+// The adversary's decision for `unit`, applied to `params`; false when the
+// result goes out honest.
+bool attack(AdversaryModel& adv, std::vector<float>& params,
+            std::uint64_t unit) {
+  const std::optional<Tamper> tamper = adv.draw(unit);
+  if (tamper) tamper->apply(params);
+  return tamper.has_value();
+}
+
 TEST(AdversaryModel, SelectionIsSeededAndRoundsToNearest) {
   obs::Registry metrics;
   AdversaryPlan plan;
@@ -283,7 +293,7 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
     plan.mode = AttackMode::sign_flip;
     AdversaryModel adv(plan, 1, Rng(1), metrics);
     std::vector<float> p = base;
-    EXPECT_TRUE(adv.attack(p, 1));
+    EXPECT_TRUE(attack(adv, p, 1));
     EXPECT_EQ(p, (std::vector<float>{-1.0f, 2.0f, -0.5f}));
     EXPECT_EQ(metrics.snapshot().counter("faults.byzantine_result"), 1u);
   }
@@ -294,7 +304,7 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
     plan.constant_value = 7.0f;
     AdversaryModel adv(plan, 1, Rng(1), metrics);
     std::vector<float> p = base;
-    EXPECT_TRUE(adv.attack(p, 1));
+    EXPECT_TRUE(attack(adv, p, 1));
     EXPECT_EQ(p, (std::vector<float>{7.0f, 7.0f, 7.0f}));
   }
   {
@@ -304,9 +314,24 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
     plan.scale_factor = -2.0;
     AdversaryModel adv(plan, 1, Rng(1), metrics);
     std::vector<float> p = base;
-    EXPECT_TRUE(adv.attack(p, 1));
+    EXPECT_TRUE(attack(adv, p, 1));
     EXPECT_EQ(p, (std::vector<float>{-2.0f, 4.0f, -1.0f}));
   }
+}
+
+TEST(AdversaryModel, DrawCountsOnlyTheResultsItAttacks) {
+  obs::Registry metrics;
+  AdversaryPlan plan;
+  plan.fraction = 1.0;
+  plan.attack_prob = 0.5;
+  AdversaryModel adv(plan, 1, Rng(3), metrics);
+  std::uint64_t attacked = 0;
+  for (std::uint64_t unit = 1; unit <= 200; ++unit) {
+    if (adv.draw(unit)) ++attacked;
+  }
+  EXPECT_GT(attacked, 0u);
+  EXPECT_LT(attacked, 200u);
+  EXPECT_EQ(metrics.snapshot().counter("faults.byzantine_result"), attacked);
 }
 
 TEST(AdversaryModel, CollusionKeysNoiseByUnitIndependentsDiverge) {
@@ -318,19 +343,19 @@ TEST(AdversaryModel, CollusionKeysNoiseByUnitIndependentsDiverge) {
   colluding.collude = true;
   AdversaryModel ring(colluding, 2, Rng(5), metrics);
   std::vector<float> a = base, b = base;
-  EXPECT_TRUE(ring.attack(a, 42));
-  EXPECT_TRUE(ring.attack(b, 42));
+  EXPECT_TRUE(attack(ring, a, 42));
+  EXPECT_TRUE(attack(ring, b, 42));
   EXPECT_EQ(a, b);  // same unit → bit-identical lie (they can win a quorum)
   std::vector<float> other_unit = base;
-  EXPECT_TRUE(ring.attack(other_unit, 43));
+  EXPECT_TRUE(attack(ring, other_unit, 43));
   EXPECT_NE(a, other_unit);
 
   AdversaryPlan independent = colluding;
   independent.collude = false;
   AdversaryModel lone(independent, 2, Rng(5), metrics);
   std::vector<float> x = base, y = base;
-  EXPECT_TRUE(lone.attack(x, 42));
-  EXPECT_TRUE(lone.attack(y, 42));
+  EXPECT_TRUE(attack(lone, x, 42));
+  EXPECT_TRUE(attack(lone, y, 42));
   EXPECT_NE(x, y);  // each attack draws its own noise: no accidental quorum
 }
 

@@ -3,8 +3,8 @@
 //
 //   * serial vs N-thread ExecContext training on random models,
 //   * P1C1T1 VC-ASGD with α = 0 vs a plain serial SGD replay (exact),
-//   * checkpoint save/restore vs uninterrupted execution (the Checkpointer
-//     state-hook channel added for RNG/counter state),
+//   * checkpoint save/restore vs uninterrupted execution (a run's checkpoint
+//     carries its subtask counter, which the task RNG streams fork from),
 //   * compress and model-blob codecs round-tripping bit-exactly.
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include "core/local_sgd.hpp"
 #include "core/trainer.hpp"
 #include "nn/model_io.hpp"
-#include "storage/checkpoint.hpp"
-#include "storage/kvstore.hpp"
 #include "tensor/exec_context.hpp"
 #include "testing/generators.hpp"
 #include "testing/oracles.hpp"
@@ -126,45 +124,6 @@ TEST(Equivalence, Alpha0SingleClientEqualsSerialSgdMlp) {
 
 // --- Checkpoint save/restore vs uninterrupted run ---------------------------
 
-TEST(Equivalence, CheckpointerStateHooksRewindSideState) {
-  obs::Registry metrics;
-  auto store = make_store("eventual", metrics);
-  std::vector<float> published;
-  Checkpointer cp(
-      *store, {"params"},
-      [&](const std::vector<Blob>& blobs) {
-        published = load_params(blobs.front());
-      },
-      metrics);
-  std::uint64_t counter = 7;
-  cp.set_state_hooks(
-      [&] {
-        BinaryWriter w;
-        w.write(counter);
-        return w.take();
-      },
-      [&](const Blob& blob) {
-        BinaryReader r(blob);
-        counter = r.read<std::uint64_t>();
-      });
-
-  const std::vector<float> v0 = {1.0f, 2.0f, 3.0f};
-  store->put("params", save_params(std::span<const float>(v0)));
-  ASSERT_TRUE(cp.snapshot());
-
-  // The run moves on: parameters change AND the side state advances.
-  counter = 99;
-  const std::vector<float> v1 = {9.0f, 9.0f, 9.0f};
-  store->put("params", save_params(std::span<const float>(v1)));
-
-  // Restore must rewind both channels together — parameters without the RNG
-  // cursor would resume a *different* randomness stream than the one the
-  // snapshot's parameters were trained with.
-  ASSERT_TRUE(cp.restore());
-  EXPECT_EQ(published, v0);
-  EXPECT_EQ(counter, 7u);
-}
-
 TEST(Equivalence, RngStateSnapshotMakesResumeEquivalent) {
   // Simulated interrupted computation: accumulate 40 normal draws. The
   // uninterrupted run and a run that snapshots at draw 20, "crashes", and
@@ -190,7 +149,7 @@ TEST(Equivalence, RngStateSnapshotMakesResumeEquivalent) {
 
 TEST(Equivalence, CrashRecoveryRunStaysDeterministic) {
   // A run with a mid-flight crash + checkpoint replay must reproduce itself
-  // exactly — restore() rewinding params AND the subtask RNG cursor is what
+  // exactly — the replay rewinding params AND the subtask counter is what
   // keeps the second run's post-crash randomness identical to the first's.
   ExperimentSpec spec = tiny_image_spec(/*trace=*/true);
   spec.faults.server_crashes = {200.0};

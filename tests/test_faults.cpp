@@ -1,5 +1,6 @@
-// Fault injection + end-to-end failure recovery tests (sim/faults.hpp,
-// storage/checkpoint.hpp, and the chaos acceptance run through VcTrainer).
+// Fault injection + end-to-end failure recovery tests (sim/faults.hpp, and
+// the chaos acceptance run through VcTrainer, whose crash recovery replays
+// the run's checkpoint).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,8 +10,6 @@
 #include "nn/model_io.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/faults.hpp"
-#include "storage/checkpoint.hpp"
-#include "storage/kvstore.hpp"
 
 namespace vcdl {
 namespace {
@@ -138,41 +137,6 @@ TEST(RetryPolicy, BackoffGrowsAndCaps) {
     EXPECT_GE(d, base);
     EXPECT_LE(d, base * 1.5);
   }
-}
-
-// --- Checkpointer ------------------------------------------------------------
-
-TEST(Checkpointer, SnapshotRestoreRoundTrip) {
-  obs::Registry metrics;
-  auto store = make_store("eventual", metrics);
-  Blob replayed;
-  int replays = 0;
-  Checkpointer cp(
-      *store, {"params"},
-      [&](const std::vector<Blob>& blobs) {
-        replayed = blobs.front();
-        ++replays;
-      },
-      metrics);
-  // Nothing published yet: both operations are no-ops.
-  EXPECT_FALSE(cp.snapshot());
-  EXPECT_FALSE(cp.restore());
-  EXPECT_FALSE(cp.has_snapshot());
-
-  const Blob v1(std::vector<std::uint8_t>(32, 0xA1));
-  store->put("params", v1, 0);
-  EXPECT_TRUE(cp.snapshot());
-  EXPECT_TRUE(cp.has_snapshot());
-
-  // Later updates land, then the server dies: restore replays the snapshot,
-  // not the newest value.
-  store->put("params", Blob(std::vector<std::uint8_t>(32, 0xB2)), 1);
-  EXPECT_TRUE(cp.restore());
-  EXPECT_EQ(replays, 1);
-  EXPECT_TRUE(replayed == v1);
-  EXPECT_EQ(cp.snapshots(), 1u);
-  EXPECT_EQ(metrics.snapshot().counter("checkpoint.snapshots"), 1u);
-  EXPECT_EQ(metrics.snapshot().counter("checkpoint.restores"), 1u);
 }
 
 // --- End-to-end chaos runs ---------------------------------------------------

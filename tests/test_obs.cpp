@@ -482,14 +482,13 @@ TEST(ObsCoverage, FaultKindsMatchRegisteredCounters) {
     server.crash();
     EXPECT_FALSE(server.is_up());
   }
-  // byzantine_result is metered at its site too, AdversaryModel::attack().
+  // byzantine_result is metered at its site too, AdversaryModel::draw().
   {
     AdversaryPlan plan;
     plan.fraction = 1.0;
     AdversaryModel adv(plan, 1, Rng(6), metrics);
-    std::vector<float> params = {1.0f, -2.0f, 3.0f};
     EXPECT_TRUE(adv.is_adversary(0));
-    EXPECT_TRUE(adv.attack(params, 1));
+    EXPECT_TRUE(adv.draw(1).has_value());
   }
 
   const MetricsSnapshot counted = metrics.snapshot();
