@@ -1,6 +1,6 @@
 // Pieces the cluster-paradigm baselines share: the per-epoch stats every
-// baseline reports, and, for the Downpour, DC-ASGD and EASGD workers, the
-// data deal, the minibatch cursor and the fail-worker rule.
+// baseline reports, and, for the Downpour and EASGD workers, the data deal,
+// the minibatch cursor and the fail-worker rule.
 #pragma once
 
 #include <algorithm>

@@ -3,8 +3,8 @@
 // A subtask trains the published W on one shard for a few passes and then
 // uploads the result. Every training minibatch in the vcdl library takes
 // the one path below: the trainer's subtasks and the serial baseline run
-// whole passes through train_local, and the Downpour, DC-ASGD and EASGD
-// worker steps, which interleave single steps across workers, call
+// whole passes through train_local, and the Downpour and EASGD worker
+// steps, which interleave single steps across workers, call
 // compute_gradients. Only the test oracles (testing/oracles.hpp) keep a
 // loop of their own, as the independent reference.
 #pragma once

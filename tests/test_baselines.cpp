@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/baselines/dcasgd.hpp"
 #include "core/baselines/downpour.hpp"
 #include "core/baselines/easgd.hpp"
 #include "core/baselines/serial.hpp"
@@ -146,65 +145,12 @@ TEST(EasgdBaseline, RejectsBadMovingRate) {
   EXPECT_THROW(run_easgd_baseline(spec), Error);
 }
 
-TEST(DcAsgdBaseline, LearnsUnderStaleness) {
-  DcAsgdSpec spec;
-  spec.data = tiny_data();
-  spec.model = tiny_model();
-  spec.workers = 3;
-  spec.max_epochs = 12;
-  spec.batch_size = 10;
-  spec.learning_rate = 0.05;  // plain SGD needs a larger step than Adam
-  spec.staleness = 4;
-  const DcAsgdResult result = run_dcasgd_baseline(spec);
-  ASSERT_EQ(result.epochs.size(), 12u);
-  EXPECT_GT(result.updates, 0u);
-  double best = 0.0;
-  for (const auto& e : result.epochs) best = std::max(best, e.val_acc);
-  EXPECT_GT(best, 0.25);
-}
-
-TEST(DcAsgdBaseline, CompensationActuallyApplied) {
-  DcAsgdSpec with;
-  with.data = tiny_data();
-  with.model = tiny_model();
-  with.max_epochs = 2;
-  with.staleness = 6;
-  with.lambda = 0.5;
-  const DcAsgdResult r = run_dcasgd_baseline(with);
-  EXPECT_GT(r.mean_compensation, 0.0);
-  DcAsgdSpec without = with;
-  without.lambda = 0.0;
-  EXPECT_DOUBLE_EQ(run_dcasgd_baseline(without).mean_compensation, 0.0);
-}
-
-TEST(DcAsgdBaseline, FailedWorkerReducesUpdates) {
-  DcAsgdSpec healthy;
-  healthy.data = tiny_data();
-  healthy.model = tiny_model();
-  healthy.workers = 4;
-  healthy.max_epochs = 3;
-  DcAsgdSpec faulty = healthy;
-  faulty.fail_worker = 1;
-  faulty.fail_after_epoch = 1;
-  const auto a = run_dcasgd_baseline(healthy);
-  const auto b = run_dcasgd_baseline(faulty);
-  EXPECT_GT(a.updates, b.updates);
-}
-
-TEST(DcAsgdBaseline, RejectsNegativeLambda) {
-  DcAsgdSpec spec;
-  spec.data = tiny_data();
-  spec.model = tiny_model();
-  spec.lambda = -0.1;
-  EXPECT_THROW(run_dcasgd_baseline(spec), Error);
-}
-
 // --- Pinned goldens ---------------------------------------------------------
 //
 // Every baseline's per-epoch accuracies and its counters, captured before
 // the baselines shared one minibatch step (core/local_sgd.hpp), so that
-// fold must reproduce them bit for bit. Four epochs: at two, Downpour,
-// DC-ASGD and EASGD all sit at chance and their accuracy hashes coincide.
+// fold must reproduce them bit for bit. Four epochs: at two, Downpour and
+// EASGD both sit at chance and their accuracy hashes coincide.
 
 // FNV-1a over the bit patterns of each epoch's val_acc and test_acc.
 std::uint64_t accuracy_bits(const std::vector<EpochStats>& epochs) {
@@ -249,24 +195,6 @@ TEST(BaselineGoldens, Downpour) {
   EXPECT_EQ(accuracy_bits(r.epochs), 0x43488e05adaeeaf7ULL);
   EXPECT_EQ(r.pushes, 28u);
   EXPECT_EQ(r.fetches, 28u);
-}
-
-TEST(BaselineGoldens, DcAsgd) {
-  DcAsgdSpec spec;
-  spec.data = tiny_data();
-  spec.model = tiny_model();
-  spec.workers = 3;
-  spec.max_epochs = 4;
-  spec.batch_size = 10;
-  spec.learning_rate = 0.05;
-  spec.fail_worker = 1;
-  spec.fail_after_epoch = 2;
-  const DcAsgdResult r = run_dcasgd_baseline(spec);
-  ASSERT_EQ(r.epochs.size(), 4u);
-  EXPECT_EQ(accuracy_bits(r.epochs), 0xf002dd475939f810ULL);
-  EXPECT_EQ(r.updates, 140u);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_compensation),
-            0x3d852c4b1432ad07ULL);
 }
 
 TEST(BaselineGoldens, Easgd) {
