@@ -117,7 +117,7 @@ void BM_ResNetLiteForward(benchmark::State& state) {
   vcdl::Rng rng(2);
   const vcdl::Tensor x = vcdl::Tensor::randn(vcdl::Shape{10, 3, 12, 12}, rng);
   for (auto _ : state) {
-    vcdl::Tensor y = model.forward(x, false);
+    vcdl::Tensor y = model.forward(x, vcdl::serial_exec_context());
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);

@@ -65,8 +65,8 @@ inline EpochStats baseline_epoch_stats(std::size_t epoch, SimTime end_time,
   EpochStats es;
   es.epoch = epoch;
   es.end_time = end_time;
-  es.val_acc = evaluate_accuracy(model, data.validation);
-  es.test_acc = evaluate_accuracy(model, data.test);
+  es.val_acc = evaluate_accuracy(model, data.validation, serial_exec_context());
+  es.test_acc = evaluate_accuracy(model, data.test, serial_exec_context());
   es.mean_subtask_acc = es.val_acc;
   es.min_subtask_acc = es.val_acc;
   es.max_subtask_acc = es.val_acc;

@@ -23,11 +23,6 @@ double evaluate_accuracy(Model& model, const Dataset& ds, ExecContext& ctx,
   return static_cast<double>(correct_weighted) / static_cast<double>(ds.size());
 }
 
-double evaluate_accuracy(Model& model, const Dataset& ds,
-                         std::size_t batch_size) {
-  return evaluate_accuracy(model, ds, serial_exec_context(), batch_size);
-}
-
 double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
                                    std::size_t subsample, Rng& rng,
                                    ExecContext& ctx, std::size_t batch_size) {
@@ -55,13 +50,6 @@ double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
   return static_cast<double>(correct) / static_cast<double>(subsample);
 }
 
-double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
-                                   std::size_t subsample, Rng& rng,
-                                   std::size_t batch_size) {
-  return evaluate_accuracy_subsample(model, ds, subsample, rng,
-                                     serial_exec_context(), batch_size);
-}
-
 double evaluate_loss(Model& model, const Dataset& ds, ExecContext& ctx,
                      std::size_t batch_size) {
   VCDL_CHECK(!ds.empty(), "evaluate_loss: empty dataset");
@@ -74,10 +62,6 @@ double evaluate_loss(Model& model, const Dataset& ds, ExecContext& ctx,
     total += res.loss * static_cast<double>(count);
   }
   return total / static_cast<double>(ds.size());
-}
-
-double evaluate_loss(Model& model, const Dataset& ds, std::size_t batch_size) {
-  return evaluate_loss(model, ds, serial_exec_context(), batch_size);
 }
 
 }  // namespace vcdl

@@ -26,8 +26,6 @@ class Conv2D : public Layer {
   /// Copies parameters/gradients but not the im2col cache.
   Conv2D(const Conv2D& other);
 
-  using Layer::forward;
-  using Layer::backward;
 
   /// x: [batch, in_channels, H, W] → [batch, out_channels, OH, OW].
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;

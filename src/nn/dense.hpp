@@ -15,8 +15,6 @@ class Dense : public Layer {
   /// Copies parameters/gradients but not the activation cache.
   Dense(const Dense& other);
 
-  using Layer::forward;
-  using Layer::backward;
 
   /// x: [batch, in] → [batch, out].
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
@@ -30,9 +28,6 @@ class Dense : public Layer {
   std::string kind() const override { return "dense"; }
   void write_spec(BinaryWriter& w) const override;
   std::unique_ptr<Layer> clone() const override;
-
-  std::size_t in_features() const { return in_; }
-  std::size_t out_features() const { return out_; }
 
  private:
   std::size_t in_, out_;

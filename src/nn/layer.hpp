@@ -40,15 +40,6 @@ class Layer {
   /// same input (an inference forward drops the caches backward needs).
   virtual Tensor backward(const Tensor& grad_out, ExecContext& ctx) = 0;
 
-  /// Convenience overloads running on the shared serial context (no pool).
-  /// Derived classes re-expose them with `using Layer::forward;`.
-  Tensor forward(const Tensor& x, bool training) {
-    return forward(x, serial_exec_context(), training);
-  }
-  Tensor backward(const Tensor& grad_out) {
-    return backward(grad_out, serial_exec_context());
-  }
-
   /// Trainable parameter tensors (may be empty). Order is stable and is the
   /// order used by the flat parameter vector.
   virtual std::vector<Tensor*> params() { return {}; }

@@ -31,18 +31,12 @@ class Model {
   }
 
   /// Forward pass through every layer. `ctx` supplies the worker pool and
-  /// scratch arena each layer may use; the overload without it runs on the
-  /// shared serial context (no pool, bit-exact reference path).
+  /// scratch arena each layer may use; serial_exec_context() runs without a
+  /// pool (the bit-exact reference path).
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training = false);
-  Tensor forward(const Tensor& x, bool training = false) {
-    return forward(x, serial_exec_context(), training);
-  }
   /// Backward pass; call after a training-mode forward with the loss gradient
   /// w.r.t. the output.
   void backward(const Tensor& grad_out, ExecContext& ctx);
-  void backward(const Tensor& grad_out) {
-    backward(grad_out, serial_exec_context());
-  }
 
   std::vector<Tensor*> params();
   std::vector<Tensor*> grads();

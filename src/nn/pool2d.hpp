@@ -12,8 +12,6 @@ class MaxPool2D : public Layer {
   /// Copies the window, not the argmax cache.
   MaxPool2D(const MaxPool2D& other) : Layer(), window_(other.window_) {}
 
-  using Layer::forward;
-  using Layer::backward;
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
   std::size_t cache_bytes() const override {
@@ -32,8 +30,6 @@ class MaxPool2D : public Layer {
 /// Global average pooling: [B, C, H, W] → [B, C].
 class GlobalAvgPool : public Layer {
  public:
-  using Layer::forward;
-  using Layer::backward;
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
   std::string kind() const override { return "gavgpool"; }

@@ -142,22 +142,6 @@ std::vector<std::string> Registry::counter_names() const {
   return names;
 }
 
-std::vector<std::string> Registry::gauge_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, _] : gauges_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> Registry::histogram_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, _] : histograms_) names.push_back(name);
-  return names;
-}
-
 const TimeSource* Registry::set_time_source(const TimeSource* source) {
   return time_.exchange(source != nullptr ? source : &wall_,
                         std::memory_order_acq_rel);

@@ -173,8 +173,6 @@ class Registry {
   Histogram& histogram(const std::string& name, HistogramOptions options = {});
 
   std::vector<std::string> counter_names() const;
-  std::vector<std::string> gauge_names() const;
-  std::vector<std::string> histogram_names() const;
 
   /// Current time from the installed source (wall clock by default).
   double now() const {

@@ -95,25 +95,6 @@ void FaultInjector::corrupt(Blob& payload) {
   }
 }
 
-const char* attack_mode_name(AttackMode mode) {
-  switch (mode) {
-    case AttackMode::sign_flip: return "sign_flip";
-    case AttackMode::scale: return "scale";
-    case AttackMode::constant: return "constant";
-    case AttackMode::noise: return "noise";
-  }
-  return "?";
-}
-
-AttackMode attack_mode_from_name(const std::string& name) {
-  if (name == "sign_flip") return AttackMode::sign_flip;
-  if (name == "scale") return AttackMode::scale;
-  if (name == "constant") return AttackMode::constant;
-  if (name == "noise") return AttackMode::noise;
-  VCDL_CHECK(false, "unknown attack mode: " + name);
-  return AttackMode::sign_flip;
-}
-
 AdversaryModel::AdversaryModel(AdversaryPlan plan, std::size_t fleet_size,
                                Rng rng, obs::Registry& metrics)
     : plan_(std::move(plan)), rng_(rng),

@@ -138,9 +138,6 @@ enum class AttackMode : std::uint8_t {
   noise,      // W ← W + σ·rms(W)·N(0,1): subtle, near-plausible poisoning
 };
 
-const char* attack_mode_name(AttackMode mode);
-AttackMode attack_mode_from_name(const std::string& name);
-
 /// Adversary schedule for one run. The default (fraction 0) selects nobody,
 /// constructs nothing, and draws no randomness.
 struct AdversaryPlan {

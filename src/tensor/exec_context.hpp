@@ -65,9 +65,9 @@ struct ExecContext {
   std::size_t workers() const;
 };
 
-/// Shared fallback context (no pool) used by the convenience
-/// Layer/Model::forward overloads; thread-local so concurrent callers —
-/// e.g. store benches driving models from real threads — never race on it.
+/// Shared serial context (no pool) for callers that own no pool;
+/// thread-local so concurrent callers — e.g. store benches driving models
+/// from real threads — never race on it.
 ExecContext& serial_exec_context();
 
 }  // namespace vcdl

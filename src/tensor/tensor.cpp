@@ -41,14 +41,6 @@ Tensor Tensor::randn(Shape shape, Rng& rng, float mean, float stddev) {
   return t;
 }
 
-Tensor Tensor::rand(Shape shape, Rng& rng, float lo, float hi) {
-  Tensor t(std::move(shape));
-  for (auto& v : t.data_) {
-    v = static_cast<float>(rng.uniform(lo, hi));
-  }
-  return t;
-}
-
 Tensor Tensor::reshaped(Shape new_shape) const {
   VCDL_CHECK(new_shape.numel() == numel(),
              "reshaped: element count mismatch " + shape_.to_string() + " -> " +

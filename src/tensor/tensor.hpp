@@ -91,8 +91,6 @@ class Tensor {
   static Tensor full(Shape shape, float value);
   /// I.i.d. N(mean, stddev) entries.
   static Tensor randn(Shape shape, Rng& rng, float mean = 0.0f, float stddev = 1.0f);
-  /// I.i.d. U(lo, hi) entries.
-  static Tensor rand(Shape shape, Rng& rng, float lo = 0.0f, float hi = 1.0f);
 
   const Shape& shape() const { return shape_; }
   std::size_t numel() const { return data_.size(); }

@@ -57,8 +57,9 @@ GradCheckResult check_layer_gradients(const Layer& proto, const Tensor& x,
 
   // J(θ, x) on a fresh clone; optionally with one scalar perturbed.
   // p_idx < 0 perturbs the input instead of a parameter.
+  ExecContext& ctx = serial_exec_context();
   const auto shape_probe = proto.clone();
-  const Tensor y0 = shape_probe->forward(x, /*training=*/true);
+  const Tensor y0 = shape_probe->forward(x, ctx, /*training=*/true);
   const Tensor w = Tensor::randn(y0.shape(), rng);
   const auto objective = [&](int p_idx, std::size_t elem,
                              float delta) -> double {
@@ -69,15 +70,15 @@ GradCheckResult check_layer_gradients(const Layer& proto, const Tensor& x,
     } else {
       layer->params()[static_cast<std::size_t>(p_idx)]->flat()[elem] += delta;
     }
-    return dot(layer->forward(input, /*training=*/true), w);
+    return dot(layer->forward(input, ctx, /*training=*/true), w);
   };
 
   // Analytic gradients: one training forward + backward with dJ/dy = w.
   const auto analytic = proto.clone();
-  const Tensor ya = analytic->forward(x, /*training=*/true);
+  const Tensor ya = analytic->forward(x, ctx, /*training=*/true);
   VCDL_CHECK(ya.shape() == y0.shape(), "gradcheck: non-deterministic forward");
   analytic->zero_grads();
-  const Tensor dx = analytic->backward(w);
+  const Tensor dx = analytic->backward(w, ctx);
   VCDL_CHECK(dx.shape() == x.shape(),
              "gradcheck: backward returned dX of shape " +
                  dx.shape().to_string() + " for input " + x.shape().to_string());

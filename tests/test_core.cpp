@@ -133,11 +133,12 @@ TEST(Eval, AccuracyBoundsAndDeterminism) {
   Model m = make_resnet_lite({.height = 8, .width = 8, .base_filters = 4,
                               .blocks = 1},
                              1);
-  const double acc = evaluate_accuracy(m, data.validation);
+  ExecContext& ctx = serial_exec_context();
+  const double acc = evaluate_accuracy(m, data.validation, ctx);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
-  EXPECT_DOUBLE_EQ(acc, evaluate_accuracy(m, data.validation));
-  const double loss = evaluate_loss(m, data.validation);
+  EXPECT_DOUBLE_EQ(acc, evaluate_accuracy(m, data.validation, ctx));
+  const double loss = evaluate_loss(m, data.validation, ctx);
   EXPECT_GT(loss, 0.0);
 }
 
@@ -153,10 +154,12 @@ TEST(Eval, SubsampleMatchesFullWhenLarge) {
                               .blocks = 1},
                              2);
   Rng rng(3);
-  EXPECT_DOUBLE_EQ(evaluate_accuracy_subsample(m, data.validation, 0, rng),
-                   evaluate_accuracy(m, data.validation));
-  EXPECT_DOUBLE_EQ(evaluate_accuracy_subsample(m, data.validation, 1000, rng),
-                   evaluate_accuracy(m, data.validation));
+  ExecContext& ctx = serial_exec_context();
+  EXPECT_DOUBLE_EQ(evaluate_accuracy_subsample(m, data.validation, 0, rng, ctx),
+                   evaluate_accuracy(m, data.validation, ctx));
+  EXPECT_DOUBLE_EQ(
+      evaluate_accuracy_subsample(m, data.validation, 1000, rng, ctx),
+      evaluate_accuracy(m, data.validation, ctx));
 }
 
 TEST(Eval, SubsampleIsUnbiasedish) {
@@ -171,12 +174,13 @@ TEST(Eval, SubsampleIsUnbiasedish) {
   Model m = make_resnet_lite({.height = 8, .width = 8, .base_filters = 4,
                               .blocks = 1},
                              4);
-  const double full = evaluate_accuracy(m, data.validation);
+  ExecContext& ctx = serial_exec_context();
+  const double full = evaluate_accuracy(m, data.validation, ctx);
   Rng rng(5);
   double sum = 0.0;
   const int reps = 30;
   for (int i = 0; i < reps; ++i) {
-    sum += evaluate_accuracy_subsample(m, data.validation, 50, rng);
+    sum += evaluate_accuracy_subsample(m, data.validation, 50, rng, ctx);
   }
   EXPECT_NEAR(sum / reps, full, 0.06);
 }

@@ -217,8 +217,8 @@ TEST(Equivalence, ParamAndArchitectureCodecsRoundTripRandomModels) {
     // And loading the original parameters into the rebuilt model must
     // reproduce the original forward exactly.
     load_params_into(rebuilt, save_params(mc.model));
-    const Tensor y0 = mc.model.forward(mc.input);
-    const Tensor y1 = rebuilt.forward(mc.input);
+    const Tensor y0 = mc.model.forward(mc.input, serial_exec_context());
+    const Tensor y1 = rebuilt.forward(mc.input, serial_exec_context());
     for (std::size_t i = 0; i < y0.numel(); ++i) {
       prop_assert(y0[i] == y1[i], mc.desc + ": rebuilt forward differs");
     }

@@ -153,11 +153,11 @@ TEST(CacheLifecycle, TrainingCachesInferenceDoesNot) {
   Rng rng(7);
   const Tensor x = Tensor::randn(Shape{4, 3, 8, 8}, rng);
   EXPECT_EQ(m.cache_bytes(), 0u);
-  (void)m.forward(x, /*training=*/true);
+  (void)m.forward(x, serial_exec_context(), /*training=*/true);
   const std::size_t trained = m.cache_bytes();
   EXPECT_GT(trained, 0u);
   // An inference pass must not just skip caching — it must free stale caches.
-  (void)m.forward(x, /*training=*/false);
+  (void)m.forward(x, serial_exec_context(), /*training=*/false);
   EXPECT_EQ(m.cache_bytes(), 0u);
 }
 
@@ -178,24 +178,27 @@ TEST(CacheLifecycle, BackwardAfterInferenceForwardThrows) {
   Rng rng(13);
   Dense dense(4, 3, Init::he_normal, rng);
   const Tensor x = Tensor::randn(Shape{2, 4}, rng);
-  (void)dense.forward(x, /*training=*/false);
-  EXPECT_THROW(dense.backward(Tensor(Shape{2, 3})), Error);
+  (void)dense.forward(x, serial_exec_context(), /*training=*/false);
+  EXPECT_THROW(dense.backward(Tensor(Shape{2, 3}),
+                              serial_exec_context()), Error);
 
   Conv2D conv(1, 2, 3, 1, 1, Init::he_normal, rng);
   const Tensor img = Tensor::randn(Shape{2, 1, 4, 4}, rng);
-  (void)conv.forward(img, /*training=*/false);
-  EXPECT_THROW(conv.backward(Tensor(Shape{2, 2, 4, 4})), Error);
+  (void)conv.forward(img, serial_exec_context(), /*training=*/false);
+  EXPECT_THROW(conv.backward(Tensor(Shape{2, 2, 4, 4}),
+                             serial_exec_context()), Error);
 }
 
 TEST(CacheLifecycle, BackwardOnFreshCloneThrows) {
   Rng rng(31);
   Conv2D conv(1, 2, 3, 1, 1, Init::he_normal, rng);
   const Tensor img = Tensor::randn(Shape{2, 1, 4, 4}, rng);
-  (void)conv.forward(img, /*training=*/true);
+  (void)conv.forward(img, serial_exec_context(), /*training=*/true);
   const auto clone = conv.clone();
-  EXPECT_THROW(clone->backward(Tensor(Shape{2, 2, 4, 4})), Error);
+  EXPECT_THROW(clone->backward(Tensor(Shape{2, 2, 4, 4}),
+                               serial_exec_context()), Error);
   // The original still has its cache and can run backward.
-  (void)conv.backward(Tensor(Shape{2, 2, 4, 4}));
+  (void)conv.backward(Tensor(Shape{2, 2, 4, 4}), serial_exec_context());
 }
 
 // --- Conv2D pool-vs-serial invariants --------------------------------------
@@ -210,13 +213,13 @@ TEST(Conv2DThreading, PoolForwardAndInputGradBitIdenticalWeightGradClose) {
   const Tensor x = Tensor::randn(Shape{7, 3, 6, 6}, rng);
   const Tensor dy = Tensor::randn(Shape{7, 4, 6, 6}, rng);
 
-  const Tensor ys = serial.forward(x, /*training=*/true);
+  const Tensor ys = serial.forward(x, serial_exec_context(), /*training=*/true);
   const Tensor yp = pooled.forward(x, ctx, /*training=*/true);
   for (std::size_t i = 0; i < ys.numel(); ++i) EXPECT_EQ(ys[i], yp[i]);
 
   serial.zero_grads();
   pooled.zero_grads();
-  const Tensor dxs = serial.backward(dy);
+  const Tensor dxs = serial.backward(dy, serial_exec_context());
   const Tensor dxp = pooled.backward(dy, ctx);
   // dX is per-item disjoint: bit-identical under batch splitting.
   for (std::size_t i = 0; i < dxs.numel(); ++i) EXPECT_EQ(dxs[i], dxp[i]);

@@ -63,8 +63,8 @@ TEST(ModelIoExtended, WeightsTransferThroughParamBlob) {
   // Identical weights ⇒ identical inference.
   Rng rng(5);
   const Tensor x = Tensor::randn(Shape{2, 3, 8, 8}, rng);
-  Tensor ya = source.forward(x, false);
-  Tensor yb = target.forward(x, false);
+  Tensor ya = source.forward(x, serial_exec_context(), false);
+  Tensor yb = target.forward(x, serial_exec_context(), false);
   EXPECT_LT(ops::max_abs_diff(ya.flat(), yb.flat()), 1e-6f);
 }
 

@@ -44,7 +44,7 @@ TEST(Dense, ForwardMatchesManual) {
   (*layer.params()[1])[0] = 0.5f;  // b = [0.5, -0.5]
   (*layer.params()[1])[1] = -0.5f;
   const Tensor x(Shape{1, 2}, {1.0f, 1.0f});
-  const Tensor y = layer.forward(x, false);
+  const Tensor y = layer.forward(x, serial_exec_context(), false);
   EXPECT_FLOAT_EQ(y[0], 4.5f);
   EXPECT_FLOAT_EQ(y[1], 5.5f);
 }
@@ -52,7 +52,8 @@ TEST(Dense, ForwardMatchesManual) {
 TEST(Dense, RejectsWrongInputWidth) {
   Rng rng(3);
   Dense layer(4, 2, Init::he_normal, rng);
-  EXPECT_THROW(layer.forward(Tensor(Shape{1, 5}), false), Error);
+  EXPECT_THROW(layer.forward(Tensor(Shape{1, 5}),
+                             serial_exec_context(), false), Error);
 }
 
 TEST(Conv2D, GradientCheck) {
@@ -70,10 +71,12 @@ TEST(Conv2D, StridedGradientCheck) {
 TEST(Conv2D, OutputShape) {
   Rng rng(6);
   Conv2D same(3, 8, 3, 1, 1, Init::he_normal, rng);
-  const Tensor y = same.forward(Tensor(Shape{2, 3, 12, 12}), false);
+  const Tensor y = same.forward(Tensor(Shape{2, 3, 12, 12}),
+                                serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{2, 8, 12, 12}));
   Conv2D strided(3, 4, 3, 2, 1, Init::he_normal, rng);
-  const Tensor z = strided.forward(Tensor(Shape{1, 3, 8, 8}), false);
+  const Tensor z = strided.forward(Tensor(Shape{1, 3, 8, 8}),
+                                   serial_exec_context(), false);
   EXPECT_TRUE(z.shape() == (Shape{1, 4, 4, 4}));
 }
 
@@ -83,7 +86,7 @@ TEST(Conv2D, IdentityKernelReproducesInput) {
   // Kernel = delta at center.
   (*layer.params()[0])[4] = 1.0f;
   const Tensor x = Tensor::randn(Shape{1, 1, 4, 4}, rng);
-  const Tensor y = layer.forward(x, false);
+  const Tensor y = layer.forward(x, serial_exec_context(), false);
   EXPECT_LT(ops::max_abs_diff(x.flat(), y.flat()), 1e-6f);
 }
 
@@ -91,10 +94,11 @@ TEST(ReLU, GradientCheckAndMasking) {
   Rng rng(8);
   ReLU layer;
   const Tensor x(Shape{2, 3}, {1.0f, -1.0f, 0.5f, -0.5f, 2.0f, -2.0f});
-  const Tensor y = layer.forward(x, true);
+  const Tensor y = layer.forward(x, serial_exec_context(), true);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[0], 1.0f);
-  const Tensor g = layer.backward(Tensor::full(Shape{2, 3}, 1.0f));
+  const Tensor g = layer.backward(Tensor::full(Shape{2, 3}, 1.0f),
+                                  serial_exec_context());
   EXPECT_FLOAT_EQ(g[0], 1.0f);
   EXPECT_FLOAT_EQ(g[1], 0.0f);
 }
@@ -114,10 +118,11 @@ TEST(Sigmoid, GradientCheck) {
 TEST(MaxPool2D, ForwardSelectsMaxAndRoutesGradient) {
   MaxPool2D layer(2);
   const Tensor x(Shape{1, 1, 2, 2}, {1.0f, 9.0f, 3.0f, 2.0f});
-  const Tensor y = layer.forward(x, /*training=*/true);
+  const Tensor y = layer.forward(x, serial_exec_context(), /*training=*/true);
   ASSERT_EQ(y.numel(), 1u);
   EXPECT_FLOAT_EQ(y[0], 9.0f);
-  const Tensor g = layer.backward(Tensor::full(Shape{1, 1, 1, 1}, 5.0f));
+  const Tensor g = layer.backward(Tensor::full(Shape{1, 1, 1, 1}, 5.0f),
+                                  serial_exec_context());
   EXPECT_FLOAT_EQ(g[1], 5.0f);
   EXPECT_FLOAT_EQ(g[0], 0.0f);
   EXPECT_FLOAT_EQ(g[2], 0.0f);
@@ -126,26 +131,29 @@ TEST(MaxPool2D, ForwardSelectsMaxAndRoutesGradient) {
 TEST(MaxPool2D, InferenceForwardDropsCacheAndRejectsBackward) {
   MaxPool2D layer(2);
   const Tensor x(Shape{1, 1, 2, 2}, {1.0f, 9.0f, 3.0f, 2.0f});
-  (void)layer.forward(x, /*training=*/true);
+  (void)layer.forward(x, serial_exec_context(), /*training=*/true);
   EXPECT_GT(layer.cache_bytes(), 0u);
-  const Tensor y = layer.forward(x, /*training=*/false);
+  const Tensor y = layer.forward(x, serial_exec_context(), /*training=*/false);
   EXPECT_FLOAT_EQ(y[0], 9.0f);  // same output either mode
   EXPECT_EQ(layer.cache_bytes(), 0u);
-  EXPECT_THROW(layer.backward(Tensor::full(Shape{1, 1, 1, 1}, 5.0f)), Error);
+  EXPECT_THROW(layer.backward(Tensor::full(Shape{1, 1, 1, 1}, 5.0f),
+                              serial_exec_context()), Error);
 }
 
 TEST(MaxPool2D, RejectsIndivisibleInput) {
   MaxPool2D layer(2);
-  EXPECT_THROW(layer.forward(Tensor(Shape{1, 1, 3, 4}), false), Error);
+  EXPECT_THROW(layer.forward(Tensor(Shape{1, 1, 3, 4}),
+                             serial_exec_context(), false), Error);
 }
 
 TEST(GlobalAvgPool, ForwardAndBackward) {
   GlobalAvgPool layer;
   const Tensor x(Shape{1, 2, 2, 2}, {1, 2, 3, 4, 10, 20, 30, 40});
-  const Tensor y = layer.forward(x, false);
+  const Tensor y = layer.forward(x, serial_exec_context(), false);
   EXPECT_FLOAT_EQ(y[0], 2.5f);
   EXPECT_FLOAT_EQ(y[1], 25.0f);
-  const Tensor g = layer.backward(Tensor(Shape{1, 2}, {4.0f, 8.0f}));
+  const Tensor g = layer.backward(Tensor(Shape{1, 2}, {4.0f, 8.0f}),
+                                  serial_exec_context());
   EXPECT_FLOAT_EQ(g[0], 1.0f);   // 4 / 4
   EXPECT_FLOAT_EQ(g[4], 2.0f);   // 8 / 4
 }
@@ -153,9 +161,9 @@ TEST(GlobalAvgPool, ForwardAndBackward) {
 TEST(Flatten, RoundTripShapes) {
   Flatten layer;
   const Tensor x = Tensor::full(Shape{2, 3, 4, 5}, 1.0f);
-  const Tensor y = layer.forward(x, false);
+  const Tensor y = layer.forward(x, serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{2, 60}));
-  const Tensor g = layer.backward(y);
+  const Tensor g = layer.backward(y, serial_exec_context());
   EXPECT_TRUE(g.shape() == x.shape());
 }
 
@@ -163,14 +171,14 @@ TEST(Dropout, InferenceIsIdentity) {
   Dropout layer(0.5, 42);
   Rng rng(11);
   const Tensor x = Tensor::randn(Shape{4, 4}, rng);
-  const Tensor y = layer.forward(x, /*training=*/false);
+  const Tensor y = layer.forward(x, serial_exec_context(), /*training=*/false);
   EXPECT_LT(ops::max_abs_diff(x.flat(), y.flat()), 1e-9f);
 }
 
 TEST(Dropout, TrainingZerosAndRescales) {
   Dropout layer(0.5, 42);
   const Tensor x = Tensor::full(Shape{100, 10}, 1.0f);
-  const Tensor y = layer.forward(x, true);
+  const Tensor y = layer.forward(x, serial_exec_context(), true);
   std::size_t zeros = 0;
   double sum = 0.0;
   for (const float v : y.flat()) {
@@ -205,7 +213,7 @@ TEST(Residual, AddsIdentityPath) {
   inner.push_back(std::make_unique<Dense>(3, 3, Init::zeros, rng));
   Residual layer(std::move(inner));
   const Tensor x = Tensor::randn(Shape{1, 3}, rng);
-  const Tensor y = layer.forward(x, false);
+  const Tensor y = layer.forward(x, serial_exec_context(), false);
   // Zero inner weights ⇒ F(x) = 0 ⇒ y = x.
   EXPECT_LT(ops::max_abs_diff(x.flat(), y.flat()), 1e-6f);
 }
@@ -215,7 +223,8 @@ TEST(Residual, RejectsShapeChangingInner) {
   std::vector<std::unique_ptr<Layer>> inner;
   inner.push_back(std::make_unique<Dense>(3, 4, Init::he_normal, rng));
   Residual layer(std::move(inner));
-  EXPECT_THROW(layer.forward(Tensor(Shape{1, 3}), false), Error);
+  EXPECT_THROW(layer.forward(Tensor(Shape{1, 3}),
+                             serial_exec_context(), false), Error);
 }
 
 TEST(Layers, CloneIsDeepCopy) {

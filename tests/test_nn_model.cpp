@@ -51,7 +51,7 @@ TEST(Model, CopyIsIndependent) {
 
 TEST(Model, ForwardShape) {
   Model m = tiny_mlp();
-  const Tensor y = m.forward(Tensor(Shape{5, 4}), false);
+  const Tensor y = m.forward(Tensor(Shape{5, 4}), serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{5, 3}));
 }
 
@@ -59,10 +59,10 @@ TEST(Model, ZeroGradsClearsAll) {
   Model m = tiny_mlp();
   Rng rng(2);
   const Tensor x = Tensor::randn(Shape{2, 4}, rng);
-  const Tensor y = m.forward(x, true);
+  const Tensor y = m.forward(x, serial_exec_context(), true);
   const std::vector<std::uint16_t> labels = {0, 1};
   const auto loss = softmax_cross_entropy(y, labels);
-  m.backward(loss.grad);
+  m.backward(loss.grad, serial_exec_context());
   m.zero_grads();
   for (Tensor* g : m.grads()) {
     for (const float v : g->flat()) EXPECT_EQ(v, 0.0f);
@@ -87,7 +87,8 @@ TEST(ModelIo, ArchitectureRoundTripResNet) {
   EXPECT_EQ(rebuilt.flat_params(),
             load_architecture(save_architecture(m), 3).flat_params());
   // Forward works on the rebuilt model.
-  const Tensor y = rebuilt.forward(Tensor(Shape{1, 3, 8, 8}), false);
+  const Tensor y = rebuilt.forward(Tensor(Shape{1, 3, 8, 8}),
+                                   serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{1, 10}));
 }
 
@@ -174,12 +175,12 @@ TEST_P(OptimizerSweep, ReducesLoss) {
   double first_loss = 0;
   double last_loss = 0;
   for (int step = 0; step < 60; ++step) {
-    const Tensor logits = m.forward(x, true);
+    const Tensor logits = m.forward(x, serial_exec_context(), true);
     const auto loss = softmax_cross_entropy(logits, labels);
     if (step == 0) first_loss = loss.loss;
     last_loss = loss.loss;
     m.zero_grads();
-    m.backward(loss.grad);
+    m.backward(loss.grad, serial_exec_context());
     opt->step(m);
   }
   EXPECT_LT(last_loss, first_loss * 0.7);
@@ -203,7 +204,8 @@ TEST(ModelZoo, ResNetLiteForwardShapes) {
   const ResNetLiteSpec spec{.height = 12, .width = 12, .base_filters = 4,
                             .blocks = 1};
   Model m = make_resnet_lite(spec, 5);
-  const Tensor y = m.forward(Tensor(Shape{2, 3, 12, 12}), false);
+  const Tensor y = m.forward(Tensor(Shape{2, 3, 12, 12}),
+                             serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{2, 10}));
   EXPECT_GT(m.parameter_count(), 1000u);
 }

@@ -91,14 +91,15 @@ TEST(Timeseries, MlpLearnsRegimes) {
       for (std::size_t i = 0; i < count; ++i) {
         labels[i] = data.train.label(idx[i]);
       }
-      const Tensor logits = model.forward(x, true);
+      const Tensor logits = model.forward(x, serial_exec_context(), true);
       const auto loss = softmax_cross_entropy(logits, labels);
       model.zero_grads();
-      model.backward(loss.grad);
+      model.backward(loss.grad, serial_exec_context());
       optimizer->step(model);
     }
   }
-  EXPECT_GT(evaluate_accuracy(model, data.validation), 0.45);
+  EXPECT_GT(evaluate_accuracy(model, data.validation,
+                              serial_exec_context()), 0.45);
 }
 
 TEST(Timeseries, ShardsPipelineWorks) {
