@@ -465,6 +465,7 @@ VcTrainer::VcTrainer(ExperimentSpec spec) : spec_(std::move(spec)) {
   VCDL_CHECK(spec_.clients >= 1, "VcTrainer: Cn >= 1");
   VCDL_CHECK(spec_.tasks_per_client >= 1, "VcTrainer: Tn >= 1");
   VCDL_CHECK(spec_.max_epochs >= 1, "VcTrainer: max_epochs >= 1");
+  VCDL_CHECK(spec_.batch_size >= 1, "VcTrainer: batch_size >= 1");
   VCDL_CHECK(spec_.param_shards >= 1, "VcTrainer: param_shards >= 1");
 }
 

@@ -181,6 +181,9 @@ TEST(TrainerIntegration, InvalidSpecRejected) {
   spec = tiny_spec();
   spec.parameter_servers = 0;
   EXPECT_THROW(VcTrainer{spec}, Error);
+  spec = tiny_spec();
+  spec.batch_size = 0;
+  EXPECT_THROW(VcTrainer{spec}, Error);
 }
 
 TEST(TrainerIntegration, ReliabilityGateRunCompletes) {
