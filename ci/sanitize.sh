@@ -9,7 +9,8 @@
 # VCDL_TSAN_REGEX to override which suites the TSan stage runs (ci/soak.sh
 # uses this to point TSan at the property/soak tiers instead).
 # Dedicated build trees (build-sanitize/, build-tsan/) keep the regular
-# build untouched.
+# build untouched. Both build with VCDL_WERROR=ON, so a new warning fails
+# the stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,6 +23,7 @@ BUILD_DIR=build-sanitize
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVCDL_SANITIZE="address;undefined" \
+  -DVCDL_WERROR=ON \
   -DVCDL_BUILD_BENCHES=ON \
   -DVCDL_BUILD_EXAMPLES=OFF
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
@@ -49,6 +51,7 @@ TSAN_DIR=build-tsan
 cmake -B "${TSAN_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVCDL_SANITIZE=thread \
+  -DVCDL_WERROR=ON \
   -DVCDL_BUILD_BENCHES=OFF \
   -DVCDL_BUILD_EXAMPLES=OFF
 cmake --build "${TSAN_DIR}" -j "$(nproc)"

@@ -119,6 +119,13 @@ done
 check "no obs::registry() in run components" \
   bash -c "! grep -rn 'obs::registry()' src/core src/grid src/sim src/storage"
 
+# 9. Both sanitizer builds treat warnings as errors: every cmake configure
+#    in sanitize.sh passes -DVCDL_WERROR=ON.
+configure_calls=$(grep -c '^cmake -B' ci/sanitize.sh)
+werror_calls=$(grep -c -- '-DVCDL_WERROR=ON' ci/sanitize.sh)
+check "sanitize.sh configures set VCDL_WERROR=ON (${werror_calls}/${configure_calls})" \
+  test "${configure_calls}" -eq 2 -a "${werror_calls}" -eq "${configure_calls}"
+
 if [[ "${failures}" -ne 0 ]]; then
   echo "ci self-test: ${failures} check(s) failed"
   exit 1

@@ -30,6 +30,12 @@ void BinaryWriter::write_bytes(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
+void BinaryReader::throw_truncated(std::size_t n) const {
+  throw CorruptData("BinaryReader: truncated input (need " +
+                    std::to_string(n) + " bytes, have " +
+                    std::to_string(bytes_.size() - pos_) + ")");
+}
+
 std::uint64_t BinaryReader::read_varint() {
   std::uint64_t value = 0;
   int shift = 0;

@@ -118,12 +118,12 @@ class BinaryReader {
 
  private:
   void require(std::size_t n) const {
-    if (n > bytes_.size() - pos_) {
-      throw CorruptData("BinaryReader: truncated input (need " +
-                        std::to_string(n) + " bytes, have " +
-                        std::to_string(bytes_.size() - pos_) + ")");
-    }
+    if (n > bytes_.size() - pos_) throw_truncated(n);
   }
+  // Out of line, so the inlined read paths carry no string-building throw:
+  // with it inline, GCC 12 reported a -Warray-bounds false positive on the
+  // memcpy that follows a failed check.
+  [[noreturn]] void throw_truncated(std::size_t n) const;
 
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
