@@ -120,9 +120,8 @@ class BinaryReader {
   void require(std::size_t n) const {
     if (n > bytes_.size() - pos_) throw_truncated(n);
   }
-  // Out of line, so the inlined read paths carry no string-building throw:
-  // with it inline, GCC 12 reported a -Warray-bounds false positive on the
-  // memcpy that follows a failed check.
+  // Out of line: an inline string-building throw makes GCC 12 report a
+  // -Warray-bounds false positive on the memcpy after a failed check.
   [[noreturn]] void throw_truncated(std::size_t n) const;
 
   std::span<const std::uint8_t> bytes_;

@@ -319,21 +319,6 @@ TEST(AdversaryModel, AttackModesCorruptAsDocumented) {
   }
 }
 
-TEST(AdversaryModel, DrawCountsOnlyTheResultsItAttacks) {
-  obs::Registry metrics;
-  AdversaryPlan plan;
-  plan.fraction = 1.0;
-  plan.attack_prob = 0.5;
-  AdversaryModel adv(plan, 1, Rng(3), metrics);
-  std::uint64_t attacked = 0;
-  for (std::uint64_t unit = 1; unit <= 200; ++unit) {
-    if (adv.draw(unit)) ++attacked;
-  }
-  EXPECT_GT(attacked, 0u);
-  EXPECT_LT(attacked, 200u);
-  EXPECT_EQ(metrics.snapshot().counter("faults.byzantine_result"), attacked);
-}
-
 TEST(AdversaryModel, CollusionKeysNoiseByUnitIndependentsDiverge) {
   obs::Registry metrics;
   const std::vector<float> base(32, 1.0f);
