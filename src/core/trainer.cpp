@@ -429,15 +429,13 @@ void Run::recover() {
 }
 
 void Run::take_checkpoint() {
-  Checkpoint cp;
-  cp.shards.reserve(shard_plan_.shards());
+  checkpoint_.shards.clear();
   for (std::size_t s = 0; s < shard_plan_.shards(); ++s) {
     auto current = store_->get(shard_plan_.shard_key(kParamsName, s));
     VCDL_CHECK(current.has_value(), "Run: parameter shard missing from store");
-    cp.shards.push_back(std::move(current->value));
+    checkpoint_.shards.push_back(std::move(current->value));
   }
-  cp.subtask_counter = subtask_counter_;
-  checkpoint_ = std::move(cp);
+  checkpoint_.subtask_counter = subtask_counter_;
   snapshots_.inc();
 }
 
