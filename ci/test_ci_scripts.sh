@@ -96,6 +96,10 @@ check "sanitize.sh tsan regex includes test_obs" \
 # threads.
 check "sanitize.sh tsan regex includes test_storage" \
   bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_storage"
+# And the threading suite: it pins that pool width and nesting never change
+# a result, and its pooled and nested training steps run on real threads.
+check "sanitize.sh tsan regex includes test_exec_threading" \
+  bash -c "grep -E '^TSAN_REGEX=' ci/sanitize.sh | grep -q test_exec_threading"
 
 # 7. The multicore repeat stage keeps its empty-regex guard, and every suite
 #    its regex names is registered, so the stage can never repeat nothing.

@@ -98,11 +98,6 @@ void ThreadPool::parallel_for_indexed(
   if (first) std::rethrow_exception(first);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 void ThreadPool::worker_loop() {
   t_worker_pool = this;
   for (;;) {

@@ -50,9 +50,10 @@ class ThreadPool {
 
   /// parallel_for variant that also hands the body its chunk index
   /// (0 <= chunk < max_chunks(end - begin)), letting callers keep per-chunk
-  /// scratch buffers without sharing or locks. Chunk boundaries are a pure
-  /// function of the range and pool size, so results that reduce per-chunk
-  /// partials in index order are deterministic for a given thread count.
+  /// scratch buffers without sharing or locks. The index should pick scratch
+  /// only: a nested call runs the whole range as chunk 0, so a body whose
+  /// results follow from [lo, hi) alone gives the same bits at any pool
+  /// width, nested or not.
   void parallel_for_indexed(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
@@ -61,9 +62,6 @@ class ThreadPool {
   std::size_t max_chunks(std::size_t n) const {
     return std::min(n, std::max<std::size_t>(1, size()));
   }
-
-  /// Process-wide shared pool (lazily constructed, sized to the machine).
-  static ThreadPool& global();
 
  private:
   void worker_loop();

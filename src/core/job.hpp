@@ -84,8 +84,8 @@ struct ExperimentSpec {
   std::size_t batch_size = 10;
   /// Worker threads splitting each forward/backward (per-model parallelism;
   /// the Tn subtasks already interleave in virtual time, this speeds up the
-  /// real compute underneath). 1 = serial, the bit-exact reference path;
-  /// 0 = use all hardware threads.
+  /// real compute underneath). 1 = serial, no pool; 0 = use all hardware
+  /// threads. Every width gives the same results, bit for bit.
   std::size_t worker_threads = 1;
   double learning_rate = 3e-3;        // paper: 1e-3; rescaled for the
                                       // substitute workload (DESIGN.md)

@@ -144,7 +144,7 @@ class Run {
   // One pool shared by every client's training callback and by evaluation:
   // the DES is serial, so only one forward/backward runs at a time and the
   // pool's workers always split that single model's compute. worker_threads
-  // == 1 keeps everything on the calling thread — the bit-exact reference.
+  // == 1 keeps everything on the calling thread; all widths give one result.
   const std::unique_ptr<ThreadPool> exec_pool_;
   ExecContext eval_exec_;
 
@@ -465,6 +465,7 @@ VcTrainer::VcTrainer(ExperimentSpec spec) : spec_(std::move(spec)) {
   VCDL_CHECK(spec_.max_epochs >= 1, "VcTrainer: max_epochs >= 1");
   VCDL_CHECK(spec_.batch_size >= 1, "VcTrainer: batch_size >= 1");
   VCDL_CHECK(spec_.param_shards >= 1, "VcTrainer: param_shards >= 1");
+  VCDL_CHECK(spec_.poll_interval_s > 0.0, "VcTrainer: poll_interval_s > 0");
 }
 
 TrainResult VcTrainer::run() {

@@ -21,6 +21,8 @@ SimClient::SimClient(ClientId id, InstanceType instance, ClientConfig config,
       rng_(rng), execute_(std::move(execute)) {
   exec_.pool = config_.exec_pool;
   VCDL_CHECK(config_.max_concurrent >= 1, "SimClient: Tn must be >= 1");
+  VCDL_CHECK(config_.poll_interval_s > 0.0,
+             "SimClient: poll_interval_s must be > 0");
   VCDL_CHECK(config_.retry.max_attempts >= 1,
              "SimClient: retry.max_attempts must be >= 1");
   VCDL_CHECK(execute_ != nullptr, "SimClient: null execute callback");

@@ -136,6 +136,19 @@ void col2im(const float* col, std::size_t channels, std::size_t h, std::size_t w
   }
 }
 
+// Runs body(chunk, lo, hi) over [0, n), split across the pool, or as the one
+// chunk (0, 0, n) when there is none. A nested call also runs as that one
+// chunk, so what a body writes must follow from [lo, hi), never from `chunk`.
+void for_each_chunk(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  if (pool == nullptr) {
+    body(0, 0, n);
+  } else {
+    pool->parallel_for_indexed(0, n, body);
+  }
+}
+
 }  // namespace
 
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
@@ -202,35 +215,29 @@ Tensor Conv2D::forward(const Tensor& x, ExecContext& ctx, bool training) {
     }
   }
 
-  auto run_item = [&](std::size_t chunk, std::size_t bi) {
-    Tensor& col = training ? cols_[bi] : *eval_cols[chunk];
-    {
-      obs::SpanTimer span(im2col_metric());
-      im2col(x.data() + bi * in_c_ * h * w, in_c_, h, w, kernel_, stride_,
-             pad_, oh, ow, col.data());
-    }
+  // Each item writes a disjoint slice of y, so any split of the batch is
+  // bit-identical to the serial loop.
+  for_each_chunk(ctx.pool, batch, [&](std::size_t chunk, std::size_t lo,
+                                      std::size_t hi) {
     Tensor& y_mat = *y_mats[chunk];
-    ops::matmul(w_, col, y_mat);
-    float* y_b = y.data() + bi * out_c_ * out_plane;
-    const float* ym = y_mat.data();
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      const float bias = b_[oc];
-      for (std::size_t p = 0; p < out_plane; ++p) {
-        y_b[oc * out_plane + p] = ym[oc * out_plane + p] + bias;
+    for (std::size_t bi = lo; bi < hi; ++bi) {
+      Tensor& col = training ? cols_[bi] : *eval_cols[chunk];
+      {
+        obs::SpanTimer span(im2col_metric());
+        im2col(x.data() + bi * in_c_ * h * w, in_c_, h, w, kernel_, stride_,
+               pad_, oh, ow, col.data());
+      }
+      ops::matmul(w_, col, y_mat);
+      float* y_b = y.data() + bi * out_c_ * out_plane;
+      const float* ym = y_mat.data();
+      for (std::size_t oc = 0; oc < out_c_; ++oc) {
+        const float bias = b_[oc];
+        for (std::size_t p = 0; p < out_plane; ++p) {
+          y_b[oc * out_plane + p] = ym[oc * out_plane + p] + bias;
+        }
       }
     }
-  };
-
-  if (chunks <= 1) {
-    for (std::size_t bi = 0; bi < batch; ++bi) run_item(0, bi);
-  } else {
-    // Each item writes a disjoint slice of y, so the parallel split is
-    // bit-identical to the serial loop.
-    ctx.pool->parallel_for_indexed(
-        0, batch, [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-          for (std::size_t bi = lo; bi < hi; ++bi) run_item(chunk, bi);
-        });
-  }
+  });
   return y;
 }
 
@@ -241,58 +248,68 @@ Tensor Conv2D::backward(const Tensor& grad_out, ExecContext& ctx) {
              "Conv2D::backward: gradient shape mismatch");
   VCDL_CHECK(cols_.size() == last_batch_,
              "Conv2D::backward: im2col cache missing");
+  const std::size_t batch = last_batch_;
   const std::size_t out_plane = oh * ow;
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
 
-  Tensor dx(Shape{last_batch_, in_c_, last_h_, last_w_});
-
-  // One item's contribution: dW += dY·col^T, db += row sums of dY, and
-  // dX slice = col2im(W^T·dY). dY is viewed in place — no copy.
-  auto run_item = [&](std::size_t bi, Tensor& dw, Tensor& db, Tensor& dcol) {
-    const ops::MatView dy{grad_out.data() + bi * out_c_ * out_plane, out_c_,
-                          out_plane};
-    ops::matmul_a_bt(dy, ops::view(cols_[bi]), dw, /*accumulate=*/true);
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      db[oc] += ops::sum(
-          std::span<const float>(dy.data + oc * out_plane, out_plane));
-    }
-    ops::matmul_at_b(ops::view(w_), dy, dcol);
-    obs::SpanTimer span(im2col_metric());
-    col2im(dcol.data(), in_c_, last_h_, last_w_, kernel_, stride_, pad_, oh, ow,
-           dx.data() + bi * in_c_ * last_h_ * last_w_);
+  Tensor dx(Shape{batch, in_c_, last_h_, last_w_});
+  // Item bi's dY, viewed in place — no copy.
+  const auto dy = [&](std::size_t bi) {
+    return ops::MatView{grad_out.data() + bi * out_c_ * out_plane, out_c_,
+                        out_plane};
   };
 
   const std::size_t chunks =
-      ctx.pool == nullptr ? 1 : ctx.pool->max_chunks(last_batch_);
-  if (chunks <= 1) {
-    Tensor& dcol = ctx.arena.get(0, Shape{col_rows, out_plane});
-    for (std::size_t bi = 0; bi < last_batch_; ++bi) {
-      run_item(bi, dw_, db_, dcol);
-    }
-  } else {
-    // Per-chunk weight-gradient partials, reduced below in chunk order.
-    // Chunk boundaries depend only on (batch, pool size), so results are
-    // deterministic for a fixed thread count; regrouping the float sums
-    // keeps them within tolerance of (not bit-identical to) serial.
-    std::vector<Tensor*> pdw(chunks), pdb(chunks), pdcol(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      pdw[c] = &ctx.arena.get(c, dw_.shape());
-      pdb[c] = &ctx.arena.get(chunks + c, db_.shape());
-      pdcol[c] = &ctx.arena.get(2 * chunks + c, Shape{col_rows, out_plane});
-      pdw[c]->fill(0.0f);
-      pdb[c]->fill(0.0f);
-    }
-    ctx.pool->parallel_for_indexed(
-        0, last_batch_, [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-          for (std::size_t bi = lo; bi < hi; ++bi) {
-            run_item(bi, *pdw[chunk], *pdb[chunk], *pdcol[chunk]);
-          }
-        });
-    for (std::size_t c = 0; c < chunks; ++c) {
-      ops::axpy(1.0f, pdw[c]->flat(), dw_.flat());
-      ops::axpy(1.0f, pdb[c]->flat(), db_.flat());
-    }
+      ctx.pool == nullptr ? 1 : ctx.pool->max_chunks(batch);
+  // Borrow all per-chunk scratch before fanning out. A dW block is sized for
+  // every column, which is what a chunk covering the whole batch needs.
+  std::vector<Tensor*> dcols(chunks), dw_blocks(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    dcols[c] = &ctx.arena.get(c, Shape{col_rows, out_plane});
+    dw_blocks[c] = &ctx.arena.get(chunks + c, dw_.shape());
   }
+
+  // The chunk owning items [lo, hi) writes their dX slices, the dW columns
+  // [lo·n/B, hi·n/B) and the db channels [lo·out_c/B, hi·out_c/B), where
+  // n = in_c·k·k and B is the batch. Each dW and db element is summed whole
+  // over the batch in item order, as the serial loop sums it, so every split
+  // gives the serial bits.
+  for_each_chunk(ctx.pool, batch, [&](std::size_t chunk, std::size_t lo,
+                                      std::size_t hi) {
+    Tensor& dcol = *dcols[chunk];
+    for (std::size_t bi = lo; bi < hi; ++bi) {
+      ops::matmul_at_b(ops::view(w_), dy(bi), dcol);
+      obs::SpanTimer span(im2col_metric());
+      col2im(dcol.data(), in_c_, last_h_, last_w_, kernel_, stride_, pad_, oh,
+             ow, dx.data() + bi * in_c_ * last_h_ * last_w_);
+    }
+
+    // dW[:, j0:j0+nj] += dY_b · cols_b[j0:j0+nj]^T, accumulated in a dense
+    // block seeded from dW and copied back.
+    const std::size_t j0 = lo * col_rows / batch;
+    const std::size_t nj = hi * col_rows / batch - j0;
+    Tensor& block = *dw_blocks[chunk];
+    block.resize(Shape{out_c_, nj});
+    for (std::size_t oc = 0; oc < out_c_; ++oc) {
+      std::copy_n(dw_.data() + oc * col_rows + j0, nj, block.data() + oc * nj);
+    }
+    for (std::size_t bi = 0; bi < batch; ++bi) {
+      const ops::MatView col_block{cols_[bi].data() + j0 * out_plane, nj,
+                                   out_plane};
+      ops::matmul_a_bt(dy(bi), col_block, block, /*accumulate=*/true);
+    }
+    for (std::size_t oc = 0; oc < out_c_; ++oc) {
+      std::copy_n(block.data() + oc * nj, nj, dw_.data() + oc * col_rows + j0);
+    }
+
+    for (std::size_t oc = lo * out_c_ / batch; oc < hi * out_c_ / batch;
+         ++oc) {
+      for (std::size_t bi = 0; bi < batch; ++bi) {
+        db_[oc] += ops::sum(std::span<const float>(
+            dy(bi).data + oc * out_plane, out_plane));
+      }
+    }
+  });
   return dx;
 }
 

@@ -4,12 +4,12 @@
 // element so the weight-gradient GEMM in backward() reuses them; the buffers
 // themselves persist across steps (resized in place, not reallocated).
 // Inference-mode forwards use arena scratch instead and free the cache.
-// Both passes split the batch across the ExecContext's worker pool: forward
-// writes are disjoint per item (bit-identical to serial), backward reduces
-// per-chunk weight-gradient partials in chunk order (deterministic for a
-// fixed thread count, within float tolerance of serial). Same-padding and
-// strided convolutions are supported; dilation is not (the paper's models do
-// not use it).
+// Both passes split the batch across the ExecContext's worker pool, and
+// every element comes whole from one worker: y and dX are written per item,
+// and backward splits dW by column and db by channel, each summed over
+// the whole batch in item order. So any pool width, nested or not, gives the
+// serial bits. Same-padding and strided convolutions are supported; dilation
+// is not (the paper's models do not use it).
 #pragma once
 
 #include "nn/init.hpp"

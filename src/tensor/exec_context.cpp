@@ -1,9 +1,5 @@
 #include "tensor/exec_context.hpp"
 
-#include <algorithm>
-
-#include "common/thread_pool.hpp"
-
 namespace vcdl {
 
 Tensor& ScratchArena::get(std::size_t slot, const Shape& shape) {
@@ -20,10 +16,6 @@ std::size_t ScratchArena::bytes() const {
 }
 
 void ScratchArena::release() { slots_.clear(); }
-
-std::size_t ExecContext::workers() const {
-  return pool == nullptr ? 1 : std::max<std::size_t>(1, pool->size());
-}
 
 ExecContext& serial_exec_context() {
   static thread_local ExecContext ctx;

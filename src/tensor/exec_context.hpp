@@ -10,12 +10,11 @@
 // parallelism remains a per-driver runtime decision.
 //
 // Determinism contract (see DESIGN.md "Execution & threading model"):
-//   * no pool, or a 1-thread pool ⇒ bit-identical to the serial kernels;
-//   * N workers ⇒ row-split GEMMs and batch-split convolution forwards are
-//     still bit-identical (every output element is produced whole by exactly
-//     one worker, in the serial arithmetic order); only Conv2D's per-chunk
-//     weight-gradient reduction regroups float sums, so training losses match
-//     within tolerance rather than bitwise.
+//   * any pool width, called on the dispatching thread or nested inside a
+//     pool task, is bit-identical to the serial kernels: every output and
+//     gradient element is produced whole by exactly one worker, in the
+//     serial arithmetic order (GEMMs split rows; Conv2D splits the batch for
+//     y and dX, dW by column and db by channel);
 //   * the SIMD tier is NOT part of the contract's state: every vector GEMM
 //     tier preserves the scalar reference's per-element accumulation order
 //     and never contracts mul+add into FMA, so scalar/AVX2/NEON produce
@@ -40,8 +39,8 @@ class ThreadPool;
 /// fanning work out to a pool; the returned references stay valid until
 /// release() (slots are held behind stable pointers). Each slot is a Tensor,
 /// whose backing store is 64-byte aligned (CacheAlignedAllocator), so two
-/// adjacent slots used as per-chunk accumulators can never false-share a
-/// cache line.
+/// adjacent slots used as per-chunk blocks can never false-share a cache
+/// line.
 class ScratchArena {
  public:
   /// Borrows slot `slot` resized to `shape`. Contents are unspecified.
@@ -60,9 +59,6 @@ class ScratchArena {
 struct ExecContext {
   ThreadPool* pool = nullptr;  // nullptr ⇒ single-threaded
   ScratchArena arena;
-
-  /// Worker count layers should plan per-worker scratch for (>= 1).
-  std::size_t workers() const;
 };
 
 /// Shared serial context (no pool) for callers that own no pool;

@@ -23,9 +23,9 @@ class Rng;
 /// Minimal STL allocator handing out cache-line-aligned (64-byte) storage.
 /// Tensor data lives behind it for two reasons: vector kernels can assume no
 /// tensor straddles a line it shares with another allocation, and — the one
-/// that is load-bearing for correctness of *scaling* — per-chunk gradient
-/// accumulators (Conv2D's partial dw/db tensors) can never false-share a
-/// cache line with an adjacent chunk's accumulator, however small they are.
+/// that is load-bearing for correctness of *scaling* — per-chunk scratch
+/// (Conv2D's chunk-private dW blocks) can never false-share a cache line
+/// with an adjacent chunk's block, however small they are.
 template <typename T>
 struct CacheAlignedAllocator {
   using value_type = T;

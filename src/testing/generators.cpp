@@ -99,7 +99,6 @@ ModelCase gen_model_case(Rng& rng, int size) {
       model.emplace<Dense>(filters, mc.classes, Init::xavier_uniform, rng);
     }
     mc.input = gen_tensor(rng, Shape{batch, channels, hw, hw}, 1.0f);
-    mc.has_conv = true;
     mc.desc = "conv stack " + std::to_string(channels) + "x" +
               std::to_string(hw) + "x" + std::to_string(hw);
   } else {

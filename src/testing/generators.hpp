@@ -47,10 +47,6 @@ struct ModelCase {
   Tensor input;                       // batch included
   std::vector<std::uint16_t> labels;  // batch entries in [0, classes)
   std::size_t classes = 0;
-  /// True when the stack contains Conv2D — the one layer whose pooled
-  /// weight-gradient reduction is tolerance-equal rather than bit-equal to
-  /// serial (tensor/exec_context.hpp).
-  bool has_conv = false;
   std::string desc;  // human-readable architecture summary
 };
 

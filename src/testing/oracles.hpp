@@ -4,8 +4,7 @@
 // same thing, so neither path needs hand-maintained expected values:
 //
 //   * serial vs pooled — one training step with an N-thread ExecContext
-//     keeps forward outputs and input gradients bit-identical to the serial
-//     path (only Conv2D's weight-gradient reduction regroups float sums; see
+//     gives the serial path's forward outputs and gradients bit for bit (see
 //     tensor/exec_context.hpp for the contract);
 //   * VC-ASGD vs SGD — a P1C1T1 run with α = 0 publishes exactly the last
 //     client's parameters (server·0 + client·1), so replaying its subtasks

@@ -3,19 +3,22 @@
 // Pins down the determinism contract of the ExecContext plumbing:
 //   * the serial path (worker_threads == 1, no pool) is bit-identical to the
 //     pre-ExecContext implementation (hardcoded golden values),
-//   * a 1-thread pool is bit-identical to no pool,
-//   * an N-thread pool keeps forward outputs and input gradients
-//     bit-identical and weight gradients / run metrics within tolerance,
-//     deterministically for a fixed thread count,
+//   * any pool width, called on the dispatching thread or nested inside a
+//     pool task, gives the serial bits: forward outputs, every gradient, and
+//     a whole run's trace digest, metrics and final params,
 //   * activation caches exist only between a training forward and its
 //     backward — inference forwards and clones carry none.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
+#include <iomanip>
+#include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "common/wire_codec.hpp"
 #include "core/local_sgd.hpp"
 #include "core/trainer.hpp"
 #include "nn/conv2d.hpp"
@@ -25,7 +28,9 @@
 #include "obs/metrics.hpp"
 #include "tensor/exec_context.hpp"
 #include "tensor/ops.hpp"
+#include "testing/generators.hpp"
 #include "testing/oracles.hpp"
+#include "testing/prop.hpp"
 
 namespace vcdl {
 namespace {
@@ -35,6 +40,67 @@ namespace {
 using testing::tiny_resnet;
 
 ExperimentSpec tiny_spec() { return testing::tiny_image_spec(); }
+
+// Logits and every gradient of two replicas after one training step must
+// match bit for bit.
+void expect_same_step(const Tensor& ya, Model& a, const Tensor& yb, Model& b) {
+  ASSERT_TRUE(ya.shape() == yb.shape());
+  for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], yb[i]);
+  const auto ga = a.grads();
+  const auto gb = b.grads();
+  ASSERT_EQ(ga.size(), gb.size());
+  for (std::size_t t = 0; t < ga.size(); ++t) {
+    ASSERT_EQ(ga[t]->numel(), gb[t]->numel());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < ga[t]->numel(); ++i) {
+      differing += (*ga[t])[i] != (*gb[t])[i];
+    }
+    EXPECT_EQ(differing, 0u) << "of " << ga[t]->numel()
+                             << " values differ in grad tensor " << t;
+  }
+}
+
+// A traced run of `spec` at a given pool width.
+struct RunOutput {
+  TraceDigest digest;
+  TrainResult result;
+};
+
+RunOutput run_at(ExperimentSpec spec, std::size_t worker_threads) {
+  spec.trace = true;
+  spec.worker_threads = worker_threads;
+  VcTrainer trainer(spec);
+  TrainResult result = trainer.run();
+  return {trainer.trace().digest(), std::move(result)};
+}
+
+// Lists which of trace digest (epoch count and virtual times included),
+// metrics fingerprint, epoch accuracies and final params differ between two
+// runs; empty when none does.
+std::string run_difference(const RunOutput& a, const RunOutput& b) {
+  std::ostringstream os;
+  if (!(a.digest == b.digest)) {
+    os << " trace digest (" << a.digest.to_string() << " vs "
+       << b.digest.to_string() << ")";
+  }
+  if (a.result.metrics.fingerprint() != b.result.metrics.fingerprint()) {
+    os << " metrics fingerprint";
+  }
+  const auto& ea = a.result.epochs;
+  const auto& eb = b.result.epochs;
+  for (std::size_t e = 0; e < std::min(ea.size(), eb.size()); ++e) {
+    if (ea[e].mean_subtask_acc != eb[e].mean_subtask_acc ||
+        ea[e].val_acc != eb[e].val_acc || ea[e].test_acc != eb[e].test_acc) {
+      os << " epoch " << e + 1 << " accuracy";
+    }
+  }
+  if (a.result.final_params != b.result.final_params) {
+    os << " final params (hash " << std::hex << std::setfill('0')
+       << std::setw(16) << params_hash(a.result.final_params) << " vs "
+       << std::setw(16) << params_hash(b.result.final_params) << ")";
+  }
+  return os.str();
+}
 
 // --- Golden regression: serial path is bit-identical to the pre-PR seed ----
 //
@@ -84,66 +150,74 @@ TEST(ExecThreading, OneThreadPoolBitIdenticalToSerial) {
 
   const Tensor ys = compute_gradients(serial, x, labels, serial_exec_context());
   const Tensor yp = compute_gradients(pooled, x, labels, pooled_ctx);
-  ASSERT_TRUE(ys.shape() == yp.shape());
-  for (std::size_t i = 0; i < ys.numel(); ++i) EXPECT_EQ(ys[i], yp[i]);
-
-  const auto gs = serial.grads();
-  const auto gp = pooled.grads();
-  ASSERT_EQ(gs.size(), gp.size());
-  for (std::size_t t = 0; t < gs.size(); ++t) {
-    for (std::size_t i = 0; i < gs[t]->numel(); ++i) {
-      EXPECT_EQ((*gs[t])[i], (*gp[t])[i]) << "grad tensor " << t;
-    }
-  }
+  expect_same_step(ys, serial, yp, pooled);
 }
 
-TEST(ExecThreading, FourThreadForwardBitIdenticalGradsWithinTolerance) {
+// One training step on a 4-thread pool, called on the dispatching thread and
+// called inside a pool task, where every parallel region runs inline as one
+// chunk over its whole range. Both give the serial step's bits.
+TEST(ExecThreading, FourThreadTrainStepBitIdenticalToSerialDirectAndNested) {
   Model serial = tiny_resnet(17);
   Model pooled = serial;
+  Model nested = serial;
   ThreadPool pool(4);
   ExecContext pooled_ctx;
   pooled_ctx.pool = &pool;
+  ExecContext nested_ctx;
+  nested_ctx.pool = &pool;
   Rng rng(5);
   const Tensor x = Tensor::randn(Shape{8, 3, 8, 8}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5, 6, 7};
 
   const Tensor ys = compute_gradients(serial, x, labels, serial_exec_context());
   const Tensor yp = compute_gradients(pooled, x, labels, pooled_ctx);
-  // Forward batch-splitting writes disjoint slices: bit-identical.
-  for (std::size_t i = 0; i < ys.numel(); ++i) EXPECT_EQ(ys[i], yp[i]);
-  // Only the Conv2D weight-gradient reduction regroups float sums; every
-  // gradient stays within a tight tolerance of the serial result.
-  const auto gs = serial.grads();
-  const auto gp = pooled.grads();
-  ASSERT_EQ(gs.size(), gp.size());
-  for (std::size_t t = 0; t < gs.size(); ++t) {
-    EXPECT_LE(ops::max_abs_diff(gs[t]->flat(), gp[t]->flat()), 1e-4f)
-        << "grad tensor " << t;
+  Tensor yn;
+  pool.submit([&] {
+        ASSERT_TRUE(pool.on_worker_thread());
+        yn = compute_gradients(nested, x, labels, nested_ctx);
+      })
+      .get();
+  expect_same_step(ys, serial, yp, pooled);
+  expect_same_step(ys, serial, yn, nested);
+}
+
+// --- Pool-vs-serial determinism at the run level ---------------------------
+
+TEST(ExecThreading, RunBitIdenticalAtOneTwoAndFourThreads) {
+  const RunOutput serial = run_at(tiny_spec(), 1);
+  for (const std::size_t threads : {2u, 4u}) {
+    EXPECT_EQ(run_difference(run_at(tiny_spec(), threads), serial), "")
+        << threads << " threads";
   }
 }
 
-TEST(ExecThreading, FourThreadRunDeterministicAndCloseToSerial) {
-  ExperimentSpec threaded = tiny_spec();
-  threaded.worker_threads = 4;
-  const TrainResult serial = run_experiment(tiny_spec());
-  const TrainResult a = run_experiment(threaded);
-  const TrainResult b = run_experiment(threaded);
-  ASSERT_EQ(a.epochs.size(), serial.epochs.size());
-  for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-    // Virtual time is independent of the worker pool entirely.
-    EXPECT_DOUBLE_EQ(a.epochs[i].end_time, serial.epochs[i].end_time);
-    // Chunk boundaries are a pure function of (range, pool size): identical
-    // thread counts give identical results, run to run.
-    EXPECT_DOUBLE_EQ(a.epochs[i].mean_subtask_acc,
-                     b.epochs[i].mean_subtask_acc);
-    EXPECT_DOUBLE_EQ(a.epochs[i].val_acc, b.epochs[i].val_acc);
-    EXPECT_DOUBLE_EQ(a.epochs[i].test_acc, b.epochs[i].test_acc);
-    // Against serial, only the conv weight-gradient reduction differs.
-    EXPECT_NEAR(a.epochs[i].mean_subtask_acc, serial.epochs[i].mean_subtask_acc,
-                1e-4);
-    EXPECT_NEAR(a.epochs[i].val_acc, serial.epochs[i].val_acc, 1e-4);
-    EXPECT_NEAR(a.epochs[i].test_acc, serial.epochs[i].test_acc, 1e-4);
-  }
+// The same over random miniature runs, fault-free and under chaos (faults,
+// crashes, preemption, adversaries): a 3-thread pool reproduces the serial
+// run. Few trials, because the TSan stage runs this suite too.
+void expect_thread_count_invariant(const char* name, bool chaos) {
+  testing::PropConfig cfg;
+  cfg.name = name;
+  cfg.suite = "test_exec_threading";
+  cfg.trials = 3;
+  cfg.max_size = 20;
+  const testing::PropResult r =
+      testing::run_property(cfg, [chaos](Rng& rng, int size) {
+        const ExperimentSpec spec =
+            testing::gen_experiment_spec(rng, size, chaos);
+        const std::string diff =
+            run_difference(run_at(spec, 3), run_at(spec, 1));
+        testing::prop_assert(diff.empty(), spec.label() +
+                                               " at 3 threads differs from "
+                                               "serial in:" + diff);
+      });
+  EXPECT_TRUE(r.passed) << r.message << "\nreplay: " << r.repro;
+}
+
+TEST(ExecThreading, RandomRunsIndependentOfThreadCount) {
+  expect_thread_count_invariant("exec.thread-count-invariance",
+                                /*chaos=*/false);
+  expect_thread_count_invariant("exec.thread-count-invariance-chaos",
+                                /*chaos=*/true);
 }
 
 // --- Activation-cache lifecycle --------------------------------------------
@@ -203,7 +277,7 @@ TEST(CacheLifecycle, BackwardOnFreshCloneThrows) {
 
 // --- Conv2D pool-vs-serial invariants --------------------------------------
 
-TEST(Conv2DThreading, PoolForwardAndInputGradBitIdenticalWeightGradClose) {
+TEST(Conv2DThreading, PoolForwardAndAllGradsBitIdenticalToSerial) {
   Rng rng(41);
   Conv2D serial(3, 4, 3, 1, 1, Init::he_normal, rng);
   Conv2D pooled(serial);
@@ -221,15 +295,15 @@ TEST(Conv2DThreading, PoolForwardAndInputGradBitIdenticalWeightGradClose) {
   pooled.zero_grads();
   const Tensor dxs = serial.backward(dy, serial_exec_context());
   const Tensor dxp = pooled.backward(dy, ctx);
-  // dX is per-item disjoint: bit-identical under batch splitting.
   for (std::size_t i = 0; i < dxs.numel(); ++i) EXPECT_EQ(dxs[i], dxp[i]);
-  // dW/db reduce per-chunk partials: within tolerance, not bit-identical.
-  EXPECT_LE(ops::max_abs_diff(serial.grads()[0]->flat(),
-                              pooled.grads()[0]->flat()),
-            1e-4f);
-  EXPECT_LE(ops::max_abs_diff(serial.grads()[1]->flat(),
-                              pooled.grads()[1]->flat()),
-            1e-4f);
+  // dW and db split by column, each element summed over the whole batch.
+  for (std::size_t t = 0; t < 2; ++t) {
+    const auto gs = serial.grads()[t]->flat();
+    const auto gp = pooled.grads()[t]->flat();
+    for (std::size_t i = 0; i < gs.size(); ++i) {
+      EXPECT_EQ(gs[i], gp[i]) << "grad tensor " << t << " at " << i;
+    }
+  }
 }
 
 // --- ScratchArena ------------------------------------------------------------
@@ -258,21 +332,13 @@ TEST(ScratchArena, ReusesSlotsAndTracksBytes) {
   EXPECT_EQ(arena.bytes(), 0u);
 }
 
-TEST(ScratchArena, ExecContextWorkers) {
-  ExecContext ctx;
-  EXPECT_EQ(ctx.workers(), 1u);
-  ThreadPool pool(3);
-  ctx.pool = &pool;
-  EXPECT_EQ(ctx.workers(), 3u);
-}
-
 // --- False-sharing guard ----------------------------------------------------
 
-// Conv2D::backward reduces per-chunk dw/db partials that live in adjacent
-// arena slots. If two chunks' accumulators shared a cache line, every
-// parallel backward would ping-pong that line between cores — a silent
-// scaling killer that no correctness test catches. The Tensor backing store
-// is 64-byte aligned precisely to rule this out; pin it.
+// Conv2D::backward accumulates each chunk's dW columns in a private block,
+// and the blocks live in adjacent arena slots. If two chunks' blocks shared
+// a cache line, every parallel backward would ping-pong that line between
+// cores — a silent scaling killer that no correctness test catches. The
+// Tensor backing store is 64-byte aligned precisely to rule this out; pin it.
 TEST(ExecThreading, TensorStorageIsCacheLineAligned) {
   for (const Shape& s : {Shape{1}, Shape{3}, Shape{4, 9}, Shape{2, 3, 5, 7}}) {
     Tensor t(s);
@@ -280,7 +346,7 @@ TEST(ExecThreading, TensorStorageIsCacheLineAligned) {
         << s.to_string();
   }
   // The arena hands out the same guarantee — these are the actual per-chunk
-  // accumulator allocations.
+  // block allocations.
   ScratchArena arena;
   for (std::size_t slot = 0; slot < 8; ++slot) {
     Tensor& t = arena.get(slot, Shape{3});  // small: adjacent lines if packed
@@ -330,16 +396,7 @@ TEST(ExecThreading, ForcedScalarTierBitIdenticalToActiveTierTrainStep) {
   ops::set_simd_tier_override(ops::SimdTier::scalar);
   const Tensor ys = compute_gradients(scalar, x, labels, serial_exec_context());
   ops::set_simd_tier_override(std::nullopt);
-
-  for (std::size_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], ys[i]);
-  const auto ga = active.grads();
-  const auto gs = scalar.grads();
-  ASSERT_EQ(ga.size(), gs.size());
-  for (std::size_t t = 0; t < ga.size(); ++t) {
-    for (std::size_t i = 0; i < ga[t]->numel(); ++i) {
-      EXPECT_EQ((*ga[t])[i], (*gs[t])[i]) << "grad tensor " << t;
-    }
-  }
+  expect_same_step(ya, active, ys, scalar);
 }
 
 }  // namespace

@@ -190,6 +190,10 @@ TEST(SimClientTest, RejectsBadConfig) {
   ClientConfig cfg;
   cfg.max_concurrent = 0;
   EXPECT_THROW(h.make(cfg), Error);
+  // A zero interval re-polls a full client at the same instant forever.
+  cfg = ClientConfig{};
+  cfg.poll_interval_s = 0.0;
+  EXPECT_THROW(h.make(cfg), Error);
 }
 
 }  // namespace

@@ -136,10 +136,6 @@ TEST(ThreadPool, ParallelForIndexedChunksAreDeterministic) {
   }
 }
 
-TEST(ThreadPool, GlobalPoolIsSingleton) {
-  EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
-}
-
 TEST(ThreadPool, ConcurrentSubmitters) {
   ThreadPool pool(2);
   std::atomic<int> count{0};

@@ -184,6 +184,9 @@ TEST(TrainerIntegration, InvalidSpecRejected) {
   spec = tiny_spec();
   spec.batch_size = 0;
   EXPECT_THROW(VcTrainer{spec}, Error);
+  spec = tiny_spec();
+  spec.poll_interval_s = 0.0;
+  EXPECT_THROW(VcTrainer{spec}, Error);
 }
 
 TEST(TrainerIntegration, ReliabilityGateRunCompletes) {
