@@ -47,47 +47,13 @@ int main(int argc, char** argv) {
 
   // Wire codec (docs/SIMULATION.md §4b): the same P3C3T8 run with the
   // lossless delta codec — parameter pulls billed as version deltas instead
-  // of full blobs.
+  // of full blobs. The `full` row is the P3C3T8 run above, whose spec it
+  // repeats exactly.
   std::cout << "\nParameter-pull traffic, full blobs vs lossless deltas"
                " (P3C3T8):\n";
   Table codec_tbl({"codec", "total wire MB", "param pull MB", "full-equiv MB",
                    "pull savings", "delta pulls", "final acc"});
-  for (const char* mode : {"full", "delta"}) {
-    ExperimentSpec spec = bench::base_spec(cfg);
-    spec.parameter_servers = 3;
-    spec.clients = 3;
-    spec.tasks_per_client = 8;
-    spec.alpha = "0.95";
-    spec.wire_codec = mode;
-    const TrainResult r = run_experiment(spec);
-    const double mb = 1024.0 * 1024.0;
-    const obs::MetricsSnapshot& m = r.metrics;
-    const auto bytes = [&m](const char* counter) {
-      return static_cast<double>(m.counter(counter));
-    };
-    const bool has_split = m.counter("file_server.bytes_delta_full") > 0;
-    const double wire = bytes("file_server.bytes_delta_wire");
-    const double full = bytes("file_server.bytes_delta_full");
-    codec_tbl.add_row(
-        {mode, Table::fmt(bytes("file_server.bytes_wire") / mb, 2),
-         has_split ? Table::fmt(wire / mb, 2) : "-",
-         has_split ? Table::fmt(full / mb, 2) : "-",
-         has_split ? Table::fmt(full / std::max(wire, 1.0), 1) + "x" : "-",
-         Table::fmt(m.counter("file_server.delta_pulls")),
-         Table::fmt(r.final_epoch().mean_subtask_acc, 3)});
-  }
-  codec_tbl.print(std::cout);
-
-  // Sharded parameter plane (core/shard_plan.hpp): the same P3C3T8 delta run
-  // with the parameter vector sliced over {1, 2, 4, 8} per-shard planes —
-  // shard files pulled in parallel, uploads as per-shard frame bundles.
-  // Results land in BENCH_shard.json alongside bench_fig3's sweep.
-  std::cout << "\nSharded parameter plane sweep (P3C3T8, delta codec):\n";
-  Table shard_tbl({"shards", "hours", "final acc", "param pull MB",
-                   "full-equiv MB", "delta pulls"});
-  std::ostringstream rows;
-  rows << "[";
-  for (const std::size_t shards : {1, 2, 4, 8}) {
+  const auto p3c3t8_delta = [&cfg](std::size_t shards) {
     ExperimentSpec spec = bench::base_spec(cfg);
     spec.parameter_servers = 3;
     spec.clients = 3;
@@ -95,7 +61,43 @@ int main(int argc, char** argv) {
     spec.alpha = "0.95";
     spec.wire_codec = "delta";
     spec.param_shards = shards;
-    const TrainResult r = run_experiment(spec);
+    return spec;
+  };
+  const TrainResult& full_codec = results[2];  // shapes[2]
+  const TrainResult delta = run_experiment(p3c3t8_delta(1));
+  for (const TrainResult* r : {&full_codec, &delta}) {
+    const double mb = 1024.0 * 1024.0;
+    const obs::MetricsSnapshot& m = r->metrics;
+    const auto bytes = [&m](const char* counter) {
+      return static_cast<double>(m.counter(counter));
+    };
+    const bool has_split = m.counter("file_server.bytes_delta_full") > 0;
+    const double wire = bytes("file_server.bytes_delta_wire");
+    const double full = bytes("file_server.bytes_delta_full");
+    codec_tbl.add_row(
+        {r->spec.wire_codec,
+         Table::fmt(bytes("file_server.bytes_wire") / mb, 2),
+         has_split ? Table::fmt(wire / mb, 2) : "-",
+         has_split ? Table::fmt(full / mb, 2) : "-",
+         has_split ? Table::fmt(full / std::max(wire, 1.0), 1) + "x" : "-",
+         Table::fmt(m.counter("file_server.delta_pulls")),
+         Table::fmt(r->final_epoch().mean_subtask_acc, 3)});
+  }
+  codec_tbl.print(std::cout);
+
+  // Sharded parameter plane (core/shard_plan.hpp): the same P3C3T8 delta run
+  // with the parameter vector sliced over {1, 2, 4, 8} per-shard planes —
+  // shard files pulled in parallel, uploads as per-shard frame bundles. One
+  // shard is the delta run above. Results land in BENCH_shard.json alongside
+  // bench_fig3's sweep.
+  std::cout << "\nSharded parameter plane sweep (P3C3T8, delta codec):\n";
+  Table shard_tbl({"shards", "hours", "final acc", "param pull MB",
+                   "full-equiv MB", "delta pulls"});
+  std::ostringstream rows;
+  rows << "[";
+  for (const std::size_t shards : {1, 2, 4, 8}) {
+    const ExperimentSpec spec = p3c3t8_delta(shards);
+    const TrainResult r = shards == 1 ? delta : run_experiment(spec);
     const double mb = 1024.0 * 1024.0;
     const std::uint64_t param_wire =
         r.metrics.counter("file_server.bytes_delta_wire");

@@ -130,6 +130,17 @@ werror_calls=$(grep -c -- '-DVCDL_WERROR=ON' ci/sanitize.sh)
 check "sanitize.sh configures set VCDL_WERROR=ON (${werror_calls}/${configure_calls})" \
   test "${configure_calls}" -eq 2 -a "${werror_calls}" -eq "${configure_calls}"
 
+# 10. The perfbench smoke stage parses, takes its workload list from
+#     BENCHMARK.json, so a new workload is run without editing the script,
+#     and runs every workload both untraced and traced.
+check "perfbench_smoke.sh syntax" bash -n ci/perfbench_smoke.sh
+check "perfbench_smoke.sh reads the workloads from BENCHMARK.json" \
+  grep -qF 'json.load(open("BENCHMARK.json"))["workloads"]' \
+  ci/perfbench_smoke.sh
+check "perfbench_smoke.sh runs both trace modes" \
+  bash -c "grep -qE '^  for trace in 0 1; do' ci/perfbench_smoke.sh &&
+           grep -qF -- '--trace \"\${trace}\"' ci/perfbench_smoke.sh"
+
 if [[ "${failures}" -ne 0 ]]; then
   echo "ci self-test: ${failures} check(s) failed"
   exit 1

@@ -2,9 +2,9 @@
 
 namespace vcdl {
 
-std::uint64_t Blob::hash() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
-  for (const std::uint8_t b : bytes_) {
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t seed) {
+  std::uint64_t h = seed;
+  for (const std::uint8_t b : bytes) {
     h ^= b;
     h *= 0x100000001B3ull;
   }

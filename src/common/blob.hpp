@@ -21,6 +21,20 @@
 
 namespace vcdl {
 
+/// FNV-1a's offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ull;
+
+/// 64-bit FNV-1a over `bytes`, continuing from `seed`. The one hash behind
+/// Blob::hash, params_hash, the trace digest and the metrics fingerprint.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                    std::uint64_t seed = kFnvOffsetBasis);
+inline std::uint64_t fnv1a(std::string_view chars,
+                           std::uint64_t seed = kFnvOffsetBasis) {
+  return fnv1a({reinterpret_cast<const std::uint8_t*>(chars.data()),
+                chars.size()},
+               seed);
+}
+
 /// Owning, contiguous byte buffer.
 class Blob {
  public:
@@ -40,7 +54,7 @@ class Blob {
   }
 
   /// Stable 64-bit content hash (FNV-1a); used for cache keys and dedup.
-  std::uint64_t hash() const;
+  std::uint64_t hash() const { return fnv1a(view()); }
 
   friend bool operator==(const Blob& a, const Blob& b) {
     return a.bytes_ == b.bytes_;

@@ -251,12 +251,7 @@ std::span<const std::uint8_t> float_bytes(std::span<const float> a) {
 }
 
 std::uint64_t params_hash(std::span<const float> params) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a, matching Blob::hash
-  for (const std::uint8_t b : float_bytes(params)) {
-    h ^= b;
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  return fnv1a(float_bytes(params));
 }
 
 Blob encode_params_delta(std::span<const float> base,

@@ -67,13 +67,8 @@ void SimClient::poll() {
     const auto units = scheduler_.request_work(
         id_, config_.max_concurrent - active_, engine_.now());
     for (const auto& unit : units) begin_unit(unit);
-    if (units.empty()) {
-      schedule_poll(config_.poll_interval_s);
-      return;
-    }
   }
-  // Slots full (or just filled): poll again when something completes, or on
-  // the regular interval as a safety net.
+  // Poll again on the regular interval, whether or not work came back.
   schedule_poll(config_.poll_interval_s);
 }
 

@@ -7,18 +7,6 @@
 #include "grid/test_hooks.hpp"
 
 namespace vcdl {
-namespace {
-std::uint64_t blob_hash(const Blob& payload) {
-  // FNV-1a over the raw payload bytes — the tolerance == 0 equivalence key.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const std::uint8_t* p = payload.data();
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-}  // namespace
 
 const std::vector<std::string>& consensus_metric_names() {
   static const std::vector<std::string> names = {
@@ -89,7 +77,7 @@ ConsensusBuffer::Submission ConsensusBuffer::submit(const Workunit& unit,
   replica.received_at = received_at;
   replica.order = ++arrival_counter_;
   if (config_.tolerance == 0.0) {
-    replica.hash = blob_hash(replica.payload);
+    replica.hash = replica.payload.hash();  // the tolerance == 0 key
   } else {
     replica.decoded = decoder_(replica.payload);
   }

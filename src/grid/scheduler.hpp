@@ -156,10 +156,6 @@ class Scheduler {
   /// on ready_ below), so this is its size.
   std::size_t ready_count() const { return ready_.size(); }
   std::size_t inflight_count() const { return inflight_count_; }
-  /// Raw ready-queue length — regression hook for the queue-leak fix
-  /// (retired ids must be removed eagerly, never parked). Equal to
-  /// ready_count() unless a sabotage hook broke the invariant.
-  std::size_t ready_queue_size() const { return ready_.size(); }
   /// Raw deadline-heap length, stale (already-resolved) entries included —
   /// regression hook for the deadline-index compaction rule.
   std::size_t deadline_heap_size() const { return deadline_heap_.size(); }

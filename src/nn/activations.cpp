@@ -1,85 +1,34 @@
 #include "nn/activations.hpp"
 
-#include <cmath>
-
 namespace vcdl {
 
 Tensor ReLU::forward(const Tensor& x, ExecContext& /*ctx*/, bool training) {
   Tensor y = x;
-  auto yf = y.flat();
+  // `v <= 0` is false for NaN, which therefore passes through.
+  for (auto& v : y.flat()) {
+    if (v <= 0.0f) v = 0.0f;
+  }
   if (training) {
-    mask_ = Tensor(x.shape());
-    auto mf = mask_.flat();
-    for (std::size_t i = 0; i < yf.size(); ++i) {
-      if (yf[i] > 0.0f) {
-        mf[i] = 1.0f;
-      } else {
-        yf[i] = 0.0f;
-        mf[i] = 0.0f;
-      }
-    }
+    last_y_ = y;  // reuses the cached buffer once the shape settles
   } else {
-    mask_ = Tensor();
-    for (auto& v : yf) {
-      if (v <= 0.0f) v = 0.0f;
-    }
+    last_y_ = Tensor();
   }
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out, ExecContext& /*ctx*/) {
-  VCDL_CHECK(grad_out.shape() == mask_.shape(),
+  VCDL_CHECK(grad_out.shape() == last_y_.shape(),
              "ReLU::backward before training-mode forward or shape mismatch");
   Tensor dx = grad_out;
   auto df = dx.flat();
-  auto mf = mask_.flat();
-  for (std::size_t i = 0; i < df.size(); ++i) df[i] *= mf[i];
+  auto yf = last_y_.flat();
+  for (std::size_t i = 0; i < df.size(); ++i) {
+    df[i] *= yf[i] > 0.0f ? 1.0f : 0.0f;
+  }
   return dx;
 }
 
 void ReLU::write_spec(BinaryWriter& /*w*/) const {}
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(*this); }
-
-Tensor Tanh::forward(const Tensor& x, ExecContext& /*ctx*/, bool training) {
-  Tensor y = x;
-  for (auto& v : y.flat()) v = std::tanh(v);
-  last_y_ = training ? y : Tensor();
-  return y;
-}
-
-Tensor Tanh::backward(const Tensor& grad_out, ExecContext& /*ctx*/) {
-  VCDL_CHECK(grad_out.shape() == last_y_.shape(),
-             "Tanh::backward before training-mode forward or shape mismatch");
-  Tensor dx = grad_out;
-  auto df = dx.flat();
-  auto yf = last_y_.flat();
-  for (std::size_t i = 0; i < df.size(); ++i) df[i] *= 1.0f - yf[i] * yf[i];
-  return dx;
-}
-
-void Tanh::write_spec(BinaryWriter& /*w*/) const {}
-std::unique_ptr<Layer> Tanh::clone() const { return std::make_unique<Tanh>(*this); }
-
-Tensor Sigmoid::forward(const Tensor& x, ExecContext& /*ctx*/, bool training) {
-  Tensor y = x;
-  for (auto& v : y.flat()) v = 1.0f / (1.0f + std::exp(-v));
-  last_y_ = training ? y : Tensor();
-  return y;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_out, ExecContext& /*ctx*/) {
-  VCDL_CHECK(grad_out.shape() == last_y_.shape(),
-             "Sigmoid::backward before training-mode forward or shape mismatch");
-  Tensor dx = grad_out;
-  auto df = dx.flat();
-  auto yf = last_y_.flat();
-  for (std::size_t i = 0; i < df.size(); ++i) df[i] *= yf[i] * (1.0f - yf[i]);
-  return dx;
-}
-
-void Sigmoid::write_spec(BinaryWriter& /*w*/) const {}
-std::unique_ptr<Layer> Sigmoid::clone() const {
-  return std::make_unique<Sigmoid>(*this);
-}
 
 }  // namespace vcdl

@@ -18,8 +18,8 @@ obs::Histogram& im2col_metric() {
   return h;
 }
 
-// Half-open range of output columns whose stride-1 input column ix = ox + kx
-// - pad lands inside [0, w). Everything left of it is zero padding, everything
+// Half-open range of output columns whose input column ix = ox + kx - pad
+// lands inside [0, w). Everything left of it is zero padding, everything
 // right of it too — so the interior is one contiguous run.
 struct OxRange {
   std::size_t lo, hi;  // hi <= lo means the whole row is padding
@@ -38,15 +38,12 @@ OxRange valid_ox(std::size_t w, std::size_t ow, std::size_t kernel_x,
 }
 
 // Expands the padded input patch matrix: col[(c*k*k + ky*k + kx)][oy*OW + ox]
-// = x[c][oy*stride + ky - pad][ox*stride + kx - pad] (0 outside).
-//
-// stride == 1 (every conv in the model zoo) takes a fast path: per (ky, kx,
-// oy) the interior columns are a single contiguous memcpy bracketed by two
-// padding memsets, instead of a per-column bounds check. Values written are
-// identical to the general path — it is pure copy layout, no arithmetic.
+// = x[c][oy + ky - pad][ox + kx - pad] (0 outside). Per (ky, kx, oy) the
+// interior columns are one contiguous memcpy bracketed by two padding
+// memsets: pure copy layout, no arithmetic.
 void im2col(const float* x, std::size_t channels, std::size_t h, std::size_t w,
-            std::size_t kernel, std::size_t stride, std::size_t pad,
-            std::size_t oh, std::size_t ow, float* col) {
+            std::size_t kernel, std::size_t pad, std::size_t oh,
+            std::size_t ow, float* col) {
   const std::size_t plane = h * w;
   const std::size_t out_plane = oh * ow;
   for (std::size_t c = 0; c < channels; ++c) {
@@ -54,37 +51,24 @@ void im2col(const float* x, std::size_t channels, std::size_t h, std::size_t w,
     for (std::size_t ky = 0; ky < kernel; ++ky) {
       for (std::size_t kx = 0; kx < kernel; ++kx) {
         float* row = col + ((c * kernel + ky) * kernel + kx) * out_plane;
-        const OxRange r =
-            stride == 1 ? valid_ox(w, ow, kx, pad) : OxRange{0, 0};
+        const OxRange r = valid_ox(w, ow, kx, pad);
         for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
+          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy + ky) -
+                                    static_cast<std::ptrdiff_t>(pad);
+          float* out_row = row + oy * ow;
           if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-            std::memset(row + oy * ow, 0, ow * sizeof(float));
+            std::memset(out_row, 0, ow * sizeof(float));
             continue;
           }
           const float* x_row = xc + static_cast<std::size_t>(iy) * w;
-          float* out_row = row + oy * ow;
-          if (stride == 1) {
-            if (r.lo > 0) std::memset(out_row, 0, r.lo * sizeof(float));
-            if (r.hi > r.lo) {
-              std::memcpy(out_row + r.lo, x_row + (r.lo + kx - pad),
-                          (r.hi - r.lo) * sizeof(float));
-            }
-            if (ow > r.hi) {
-              std::memset(out_row + std::max(r.lo, r.hi), 0,
-                          (ow - std::max(r.lo, r.hi)) * sizeof(float));
-            }
-            continue;
+          if (r.lo > 0) std::memset(out_row, 0, r.lo * sizeof(float));
+          if (r.hi > r.lo) {
+            std::memcpy(out_row + r.lo, x_row + (r.lo + kx - pad),
+                        (r.hi - r.lo) * sizeof(float));
           }
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            out_row[ox] = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
-                              ? 0.0f
-                              : x_row[static_cast<std::size_t>(ix)];
+          if (ow > r.hi) {
+            std::memset(out_row + std::max(r.lo, r.hi), 0,
+                        (ow - std::max(r.lo, r.hi)) * sizeof(float));
           }
         }
       }
@@ -93,13 +77,11 @@ void im2col(const float* x, std::size_t channels, std::size_t h, std::size_t w,
 }
 
 // Scatter-adds the column matrix back into image layout (inverse of im2col
-// with accumulation at overlapping positions). Same stride-1 fast path as
-// im2col: the valid columns form one contiguous run, added left-to-right in
-// the identical order as the general loop, so the float sums are bitwise
-// unchanged.
+// with accumulation at overlapping positions). The valid columns of a row
+// form one contiguous run, added left to right.
 void col2im(const float* col, std::size_t channels, std::size_t h, std::size_t w,
-            std::size_t kernel, std::size_t stride, std::size_t pad,
-            std::size_t oh, std::size_t ow, float* x) {
+            std::size_t kernel, std::size_t pad, std::size_t oh,
+            std::size_t ow, float* x) {
   const std::size_t plane = h * w;
   const std::size_t out_plane = oh * ow;
   for (std::size_t c = 0; c < channels; ++c) {
@@ -107,28 +89,16 @@ void col2im(const float* col, std::size_t channels, std::size_t h, std::size_t w
     for (std::size_t ky = 0; ky < kernel; ++ky) {
       for (std::size_t kx = 0; kx < kernel; ++kx) {
         const float* row = col + ((c * kernel + ky) * kernel + kx) * out_plane;
-        const OxRange r =
-            stride == 1 ? valid_ox(w, ow, kx, pad) : OxRange{0, 0};
+        const OxRange r = valid_ox(w, ow, kx, pad);
         for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
+          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy + ky) -
+                                    static_cast<std::ptrdiff_t>(pad);
           if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-          float* x_row = xc + static_cast<std::size_t>(iy) * w;
+          float* dst =
+              xc + static_cast<std::size_t>(iy) * w + (r.lo + kx - pad);
           const float* col_row = row + oy * ow;
-          if (stride == 1) {
-            float* dst = x_row + (r.lo + kx - pad);
-            for (std::size_t ox = r.lo; ox < r.hi; ++ox) {
-              *dst++ += col_row[ox];
-            }
-            continue;
-          }
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-            x_row[static_cast<std::size_t>(ix)] += col_row[ox];
+          for (std::size_t ox = r.lo; ox < r.hi; ++ox) {
+            *dst++ += col_row[ox];
           }
         }
       }
@@ -152,15 +122,14 @@ void for_each_chunk(
 }  // namespace
 
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
-               std::size_t kernel, std::size_t stride, std::size_t pad,
-               Init scheme, Rng& rng)
-    : in_c_(in_channels), out_c_(out_channels), kernel_(kernel),
-      stride_(stride), pad_(pad), scheme_(scheme),
+               std::size_t kernel, std::size_t pad, Init scheme, Rng& rng)
+    : in_c_(in_channels), out_c_(out_channels), kernel_(kernel), pad_(pad),
+      scheme_(scheme),
       w_(Shape{out_channels, in_channels * kernel * kernel}),
       b_(Shape{out_channels}),
       dw_(Shape{out_channels, in_channels * kernel * kernel}),
       db_(Shape{out_channels}) {
-  VCDL_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0 && stride > 0,
+  VCDL_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0,
              "Conv2D: bad hyperparameters");
   const std::size_t fan_in = in_channels * kernel * kernel;
   const std::size_t fan_out = out_channels * kernel * kernel;
@@ -169,7 +138,7 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
 
 Conv2D::Conv2D(const Conv2D& other)
     : in_c_(other.in_c_), out_c_(other.out_c_), kernel_(other.kernel_),
-      stride_(other.stride_), pad_(other.pad_), scheme_(other.scheme_),
+      pad_(other.pad_), scheme_(other.scheme_),
       w_(other.w_), b_(other.b_), dw_(other.dw_), db_(other.db_) {}
 
 Tensor Conv2D::forward(const Tensor& x, ExecContext& ctx, bool training) {
@@ -224,8 +193,8 @@ Tensor Conv2D::forward(const Tensor& x, ExecContext& ctx, bool training) {
       Tensor& col = training ? cols_[bi] : *eval_cols[chunk];
       {
         obs::SpanTimer span(im2col_metric());
-        im2col(x.data() + bi * in_c_ * h * w, in_c_, h, w, kernel_, stride_,
-               pad_, oh, ow, col.data());
+        im2col(x.data() + bi * in_c_ * h * w, in_c_, h, w, kernel_, pad_, oh,
+               ow, col.data());
       }
       ops::matmul(w_, col, y_mat);
       float* y_b = y.data() + bi * out_c_ * out_plane;
@@ -280,8 +249,8 @@ Tensor Conv2D::backward(const Tensor& grad_out, ExecContext& ctx) {
     for (std::size_t bi = lo; bi < hi; ++bi) {
       ops::matmul_at_b(ops::view(w_), dy(bi), dcol);
       obs::SpanTimer span(im2col_metric());
-      col2im(dcol.data(), in_c_, last_h_, last_w_, kernel_, stride_, pad_, oh,
-             ow, dx.data() + bi * in_c_ * last_h_ * last_w_);
+      col2im(dcol.data(), in_c_, last_h_, last_w_, kernel_, pad_, oh, ow,
+             dx.data() + bi * in_c_ * last_h_ * last_w_);
     }
 
     // dW[:, j0:j0+nj] += dY_b · cols_b[j0:j0+nj]^T, accumulated in a dense
@@ -323,7 +292,7 @@ void Conv2D::write_spec(BinaryWriter& w) const {
   w.write_varint(in_c_);
   w.write_varint(out_c_);
   w.write_varint(kernel_);
-  w.write_varint(stride_);
+  w.write_varint(1);  // stride: the architecture format keeps the field
   w.write_varint(pad_);
   w.write_string(init_name(scheme_));
 }

@@ -8,8 +8,8 @@
 // every element comes whole from one worker: y and dX are written per item,
 // and backward splits dW by column and db by channel, each summed over
 // the whole batch in item order. So any pool width, nested or not, gives the
-// serial bits. Same-padding and strided convolutions are supported; dilation
-// is not (the paper's models do not use it).
+// serial bits. The stride is 1 and there is no dilation: the paper's models
+// use neither (they downsample with MaxPool2D).
 #pragma once
 
 #include "nn/init.hpp"
@@ -22,10 +22,9 @@ class Rng;
 class Conv2D : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-         std::size_t stride, std::size_t pad, Init scheme, Rng& rng);
+         std::size_t pad, Init scheme, Rng& rng);
   /// Copies parameters/gradients but not the im2col cache.
   Conv2D(const Conv2D& other);
-
 
   /// x: [batch, in_channels, H, W] → [batch, out_channels, OH, OW].
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
@@ -38,11 +37,11 @@ class Conv2D : public Layer {
   void write_spec(BinaryWriter& w) const override;
   std::unique_ptr<Layer> clone() const override;
 
-  std::size_t out_height(std::size_t h) const { return (h + 2 * pad_ - kernel_) / stride_ + 1; }
-  std::size_t out_width(std::size_t w) const { return (w + 2 * pad_ - kernel_) / stride_ + 1; }
+  std::size_t out_height(std::size_t h) const { return h + 2 * pad_ - kernel_ + 1; }
+  std::size_t out_width(std::size_t w) const { return w + 2 * pad_ - kernel_ + 1; }
 
  private:
-  std::size_t in_c_, out_c_, kernel_, stride_, pad_;
+  std::size_t in_c_, out_c_, kernel_, pad_;
   Init scheme_;
   Tensor w_;   // [out_c, in_c * k * k]
   Tensor b_;   // [out_c]

@@ -8,11 +8,11 @@
 // ExecContext threaded through forward/backward: its worker pool splits the
 // GEMM/conv work of ONE model, it never shares a model between drivers.
 //
-// Activation caches (Dense::last_x_, Conv2D's im2col buffers, ReLU masks, …)
-// are transient: they exist only between a training-mode forward and its
-// backward. Inference-mode forwards skip them (and drop stale ones), and
-// clone() excludes them, so cloned replicas and eval models don't haul dead
-// buffers around.
+// Activation caches (Dense::last_x_, Conv2D's im2col buffers, ReLU's
+// output, …) are transient: they exist only between a training-mode forward
+// and its backward. Inference-mode forwards skip them (and drop stale ones),
+// and clone() excludes them, so cloned replicas and eval models don't haul
+// dead buffers around.
 #pragma once
 
 #include <memory>
@@ -30,9 +30,9 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Computes the layer output. `training` toggles train-only behaviour
-  /// (dropout masks, activation caching for backward). `ctx` supplies the
-  /// worker pool and scratch arena; it must outlive the call. Input batch
-  /// layout is documented per layer.
+  /// (activation caching for backward). `ctx` supplies the worker pool and
+  /// scratch arena; it must outlive the call. Input batch layout is
+  /// documented per layer.
   virtual Tensor forward(const Tensor& x, ExecContext& ctx, bool training) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns

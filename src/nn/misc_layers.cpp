@@ -21,58 +21,6 @@ std::unique_ptr<Layer> Flatten::clone() const {
   return std::make_unique<Flatten>(*this);
 }
 
-Dropout::Dropout(double rate, std::uint64_t seed)
-    : rate_(rate), seed_(seed), rng_(seed) {
-  VCDL_CHECK(rate >= 0.0 && rate < 1.0, "Dropout rate must be in [0, 1)");
-}
-
-Dropout::Dropout(const Dropout& other)
-    : rate_(other.rate_), seed_(other.seed_), rng_(other.rng_) {}
-
-Tensor Dropout::forward(const Tensor& x, ExecContext& /*ctx*/, bool training) {
-  if (!training || rate_ == 0.0) {
-    used_mask_ = false;
-    mask_ = Tensor();
-    return x;
-  }
-  used_mask_ = true;
-  mask_ = Tensor(x.shape());
-  Tensor y = x;
-  const float keep_inv = 1.0f / static_cast<float>(1.0 - rate_);
-  auto mf = mask_.flat();
-  auto yf = y.flat();
-  for (std::size_t i = 0; i < yf.size(); ++i) {
-    if (rng_.bernoulli(rate_)) {
-      mf[i] = 0.0f;
-      yf[i] = 0.0f;
-    } else {
-      mf[i] = keep_inv;
-      yf[i] *= keep_inv;
-    }
-  }
-  return y;
-}
-
-Tensor Dropout::backward(const Tensor& grad_out, ExecContext& /*ctx*/) {
-  if (!used_mask_) return grad_out;
-  VCDL_CHECK(grad_out.shape() == mask_.shape(),
-             "Dropout::backward: gradient shape mismatch");
-  Tensor dx = grad_out;
-  auto df = dx.flat();
-  auto mf = mask_.flat();
-  for (std::size_t i = 0; i < df.size(); ++i) df[i] *= mf[i];
-  return dx;
-}
-
-void Dropout::write_spec(BinaryWriter& w) const {
-  w.write(rate_);
-  w.write(seed_);
-}
-
-std::unique_ptr<Layer> Dropout::clone() const {
-  return std::make_unique<Dropout>(*this);
-}
-
 Residual::Residual(std::vector<std::unique_ptr<Layer>> inner)
     : inner_(std::move(inner)) {
   VCDL_CHECK(!inner_.empty(), "Residual: empty inner stack");

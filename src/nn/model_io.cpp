@@ -36,23 +36,18 @@ std::unique_ptr<Layer> read_layer(BinaryReader& r, Rng& rng) {
     const auto in_c = r.read_varint();
     const auto out_c = r.read_varint();
     const auto kernel = r.read_varint();
-    const auto stride = r.read_varint();
+    if (r.read_varint() != 1) {
+      throw CorruptData("load_architecture: conv2d stride must be 1");
+    }
     const auto pad = r.read_varint();
     const auto scheme = init_from_name(r.read_string());
-    return std::make_unique<Conv2D>(in_c, out_c, kernel, stride, pad, scheme, rng);
+    return std::make_unique<Conv2D>(in_c, out_c, kernel, pad, scheme, rng);
   }
   if (kind == "relu") return std::make_unique<ReLU>();
-  if (kind == "tanh") return std::make_unique<Tanh>();
-  if (kind == "sigmoid") return std::make_unique<Sigmoid>();
   if (kind == "flatten") return std::make_unique<Flatten>();
   if (kind == "gavgpool") return std::make_unique<GlobalAvgPool>();
   if (kind == "maxpool2d") {
     return std::make_unique<MaxPool2D>(r.read_varint());
-  }
-  if (kind == "dropout") {
-    const auto rate = r.read<double>();
-    const auto seed = r.read<std::uint64_t>();
-    return std::make_unique<Dropout>(rate, seed);
   }
   if (kind == "residual") {
     const auto n = r.read_varint();
@@ -69,8 +64,8 @@ std::unique_ptr<Layer> read_layer(BinaryReader& r, Rng& rng) {
 const std::vector<std::string>& registered_layer_kinds() {
   // Keep in sync with read_layer() above.
   static const std::vector<std::string> kinds = {
-      "dense",   "conv2d",    "relu",    "tanh",    "sigmoid",
-      "flatten", "gavgpool",  "maxpool2d", "dropout", "residual"};
+      "dense",    "conv2d",    "relu",    "flatten",
+      "gavgpool", "maxpool2d", "residual"};
   return kinds;
 }
 

@@ -29,10 +29,10 @@ namespace {
 
 std::unique_ptr<Layer> make_basic_block(std::size_t filters, Rng& rng) {
   std::vector<std::unique_ptr<Layer>> inner;
-  inner.push_back(std::make_unique<Conv2D>(filters, filters, 3, 1, 1,
+  inner.push_back(std::make_unique<Conv2D>(filters, filters, 3, 1,
                                            Init::he_normal, rng));
   inner.push_back(std::make_unique<ReLU>());
-  inner.push_back(std::make_unique<Conv2D>(filters, filters, 3, 1, 1,
+  inner.push_back(std::make_unique<Conv2D>(filters, filters, 3, 1,
                                            Init::he_normal, rng));
   return std::make_unique<Residual>(std::move(inner));
 }
@@ -50,7 +50,7 @@ Model make_resnet_lite(const ResNetLiteSpec& spec, std::uint64_t seed) {
   const std::size_t f2 = 2 * spec.base_filters;
 
   // Stem.
-  model.emplace<Conv2D>(spec.channels, f1, 3, 1, 1, Init::he_normal, rng);
+  model.emplace<Conv2D>(spec.channels, f1, 3, 1, Init::he_normal, rng);
   model.emplace<ReLU>();
   // Stage 1.
   for (std::size_t b = 0; b < spec.blocks; ++b) {
@@ -59,7 +59,7 @@ Model make_resnet_lite(const ResNetLiteSpec& spec, std::uint64_t seed) {
   }
   // Downsample + widen.
   model.emplace<MaxPool2D>(2);
-  model.emplace<Conv2D>(f1, f2, 3, 1, 1, Init::he_normal, rng);
+  model.emplace<Conv2D>(f1, f2, 3, 1, Init::he_normal, rng);
   model.emplace<ReLU>();
   // Stage 2.
   for (std::size_t b = 0; b < spec.blocks; ++b) {

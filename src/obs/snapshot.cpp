@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/blob.hpp"
 #include "common/error.hpp"
 
 namespace vcdl::obs {
@@ -17,15 +18,6 @@ std::string fmt_double(double v) {
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
   VCDL_CHECK(res.ec == std::errc{}, "MetricsSnapshot: double format failed");
   return std::string(buf, res.ptr);
-}
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 }  // namespace

@@ -3,21 +3,15 @@
 #include <bit>
 #include <cstdio>
 
+#include "common/blob.hpp"
+
 namespace vcdl {
 namespace {
 
-// FNV-1a over arbitrary bytes, continuing from `h`.
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
+// The bytes of a trivially copyable value, in memory order.
+template <typename T>
+std::span<const std::uint8_t> bytes_of(const T& value) {
+  return {reinterpret_cast<const std::uint8_t*>(&value), sizeof(T)};
 }
 
 }  // namespace
@@ -70,17 +64,17 @@ std::string TraceDigest::to_string() const {
 
 TraceDigest TraceLog::digest() const {
   TraceDigest d;
-  d.hash = 0xcbf29ce484222325ull;  // FNV offset basis
+  d.hash = kFnvOffsetBasis;
   for (const auto& e : events_) {
     const auto time_bits = std::bit_cast<std::uint64_t>(e.time);
-    d.hash = fnv1a(d.hash, &time_bits, sizeof(time_bits));
+    d.hash = fnv1a(bytes_of(time_bits), d.hash);
     const auto kind = static_cast<std::uint8_t>(e.kind);
-    d.hash = fnv1a(d.hash, &kind, sizeof(kind));
+    d.hash = fnv1a(bytes_of(kind), d.hash);
     // Length-prefix the strings so ("ab","c") and ("a","bc") differ.
     const std::uint64_t actor_len = e.actor.size();
-    d.hash = fnv1a(d.hash, &actor_len, sizeof(actor_len));
-    d.hash = fnv1a(d.hash, e.actor);
-    d.hash = fnv1a(d.hash, e.detail);
+    d.hash = fnv1a(bytes_of(actor_len), d.hash);
+    d.hash = fnv1a(e.actor, d.hash);
+    d.hash = fnv1a(e.detail, d.hash);
     ++d.events;
   }
   return d;

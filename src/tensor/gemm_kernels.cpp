@@ -7,7 +7,6 @@
 
 #include "tensor/gemm_kernels.hpp"
 
-#include <cstdlib>
 #include <new>
 
 namespace vcdl::ops {
@@ -82,18 +81,6 @@ SimdTier best_tier() {
   if (tier_available(SimdTier::avx2)) return SimdTier::avx2;
   if (tier_available(SimdTier::neon)) return SimdTier::neon;
   return SimdTier::scalar;
-}
-
-SimdTier env_or_best() {
-  const char* env = std::getenv("VCDL_SIMD");
-  if (env != nullptr && *env != '\0') {
-    const std::string s(env);
-    if (s == "scalar") return SimdTier::scalar;
-    if (s == "avx2" && tier_available(SimdTier::avx2)) return SimdTier::avx2;
-    if (s == "neon" && tier_available(SimdTier::neon)) return SimdTier::neon;
-    // "auto", an unavailable tier, or an unknown value: fall through.
-  }
-  return best_tier();
 }
 
 struct PackScratch {
@@ -195,7 +182,7 @@ std::vector<SimdTier> available_simd_tiers() {
 
 SimdTier active_simd_tier() {
   if (detail::tier_override().has_value()) return *detail::tier_override();
-  static const SimdTier t = detail::env_or_best();
+  static const SimdTier t = detail::best_tier();
   return t;
 }
 

@@ -28,10 +28,8 @@
 // translation units are built with -ffp-contract=off so no compiler can fuse
 // the mul/add pairs into FMAs and silently change rounding.
 //
-// Selection: set_simd_tier_override (tests) > VCDL_SIMD env var
-// ("scalar"|"avx2"|"neon"|"auto"; unavailable or unknown values fall back to
-// auto) > best tier the CPU supports. tests/test_kernels.cpp holds the
-// scalar-vs-vector equivalence properties.
+// Selection: set_simd_tier_override (tests) > best tier the CPU supports.
+// tests/test_kernels.cpp holds the scalar-vs-vector equivalence properties.
 #pragma once
 
 #include <cstddef>

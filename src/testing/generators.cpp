@@ -74,19 +74,19 @@ ModelCase gen_model_case(Rng& rng, int size) {
   Model model;
 
   if (rng.bernoulli(0.5)) {
-    // Convolutional stack: conv → activation → (residual conv) → pool →
-    // flatten → dense head.
+    // Convolutional stack: conv → ReLU → (residual conv) → pool → flatten →
+    // dense head.
     const std::size_t channels = 1 + rng.uniform_index(2);
     const std::size_t hw = 4 + 2 * rng.uniform_index(
                                    static_cast<std::uint64_t>((size + 3) / 4));
     const std::size_t filters = 2 + rng.uniform_index(3);
-    model.emplace<Conv2D>(channels, filters, 3, 1, 1, Init::he_normal, rng);
+    model.emplace<Conv2D>(channels, filters, 3, 1, Init::he_normal, rng);
     model.emplace<ReLU>();
     if (rng.bernoulli(0.5)) {
       std::vector<std::unique_ptr<Layer>> inner;
-      inner.push_back(std::make_unique<Conv2D>(filters, filters, 3, 1, 1,
+      inner.push_back(std::make_unique<Conv2D>(filters, filters, 3, 1,
                                                Init::he_normal, rng));
-      inner.push_back(std::make_unique<Tanh>());
+      inner.push_back(std::make_unique<ReLU>());
       model.add(std::make_unique<Residual>(std::move(inner)));
     }
     if (rng.bernoulli(0.5)) {
@@ -102,7 +102,7 @@ ModelCase gen_model_case(Rng& rng, int size) {
     mc.desc = "conv stack " + std::to_string(channels) + "x" +
               std::to_string(hw) + "x" + std::to_string(hw);
   } else {
-    // MLP: dense → activation chain, optional dropout.
+    // MLP: dense → ReLU chain.
     const std::size_t inputs =
         2 + rng.uniform_index(static_cast<std::uint64_t>(size) + 2);
     std::size_t width = inputs;
@@ -110,14 +110,7 @@ ModelCase gen_model_case(Rng& rng, int size) {
     for (std::size_t d = 0; d < depth; ++d) {
       const std::size_t next = 2 + rng.uniform_index(6);
       model.emplace<Dense>(width, next, Init::he_normal, rng);
-      switch (rng.uniform_index(3)) {
-        case 0: model.emplace<ReLU>(); break;
-        case 1: model.emplace<Tanh>(); break;
-        default: model.emplace<Sigmoid>(); break;
-      }
-      if (rng.bernoulli(0.25)) {
-        model.emplace<Dropout>(0.3, rng());
-      }
+      model.emplace<ReLU>();
       width = next;
     }
     model.emplace<Dense>(width, mc.classes, Init::xavier_uniform, rng);

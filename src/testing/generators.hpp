@@ -50,9 +50,9 @@ struct ModelCase {
   std::string desc;  // human-readable architecture summary
 };
 
-/// Random dense or convolutional stack ending in `classes` logits. Layer
-/// menu spans every differentiable registered kind; Dropout appears with its
-/// own seed so clones replay masks.
+/// Random dense or convolutional stack ending in `classes` logits, built
+/// from the registered layer kinds; ReLU is the only activation, as in the
+/// model zoo.
 ModelCase gen_model_case(Rng& rng, int size);
 
 /// Miniature end-to-end experiment: random PnCnTn in [1,3], 3-6 shards,

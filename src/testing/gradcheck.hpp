@@ -4,14 +4,9 @@
 // objective J(θ, x) = Σ w ⊙ layer(x) for a fixed random direction w, and
 // compares the analytic dJ/dθ and dJ/dx from backward() against central
 // differences. Every evaluation runs on a FRESH clone of the layer under
-// test, which buys two things at once:
-//
-//   * stochastic layers become checkable — Dropout's clone copies its RNG
-//     state, so every evaluation redraws the identical mask and the function
-//     being differenced is deterministic;
-//   * clone fidelity is verified for free — if clone() forgot a parameter or
-//     hyperparameter, the FD evaluations differentiate a different function
-//     than the analytic pass and the check fails.
+// test, which verifies clone fidelity for free: if clone() forgot a
+// parameter or hyperparameter, the FD evaluations differentiate a different
+// function than the analytic pass and the check fails.
 //
 // Piecewise-linear layers (ReLU, MaxPool2D) are checked on "separated"
 // inputs (generators.hpp) whose entries keep all FD perturbations on one

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 
+#include "common/wire_codec.hpp"
 #include "core/trainer.hpp"
 #include "grid/consensus.hpp"
 #include "grid/scheduler.hpp"
@@ -854,6 +855,7 @@ TEST(ByzantineEndToEnd, SameSeedRunsAreDigestAndMetricsIdentical) {
       << a.trace().digest().to_string() << " vs "
       << b.trace().digest().to_string();
   EXPECT_EQ(ra.metrics.to_json(), rb.metrics.to_json());
+  EXPECT_EQ(params_hash(ra.final_params), params_hash(rb.final_params));
   // The attack actually fired and consensus actually voted.
   EXPECT_GT(ra.metrics.counter("faults.byzantine_result"), 0u);
   EXPECT_GT(ra.metrics.counter("consensus.quorum_promoted"), 0u);

@@ -256,7 +256,7 @@ TEST(CacheLifecycle, BackwardAfterInferenceForwardThrows) {
   EXPECT_THROW(dense.backward(Tensor(Shape{2, 3}),
                               serial_exec_context()), Error);
 
-  Conv2D conv(1, 2, 3, 1, 1, Init::he_normal, rng);
+  Conv2D conv(1, 2, 3, 1, Init::he_normal, rng);
   const Tensor img = Tensor::randn(Shape{2, 1, 4, 4}, rng);
   (void)conv.forward(img, serial_exec_context(), /*training=*/false);
   EXPECT_THROW(conv.backward(Tensor(Shape{2, 2, 4, 4}),
@@ -265,7 +265,7 @@ TEST(CacheLifecycle, BackwardAfterInferenceForwardThrows) {
 
 TEST(CacheLifecycle, BackwardOnFreshCloneThrows) {
   Rng rng(31);
-  Conv2D conv(1, 2, 3, 1, 1, Init::he_normal, rng);
+  Conv2D conv(1, 2, 3, 1, Init::he_normal, rng);
   const Tensor img = Tensor::randn(Shape{2, 1, 4, 4}, rng);
   (void)conv.forward(img, serial_exec_context(), /*training=*/true);
   const auto clone = conv.clone();
@@ -279,7 +279,7 @@ TEST(CacheLifecycle, BackwardOnFreshCloneThrows) {
 
 TEST(Conv2DThreading, PoolForwardAndAllGradsBitIdenticalToSerial) {
   Rng rng(41);
-  Conv2D serial(3, 4, 3, 1, 1, Init::he_normal, rng);
+  Conv2D serial(3, 4, 3, 1, Init::he_normal, rng);
   Conv2D pooled(serial);
   ThreadPool pool(3);
   ExecContext ctx;

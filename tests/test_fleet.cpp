@@ -253,7 +253,6 @@ TEST(FleetScheduler, DoubleExpireSameUnitOneSweep) {
   EXPECT_EQ(s.stats().timeouts, 2u);
   // Requeued once with both replicas issuable again.
   EXPECT_EQ(s.ready_count(), 1u);
-  EXPECT_EQ(s.ready_queue_size(), 1u);
   // Both clients take exactly one availability hit (same EMA step).
   EXPECT_LT(s.availability(1), before);
   EXPECT_DOUBLE_EQ(s.availability(1), s.availability(2));

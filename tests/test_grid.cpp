@@ -215,12 +215,12 @@ TEST(Scheduler, ReadyQueueDropsRetiredReplicatedUnits) {
   // One replica of each unit issued; the second replica of every unit stays
   // queued when the first result retires it.
   (void)s.request_work(0, 16, 0.0);
-  EXPECT_EQ(s.ready_queue_size(), 16u);
+  EXPECT_EQ(s.ready_count(), 16u);
   for (WorkunitId id = 1; id <= 16; ++id) s.report_result(0, id, 1.0);
   EXPECT_TRUE(s.all_done());
   // Leak regression: retired ids used to sit in the ready deque forever and
   // get re-examined on every subsequent request.
-  EXPECT_EQ(s.ready_queue_size(), 0u);
+  EXPECT_EQ(s.ready_count(), 0u);
 }
 
 TEST(Scheduler, ReportFailureRequeuesReplicaImmediately) {

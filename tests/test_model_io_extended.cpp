@@ -18,25 +18,24 @@ namespace {
 Model kitchen_sink(std::uint64_t seed) {
   Rng rng(seed);
   Model m;
-  m.emplace<Conv2D>(3, 4, 3, 1, 1, Init::he_normal, rng);
+  m.emplace<Conv2D>(3, 4, 3, 1, Init::he_normal, rng);
   m.emplace<ReLU>();
   {
     std::vector<std::unique_ptr<Layer>> outer;
-    outer.push_back(std::make_unique<Conv2D>(4, 4, 3, 1, 1, Init::he_normal, rng));
-    outer.push_back(std::make_unique<Tanh>());
+    outer.push_back(std::make_unique<Conv2D>(4, 4, 3, 1, Init::he_normal, rng));
+    outer.push_back(std::make_unique<ReLU>());
     {
       std::vector<std::unique_ptr<Layer>> inner;
-      inner.push_back(std::make_unique<Conv2D>(4, 4, 3, 1, 1,
+      inner.push_back(std::make_unique<Conv2D>(4, 4, 3, 1,
                                                Init::xavier_uniform, rng));
       outer.push_back(std::make_unique<Residual>(std::move(inner)));
     }
     m.add(std::make_unique<Residual>(std::move(outer)));
   }
   m.emplace<MaxPool2D>(2);
-  m.emplace<Dropout>(0.25, 99);
   m.emplace<GlobalAvgPool>();
   m.emplace<Dense>(4, 6, Init::he_uniform, rng);
-  m.emplace<Sigmoid>();
+  m.emplace<ReLU>();
   m.emplace<Flatten>();
   m.emplace<Dense>(6, 3, Init::xavier_normal, rng);
   return m;
@@ -68,14 +67,24 @@ TEST(ModelIoExtended, WeightsTransferThroughParamBlob) {
   EXPECT_LT(ops::max_abs_diff(ya.flat(), yb.flat()), 1e-6f);
 }
 
-TEST(ModelIoExtended, DropoutHyperparamsPreserved) {
+// A one-conv architecture blob, byte by byte: magic "VCA1", one layer,
+// "conv2d", 3 in, 4 out, kernel 3, `stride` where the format keeps its
+// stride, pad 1, "he_normal".
+Blob conv_arch(std::uint8_t stride) {
+  return Blob(std::vector<std::uint8_t>{
+      0x31, 0x41, 0x43, 0x56, 1, 6, 'c', 'o', 'n', 'v', '2', 'd', 3, 4, 3,
+      stride, 1, 9, 'h', 'e', '_', 'n', 'o', 'r', 'm', 'a', 'l'});
+}
+
+TEST(ModelIoExtended, ConvStrideFieldIsOneAndOtherValuesAreCorrupt) {
   Rng rng(1);
   Model m;
-  m.emplace<Dropout>(0.4, 1234);
-  Model rebuilt = load_architecture(save_architecture(m));
-  const auto* d = dynamic_cast<const Dropout*>(&rebuilt.layer(0));
-  ASSERT_NE(d, nullptr);
-  EXPECT_DOUBLE_EQ(d->rate(), 0.4);
+  m.emplace<Conv2D>(3, 4, 3, 1, Init::he_normal, rng);
+  EXPECT_EQ(save_architecture(m), conv_arch(1));
+  EXPECT_EQ(load_architecture(conv_arch(1)).parameter_count(),
+            m.parameter_count());
+  EXPECT_THROW(load_architecture(conv_arch(2)), CorruptData);
+  EXPECT_THROW(load_architecture(conv_arch(0)), CorruptData);
 }
 
 TEST(ModelIoExtended, ResidualCloneIsDeep) {

@@ -1,9 +1,11 @@
 // Per-layer behaviours plus spot gradient checks through the shared
 // finite-difference checker (testing/gradcheck.hpp). The exhaustive
 // every-registered-kind gradient grid lives in tests/test_properties.cpp;
-// the spot checks here keep odd configurations (strided conv, deeper
-// residual) covered in tier 1.
+// the spot checks here keep other configurations (a larger conv input, a
+// deeper residual) covered in tier 1.
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -58,31 +60,25 @@ TEST(Dense, RejectsWrongInputWidth) {
 
 TEST(Conv2D, GradientCheck) {
   Rng rng(4);
-  Conv2D layer(2, 3, 3, 1, 1, Init::he_normal, rng);
+  Conv2D layer(2, 3, 3, 1, Init::he_normal, rng);
   check_gradients(layer, Tensor::randn(Shape{2, 2, 5, 5}, rng));
-}
-
-TEST(Conv2D, StridedGradientCheck) {
-  Rng rng(5);
-  Conv2D layer(1, 2, 3, 2, 1, Init::he_normal, rng);
-  check_gradients(layer, Tensor::randn(Shape{1, 1, 6, 6}, rng));
 }
 
 TEST(Conv2D, OutputShape) {
   Rng rng(6);
-  Conv2D same(3, 8, 3, 1, 1, Init::he_normal, rng);
+  Conv2D same(3, 8, 3, 1, Init::he_normal, rng);
   const Tensor y = same.forward(Tensor(Shape{2, 3, 12, 12}),
                                 serial_exec_context(), false);
   EXPECT_TRUE(y.shape() == (Shape{2, 8, 12, 12}));
-  Conv2D strided(3, 4, 3, 2, 1, Init::he_normal, rng);
-  const Tensor z = strided.forward(Tensor(Shape{1, 3, 8, 8}),
-                                   serial_exec_context(), false);
-  EXPECT_TRUE(z.shape() == (Shape{1, 4, 4, 4}));
+  Conv2D valid(3, 4, 3, 0, Init::he_normal, rng);
+  const Tensor z = valid.forward(Tensor(Shape{1, 3, 8, 8}),
+                                 serial_exec_context(), false);
+  EXPECT_TRUE(z.shape() == (Shape{1, 4, 6, 6}));
 }
 
 TEST(Conv2D, IdentityKernelReproducesInput) {
   Rng rng(7);
-  Conv2D layer(1, 1, 3, 1, 1, Init::zeros, rng);
+  Conv2D layer(1, 1, 3, 1, Init::zeros, rng);
   // Kernel = delta at center.
   (*layer.params()[0])[4] = 1.0f;
   const Tensor x = Tensor::randn(Shape{1, 1, 4, 4}, rng);
@@ -91,28 +87,27 @@ TEST(Conv2D, IdentityKernelReproducesInput) {
 }
 
 TEST(ReLU, GradientCheckAndMasking) {
-  Rng rng(8);
   ReLU layer;
-  const Tensor x(Shape{2, 3}, {1.0f, -1.0f, 0.5f, -0.5f, 2.0f, -2.0f});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x(Shape{2, 4},
+                 {1.0f, -1.0f, 0.5f, -0.5f, 2.0f, -2.0f, nan, -0.0f});
   const Tensor y = layer.forward(x, serial_exec_context(), true);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[0], 1.0f);
-  const Tensor g = layer.backward(Tensor::full(Shape{2, 3}, 1.0f),
+  EXPECT_TRUE(std::isnan(y[6]));  // a diverging run stays visible
+  // Training and inference give the same bits, NaN and -0 included.
+  const Tensor inference = ReLU().forward(x, serial_exec_context(), false);
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+              std::bit_cast<std::uint32_t>(inference[i]))
+        << "element " << i;
+  }
+  const Tensor g = layer.backward(Tensor::full(Shape{2, 4}, 1.0f),
                                   serial_exec_context());
   EXPECT_FLOAT_EQ(g[0], 1.0f);
   EXPECT_FLOAT_EQ(g[1], 0.0f);
-}
-
-TEST(Tanh, GradientCheck) {
-  Rng rng(9);
-  Tanh layer;
-  check_gradients(layer, Tensor::randn(Shape{2, 5}, rng));
-}
-
-TEST(Sigmoid, GradientCheck) {
-  Rng rng(10);
-  Sigmoid layer;
-  check_gradients(layer, Tensor::randn(Shape{2, 5}, rng));
+  EXPECT_FLOAT_EQ(g[6], 0.0f);
+  EXPECT_FLOAT_EQ(g[7], 0.0f);
 }
 
 TEST(MaxPool2D, ForwardSelectsMaxAndRoutesGradient) {
@@ -167,42 +162,11 @@ TEST(Flatten, RoundTripShapes) {
   EXPECT_TRUE(g.shape() == x.shape());
 }
 
-TEST(Dropout, InferenceIsIdentity) {
-  Dropout layer(0.5, 42);
-  Rng rng(11);
-  const Tensor x = Tensor::randn(Shape{4, 4}, rng);
-  const Tensor y = layer.forward(x, serial_exec_context(), /*training=*/false);
-  EXPECT_LT(ops::max_abs_diff(x.flat(), y.flat()), 1e-9f);
-}
-
-TEST(Dropout, TrainingZerosAndRescales) {
-  Dropout layer(0.5, 42);
-  const Tensor x = Tensor::full(Shape{100, 10}, 1.0f);
-  const Tensor y = layer.forward(x, serial_exec_context(), true);
-  std::size_t zeros = 0;
-  double sum = 0.0;
-  for (const float v : y.flat()) {
-    if (v == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(v, 2.0f);  // 1 / keep_prob
-      sum += v;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.5, 0.05);
-  EXPECT_NEAR(sum / y.numel(), 1.0, 0.1);  // expectation preserved
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(Dropout(1.0, 1), Error);
-  EXPECT_THROW(Dropout(-0.1, 1), Error);
-}
-
 TEST(Residual, GradientCheck) {
   Rng rng(12);
   std::vector<std::unique_ptr<Layer>> inner;
   inner.push_back(std::make_unique<Dense>(5, 5, Init::he_normal, rng));
-  inner.push_back(std::make_unique<Tanh>());
+  inner.push_back(std::make_unique<Dense>(5, 5, Init::he_normal, rng));
   Residual layer(std::move(inner));
   check_gradients(layer, Tensor::randn(Shape{2, 5}, rng));
 }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "common/wire_codec.hpp"
 #include "core/trainer.hpp"
 #include "testing/generators.hpp"
 #include "testing/oracles.hpp"
@@ -159,6 +160,11 @@ TEST(TraceReplay, ChaosFleetSameSeedRunsAreDigestIdentical) {
   EXPECT_EQ(ra.metrics.counter("faults.server_crash"), 1u);
   ASSERT_EQ(ra.epochs.size(), rb.epochs.size());
 
+  // Nothing in the trace or the metrics carries the params, and epoch_done
+  // carries accuracy to 6 digits, so compare the trained bits themselves.
+  ASSERT_FALSE(ra.final_params.empty());
+  EXPECT_EQ(params_hash(ra.final_params), params_hash(rb.final_params));
+
   // And each trace individually respects causality.
   const CausalityReport report = validate_causality(a.trace());
   EXPECT_TRUE(report.ok) << report.violation;
@@ -194,6 +200,8 @@ TEST(TraceReplay, RandomChaosSpecsStayDeterministicAndCausal) {
                     b.trace().digest().to_string() + ")");
     prop_assert(ra.metrics.to_json() == rb.metrics.to_json(),
                 spec.label() + ": same-seed metrics snapshots differ");
+    prop_assert(params_hash(ra.final_params) == params_hash(rb.final_params),
+                spec.label() + ": same-seed final params differ");
     const CausalityReport causality = validate_causality(a.trace());
     prop_assert(causality.ok, spec.label() + ": " + causality.violation);
   });

@@ -420,10 +420,11 @@ TEST(WireCodecE2E, LosslessDeltaRunsAreDeterministicAndHalveParamBytes) {
   VcTrainer b(codec_spec("delta"));
   const TrainResult rb = b.run();
 
-  // Same-seed lossless runs are TraceDigest- and metrics-identical.
+  // Same-seed lossless runs are TraceDigest-, metrics- and params-identical.
   EXPECT_GT(a.trace().digest().events, 0u);
   EXPECT_EQ(a.trace().digest(), b.trace().digest());
   EXPECT_EQ(ra.metrics.to_json(), rb.metrics.to_json());
+  EXPECT_EQ(params_hash(ra.final_params), params_hash(rb.final_params));
 
   // The codec actually engaged and paid off: parameter pulls cost less than
   // half of what the same pulls would have moved as full blobs.
