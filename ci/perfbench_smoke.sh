@@ -10,6 +10,10 @@
 # busy time is negative. No ctest suite runs it, so this stage does. A
 # failing run's whole output is printed, to keep its cause.
 #
+# Each passing traced run also prints its margin: unattributed_s and its
+# share of run_wall_s. A faster hot path thins that margin, and a negative
+# one makes the run incorrect.
+#
 # Usage: ci/perfbench_smoke.sh
 # Builds perfbench (Release) into build-perfbench/ on first use; the six runs
 # then take about two minutes on 4 cores.
@@ -25,6 +29,17 @@ if [[ -z "${workloads}" ]]; then
   exit 1
 fi
 
+# Reads the table line "unattributed_s <v> s ... run_wall_s <wall> - ...".
+print_margin() {
+  python3 -c 'import re, sys
+for line in sys.stdin:
+    m = re.match(r"\s*unattributed_s\s+(\S+)\s+s\s.*run_wall_s\s+(\S+)", line)
+    if m:
+        left, wall = float(m.group(1)), float(m.group(2))
+        print("      unattributed_s %.3f s = %.1f%% of run_wall_s %.3f s"
+              % (left, 100.0 * left / wall, wall))'
+}
+
 failures=0
 for workload in ${workloads}; do
   for trace in 0 1; do
@@ -36,6 +51,9 @@ for workload in ${workloads}; do
 sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' "${last}" \
         2>/dev/null; then
       echo "ok:   ${workload} --trace ${trace}"
+      if [[ "${trace}" -eq 1 ]]; then
+        printf '%s\n' "${out}" | print_margin
+      fi
     else
       echo "FAIL: ${workload} --trace ${trace} (exit ${status}); its output:"
       printf '%s\n' "${out}"

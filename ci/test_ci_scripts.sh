@@ -132,7 +132,9 @@ check "sanitize.sh configures set VCDL_WERROR=ON (${werror_calls}/${configure_ca
 
 # 10. The perfbench smoke stage parses, takes its workload list from
 #     BENCHMARK.json, so a new workload is run without editing the script,
-#     and runs every workload both untraced and traced.
+#     runs every workload both untraced and traced, and prints each traced
+#     run's margin (unattributed_s and its share of run_wall_s), which a
+#     faster hot path thins towards the negative value that fails a run.
 check "perfbench_smoke.sh syntax" bash -n ci/perfbench_smoke.sh
 check "perfbench_smoke.sh reads the workloads from BENCHMARK.json" \
   grep -qF 'json.load(open("BENCHMARK.json"))["workloads"]' \
@@ -140,6 +142,14 @@ check "perfbench_smoke.sh reads the workloads from BENCHMARK.json" \
 check "perfbench_smoke.sh runs both trace modes" \
   bash -c "grep -qE '^  for trace in 0 1; do' ci/perfbench_smoke.sh &&
            grep -qF -- '--trace \"\${trace}\"' ci/perfbench_smoke.sh"
+# The margin parser reads a table line as perfbench prints it
+# ("  %-26s %16.6g %-6s %s").
+margin_fn=$(sed -n '/^print_margin() {$/,/^}$/p' ci/perfbench_smoke.sh)
+check "perfbench_smoke.sh prints the traced margin" \
+  bash -c "grep -qF '| print_margin' ci/perfbench_smoke.sh && ${margin_fn}
+    printf '  %-26s %16.6g %-6s %s\n' unattributed_s 0.05 s \
+        'run_wall_s 1.000000 - layer busy 0.950000' | print_margin |
+      grep -qF 'unattributed_s 0.050 s = 5.0% of run_wall_s 1.000 s'"
 
 if [[ "${failures}" -ne 0 ]]; then
   echo "ci self-test: ${failures} check(s) failed"

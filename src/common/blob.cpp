@@ -21,13 +21,12 @@ void BinaryWriter::write_varint(std::uint64_t value) {
 
 void BinaryWriter::write_string(std::string_view s) {
   write_varint(s.size());
-  const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
-  buf_.insert(buf_.end(), p, p + s.size());
+  append(s.data(), s.size());
 }
 
 void BinaryWriter::write_bytes(std::span<const std::uint8_t> bytes) {
   write_varint(bytes.size());
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  append(bytes.data(), bytes.size());
 }
 
 void BinaryReader::throw_truncated(std::size_t n) const {

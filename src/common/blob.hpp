@@ -72,8 +72,7 @@ class BinaryWriter {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void write(const T& value) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    append(&value, sizeof(T));
   }
 
   /// LEB128-style variable-length unsigned integer.
@@ -85,14 +84,23 @@ class BinaryWriter {
     requires std::is_trivially_copyable_v<T>
   void write_span(std::span<const T> values) {
     write_varint(values.size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(values.data());
-    buf_.insert(buf_.end(), p, p + values.size_bytes());
+    append(values.data(), values.size_bytes());
   }
 
   std::size_t size() const { return buf_.size(); }
   Blob take() { return Blob(std::move(buf_)); }
 
  private:
+  // resize + memcpy, not insert(end, p, p + n): inlined into the first write
+  // of a fresh writer, GCC 12 reports insert as a -Wstringop-overflow into a
+  // region of size 0. An empty run copies nothing (its pointer may be null).
+  void append(const void* p, std::size_t n) {
+    if (n == 0) return;
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

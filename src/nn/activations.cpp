@@ -4,10 +4,9 @@ namespace vcdl {
 
 Tensor ReLU::forward(const Tensor& x, ExecContext& /*ctx*/, bool training) {
   Tensor y = x;
-  // `v <= 0` is false for NaN, which therefore passes through.
-  for (auto& v : y.flat()) {
-    if (v <= 0.0f) v = 0.0f;
-  }
+  // `v <= 0` is false for NaN, which therefore passes through. A select,
+  // not a branch: the sign of an activation is a coin flip.
+  for (auto& v : y.flat()) v = v <= 0.0f ? 0.0f : v;
   if (training) {
     last_y_ = y;  // reuses the cached buffer once the shape settles
   } else {

@@ -111,10 +111,18 @@ void pack_bt_tiles(const float* b, std::size_t n, std::size_t k,
       tile[kk * 4 + 3] = b3[kk];
     }
   }
+  if (n % 4 == 0) return;
+  float* tile = packed + tiles * k * 4;
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    for (std::size_t jj = 0; jj < 4; ++jj) {
+      const std::size_t j = tiles * 4 + jj;
+      tile[kk * 4 + jj] = j < n ? b[j * k + kk] : 0.0f;
+    }
+  }
 }
 
 std::size_t packed_bt_floats(std::size_t n, std::size_t k) {
-  return (n / 4) * 4 * k;
+  return (n + 3) / 4 * 4 * k;
 }
 
 float* pack_scratch(std::size_t floats) {

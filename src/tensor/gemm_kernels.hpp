@@ -22,6 +22,16 @@
 //     parallel loop. Per lane the arithmetic is the same double mul/add
 //     sequence in the same order, so this tier is bit-identical too.
 //
+// Register blocks: a vector kernel keeps a block of C in registers — AVX2
+// 4 rows × 16 columns for broadcast_rows (8 float chains sharing each B
+// load; 8-lane tiles, the last one masked, for the n%16 columns) and
+// 2 rows × 4 packed tiles for a_bt_rows (8 double chains) — so many elements
+// are in flight while each one's arithmetic stays the scalar sequence.
+// Zero-skip stays exact inside a block: a row whose A element is zero adds
+// nothing, which differs from adding 0·b only on a C element holding -0.0.
+// The block loops carry `#pragma GCC unroll`, without which GCC at -O2 (the
+// RelWithDebInfo build) keeps the accumulator arrays in memory.
+//
 // Tiers: portable scalar (always available, the reference), AVX2 (x86-64,
 // compiled in when the toolchain supports -mavx2, selected at runtime via
 // cpuid), NEON (aarch64, always available when compiled for it). The kernel
@@ -47,7 +57,7 @@ const char* simd_tier_name(SimdTier tier);
 /// compiled into the binary and supported by the running CPU.
 std::vector<SimdTier> available_simd_tiers();
 
-/// The tier the matmul entry points dispatch to (override > env > best).
+/// The tier the matmul entry points dispatch to (override > best).
 SimdTier active_simd_tier();
 
 /// Test hook: forces a tier (std::nullopt restores normal selection). Not
@@ -67,8 +77,9 @@ struct GemmKernels {
                          std::size_t r0, std::size_t r1, std::size_t k_dim,
                          std::size_t n_dim, bool zero_skip);
   /// C rows [r0,r1): c[i][j] += float(Σ_k double(a[i·K+k])·double(b[j·K+k])),
-  /// k ascending. `packed` is the pack_bt_tiles panel when wants_bt_panel
-  /// (remainder columns n%4 always read from row-major b), else nullptr.
+  /// k ascending. `packed` is the pack_bt_tiles panel when wants_bt_panel,
+  /// else nullptr. AVX2 reads every column from it, the zero-padded last
+  /// tile included; NEON reads the n%4 remainder columns from row-major b.
   void (*a_bt_rows)(const float* a, const float* b, const float* packed,
                     float* c, std::size_t r0, std::size_t r1,
                     std::size_t k_dim, std::size_t n_dim);
@@ -77,9 +88,10 @@ struct GemmKernels {
   bool wants_bt_panel = false;
 };
 
-/// Packs the full width-4 column tiles of b (stored n x k, row-major) into
-/// packed[(j/4)·k·4 + kk·4 + (j%4)] = b[j·k + kk]. Writes exactly
-/// packed_bt_floats(n, k) floats; remainder columns are not packed.
+/// Packs b (stored n x k, row-major) into width-4 column tiles,
+/// packed[(j/4)·k·4 + kk·4 + (j%4)] = b[j·k + kk]. When n%4 != 0 the last
+/// tile holds the remainder columns and zeros for j >= n. Writes exactly
+/// packed_bt_floats(n, k) = ceil(n/4)·4·k floats.
 void pack_bt_tiles(const float* b, std::size_t n, std::size_t k, float* packed);
 std::size_t packed_bt_floats(std::size_t n, std::size_t k);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/thread_pool.hpp"
 #include "obs/span.hpp"
@@ -31,16 +33,20 @@ void check_same_size(std::span<const float> a, std::span<const float> b,
   VCDL_CHECK(a.size() == b.size(), std::string(what) + ": size mismatch");
 }
 
-// Whether a panel is free of NaN/Inf. A nonfinite value anywhere poisons the
-// running sum (Inf + -Inf = NaN, NaN + x = NaN), so a finite sum proves the
-// panel finite; overflow of the double accumulator would only ever yield a
-// conservative false. One O(n) pass per GEMM call — cheap next to the O(m·n·k)
-// multiply — buys back the zero-skip fast path below without letting it mask
-// a diverging run.
+// Whether a panel is free of NaN/Inf: every magnitude's bits lie below the
+// all-ones exponent 0x7f800000. (It decides as the old finite-sum test did —
+// a float sum cannot overflow a double — but a max has no serial add chain,
+// so it vectorizes.) One O(n) pass per GEMM call — cheap next to the
+// O(m·n·k) multiply — buys back the zero-skip fast path below without
+// letting it mask a diverging run.
 bool panel_all_finite(const float* p, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += p[i];
-  return std::isfinite(acc);
+  std::uint32_t worst = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, p + i, sizeof bits);
+    worst = std::max(worst, bits & 0x7fffffffu);
+  }
+  return worst < 0x7f800000u;
 }
 
 void run_rowwise(std::size_t m, ThreadPool* pool,
@@ -244,7 +250,7 @@ void matmul_a_bt(MatView a, MatView b, Tensor& c, bool accumulate,
   // row-parallel workers — packing inside the loop would repeat the O(K·N)
   // transpose per worker.
   const float* packed = nullptr;
-  if (kn.wants_bt_panel && n >= 4) {
+  if (kn.wants_bt_panel) {
     float* buf = detail::pack_scratch(detail::packed_bt_floats(n, k));
     detail::pack_bt_tiles(bp, n, k, buf);
     packed = buf;

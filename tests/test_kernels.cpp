@@ -8,7 +8,9 @@
 //     on random shapes/values for all three matmul entry points and demand
 //     bit equality (failure messages report the max ULP distance so a
 //     near-miss — e.g. an FMA contraction sneaking back in — is obvious);
-//   * unit tests pin the dispatch ladder (override > env > best), the packed
+//   * a property seeds C with -0.0 so a vector tier that adds 0·b instead
+//     of skipping a zero A element shows;
+//   * unit tests pin the dispatch ladder (override > best), the packed
 //     B^T tile layout, and the pack-scratch shrink hysteresis.
 #include <gtest/gtest.h>
 
@@ -188,6 +190,43 @@ TEST(KernelEquivalence, MatmulABtEveryTierBitIdenticalToScalar) {
   EXPECT_TRUE(r.passed) << r.message << "\nreplay: " << r.repro;
 }
 
+// Zero-skip drops a k-term whose A element is zero; it never adds 0·b. The
+// two differ only on a C element holding -0.0 (-0.0 + +0.0 is +0.0), which
+// random_mat never seeds. Here C starts at -0.0 and every third row of A is
+// signed zeros, beside live rows in the same register block: those rows keep
+// -0.0 in the scalar reference and must on every tier.
+TEST(KernelEquivalence, ZeroSkipKeepsNegativeZeroInC) {
+  ThreadPool pool(4);
+  PropConfig cfg;
+  cfg.name = "kernels.zero_skip_negative_zero";
+  cfg.suite = "test_kernels";
+  cfg.max_size = 16;
+  const PropResult r = run_property(cfg, [&pool](Rng& rng, int size) {
+    for (const bool a_is_kxm : {false, true}) {
+      GemmCase gc = random_case(rng, size, a_is_kxm, false);
+      for (std::size_t i = 1; i < gc.m; i += 3) {
+        for (std::size_t kk = 0; kk < gc.k; ++kk) {
+          float& v = a_is_kxm ? gc.a.at(kk, i) : gc.a.at(i, kk);
+          v = kk % 2 == 0 ? -0.0f : 0.0f;
+        }
+      }
+      gc.c0.fill(-0.0f);
+      gc.accumulate = true;
+      GemmFn fn = &ops::matmul;
+      if (a_is_kxm) fn = &ops::matmul_at_b;
+      if (gc.m > 1) {
+        Tensor c = gc.c0;
+        TierGuard g(SimdTier::scalar);
+        fn(gc.a, gc.b, c, true, nullptr);
+        prop_assert(std::signbit(c.at(1, 0)), "scalar reference lost -0.0");
+      }
+      check_gemm_equivalence(gc, fn, a_is_kxm ? "matmul_at_b" : "matmul",
+                             &pool);
+    }
+  });
+  EXPECT_TRUE(r.passed) << r.message << "\nreplay: " << r.repro;
+}
+
 // A nonfinite B must disable zero-skip identically on every tier: a zero in
 // A may not mask a NaN in B. (NaN payload bits are not compared — only that
 // both tiers agree on where NaNs appear and on every finite element.)
@@ -255,25 +294,28 @@ TEST(KernelDispatch, TierNamesAreStable) {
 // --- Packed B^T panel ------------------------------------------------------
 
 TEST(KernelPacking, PackBtTilesLayout) {
-  // b is 6 x 3 (n=6 columns of B^T, k=3): two full width-4... no — one full
-  // tile of 4 plus remainder 2, which pack_bt_tiles must NOT write.
+  // b is 6 x 3 (n=6 columns of B^T, k=3): one full tile of 4, then a tile
+  // holding the 2 remainder columns and 2 zero columns.
   const std::size_t n = 6, k = 3;
   Tensor b(Shape{n, k});
   for (std::size_t j = 0; j < n; ++j) {
     for (std::size_t kk = 0; kk < k; ++kk) {
-      b.at(j, kk) = static_cast<float>(10 * j + kk);
+      b.at(j, kk) = static_cast<float>(10 * j + kk + 1);
     }
   }
   const std::size_t floats = ops::detail::packed_bt_floats(n, k);
-  ASSERT_EQ(floats, 4 * k);  // only the single full tile
+  ASSERT_EQ(floats, 2 * 4 * k);
   std::vector<float> packed(floats + 1, -777.0f);  // +1 canary past the end
   ops::detail::pack_bt_tiles(b.data(), n, k, packed.data());
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(packed[kk * 4 + j], b.at(j, kk)) << "k=" << kk << " j=" << j;
+  for (std::size_t j = 0; j < 8; ++j) {
+    const std::size_t t = j / 4;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float want = j < n ? b.at(j, kk) : 0.0f;
+      EXPECT_EQ(packed[t * 4 * k + kk * 4 + j % 4], want)
+          << "k=" << kk << " j=" << j;
     }
   }
-  EXPECT_EQ(packed[floats], -777.0f);  // remainder columns untouched
+  EXPECT_EQ(packed[floats], -777.0f);  // nothing written past the panel
 }
 
 // --- Pack-scratch lifetime -------------------------------------------------
