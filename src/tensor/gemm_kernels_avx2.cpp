@@ -9,10 +9,8 @@
 // reordering. tests/test_kernels.cpp property-checks this against the scalar
 // tier; the serial-path goldens in test_exec_threading pin it end-to-end.
 //
-// Speed comes from register blocks, not from changing any element's
-// arithmetic: a block of R rows × T vectors keeps R·T accumulators in
-// flight, so one B load feeds R rows and the add latency of one chain hides
-// behind the others. The block loops carry `#pragma GCC unroll`: at -O2
+// A register block of R rows × T vectors keeps R·T accumulators in flight
+// (gemm_kernels.hpp). The block loops carry `#pragma GCC unroll`: at -O2
 // (RelWithDebInfo) GCC otherwise leaves the acc[R][T] arrays in memory.
 
 #include "tensor/gemm_kernels.hpp"
@@ -25,8 +23,8 @@ namespace vcdl::ops::detail {
 namespace {
 
 // Lane masks: kLanes + 8 - w starts with w set lanes, then clear ones.
-alignas(32) constexpr int kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                        0,  0,  0,  0,  0,  0,  0,  0};
+constexpr int kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                            0,  0,  0,  0,  0,  0,  0,  0};
 
 __m256i mask8(std::size_t w) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kLanes + 8 - w));

@@ -34,11 +34,10 @@ void check_same_size(std::span<const float> a, std::span<const float> b,
 }
 
 // Whether a panel is free of NaN/Inf: every magnitude's bits lie below the
-// all-ones exponent 0x7f800000. (It decides as the old finite-sum test did —
-// a float sum cannot overflow a double — but a max has no serial add chain,
-// so it vectorizes.) One O(n) pass per GEMM call — cheap next to the
-// O(m·n·k) multiply — buys back the zero-skip fast path below without
-// letting it mask a diverging run.
+// all-ones exponent 0x7f800000. A max carries no serial add chain, so the
+// scan vectorizes. One O(n) pass per GEMM call — cheap next to the O(m·n·k)
+// multiply — buys back the zero-skip fast path below without letting it mask
+// a diverging run.
 bool panel_all_finite(const float* p, std::size_t n) {
   std::uint32_t worst = 0;
   for (std::size_t i = 0; i < n; ++i) {
