@@ -228,29 +228,38 @@ TEST(KernelEquivalence, ZeroSkipKeepsNegativeZeroInC) {
 }
 
 // A nonfinite B must disable zero-skip identically on every tier: a zero in
-// A may not mask a NaN in B. (NaN payload bits are not compared — only that
-// both tiers agree on where NaNs appear and on every finite element.)
+// A may not mask a NaN or an Inf in B, wherever it sits in the panel (the
+// finite scan reads two floats per word, then an odd one; B here has 63).
+// (NaN payload bits are not compared — only that both tiers agree on where
+// NaNs appear and on every other element.)
 TEST(KernelEquivalence, NanInBPropagatesOnEveryTier) {
-  Rng rng(99);
-  Tensor a = random_mat(rng, 5, 7);
-  a.at(2, 3) = 0.0f;
-  Tensor b = random_mat(rng, 7, 9);
-  b.at(3, 4) = std::numeric_limits<float>::quiet_NaN();
-  Tensor c_ref;
-  {
-    TierGuard g(SimdTier::scalar);
-    ops::matmul(a, b, c_ref);
-  }
-  EXPECT_TRUE(std::isnan(c_ref.at(2, 4)));  // 0 * NaN must not be skipped
-  for (SimdTier t : vector_tiers()) {
-    TierGuard g(t);
-    Tensor c_vec;
-    ops::matmul(a, b, c_vec);
-    for (std::size_t i = 0; i < c_ref.numel(); ++i) {
-      if (std::isnan(c_ref[i])) {
-        EXPECT_TRUE(std::isnan(c_vec[i])) << "element " << i;
-      } else {
-        EXPECT_EQ(c_ref[i], c_vec[i]) << "element " << i;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    for (std::size_t at = 0; at < 7 * 9; ++at) {
+      Rng rng(99);
+      Tensor a = random_mat(rng, 5, 7);
+      Tensor b = random_mat(rng, 7, 9);
+      const std::size_t row = at / 9, col = at % 9;
+      a.at(2, row) = 0.0f;
+      b.at(row, col) = bad;
+      Tensor c_ref;
+      {
+        TierGuard g(SimdTier::scalar);
+        ops::matmul(a, b, c_ref);
+      }
+      // 0 * NaN and 0 * Inf are NaN: the term must not be skipped.
+      EXPECT_TRUE(std::isnan(c_ref.at(2, col))) << bad << " at " << at;
+      for (SimdTier t : vector_tiers()) {
+        TierGuard g(t);
+        Tensor c_vec;
+        ops::matmul(a, b, c_vec);
+        for (std::size_t i = 0; i < c_ref.numel(); ++i) {
+          if (std::isnan(c_ref[i])) {
+            EXPECT_TRUE(std::isnan(c_vec[i])) << "element " << i;
+          } else {
+            EXPECT_EQ(c_ref[i], c_vec[i]) << "element " << i;
+          }
+        }
       }
     }
   }
