@@ -37,10 +37,10 @@ void check_same_size(std::span<const float> a, std::span<const float> b,
 // above the all-ones exponent 0x7f800000 carries into bit 31 when 0x00800000
 // is added, so OR-ing those sums flags any NaN or Inf. Two floats go through
 // one 64-bit word (a half's sum stays below 2^32, so it cannot carry into
-// the other), with no serial add chain: the scan runs ~3x faster than a max
-// or a double sum at -O2 and -O3 alike. One O(n) pass per GEMM call — cheap
-// next to the O(m·n·k) multiply — buys back the zero-skip fast path below
-// without letting it mask a diverging run.
+// the other); there is no serial add chain and no unsigned max, which SSE2
+// lacks. One O(n) pass per GEMM call — cheap next to the O(m·n·k) multiply —
+// buys back the zero-skip fast path below without letting it mask a
+// diverging run.
 bool panel_all_finite(const float* p, std::size_t n) {
   constexpr std::uint64_t kMagnitude = 0x7fffffff7fffffffull;
   constexpr std::uint64_t kCarry = 0x0080000000800000ull;
