@@ -151,6 +151,15 @@ check "perfbench_smoke.sh prints the traced margin" \
         'run_wall_s 1.000000 - layer busy 0.950000' | print_margin |
       grep -qF 'unattributed_s 0.050 s = 5.0% of run_wall_s 1.000 s'"
 
+# 11. The Release stage parses, builds at -O3 (the level perfbench builds
+#     at, while tier 1 builds -O2) and guards its ctest call, so an empty
+#     test list fails it instead of passing.
+check "release.sh syntax" bash -n ci/release.sh
+check "release.sh builds Release" \
+  grep -qE -- '-DCMAKE_BUILD_TYPE=Release' ci/release.sh
+check "release.sh ctest call guarded" \
+  grep -qE -- '^ctest .*--no-tests=error' ci/release.sh
+
 if [[ "${failures}" -ne 0 ]]; then
   echo "ci self-test: ${failures} check(s) failed"
   exit 1

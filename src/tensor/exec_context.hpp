@@ -15,10 +15,11 @@
 //     gradient element is produced whole by exactly one worker, in the
 //     serial arithmetic order (GEMMs split rows; Conv2D splits the batch for
 //     y and dX, dW by column and db by channel);
-//   * the SIMD tier is NOT part of the contract's state: every vector GEMM
-//     tier preserves the scalar reference's per-element accumulation order
-//     and never contracts mul+add into FMA, so scalar/AVX2/NEON produce
-//     bitwise-equal results (enforced by tests/test_kernels.cpp).
+//   * the SIMD tier is NOT part of the contract's state: the AVX2 GEMM tier
+//     preserves the scalar reference's per-element mul-then-add sequence,
+//     zero A elements included, and never contracts mul+add into FMA, so
+//     scalar and AVX2 produce bitwise-equal results (enforced by
+//     tests/test_kernels.cpp).
 #pragma once
 
 #include <cstddef>

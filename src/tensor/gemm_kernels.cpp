@@ -16,13 +16,12 @@ namespace {
 void broadcast_rows_scalar(const float* a, std::size_t a_row_stride,
                            std::size_t a_col_stride, const float* b, float* c,
                            std::size_t r0, std::size_t r1, std::size_t k_dim,
-                           std::size_t n_dim, bool zero_skip) {
+                           std::size_t n_dim) {
   for (std::size_t i = r0; i < r1; ++i) {
     const float* a_i = a + i * a_row_stride;
     float* c_row = c + i * n_dim;
     for (std::size_t k = 0; k < k_dim; ++k) {
       const float a_ik = a_i[k * a_col_stride];
-      if (zero_skip && a_ik == 0.0f) continue;
       const float* b_row = b + k * n_dim;
       // Unit stride in both operands and no cross-lane reduction: compilers
       // may vectorize this legally without reassociating, so even the scalar
@@ -67,19 +66,12 @@ bool tier_available(SimdTier tier) {
 #else
       return false;
 #endif
-    case SimdTier::neon:
-#if defined(VCDL_GEMM_NEON)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 SimdTier best_tier() {
   if (tier_available(SimdTier::avx2)) return SimdTier::avx2;
-  if (tier_available(SimdTier::neon)) return SimdTier::neon;
   return SimdTier::scalar;
 }
 
@@ -149,19 +141,12 @@ std::size_t pack_scratch_capacity_for_testing() { return t_pack_scratch.cap; }
 #if defined(VCDL_GEMM_AVX2)
 const GemmKernels& avx2_kernels();  // gemm_kernels_avx2.cpp
 #endif
-#if defined(VCDL_GEMM_NEON)
-const GemmKernels& neon_kernels();  // gemm_kernels_neon.cpp
-#endif
 
 const GemmKernels& kernels_for(SimdTier tier) {
   switch (tier) {
 #if defined(VCDL_GEMM_AVX2)
     case SimdTier::avx2:
       return avx2_kernels();
-#endif
-#if defined(VCDL_GEMM_NEON)
-    case SimdTier::neon:
-      return neon_kernels();
 #endif
     default:
       return kScalarKernels;
@@ -174,8 +159,6 @@ const char* simd_tier_name(SimdTier tier) {
   switch (tier) {
     case SimdTier::avx2:
       return "avx2";
-    case SimdTier::neon:
-      return "neon";
     default:
       return "scalar";
   }
@@ -184,7 +167,6 @@ const char* simd_tier_name(SimdTier tier) {
 std::vector<SimdTier> available_simd_tiers() {
   std::vector<SimdTier> tiers = {SimdTier::scalar};
   if (detail::tier_available(SimdTier::avx2)) tiers.push_back(SimdTier::avx2);
-  if (detail::tier_available(SimdTier::neon)) tiers.push_back(SimdTier::neon);
   return tiers;
 }
 

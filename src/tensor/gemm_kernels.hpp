@@ -27,16 +27,16 @@
 // load; 8-lane tiles, the last one masked, for the n%16 columns) and
 // 2 rows × 4 packed tiles for a_bt_rows (8 double chains) — so many elements
 // are in flight while each one's arithmetic stays the scalar sequence.
-// Zero-skip stays exact inside a block: a row whose A element is zero adds
-// nothing, which differs from adding 0·b only on a C element holding -0.0.
+// A zero A element is multiplied like any other, so NaN and Inf in B
+// propagate by IEEE arithmetic (0·NaN and 0·Inf are NaN) on every tier.
 // The block loops carry `#pragma GCC unroll`, without which GCC at -O2 (the
 // RelWithDebInfo build) keeps the accumulator arrays in memory.
 //
-// Tiers: portable scalar (always available, the reference), AVX2 (x86-64,
-// compiled in when the toolchain supports -mavx2, selected at runtime via
-// cpuid), NEON (aarch64, always available when compiled for it). The kernel
-// translation units are built with -ffp-contract=off so no compiler can fuse
-// the mul/add pairs into FMAs and silently change rounding.
+// Tiers: portable scalar (always available, the reference; other CPUs,
+// aarch64 included, run it) and AVX2 (x86-64, compiled in when the toolchain
+// supports -mavx2, selected at runtime via cpuid). The kernel translation
+// units are built with -ffp-contract=off so no compiler can fuse the mul/add
+// pairs into FMAs and silently change rounding.
 //
 // Selection: set_simd_tier_override (tests) > best tier the CPU supports.
 // tests/test_kernels.cpp holds the scalar-vs-vector equivalence properties.
@@ -49,7 +49,7 @@
 
 namespace vcdl::ops {
 
-enum class SimdTier { scalar = 0, avx2 = 1, neon = 2 };
+enum class SimdTier { scalar = 0, avx2 = 1 };
 
 const char* simd_tier_name(SimdTier tier);
 
@@ -68,18 +68,18 @@ void set_simd_tier_override(std::optional<SimdTier> tier);
 namespace detail {
 
 struct GemmKernels {
-  /// C rows [r0,r1): c[i][j] (+)= Σ_k A(i,k)·B[k][j], k strictly ascending
-  /// per element, where A(i,k) = a[i·a_row_stride + k·a_col_stride].
-  /// `zero_skip` drops k-terms whose A element is exactly zero (caller
-  /// guarantees B is finite so 0·NaN can never be masked).
+  /// C rows [r0,r1): c[i][j] += Σ_k A(i,k)·B[k][j], one mul-then-add per
+  /// k-term, k strictly ascending per element, where
+  /// A(i,k) = a[i·a_row_stride + k·a_col_stride]. A zero A element is
+  /// multiplied like any other.
   void (*broadcast_rows)(const float* a, std::size_t a_row_stride,
                          std::size_t a_col_stride, const float* b, float* c,
                          std::size_t r0, std::size_t r1, std::size_t k_dim,
-                         std::size_t n_dim, bool zero_skip);
+                         std::size_t n_dim);
   /// C rows [r0,r1): c[i][j] += float(Σ_k double(a[i·K+k])·double(b[j·K+k])),
   /// k ascending. `packed` is the pack_bt_tiles panel when wants_bt_panel,
   /// else nullptr. AVX2 reads every column from it, the zero-padded last
-  /// tile included; NEON reads the n%4 remainder columns from row-major b.
+  /// tile included.
   void (*a_bt_rows)(const float* a, const float* b, const float* packed,
                     float* c, std::size_t r0, std::size_t r1,
                     std::size_t k_dim, std::size_t n_dim);

@@ -37,18 +37,12 @@ __m128i mask4(std::size_t w) {
 // C rows [0,R) × one column tile, A and C pre-offset to the block's first
 // row and B and C to its first column. A tile is two full 8-lane vectors
 // (16 columns), or with kMasked one vector whose `mask` lanes are the real
-// columns; masked-off lanes are neither read nor written.
-//
-// zero_skip keeps the scalar meaning exactly: a zero A element adds nothing,
-// which is not the same as adding 0·b (-0.0 + +0.0 is +0.0). When none of
-// the block's A elements at k is zero, the common case behind one
-// predictable branch, every row is updated; otherwise each row is skipped or
-// updated on its own.
+// columns; masked-off lanes are neither read nor written. Every row is
+// updated at every k, a zero A element included, as in the scalar loop.
 template <int R, bool kMasked>
 void broadcast_block(const float* a, std::size_t a_row_stride,
                      std::size_t a_col_stride, const float* b, float* c,
-                     std::size_t k_dim, std::size_t n_dim, bool zero_skip,
-                     __m256i mask) {
+                     std::size_t k_dim, std::size_t n_dim, __m256i mask) {
   constexpr int T = kMasked ? 1 : 2;
   const auto load = [mask](const float* p) {
     if constexpr (kMasked) {
@@ -69,18 +63,9 @@ void broadcast_block(const float* a, std::size_t a_row_stride,
     __m256 vb[T];
 #pragma GCC unroll 2
     for (int t = 0; t < T; ++t) vb[t] = load(b_row + 8 * t);
-    float av[R];
-    bool any_zero = false;
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
-      av[r] = a_k[r * a_row_stride];
-      any_zero |= av[r] == 0.0f;
-    }
-    const bool skip_some = zero_skip && any_zero;
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
-      if (skip_some && av[r] == 0.0f) continue;
-      const __m256 va = _mm256_set1_ps(av[r]);
+      const __m256 va = _mm256_set1_ps(a_k[r * a_row_stride]);
 #pragma GCC unroll 2
       for (int t = 0; t < T; ++t) {
         acc[r][t] = _mm256_add_ps(acc[r][t], _mm256_mul_ps(va, vb[t]));
@@ -106,17 +91,17 @@ template <bool kMasked>
 void broadcast_tile(const float* a, std::size_t a_row_stride,
                     std::size_t a_col_stride, const float* b, float* c,
                     std::size_t r0, std::size_t r1, std::size_t k_dim,
-                    std::size_t n_dim, bool zero_skip, __m256i mask) {
+                    std::size_t n_dim, __m256i mask) {
   std::size_t i = r0;
   for (; i + 4 <= r1; i += 4) {
     broadcast_block<4, kMasked>(a + i * a_row_stride, a_row_stride,
                                 a_col_stride, b, c + i * n_dim, k_dim, n_dim,
-                                zero_skip, mask);
+                                mask);
   }
   for (; i < r1; ++i) {
     broadcast_block<1, kMasked>(a + i * a_row_stride, a_row_stride,
                                 a_col_stride, b, c + i * n_dim, k_dim, n_dim,
-                                zero_skip, mask);
+                                mask);
   }
 }
 
@@ -125,17 +110,17 @@ void broadcast_tile(const float* a, std::size_t a_row_stride,
 void broadcast_rows_avx2(const float* a, std::size_t a_row_stride,
                          std::size_t a_col_stride, const float* b, float* c,
                          std::size_t r0, std::size_t r1, std::size_t k_dim,
-                         std::size_t n_dim, bool zero_skip) {
+                         std::size_t n_dim) {
   std::size_t j0 = 0;
   for (; j0 + 16 <= n_dim; j0 += 16) {
     broadcast_tile<false>(a, a_row_stride, a_col_stride, b + j0, c + j0, r0,
-                          r1, k_dim, n_dim, zero_skip, __m256i{});
+                          r1, k_dim, n_dim, __m256i{});
   }
   // The 1-15 columns left: one or two 8-lane tiles, the last one masked.
   for (; j0 < n_dim; j0 += 8) {
     const std::size_t w = n_dim - j0 < 8 ? n_dim - j0 : 8;
     broadcast_tile<true>(a, a_row_stride, a_col_stride, b + j0, c + j0, r0,
-                         r1, k_dim, n_dim, zero_skip, mask8(w));
+                         r1, k_dim, n_dim, mask8(w));
   }
 }
 

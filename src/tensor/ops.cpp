@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 
 #include "common/thread_pool.hpp"
 #include "obs/span.hpp"
@@ -31,32 +29,6 @@ ExecMetrics& exec_metrics() {
 void check_same_size(std::span<const float> a, std::span<const float> b,
                      const char* what) {
   VCDL_CHECK(a.size() == b.size(), std::string(what) + ": size mismatch");
-}
-
-// Whether a panel is free of NaN/Inf. A magnitude (bits & 0x7fffffff) at or
-// above the all-ones exponent 0x7f800000 carries into bit 31 when 0x00800000
-// is added, so OR-ing those sums flags any NaN or Inf. Two floats go through
-// one 64-bit word (a half's sum stays below 2^32, so it cannot carry into
-// the other); there is no serial add chain and no unsigned max, which SSE2
-// lacks. One O(n) pass per GEMM call — cheap next to the O(m·n·k) multiply —
-// buys back the zero-skip fast path below without letting it mask a
-// diverging run.
-bool panel_all_finite(const float* p, std::size_t n) {
-  constexpr std::uint64_t kMagnitude = 0x7fffffff7fffffffull;
-  constexpr std::uint64_t kCarry = 0x0080000000800000ull;
-  std::uint64_t flags = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, p + i, sizeof w);
-    flags |= (w & kMagnitude) + kCarry;
-  }
-  if (i < n) {
-    std::uint32_t w = 0;
-    std::memcpy(&w, p + i, sizeof w);
-    flags |= (w & 0x7fffffffu) + 0x00800000u;
-  }
-  return (flags & 0x8000000080000000ull) == 0;
 }
 
 void run_rowwise(std::size_t m, ThreadPool* pool,
@@ -187,7 +159,6 @@ void matmul(MatView a, MatView b, Tensor& c, bool accumulate,
   if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
   if (!accumulate) c.fill(0.0f);
   obs::SpanTimer span(exec_metrics().gemm_s);
-  const bool zero_skip = panel_all_finite(b.data, k * n);
   // Broadcast-A kernel: row-major B already is the shared read-only panel
   // every worker reads — no per-worker repacking inside the parallel loop.
   const detail::GemmKernels& kn = detail::kernels_for(active_simd_tier());
@@ -196,7 +167,7 @@ void matmul(MatView a, MatView b, Tensor& c, bool accumulate,
   float* cp = c.data();
   run_rowwise(m, pool, [&, ap, bp, cp](std::size_t r0, std::size_t r1) {
     kn.broadcast_rows(ap, /*a_row_stride=*/k, /*a_col_stride=*/1, bp, cp, r0,
-                      r1, k, n, zero_skip);
+                      r1, k, n);
   });
 }
 
@@ -221,7 +192,6 @@ void matmul_at_b(MatView a, MatView b, Tensor& c, bool accumulate,
   const float* ap = a.data;
   const float* bp = b.data;
   float* cp = c.data();
-  const bool zero_skip = panel_all_finite(bp, k * n);
   // Same broadcast kernel as matmul with transposed A strides: A(i,k) =
   // ap[k*m + i]. Per C element the k-terms still accumulate in ascending
   // order, so hoisting i outside k (the old loop nested k outermost) is
@@ -229,7 +199,7 @@ void matmul_at_b(MatView a, MatView b, Tensor& c, bool accumulate,
   const detail::GemmKernels& kn = detail::kernels_for(active_simd_tier());
   run_rowwise(m, pool, [&, ap, bp, cp](std::size_t r0, std::size_t r1) {
     kn.broadcast_rows(ap, /*a_row_stride=*/1, /*a_col_stride=*/m, bp, cp, r0,
-                      r1, k, n, zero_skip);
+                      r1, k, n);
   });
 }
 

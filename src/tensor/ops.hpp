@@ -1,13 +1,13 @@
 // Tensor kernels: elementwise operations, reductions, and blocked GEMM.
 //
 // GEMM is the dominant cost of training. The entry points here validate
-// shapes, decide zero-skip eligibility, hoist any operand packing out of the
-// parallel region, and split rows over the shared ThreadPool; the inner
-// loops live in the tiered micro-kernels of tensor/gemm_kernels.hpp
-// (portable scalar / AVX2 / NEON behind runtime dispatch, every tier
-// bit-identical to the scalar reference). Everything else is straightforward
-// span-based loops — on the problem sizes VCDL trains, they are memory-bound
-// anyway.
+// shapes, hoist any operand packing out of the parallel region, and split
+// rows over the shared ThreadPool; the inner loops live in the tiered
+// micro-kernels of tensor/gemm_kernels.hpp (portable scalar / AVX2 behind
+// runtime dispatch, every tier bit-identical to the scalar reference). A
+// zero A element is multiplied like any other, so NaN and Inf propagate by
+// IEEE arithmetic. Everything else is straightforward span-based loops — on
+// the problem sizes VCDL trains, they are memory-bound anyway.
 #pragma once
 
 #include <span>

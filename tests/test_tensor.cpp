@@ -206,8 +206,8 @@ TEST(Ops, MatmulDimensionMismatchThrows) {
   EXPECT_THROW(ops::matmul(a, b, c), Error);
 }
 
-// Regression: the zero-skip fast path dropped B's non-finite values when the
-// matching A entry was 0, so 0 * NaN silently became 0. IEEE says NaN.
+// A zero A element facing a NaN in B must give NaN (0 * NaN is NaN), not 0:
+// the kernels multiply a zero like any other element.
 TEST(Ops, MatmulZeroTimesNaNPropagates) {
   Tensor a = Tensor::full(Shape{2, 3}, 1.0f);
   a.at(0, 1) = 0.0f;  // aligned against the poisoned B row below
@@ -241,8 +241,9 @@ TEST(Ops, MatmulAtBZeroTimesNaNPropagates) {
   EXPECT_FLOAT_EQ(c.at(0, 0), 2.0f);
 }
 
-TEST(Ops, MatmulZeroSkipStillExactForFiniteInputs) {
-  // Sparse A against finite B must keep taking the fast path and stay exact.
+TEST(Ops, MatmulSparseAMatchesNaive) {
+  // Sparse A against finite B: the zeros are multiplied like any other
+  // element, and the result matches the naive triple loop.
   Rng rng(7);
   Tensor a = Tensor::randn(Shape{9, 13}, rng);
   for (std::size_t i = 0; i < a.numel(); i += 3) a.flat()[i] = 0.0f;
