@@ -117,7 +117,8 @@ inline void print_run_summary(const TrainResult& r) {
             << Table::fmt(r.final_epoch().mean_subtask_acc) << ", lost updates "
             << r.metrics.counter("store.lost_updates") << "/"
             << r.metrics.counter("store.writes") << ", timeouts "
-            << r.metrics.counter("scheduler.failure.timeout") << "\n";
+            << r.metrics.counter("scheduler.failure.timeout") << "\n"
+            << std::flush;  // redirected stdout shows each run as it ends
 }
 
 }  // namespace vcdl::bench

@@ -49,8 +49,7 @@ void print_window(const std::vector<Row>& rows, double lo_frac, double hi_frac,
     if (r.hours < lo || r.hours > hi) continue;
     table.add_row({r.series, vcdl::Table::fmt(r.epoch),
                    vcdl::Table::fmt(r.hours, 2), vcdl::Table::fmt(r.mean, 4),
-                   "[" + vcdl::Table::fmt(r.min, 3) + ", " +
-                       vcdl::Table::fmt(r.max, 3) + "]"});
+                   vcdl::Table::fmt_band(r.min, r.max, 3)});
   }
   table.print(std::cout);
 }

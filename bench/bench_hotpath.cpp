@@ -4,7 +4,7 @@
 // "Execution & threading model") on a CIFAR-scale resnet_lite, sweeping the
 // per-client pool over {1, 2, 4, 8} threads. Thread count 1 uses no pool at
 // all — it is the serial bit-exact reference path. Writes BENCH_hotpath.json
-// (schema v2, consumed by EXPERIMENTS.md) next to the working directory.
+// (schema v3, consumed by EXPERIMENTS.md) next to the working directory.
 //
 // The sweep is capped at the host's hardware threads by default: a width
 // beyond the core count measures scheduler context-switching, not scaling —
@@ -129,16 +129,18 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\nhardware_threads=" << hw << "  simd=" << simd
+            << "  build=" << VCDL_BENCH_BUILD_TYPE
             << (hw < 4 ? "  (speedup capped by host core count)" : "") << "\n";
 
   // Schema v2: sweep capped at hardware_threads unless oversub=1, rows carry
   // "oversubscribed", and the dispatched SIMD tier is recorded. v1 files had
   // neither — their multi-thread rows on a 1-core host measured pure
-  // context-switch overhead and are not comparable.
+  // context-switch overhead and are not comparable. v3 adds the CMake build
+  // type, which fixes the optimization level the steps ran at.
   const std::string json_path = cfg.get_string("out", "BENCH_hotpath.json");
   std::ofstream out(json_path);
   out << "{\n"
-      << "  \"schema_version\": 2,\n"
+      << "  \"schema_version\": 3,\n"
       << "  \"bench\": \"hotpath\",\n"
       << "  \"model\": \"resnet_lite\",\n"
       << "  \"image\": " << image << ",\n"
@@ -149,6 +151,7 @@ int main(int argc, char** argv) {
       << "  \"warmup\": " << warmup << ",\n"
       << "  \"hardware_threads\": " << hw << ",\n"
       << "  \"simd\": \"" << simd << "\",\n"
+      << "  \"build_type\": \"" << VCDL_BENCH_BUILD_TYPE << "\",\n"
       << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ThreadResult& r = results[i];

@@ -151,14 +151,29 @@ check "perfbench_smoke.sh prints the traced margin" \
         'run_wall_s 1.000000 - layer busy 0.950000' | print_margin |
       grep -qF 'unattributed_s 0.050 s = 5.0% of run_wall_s 1.000 s'"
 
-# 11. The Release stage parses, builds at -O3 (the level perfbench builds
-#     at, while tier 1 builds -O2) and guards its ctest call, so an empty
-#     test list fails it instead of passing.
-check "release.sh syntax" bash -n ci/release.sh
-check "release.sh builds Release" \
-  grep -qE -- '-DCMAKE_BUILD_TYPE=Release' ci/release.sh
-check "release.sh ctest call guarded" \
-  grep -qE -- '^ctest .*--no-tests=error' ci/release.sh
+# 11. One optimization level: a RelWithDebInfo or Release tree compiles at
+#     -O3, the level perfbench measures. The flags come from the generated
+#     build files, not the cache: a tree configured when RelWithDebInfo meant
+#     -O2 keeps -O2 in its cache entry and still builds at -O3.
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "${BUILD_DIR}/CMakeCache.txt")
+tensor_dir="${BUILD_DIR}/src/tensor/CMakeFiles/vcdl_tensor.dir"
+if [[ -f "${tensor_dir}/flags.make" ]]; then
+  tensor_flags=$(grep '^CXX_FLAGS = ' "${tensor_dir}/flags.make")
+else  # Ninja: the FLAGS line of tensor.cpp's build statement
+  tensor_flags=$(awk '/^build src\/tensor\/CMakeFiles\/vcdl_tensor\.dir\/tensor\.cpp\.o:/ {f = 1}
+                      f && /^  FLAGS = / {print; exit}' "${BUILD_DIR}/build.ninja")
+fi
+at_o3_only() {
+  [[ " ${tensor_flags} " == *" -O3 "* && " ${tensor_flags} " != *" -O2 "* ]]
+}
+case "${build_type}" in
+  RelWithDebInfo | Release)
+    check "${build_type} tree compiles src/ at -O3, not -O2" at_o3_only
+    ;;
+  *)
+    echo "note: ${build_type:-no} build type; the -O3 level is not checked"
+    ;;
+esac
 
 if [[ "${failures}" -ne 0 ]]; then
   echo "ci self-test: ${failures} check(s) failed"

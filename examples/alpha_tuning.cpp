@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
   for (const auto& c : candidates) {
     const auto& e = c.result.final_epoch();
     table.add_row({Table::fmt(rank++), c.spec, Table::fmt(e.mean_subtask_acc, 3),
-                   "[" + Table::fmt(e.min_subtask_acc, 3) + ", " +
-                       Table::fmt(e.max_subtask_acc, 3) + "]",
+                   Table::fmt_band(e.min_subtask_acc, e.max_subtask_acc, 3),
                    Table::fmt(e.mean_subtask_acc /
                                   (c.result.totals.duration_s / 3600.0),
                               3)});

@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
     table.add_row({Table::fmt(e.epoch), Table::fmt(e.alpha, 3),
                    Table::fmt(e.end_time / 3600.0, 2),
                    Table::fmt(e.mean_subtask_acc, 3),
-                   "[" + Table::fmt(e.min_subtask_acc, 3) + ", " +
-                       Table::fmt(e.max_subtask_acc, 3) + "]",
+                   Table::fmt_band(e.min_subtask_acc, e.max_subtask_acc, 3),
                    Table::fmt(e.val_acc, 3), Table::fmt(e.test_acc, 3)});
   }
   table.print(std::cout);

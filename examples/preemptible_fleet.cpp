@@ -40,6 +40,11 @@ int main(int argc, char** argv) {
   std::cout << "\nMeasured (DES with injected preemptions):\n";
   Table measured({"interruptions/h", "hours", "delay vs reliable", "preempts",
                   "timeouts", "final acc", "preemptible cost", "standard cost"});
+  const auto usd = [](double v) {
+    std::string s = "$";
+    s += Table::fmt(v, 2);
+    return s;
+  };
   double base_hours = 0.0;
   for (const double rate : {0.0, 0.1, 0.5, 2.0}) {
     ExperimentSpec spec;
@@ -60,8 +65,7 @@ int main(int argc, char** argv) {
          Table::fmt(r.metrics.counter("client.preemptions")),
          Table::fmt(r.metrics.counter("scheduler.failure.timeout")),
          Table::fmt(r.final_epoch().mean_subtask_acc, 3),
-         "$" + Table::fmt(r.totals.cost_preemptible_usd, 2),
-         "$" + Table::fmt(r.totals.cost_standard_usd, 2)});
+         usd(r.totals.cost_preemptible_usd), usd(r.totals.cost_standard_usd)});
   }
   measured.print(std::cout);
 

@@ -36,7 +36,9 @@ int main(int argc, char** argv) {
     spec.work_per_subtask = 180.0;  // far lighter than an image subtask
     spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
     const TrainResult r = run_experiment(spec);
-    table.add_row({"T" + std::to_string(tn),
+    std::string tn_label = "T";
+    tn_label += std::to_string(tn);
+    table.add_row({tn_label,
                    Table::fmt(r.totals.duration_s / 3600.0, 2),
                    Table::fmt(r.final_epoch().mean_subtask_acc, 3),
                    Table::fmt(

@@ -35,6 +35,19 @@ inline std::uint64_t fnv1a(std::string_view chars,
                seed);
 }
 
+namespace detail {
+// resize + memcpy, not insert(end, p, p + n): inlined into the first append
+// to an empty vector, GCC 12 reports insert as a -Wstringop-overflow into a
+// region of size 0. An empty run copies nothing (its pointer may be null).
+inline void append_bytes(std::vector<std::uint8_t>& buf, const void* p,
+                         std::size_t n) {
+  if (n == 0) return;
+  const std::size_t at = buf.size();
+  buf.resize(at + n);
+  std::memcpy(buf.data() + at, p, n);
+}
+}  // namespace detail
+
 /// Owning, contiguous byte buffer.
 class Blob {
  public:
@@ -50,7 +63,7 @@ class Blob {
   void resize(std::size_t n) { bytes_.resize(n); }
   void clear() { bytes_.clear(); }
   void append(std::span<const std::uint8_t> bytes) {
-    bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+    detail::append_bytes(bytes_, bytes.data(), bytes.size());
   }
 
   /// Stable 64-bit content hash (FNV-1a); used for cache keys and dedup.
@@ -91,14 +104,8 @@ class BinaryWriter {
   Blob take() { return Blob(std::move(buf_)); }
 
  private:
-  // resize + memcpy, not insert(end, p, p + n): inlined into the first write
-  // of a fresh writer, GCC 12 reports insert as a -Wstringop-overflow into a
-  // region of size 0. An empty run copies nothing (its pointer may be null).
   void append(const void* p, std::size_t n) {
-    if (n == 0) return;
-    const std::size_t at = buf_.size();
-    buf_.resize(at + n);
-    std::memcpy(buf_.data() + at, p, n);
+    detail::append_bytes(buf_, p, n);
   }
 
   std::vector<std::uint8_t> buf_;

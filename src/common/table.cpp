@@ -30,6 +30,13 @@ std::string Table::fmt(double v, int precision) {
 std::string Table::fmt(std::size_t v) { return std::to_string(v); }
 std::string Table::fmt(long long v) { return std::to_string(v); }
 
+std::string Table::fmt_band(double lo, double hi, int precision) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(precision) << '[' << lo << ", " << hi
+     << ']';
+  return os.str();
+}
+
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {

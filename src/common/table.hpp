@@ -22,6 +22,8 @@ class Table {
   static std::string fmt(double v, int precision = 4);
   static std::string fmt(std::size_t v);
   static std::string fmt(long long v);
+  /// "[lo, hi]", each bound at `precision` decimals.
+  static std::string fmt_band(double lo, double hi, int precision);
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -150,9 +150,15 @@ struct ExperimentSpec {
   std::uint64_t seed = 7;
   bool trace = false;
 
+  // Appends, not an operator+ chain: see Workunit::label (grid/workunit.hpp).
   std::string label() const {
-    return "P" + std::to_string(parameter_servers) + "C" +
-           std::to_string(clients) + "T" + std::to_string(tasks_per_client);
+    std::string s = "P";
+    s += std::to_string(parameter_servers);
+    s += 'C';
+    s += std::to_string(clients);
+    s += 'T';
+    s += std::to_string(tasks_per_client);
+    return s;
   }
 };
 

@@ -43,8 +43,14 @@ struct Workunit {
   /// redundancy); the first valid result wins.
   std::size_t replication = 1;
 
+  // Appends: an inlined "e" + std::to_string(...) chain draws false GCC 12
+  // -Wrestrict warnings at -O3.
   std::string label() const {
-    return "e" + std::to_string(epoch) + "/s" + std::to_string(shard);
+    std::string s = "e";
+    s += std::to_string(epoch);
+    s += "/s";
+    s += std::to_string(shard);
+    return s;
   }
 };
 

@@ -90,7 +90,8 @@ std::vector<InstanceType> make_client_fleet(const FleetCatalog& catalog,
   fleet.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     InstanceType t = catalog.client_types[i % catalog.client_types.size()];
-    t.name += "#" + std::to_string(i);
+    t.name += '#';
+    t.name += std::to_string(i);
     t.interruption_per_hour = preemptible ? interruption_per_hour : 0.0;
     if (!preemptible) t.preemptible_discount = 0.0;
     fleet.push_back(std::move(t));

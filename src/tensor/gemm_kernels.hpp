@@ -29,8 +29,8 @@
 // are in flight while each one's arithmetic stays the scalar sequence.
 // A zero A element is multiplied like any other, so NaN and Inf in B
 // propagate by IEEE arithmetic (0·NaN and 0·Inf are NaN) on every tier.
-// The block loops carry `#pragma GCC unroll`, without which GCC at -O2 (the
-// RelWithDebInfo build) keeps the accumulator arrays in memory.
+// The block loops carry `#pragma GCC unroll`, without which GCC 12 keeps the
+// accumulator arrays in memory, at -O3 as at -O2.
 //
 // Tiers: portable scalar (always available, the reference; other CPUs,
 // aarch64 included, run it) and AVX2 (x86-64, compiled in when the toolchain

@@ -10,8 +10,8 @@
 // tier; the serial-path goldens in test_exec_threading pin it end-to-end.
 //
 // A register block of R rows × T vectors keeps R·T accumulators in flight
-// (gemm_kernels.hpp). The block loops carry `#pragma GCC unroll`: at -O2
-// (RelWithDebInfo) GCC otherwise leaves the acc[R][T] arrays in memory.
+// (gemm_kernels.hpp). The block loops carry `#pragma GCC unroll`: without
+// it GCC 12 leaves the acc[R][T] arrays in memory, at -O3 as at -O2.
 
 #include "tensor/gemm_kernels.hpp"
 

@@ -84,7 +84,7 @@ ExperimentSpec alpha0_spec(ExperimentSpec::ModelKind kind) {
   spec.parameter_servers = 1;
   spec.clients = 1;
   spec.tasks_per_client = 1;
-  spec.alpha = "0";
+  spec.alpha.assign(1, '0');  // = "0" draws a false GCC 12 -Wrestrict at -O3
   spec.num_shards = 4;
   spec.data.train = 80;
   spec.model_kind = kind;

@@ -139,15 +139,15 @@ TEST(ParamServer, OverlappingStrongWorkersSerialize) {
   // serializes the two read-modify-writes; both contributions survive.
   PsHarness h("strong", 0.5, /*num_ps=*/2);
   const std::vector<float> w0 = h.model.flat_params();
-  std::vector<float> a(w0.size(), 1.0f), b(w0.size(), -1.0f);
-  h.submit(1, 0, a);
-  h.submit(2, 1, b);
+  const float a = 1.0f, b = -1.0f;  // every element of each client copy
+  h.submit(1, 0, std::vector<float>(w0.size(), a));
+  h.submit(2, 1, std::vector<float>(w0.size(), b));
   h.engine.run();
   EXPECT_EQ(h.count("store.lost_updates"), 0u);
   const auto w1 = h.stored_params();
   // Order-independent here because a = -b: 0.25*w0 + 0.5*second + 0.25*first.
-  const float expected = 0.25f * w0[0] + 0.25f * a[0] + 0.5f * b[0];
-  const float expected_rev = 0.25f * w0[0] + 0.25f * b[0] + 0.5f * a[0];
+  const float expected = 0.25f * w0[0] + 0.25f * a + 0.5f * b;
+  const float expected_rev = 0.25f * w0[0] + 0.25f * b + 0.5f * a;
   EXPECT_TRUE(std::abs(w1[0] - expected) < 1e-5f ||
               std::abs(w1[0] - expected_rev) < 1e-5f);
 }
