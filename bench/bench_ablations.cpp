@@ -30,7 +30,9 @@ int main(int argc, char** argv) {
     spec.tasks_per_client = 4;
     spec.alpha = "var";
     mutate(spec);
-    return run_experiment(spec);
+    TrainResult r = run_experiment(spec);
+    bench::print_run_summary(r);  // flushed, so a redirected run shows it
+    return r;
   };
 
   // 1. Shard policy.

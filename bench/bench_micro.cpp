@@ -3,11 +3,15 @@
 // Not a paper figure — these verify the building blocks are fast enough that
 // the *modeled* latencies, not our implementation, dominate simulated
 // behaviour: GEMM throughput, wire-codec speed and ratio, store update cost,
-// the Eq. (1) blend, and the sticky-affinity scheduler path.
+// the Eq. (1) blend, the sticky-affinity scheduler path, and what one
+// parallel region of the worker pool costs.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "common/compress.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/vcasgd.hpp"
 #include "data/synthetic.hpp"
 #include "grid/scheduler.hpp"
@@ -123,6 +127,24 @@ void BM_ResNetLiteForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK(BM_ResNetLiteForward);
+
+// One parallel_for of 4 chunks on a pool of 4 participants, each chunk
+// busy for `chunk_us` microseconds: 0 times the region's own cost, 10 how
+// close four 10 µs chunks come to 10 µs. A training step opens about 20
+// such regions (each conv layer in both directions, the Dense head's dW).
+void BM_PoolRegion(benchmark::State& state) {
+  const std::chrono::microseconds chunk_us(state.range(0));
+  vcdl::ThreadPool pool(4);
+  for (auto _ : state) {
+    pool.parallel_for(0, 4, [&](std::size_t, std::size_t) {
+      const auto until = std::chrono::steady_clock::now() + chunk_us;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    });
+  }
+}
+BENCHMARK(BM_PoolRegion)->Arg(0)->Arg(10)->ArgNames({"chunk_us"})
+    ->UseRealTime();
 
 }  // namespace
 

@@ -105,8 +105,10 @@ check "sanitize.sh tsan regex includes test_exec_threading" \
 #    its regex names is registered, so the stage can never repeat nothing.
 #    test_obs must stay among them: it holds the concurrent-runs test; so
 #    must test_storage: it holds the store's real-thread update tests.
-check "multicore.sh ctest call guarded" \
-  grep -qE -- '^ctest .*--no-tests=error' ci/multicore.sh
+multicore_ctests=$(grep -c '^ctest ' ci/multicore.sh)
+multicore_guarded=$(grep -cE -- '^ctest .*--no-tests=error' ci/multicore.sh)
+check "multicore.sh ctest calls guarded (${multicore_guarded}/${multicore_ctests})" \
+  test "${multicore_ctests}" -eq 2 -a "${multicore_guarded}" -eq 2
 for suite in test_fuzz test_storage test_thread_pool test_exec_threading \
              test_kernels test_obs; do
   check "multicore target ${suite} registered" \
@@ -114,6 +116,19 @@ for suite in test_fuzz test_storage test_thread_pool test_exec_threading \
                2>/dev/null | grep -q 'Total Tests: 1'"
   check "multicore regex names ${suite}" \
     bash -c "grep -E '^MULTICORE_REGEX=' ci/multicore.sh | grep -q '${suite}'"
+done
+
+# 7b. The multicore stage also repeats the pool and ExecContext suites 20
+#     times under TSan, in the tree ci/sanitize.sh builds (build-tsan/).
+check "multicore.sh repeats its TSan suites 20 times" \
+  bash -c "grep -A1 -F 'ctest --test-dir \"\${TSAN_DIR}\"' ci/multicore.sh |
+           grep -qF -- '--repeat until-fail:20 -R \"\${TSAN_REPEAT_REGEX}\"'"
+check "multicore.sh runs TSan in sanitize.sh's tree" \
+  bash -c "grep -qF '/build-tsan}\"' ci/multicore.sh &&
+           grep -qE '^TSAN_DIR=build-tsan$' ci/sanitize.sh"
+for suite in test_thread_pool test_exec_threading; do
+  check "multicore TSan regex names ${suite}" \
+    bash -c "grep -E '^TSAN_REPEAT_REGEX=' ci/multicore.sh | grep -q '${suite}'"
 done
 
 # 8. Run components (core, grid, sim, storage) count into the registry

@@ -1,18 +1,26 @@
-// Fixed-size worker pool with a blocking parallel_for.
+// Fork-join worker pool with a blocking parallel_for.
 //
-// Used by the tensor kernels (GEMM tiling) and by the concurrent store
-// benchmarks. The pool is intentionally simple: a single mutex-protected
-// queue is more than enough for the coarse-grained tasks VCDL submits
-// (thousands of FLOPs each), and keeps the implementation obviously correct.
+// Used by the tensor kernels (GEMM row splits), Conv2D (batch splits) and the
+// parameter plane. A pool of width P is the thread that dispatches a region
+// plus P − 1 helper threads. A region is published as one atomic word (epoch,
+// chunk count, next chunk) from which every participant claims chunk indices,
+// so dispatch allocates nothing and a helper that is late, busy or asleep
+// never holds a region up: the caller claims whatever is left. The region
+// ends when an atomic count of finished chunks reaches the chunk count. Idle
+// helpers spin with `pause` for a fixed time, then park on a condition
+// variable. Whole tasks go through submit() and a mutex-protected queue.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -20,40 +28,42 @@ namespace vcdl {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// A pool of `threads` participants: the dispatching thread plus
+  /// threads − 1 helpers, and at least one helper, so submit() has a thread
+  /// to run on at width 1. 0 means std::thread::hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  std::size_t size() const { return size_; }
 
-  /// Enqueue a task; returns a future for its completion.
+  /// Enqueue a task for a helper; returns a future for its completion.
   std::future<void> submit(std::function<void()> task);
 
-  /// True when the calling thread is one of this pool's workers. parallel_for
-  /// uses this to run nested invocations inline: a worker that blocked on
-  /// nested chunks would deadlock, because those chunks sit in the queue
-  /// behind the very task that is waiting for them.
+  /// True on this pool's helper threads, and on any thread while it runs a
+  /// chunk of one of this pool's regions. parallel_for uses this to run
+  /// nested invocations inline: one region runs at a time, so a chunk that
+  /// dispatched another and waited for it would wait for itself.
   bool on_worker_thread() const;
 
   /// Runs fn(i) for i in [begin, end), splitting the range into roughly
-  /// `size()` contiguous chunks. The caller executes chunk 0 itself while the
-  /// workers take the rest (so the dispatching thread contributes a core
-  /// instead of sleeping), then blocks until all chunks finish. Exceptions
-  /// from fn propagate to the caller (first one wins) — only after every
-  /// chunk has completed, so fn can never dangle. Called from a worker of
-  /// this pool, the whole range runs inline on the caller (see above).
+  /// `size()` contiguous chunks. The caller and the helpers claim chunks
+  /// until none is left, then the caller blocks until all of them finish.
+  /// Exceptions from fn propagate to the caller (first one wins) — only
+  /// after every chunk has completed, so fn can never dangle. Called from a
+  /// participant of this pool, or while another thread's region runs on it,
+  /// the whole range runs inline on the caller as one chunk.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// parallel_for variant that also hands the body its chunk index
   /// (0 <= chunk < max_chunks(end - begin)), letting callers keep per-chunk
   /// scratch buffers without sharing or locks. The index should pick scratch
-  /// only: a nested call runs the whole range as chunk 0, so a body whose
-  /// results follow from [lo, hi) alone gives the same bits at any pool
-  /// width, nested or not.
+  /// only: any participant may claim any chunk, and an inline call runs the
+  /// whole range as chunk 0, so a body whose results follow from [lo, hi)
+  /// alone gives the same bits at any pool width, nested or not.
   void parallel_for_indexed(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
@@ -64,13 +74,43 @@ class ThreadPool {
   }
 
  private:
-  void worker_loop();
+  using Body = std::function<void(std::size_t, std::size_t, std::size_t)>;
 
-  std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
+  void helper_loop();
+  // Lets the helpers finish the queued tasks, then joins them.
+  void stop_and_join();
+  // Claims and runs chunks of the published region until a claim comes back
+  // empty; returns the region word that claim read.
+  std::uint64_t run_chunks();
+
+  std::size_t size_;
+
+  // The region: (epoch << 32) | (chunk count << 16) | next chunk. Only the
+  // thread holding busy_ publishes one, and it writes the descriptor below
+  // first; a participant reads the descriptor only after a claim succeeds.
+  alignas(64) std::atomic<std::uint64_t> region_{0};
+  const Body* fn_ = nullptr;
+  std::size_t begin_ = 0, end_ = 0, chunk_ = 0;
+  std::atomic<bool> busy_{false};
+  std::atomic<bool> failed_{false};
+  std::exception_ptr error_;  // the first exception; set by whoever wins failed_
+  // Chunks of the current region that have finished, on their own line so
+  // the claims do not bounce it.
+  alignas(64) std::atomic<std::size_t> done_{0};
+
+  // Parking. parked_ counts helpers waiting on work_cv_; caller_parked_ is
+  // set while the dispatcher waits on done_cv_ for the last chunks.
+  alignas(64) std::mutex mutex_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::atomic<std::size_t> parked_{0};
+  std::atomic<bool> caller_parked_{false};
+  std::deque<std::packaged_task<void()>> tasks_;  // guarded by mutex_
+  std::atomic<std::size_t> queued_{0};  // tasks_.size(), read while spinning
+  std::atomic<bool> stop_{false};       // written under mutex_
+
+  // Last, so the helpers start after, and are joined before, what they use.
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace vcdl

@@ -211,6 +211,17 @@ Tensor Conv2D::forward(const Tensor& x, ExecContext& ctx, bool training) {
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out, ExecContext& ctx) {
+  Tensor dx;
+  backward_into(grad_out, ctx, &dx);
+  return dx;
+}
+
+void Conv2D::backward_params(const Tensor& grad_out, ExecContext& ctx) {
+  backward_into(grad_out, ctx, nullptr);
+}
+
+void Conv2D::backward_into(const Tensor& grad_out, ExecContext& ctx,
+                           Tensor* dx) {
   VCDL_CHECK(last_batch_ > 0, "Conv2D::backward before training-mode forward");
   const std::size_t oh = out_height(last_h_), ow = out_width(last_w_);
   VCDL_CHECK((grad_out.shape() == Shape{last_batch_, out_c_, oh, ow}),
@@ -221,7 +232,7 @@ Tensor Conv2D::backward(const Tensor& grad_out, ExecContext& ctx) {
   const std::size_t out_plane = oh * ow;
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
 
-  Tensor dx(Shape{batch, in_c_, last_h_, last_w_});
+  if (dx != nullptr) *dx = Tensor(Shape{batch, in_c_, last_h_, last_w_});
   // Item bi's dY, viewed in place — no copy.
   const auto dy = [&](std::size_t bi) {
     return ops::MatView{grad_out.data() + bi * out_c_ * out_plane, out_c_,
@@ -234,23 +245,27 @@ Tensor Conv2D::backward(const Tensor& grad_out, ExecContext& ctx) {
   // every column, which is what a chunk covering the whole batch needs.
   std::vector<Tensor*> dcols(chunks), dw_blocks(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
-    dcols[c] = &ctx.arena.get(c, Shape{col_rows, out_plane});
+    if (dx != nullptr) {
+      dcols[c] = &ctx.arena.get(c, Shape{col_rows, out_plane});
+    }
     dw_blocks[c] = &ctx.arena.get(chunks + c, dw_.shape());
   }
 
-  // The chunk owning items [lo, hi) writes their dX slices, the dW columns
-  // [lo·n/B, hi·n/B) and the db channels [lo·out_c/B, hi·out_c/B), where
-  // n = in_c·k·k and B is the batch. Each dW and db element is summed whole
-  // over the batch in item order, as the serial loop sums it, so every split
-  // gives the serial bits.
+  // The chunk owning items [lo, hi) writes their dX slices (when dx is
+  // wanted), the dW columns [lo·n/B, hi·n/B) and the db channels
+  // [lo·out_c/B, hi·out_c/B), where n = in_c·k·k and B is the batch. Each dW
+  // and db element is summed whole over the batch in item order, as the
+  // serial loop sums it, so every split gives the serial bits.
   for_each_chunk(ctx.pool, batch, [&](std::size_t chunk, std::size_t lo,
                                       std::size_t hi) {
-    Tensor& dcol = *dcols[chunk];
-    for (std::size_t bi = lo; bi < hi; ++bi) {
-      ops::matmul_at_b(ops::view(w_), dy(bi), dcol);
-      obs::SpanTimer span(im2col_metric());
-      col2im(dcol.data(), in_c_, last_h_, last_w_, kernel_, pad_, oh, ow,
-             dx.data() + bi * in_c_ * last_h_ * last_w_);
+    if (dx != nullptr) {
+      Tensor& dcol = *dcols[chunk];
+      for (std::size_t bi = lo; bi < hi; ++bi) {
+        ops::matmul_at_b(ops::view(w_), dy(bi), dcol);
+        obs::SpanTimer span(im2col_metric());
+        col2im(dcol.data(), in_c_, last_h_, last_w_, kernel_, pad_, oh, ow,
+               dx->data() + bi * in_c_ * last_h_ * last_w_);
+      }
     }
 
     // dW[:, j0:j0+nj] += dY_b · cols_b[j0:j0+nj]^T, accumulated in a dense
@@ -279,7 +294,6 @@ Tensor Conv2D::backward(const Tensor& grad_out, ExecContext& ctx) {
       }
     }
   });
-  return dx;
 }
 
 std::size_t Conv2D::cache_bytes() const {

@@ -29,6 +29,8 @@ class Conv2D : public Layer {
   /// x: [batch, in_channels, H, W] → [batch, out_channels, OH, OW].
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
+  /// dW and db only: no per-item dX GEMM and no col2im.
+  void backward_params(const Tensor& grad_out, ExecContext& ctx) override;
 
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
@@ -41,6 +43,9 @@ class Conv2D : public Layer {
   std::size_t out_width(std::size_t w) const { return w + 2 * pad_ - kernel_ + 1; }
 
  private:
+  // Accumulates dW and db, and writes dX into *dx unless dx is null.
+  void backward_into(const Tensor& grad_out, ExecContext& ctx, Tensor* dx);
+
   std::size_t in_c_, out_c_, kernel_, pad_;
   Init scheme_;
   Tensor w_;   // [out_c, in_c * k * k]

@@ -34,6 +34,14 @@ Tensor Dense::forward(const Tensor& x, ExecContext& ctx, bool training) {
 }
 
 Tensor Dense::backward(const Tensor& grad_out, ExecContext& ctx) {
+  backward_params(grad_out, ctx);
+  // dX = dY · W^T
+  Tensor dx;
+  ops::matmul_a_bt(grad_out, w_, dx, /*accumulate=*/false, ctx.pool);
+  return dx;
+}
+
+void Dense::backward_params(const Tensor& grad_out, ExecContext& ctx) {
   VCDL_CHECK(grad_out.shape().rank() == 2 && grad_out.shape()[1] == out_,
              "Dense::backward: gradient shape mismatch");
   VCDL_CHECK(last_x_.shape().rank() == 2, "Dense::backward before forward");
@@ -50,10 +58,6 @@ Tensor Dense::backward(const Tensor& grad_out, ExecContext& ctx) {
   for (std::size_t b = 0; b < batch; ++b) {
     ops::axpy(1.0f, grad_out.flat().subspan(b * out_, out_), db_.flat());
   }
-  // dX = dY · W^T
-  Tensor dx;
-  ops::matmul_a_bt(grad_out, w_, dx, /*accumulate=*/false, ctx.pool);
-  return dx;
 }
 
 void Dense::write_spec(BinaryWriter& w) const {

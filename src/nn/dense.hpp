@@ -19,6 +19,7 @@ class Dense : public Layer {
   /// x: [batch, in] → [batch, out].
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override;
   Tensor backward(const Tensor& grad_out, ExecContext& ctx) override;
+  void backward_params(const Tensor& grad_out, ExecContext& ctx) override;
 
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }

@@ -40,6 +40,14 @@ class Layer {
   /// same input (an inference forward drops the caches backward needs).
   virtual Tensor backward(const Tensor& grad_out, ExecContext& ctx) = 0;
 
+  /// backward() without dLoss/dInput: accumulates the parameter gradients
+  /// only. Model::backward calls it on its first layer with parameters,
+  /// whose input gradient nothing reads. The default runs backward() and
+  /// drops the result; layers with an input-gradient GEMM skip it.
+  virtual void backward_params(const Tensor& grad_out, ExecContext& ctx) {
+    (void)backward(grad_out, ctx);
+  }
+
   /// Trainable parameter tensors (may be empty). Order is stable and is the
   /// order used by the flat parameter vector.
   virtual std::vector<Tensor*> params() { return {}; }

@@ -1,5 +1,6 @@
 #include "nn/model.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace vcdl {
@@ -33,10 +34,18 @@ Tensor Model::forward(const Tensor& x, ExecContext& ctx, bool training) {
 }
 
 void Model::backward(const Tensor& grad_out, ExecContext& ctx) {
+  // No parameter lies below the first layer that has some, so nothing reads
+  // that layer's input gradient: it accumulates its parameter gradients
+  // only, and the layers before it are not called.
+  const auto first =
+      std::find_if(layers_.begin(), layers_.end(),
+                   [](const auto& layer) { return !layer->params().empty(); });
+  if (first == layers_.end()) return;
   Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+  for (auto it = layers_.end() - 1; it != first; --it) {
     g = (*it)->backward(g, ctx);
   }
+  (*first)->backward_params(g, ctx);
 }
 
 std::vector<Tensor*> Model::params() {

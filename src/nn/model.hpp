@@ -35,7 +35,8 @@ class Model {
   /// pool (the bit-exact reference path).
   Tensor forward(const Tensor& x, ExecContext& ctx, bool training = false);
   /// Backward pass; call after a training-mode forward with the loss gradient
-  /// w.r.t. the output.
+  /// w.r.t. the output. Accumulates every parameter gradient and computes no
+  /// gradient w.r.t. the model's input.
   void backward(const Tensor& grad_out, ExecContext& ctx);
 
   std::vector<Tensor*> params();

@@ -38,11 +38,12 @@ void run_rowwise(std::size_t m, ThreadPool* pool,
     const double dispatched = obs::registry().now();
     pool->parallel_for_indexed(
         0, m, [&](std::size_t chunk, std::size_t r0, std::size_t r1) {
-          // One queue-latency sample per dispatch, not per chunk: chunk 0
-          // runs inline on the dispatching thread, so chunk 1 is the first
-          // chunk that actually waited in the queue. Per-chunk sampling put
-          // two clock reads on every chunk of every GEMM — the obs layer
-          // must stay off the hot path it exists to diagnose.
+          // One dispatch-latency sample per region, not per chunk. Chunks
+          // are claimed in index order, so chunk 1 starts when a second
+          // participant joins the region, or when the first one finishes
+          // its chunk and takes the next. Per-chunk sampling put two clock
+          // reads on every chunk of every GEMM — the obs layer must stay
+          // off the hot path it exists to diagnose.
           if (chunk == 1) {
             exec_metrics().pool_wait_s.observe(obs::registry().now() -
                                                dispatched);

@@ -1,15 +1,19 @@
 #include "nn/model.hpp"
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/local_sgd.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_io.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 
 namespace vcdl {
@@ -213,6 +217,74 @@ TEST(ModelZoo, ResNetLiteForwardShapes) {
 TEST(ModelZoo, RejectsOddInput) {
   const ResNetLiteSpec spec{.height = 7, .width = 12};
   EXPECT_THROW(make_resnet_lite(spec, 1), Error);
+}
+
+// --- Model::backward computes no input gradient -----------------------------
+
+// A backward through every layer, the first layer's input gradient included.
+void backward_with_input_grad(Model& m, const Tensor& grad_out) {
+  Tensor g = grad_out;
+  for (std::size_t i = m.layer_count(); i-- > 0;) {
+    g = m.layer(i).backward(g, serial_exec_context());
+  }
+}
+
+// One compute_gradients on `model`, and one step with the input gradient on
+// a copy of it. Expects every gradient equal bit for bit, and returns how
+// many more exec.gemm_s and exec.im2col_s samples the copy's step recorded.
+std::pair<std::uint64_t, std::uint64_t> input_grad_spans(
+    Model& model, const Tensor& x, const std::vector<std::uint16_t>& labels) {
+  Model full = model;
+  const obs::Histogram& gemm =
+      obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
+  const obs::Histogram& im2col =
+      obs::registry().histogram("exec.im2col_s", {0.0, 0.02, 40});
+  const std::uint64_t g0 = gemm.count(), i0 = im2col.count();
+  (void)compute_gradients(model, x, labels, serial_exec_context());
+  const std::uint64_t g1 = gemm.count(), i1 = im2col.count();
+  const Tensor logits = full.forward(x, serial_exec_context(), true);
+  const auto loss = softmax_cross_entropy(logits, labels);
+  full.zero_grads();
+  backward_with_input_grad(full, loss.grad);
+  const std::uint64_t g2 = gemm.count(), i2 = im2col.count();
+
+  const auto gs = model.grads();
+  const auto gf = full.grads();
+  EXPECT_EQ(gs.size(), gf.size());
+  for (std::size_t t = 0; t < std::min(gs.size(), gf.size()); ++t) {
+    EXPECT_EQ(std::memcmp(gs[t]->data(), gf[t]->data(),
+                          gs[t]->numel() * sizeof(float)),
+              0)
+        << "grad tensor " << t;
+  }
+  return {(g2 - g1) - (g1 - g0), (i2 - i1) - (i1 - i0)};
+}
+
+// The stem conv's input gradient is one matmul_at_b and one col2im per item.
+TEST(Model, BackwardSkipsTheStemConvInputGradient) {
+  constexpr std::size_t kBatch = 6;
+  Model m = make_resnet_lite({}, 3);
+  Rng rng(4);
+  const Tensor x = Tensor::randn(Shape{kBatch, 3, 12, 12}, rng);
+  const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5};
+  const auto [gemms, im2cols] = input_grad_spans(m, x, labels);
+  EXPECT_EQ(gemms, kBatch);
+  EXPECT_EQ(im2cols, kBatch);
+}
+
+// The MLP's first Dense skips its dX GEMM (and its Flatten is not called).
+TEST(Model, BackwardSkipsTheFirstDenseInputGradient) {
+  MlpSpec spec;
+  spec.inputs = 12;
+  spec.hidden = {16, 8};
+  spec.classes = 3;
+  Model m = make_mlp(spec, 5);
+  Rng rng(6);
+  const Tensor x = Tensor::randn(Shape{4, 3, 2, 2}, rng);
+  const std::vector<std::uint16_t> labels = {0, 1, 2, 0};
+  const auto [gemms, im2cols] = input_grad_spans(m, x, labels);
+  EXPECT_EQ(gemms, 1u);
+  EXPECT_EQ(im2cols, 0u);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <barrier>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -128,14 +129,22 @@ TEST(EventualConsistency, ConcurrentUpdatesCanBeLost) {
   store->put("counter", blob_of(0), 0);
   constexpr int kThreads = 8;
   constexpr int kIncrements = 2000;
+  // Every thread's first get happens before any thread's first put, so all
+  // eight first writes carry the same version and at least seven of them
+  // are stale, however the threads are scheduled.
+  std::barrier first_reads_done(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store] {
+    threads.emplace_back([&store, &first_reads_done] {
       for (int i = 0; i < kIncrements; ++i) {
         // Manual read-modify-write with a widened race window: this is what
         // update() does, made reliably racy on any scheduler.
         const auto current = store->get("counter");
-        std::this_thread::yield();
+        if (i == 0) {
+          first_reads_done.arrive_and_wait();
+        } else {
+          std::this_thread::yield();
+        }
         store->put("counter",
                    blob_of(current ? value_of(current->value) + 1 : 1),
                    current ? current->version : 0);
