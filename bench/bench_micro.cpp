@@ -128,15 +128,15 @@ void BM_ResNetLiteForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ResNetLiteForward);
 
-// One parallel_for of 4 chunks on a pool of 4 participants, each chunk
-// busy for `chunk_us` microseconds: 0 times the region's own cost, 10 how
-// close four 10 µs chunks come to 10 µs. A training step opens about 20
-// such regions (each conv layer in both directions, the Dense head's dW).
+// One region of 4 chunks on a pool of 4 participants, each chunk busy for
+// `chunk_us` microseconds: 0 times the region's own cost, 10 how close four
+// 10 µs chunks come to 10 µs. A training step opens 20 such regions (each
+// conv layer in both directions).
 void BM_PoolRegion(benchmark::State& state) {
   const std::chrono::microseconds chunk_us(state.range(0));
   vcdl::ThreadPool pool(4);
   for (auto _ : state) {
-    pool.parallel_for(0, 4, [&](std::size_t, std::size_t) {
+    pool.parallel_for_indexed(0, 4, [&](std::size_t, std::size_t, std::size_t) {
       const auto until = std::chrono::steady_clock::now() + chunk_us;
       while (std::chrono::steady_clock::now() < until) {
       }

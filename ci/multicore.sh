@@ -17,7 +17,9 @@ TSAN_DIR="${2:-$(cd "$(dirname "$0")/.." && pwd)/build-tsan}"
 
 # The suites whose tests run real threads: the store and assimilator fuzz,
 # the store's concurrent updates, the worker pool, ExecContext
-# forward/backward, the GEMM kernels and the metrics registry.
+# forward/backward and the metrics registry; plus the GEMM kernels, which
+# run on their caller's thread and repeat here as the tier-equivalence
+# properties behind the pooled steps' bits.
 MULTICORE_REGEX='^(test_fuzz|test_storage|test_thread_pool|test_exec_threading|test_kernels|test_obs)$'
 # The pool's spin, park and claim handshakes, and the pooled and nested
 # training steps built on them, repeated under TSan.

@@ -58,10 +58,11 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
-# test_kernels runs the scalar-vs-SIMD equivalence properties with whatever
-# vector tier the host dispatches (plus a shared 4-thread pool), so the TSan
-# stage exercises the packed-panel sharing and caller-participation paths
-# with SIMD enabled — not just the scalar fallback.
+# test_kernels starts no thread: every GEMM runs whole on the thread that
+# calls it, and the pool reaches the kernels only inside Conv2D's batch
+# chunks, which test_exec_threading runs pooled. It stays here so the
+# scalar-vs-SIMD equivalence properties, with whatever vector tier the host
+# dispatches, also run in the TSan-instrumented build.
 TSAN_REGEX="${VCDL_TSAN_REGEX:-test_thread_pool|test_tensor|test_nn_layers|test_nn_model|test_exec_threading|test_kernels|test_obs|test_wire_codec|test_consensus|test_shard_plane|test_fleet|test_storage}"
 # Explicit status propagation: the TSan ctest is the last command, but making
 # the exit code visible keeps the contract obvious (and ci/test_ci_scripts.sh

@@ -14,7 +14,7 @@ namespace {
 
 // How long an idle helper, or a dispatcher waiting for the last chunks,
 // spins before it parks. A 4-thread training step at the quickstart shapes
-// opens about 21 regions in 2.4 ms, so a helper spinning this long catches
+// opens about 20 regions in 2.4 ms, so a helper spinning this long catches
 // the next one without a wake-up; a pool left idle longer costs this much
 // CPU per helper and then sleeps.
 constexpr std::chrono::microseconds kSpinTime{100};
@@ -57,7 +57,7 @@ bool spin_until(const Pred& ready) {
 
 // The pool whose chunks the current thread runs: set for good on a helper,
 // and for the length of a region on its dispatcher. on_worker_thread() reads
-// it to detect nested parallel_for calls.
+// it to detect nested parallel_for_indexed calls.
 thread_local const ThreadPool* t_pool = nullptr;
 
 }  // namespace
@@ -107,14 +107,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
 }
 
 bool ThreadPool::on_worker_thread() const { return t_pool == this; }
-
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  parallel_for_indexed(
-      begin, end,
-      [&fn](std::size_t, std::size_t lo, std::size_t hi) { fn(lo, hi); });
-}
 
 void ThreadPool::parallel_for_indexed(std::size_t begin, std::size_t end,
                                       const Body& fn) {

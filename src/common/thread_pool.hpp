@@ -1,14 +1,14 @@
-// Fork-join worker pool with a blocking parallel_for.
+// Fork-join worker pool with a blocking parallel_for_indexed.
 //
-// Used by the tensor kernels (GEMM row splits), Conv2D (batch splits) and the
-// parameter plane. A pool of width P is the thread that dispatches a region
-// plus P − 1 helper threads. A region is published as one atomic word (epoch,
-// chunk count, next chunk) from which every participant claims chunk indices,
-// so dispatch allocates nothing and a helper that is late, busy or asleep
-// never holds a region up: the caller claims whatever is left. The region
-// ends when an atomic count of finished chunks reaches the chunk count. Idle
-// helpers spin with `pause` for a fixed time, then park on a condition
-// variable. Whole tasks go through submit() and a mutex-protected queue.
+// Conv2D splits its batch over it. A pool of width P is the thread that
+// dispatches a region plus P − 1 helper threads. A region is published as one
+// atomic word (epoch, chunk count, next chunk) from which every participant
+// claims chunk indices, so dispatch allocates nothing and a helper that is
+// late, busy or asleep never holds a region up: the caller claims whatever is
+// left. The region ends when an atomic count of finished chunks reaches the
+// chunk count. Idle helpers spin with `pause` for a fixed time, then park on
+// a condition variable. Whole tasks go through submit() and a
+// mutex-protected queue.
 #pragma once
 
 #include <algorithm>
@@ -43,32 +43,29 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// True on this pool's helper threads, and on any thread while it runs a
-  /// chunk of one of this pool's regions. parallel_for uses this to run
-  /// nested invocations inline: one region runs at a time, so a chunk that
-  /// dispatched another and waited for it would wait for itself.
+  /// chunk of one of this pool's regions. parallel_for_indexed uses this to
+  /// run nested invocations inline: one region runs at a time, so a chunk
+  /// that dispatched another and waited for it would wait for itself.
   bool on_worker_thread() const;
 
-  /// Runs fn(i) for i in [begin, end), splitting the range into roughly
-  /// `size()` contiguous chunks. The caller and the helpers claim chunks
-  /// until none is left, then the caller blocks until all of them finish.
-  /// Exceptions from fn propagate to the caller (first one wins) — only
-  /// after every chunk has completed, so fn can never dangle. Called from a
-  /// participant of this pool, or while another thread's region runs on it,
-  /// the whole range runs inline on the caller as one chunk.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// parallel_for variant that also hands the body its chunk index
-  /// (0 <= chunk < max_chunks(end - begin)), letting callers keep per-chunk
-  /// scratch buffers without sharing or locks. The index should pick scratch
-  /// only: any participant may claim any chunk, and an inline call runs the
-  /// whole range as chunk 0, so a body whose results follow from [lo, hi)
-  /// alone gives the same bits at any pool width, nested or not.
+  /// Runs fn(chunk, lo, hi) over [begin, end), split into max_chunks(end -
+  /// begin) contiguous chunks [lo, hi). The caller and the helpers claim
+  /// chunks until none is left, then the caller blocks until all of them
+  /// finish. Exceptions from fn propagate to the caller (first one wins) —
+  /// only after every chunk has completed, so fn can never dangle. Called
+  /// from a participant of this pool, or while another thread's region runs
+  /// on it, the whole range runs inline on the caller as chunk 0.
+  ///
+  /// The chunk index (0 <= chunk < max_chunks) lets callers keep per-chunk
+  /// scratch buffers without sharing or locks. It should pick scratch only:
+  /// any participant may claim any chunk, so a body whose results follow
+  /// from [lo, hi) alone gives the same bits at any pool width, nested or
+  /// not.
   void parallel_for_indexed(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
-  /// Number of chunks parallel_for* splits an n-element range into.
+  /// Number of chunks parallel_for_indexed splits an n-element range into.
   std::size_t max_chunks(std::size_t n) const {
     return std::min(n, std::max<std::size_t>(1, size()));
   }

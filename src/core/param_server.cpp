@@ -4,7 +4,6 @@
 #include <memory>
 #include <set>
 
-#include "common/thread_pool.hpp"
 #include "core/eval.hpp"
 #include "core/test_hooks.hpp"
 #include "core/vcasgd.hpp"
@@ -21,24 +20,14 @@ constexpr double kPsThreads = 2.0;
 
 Blob encode_upload(WireMode mode, const ShardPlan& plan,
                    std::span<const float> base, std::span<const float> params,
-                   std::uint64_t base_version, ThreadPool* pool) {
+                   std::uint64_t base_version) {
   if (mode == WireMode::full) return save_params(params);
   std::vector<Blob> parts(plan.shards());
-  const auto encode_part = [&](std::size_t s) {
+  for (std::size_t s = 0; s < parts.size(); ++s) {
     const auto b = plan.view(base, s);
     const auto t = plan.view(params, s);
     parts[s] = mode == WireMode::delta ? encode_params_delta(b, t, base_version)
                                        : encode_params_q8(b, t, base_version);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, parts.size(),
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t s = begin; s < end; ++s) {
-                           encode_part(s);
-                         }
-                       });
-  } else {
-    for (std::size_t s = 0; s < parts.size(); ++s) encode_part(s);
   }
   return parts.size() == 1 ? std::move(parts[0]) : pack_shard_frames(parts);
 }

@@ -47,13 +47,11 @@ namespace vcdl {
 // plane, so bundles (pack_shard_frames) exist only at >= 2 shards.
 
 /// Encodes a subtask's trained `params`, which started from `base` at
-/// commit `base_version` (`base` may be empty under WireMode::full). The
-/// frames are independent, so `pool` (may be null) encodes them in
-/// parallel; each lands at its shard's index, so the bytes do not depend
-/// on the pool.
+/// commit `base_version` (`base` may be empty under WireMode::full), one
+/// shard frame after another on the calling thread.
 Blob encode_upload(WireMode mode, const ShardPlan& plan,
                    std::span<const float> base, std::span<const float> params,
-                   std::uint64_t base_version, ThreadPool* pool);
+                   std::uint64_t base_version);
 
 /// The grid server's corruption screen (a ResultValidator). Frames and
 /// bundles carry their own checksums, so no decode base is needed; full

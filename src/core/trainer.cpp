@@ -88,7 +88,7 @@ ExecOutcome compute(const SubtaskInput& in, Model& replica, ExecContext& exec) {
   // defenses (consensus, the blend guard) can catch it.
   if (in.tamper) in.tamper->apply(params);
   return ExecOutcome{encode_upload(in.wire_mode, in.plan, in.params, params,
-                                   in.base_version, exec.pool),
+                                   in.base_version),
                      in.spec.work_per_subtask};
 }
 

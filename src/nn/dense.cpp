@@ -18,7 +18,7 @@ Dense::Dense(const Dense& other)
     : in_(other.in_), out_(other.out_), scheme_(other.scheme_),
       w_(other.w_), b_(other.b_), dw_(other.dw_), db_(other.db_) {}
 
-Tensor Dense::forward(const Tensor& x, ExecContext& ctx, bool training) {
+Tensor Dense::forward(const Tensor& x, ExecContext& /*ctx*/, bool training) {
   VCDL_CHECK(x.shape().rank() == 2 && x.shape()[1] == in_,
              "Dense::forward: expected [batch, " + std::to_string(in_) +
                  "], got " + x.shape().to_string());
@@ -28,7 +28,7 @@ Tensor Dense::forward(const Tensor& x, ExecContext& ctx, bool training) {
     last_x_ = Tensor();  // drop any stale cache held from a training pass
   }
   Tensor y;
-  ops::matmul(x, w_, y, /*accumulate=*/false, ctx.pool);
+  ops::matmul(x, w_, y);
   ops::add_bias(y.flat(), b_.flat(), x.shape()[0]);
   return y;
 }
@@ -37,17 +37,17 @@ Tensor Dense::backward(const Tensor& grad_out, ExecContext& ctx) {
   backward_params(grad_out, ctx);
   // dX = dY · W^T
   Tensor dx;
-  ops::matmul_a_bt(grad_out, w_, dx, /*accumulate=*/false, ctx.pool);
+  ops::matmul_a_bt(grad_out, w_, dx);
   return dx;
 }
 
-void Dense::backward_params(const Tensor& grad_out, ExecContext& ctx) {
+void Dense::backward_params(const Tensor& grad_out, ExecContext& /*ctx*/) {
   VCDL_CHECK(grad_out.shape().rank() == 2 && grad_out.shape()[1] == out_,
              "Dense::backward: gradient shape mismatch");
   VCDL_CHECK(last_x_.shape().rank() == 2, "Dense::backward before forward");
-  // dW += x^T · dY — row-split over dW rows, so parallel runs stay
-  // bit-identical to serial ones.
-  ops::matmul_at_b(last_x_, grad_out, dw_, /*accumulate=*/true, ctx.pool);
+  // dW += x^T · dY, on the calling thread: the pool splits only Conv2D's
+  // batch (DESIGN.md §4b).
+  ops::matmul_at_b(last_x_, grad_out, dw_, /*accumulate=*/true);
   if (nn_hooks::wrong_dense_gradient) {
     // Test-only sabotage (see nn/test_hooks.hpp): a gradient checker that
     // does not flag this is broken.

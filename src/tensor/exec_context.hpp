@@ -1,9 +1,9 @@
 // Execution context for the training hot path.
 //
 // An ExecContext bundles the two resources the compute-heavy layers share: a
-// worker pool that the GEMM and convolution kernels split work over, and a
-// scratch arena of reusable tensors that removes per-step allocation churn
-// from forward/backward. One context is owned per training driver — a grid
+// worker pool that Conv2D splits its batch over, and a scratch arena of
+// reusable tensors that removes per-step allocation churn from
+// forward/backward. One context is owned per training driver — a grid
 // client, an assimilator's validator, a bench loop — and threaded by
 // reference through Model::forward/backward into every Layer. Layers never
 // own pools or scratch, so model clones stay cheap and the degree of
@@ -13,8 +13,9 @@
 //   * any pool width, called on the dispatching thread or nested inside a
 //     pool task, is bit-identical to the serial kernels: every output and
 //     gradient element is produced whole by exactly one worker, in the
-//     serial arithmetic order (GEMMs split rows; Conv2D splits the batch for
-//     y and dX, dW by column and db by channel);
+//     serial arithmetic order (Conv2D splits the batch for y and dX, dW by
+//     column and db by channel; every GEMM runs whole on the thread that
+//     calls it);
 //   * the SIMD tier is NOT part of the contract's state: the AVX2 GEMM tier
 //     preserves the scalar reference's per-element mul-then-add sequence,
 //     zero A elements included, and never contracts mul+add into FMA, so

@@ -15,9 +15,9 @@ namespace {
 
 void broadcast_rows_scalar(const float* a, std::size_t a_row_stride,
                            std::size_t a_col_stride, const float* b, float* c,
-                           std::size_t r0, std::size_t r1, std::size_t k_dim,
+                           std::size_t m, std::size_t k_dim,
                            std::size_t n_dim) {
-  for (std::size_t i = r0; i < r1; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     const float* a_i = a + i * a_row_stride;
     float* c_row = c + i * n_dim;
     for (std::size_t k = 0; k < k_dim; ++k) {
@@ -32,9 +32,9 @@ void broadcast_rows_scalar(const float* a, std::size_t a_row_stride,
 }
 
 void a_bt_rows_scalar(const float* a, const float* b, const float* /*packed*/,
-                      float* c, std::size_t r0, std::size_t r1,
-                      std::size_t k_dim, std::size_t n_dim) {
-  for (std::size_t i = r0; i < r1; ++i) {
+                      float* c, std::size_t m, std::size_t k_dim,
+                      std::size_t n_dim) {
+  for (std::size_t i = 0; i < m; ++i) {
     const float* a_row = a + i * k_dim;
     float* c_row = c + i * n_dim;
     for (std::size_t j = 0; j < n_dim; ++j) {

@@ -12,14 +12,12 @@
 //     results to the scalar loop. That identity is the whole design: the
 //     serial-path goldens and the TraceDigest replay oracle hold under every
 //     tier, and B needs no repacking at all (row-major B already is the
-//     shared read-only panel each worker reads).
+//     panel the kernel reads).
 //   * a_bt_rows — the dot-product form with a double accumulator
 //     (c[i][j] += float(Σ_k double(a[i][k])·double(b[j][k]))). Here the
 //     k-runs of B are rows of a transposed operand, so the vector tiers read
-//     a width-4 packed B^T panel built ONCE by the dispatching thread
-//     (pack_bt_tiles) and shared read-only across the row-parallel workers —
-//     the packing that used to happen per worker, per k-block, inside the
-//     parallel loop. Per lane the arithmetic is the same double mul/add
+//     a width-4 packed B^T panel, built once per call (pack_bt_tiles) before
+//     the kernel runs. Per lane the arithmetic is the same double mul/add
 //     sequence in the same order, so this tier is bit-identical too.
 //
 // Register blocks: a vector kernel keeps a block of C in registers — AVX2
@@ -68,21 +66,20 @@ void set_simd_tier_override(std::optional<SimdTier> tier);
 namespace detail {
 
 struct GemmKernels {
-  /// C rows [r0,r1): c[i][j] += Σ_k A(i,k)·B[k][j], one mul-then-add per
+  /// C rows [0,m): c[i][j] += Σ_k A(i,k)·B[k][j], one mul-then-add per
   /// k-term, k strictly ascending per element, where
   /// A(i,k) = a[i·a_row_stride + k·a_col_stride]. A zero A element is
   /// multiplied like any other.
   void (*broadcast_rows)(const float* a, std::size_t a_row_stride,
                          std::size_t a_col_stride, const float* b, float* c,
-                         std::size_t r0, std::size_t r1, std::size_t k_dim,
-                         std::size_t n_dim);
-  /// C rows [r0,r1): c[i][j] += float(Σ_k double(a[i·K+k])·double(b[j·K+k])),
+                         std::size_t m, std::size_t k_dim, std::size_t n_dim);
+  /// C rows [0,m): c[i][j] += float(Σ_k double(a[i·K+k])·double(b[j·K+k])),
   /// k ascending. `packed` is the pack_bt_tiles panel when wants_bt_panel,
   /// else nullptr. AVX2 reads every column from it, the zero-padded last
   /// tile included.
   void (*a_bt_rows)(const float* a, const float* b, const float* packed,
-                    float* c, std::size_t r0, std::size_t r1,
-                    std::size_t k_dim, std::size_t n_dim);
+                    float* c, std::size_t m, std::size_t k_dim,
+                    std::size_t n_dim);
   /// Whether a_bt_rows reads the packed B^T panel. The scalar tier walks
   /// row-major b directly (its k-runs are already unit-stride).
   bool wants_bt_panel = false;

@@ -86,19 +86,19 @@ void broadcast_block(const float* a, std::size_t a_row_stride,
   }
 }
 
-// One column tile over rows [r0,r1): blocks of 4 rows, then single rows.
+// One column tile over rows [0,m): blocks of 4 rows, then single rows.
 template <bool kMasked>
 void broadcast_tile(const float* a, std::size_t a_row_stride,
                     std::size_t a_col_stride, const float* b, float* c,
-                    std::size_t r0, std::size_t r1, std::size_t k_dim,
-                    std::size_t n_dim, __m256i mask) {
-  std::size_t i = r0;
-  for (; i + 4 <= r1; i += 4) {
+                    std::size_t m, std::size_t k_dim, std::size_t n_dim,
+                    __m256i mask) {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
     broadcast_block<4, kMasked>(a + i * a_row_stride, a_row_stride,
                                 a_col_stride, b, c + i * n_dim, k_dim, n_dim,
                                 mask);
   }
-  for (; i < r1; ++i) {
+  for (; i < m; ++i) {
     broadcast_block<1, kMasked>(a + i * a_row_stride, a_row_stride,
                                 a_col_stride, b, c + i * n_dim, k_dim, n_dim,
                                 mask);
@@ -109,18 +109,17 @@ void broadcast_tile(const float* a, std::size_t a_row_stride,
 // touches stays L1-resident across every row block.
 void broadcast_rows_avx2(const float* a, std::size_t a_row_stride,
                          std::size_t a_col_stride, const float* b, float* c,
-                         std::size_t r0, std::size_t r1, std::size_t k_dim,
-                         std::size_t n_dim) {
+                         std::size_t m, std::size_t k_dim, std::size_t n_dim) {
   std::size_t j0 = 0;
   for (; j0 + 16 <= n_dim; j0 += 16) {
-    broadcast_tile<false>(a, a_row_stride, a_col_stride, b + j0, c + j0, r0,
-                          r1, k_dim, n_dim, __m256i{});
+    broadcast_tile<false>(a, a_row_stride, a_col_stride, b + j0, c + j0, m,
+                          k_dim, n_dim, __m256i{});
   }
   // The 1-15 columns left: one or two 8-lane tiles, the last one masked.
   for (; j0 < n_dim; j0 += 8) {
     const std::size_t w = n_dim - j0 < 8 ? n_dim - j0 : 8;
-    broadcast_tile<true>(a, a_row_stride, a_col_stride, b + j0, c + j0, r0,
-                         r1, k_dim, n_dim, mask8(w));
+    broadcast_tile<true>(a, a_row_stride, a_col_stride, b + j0, c + j0, m,
+                         k_dim, n_dim, mask8(w));
   }
 }
 
@@ -184,13 +183,13 @@ void a_bt_row_block(const float* a, const float* packed, float* c,
 
 // Reads every column, the n%4 remainder included, from the padded panel.
 void a_bt_rows_avx2(const float* a, const float* /*b*/, const float* packed,
-                    float* c, std::size_t r0, std::size_t r1,
-                    std::size_t k_dim, std::size_t n_dim) {
-  std::size_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
+                    float* c, std::size_t m, std::size_t k_dim,
+                    std::size_t n_dim) {
+  std::size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
     a_bt_row_block<2>(a + i * k_dim, packed, c + i * n_dim, k_dim, n_dim);
   }
-  if (i < r1) {
+  if (i < m) {
     a_bt_row_block<1>(a + i * k_dim, packed, c + i * n_dim, k_dim, n_dim);
   }
 }

@@ -3,56 +3,25 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/thread_pool.hpp"
 #include "obs/span.hpp"
 #include "tensor/gemm_kernels.hpp"
 
 namespace vcdl::ops {
 namespace {
 
-// Hot-path spans on the process registry's wall clock, so they record real
-// kernel-time distributions wherever they run, simulated runs included; a
-// run's own registry and its fingerprint never see them. Handles are
-// resolved once — obs::registry() never invalidates references.
-struct ExecMetrics {
-  obs::Histogram& gemm_s =
+// A hot-path span on the process registry's wall clock, so it records real
+// kernel times wherever a GEMM runs, simulated runs included; a run's own
+// registry and its fingerprint never see it. Resolved once —
+// obs::registry() never invalidates references.
+obs::Histogram& gemm_metric() {
+  static obs::Histogram& h =
       obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
-  obs::Histogram& pool_wait_s =
-      obs::registry().histogram("exec.pool_wait_s", {0.0, 0.01, 40});
-};
-
-ExecMetrics& exec_metrics() {
-  static ExecMetrics m;
-  return m;
+  return h;
 }
 
 void check_same_size(std::span<const float> a, std::span<const float> b,
                      const char* what) {
   VCDL_CHECK(a.size() == b.size(), std::string(what) + ": size mismatch");
-}
-
-void run_rowwise(std::size_t m, ThreadPool* pool,
-                 const std::function<void(std::size_t, std::size_t)>& body) {
-  // Parallelism only pays off for reasonably tall outputs.
-  if (pool != nullptr && pool->size() > 1 && m >= 4 * pool->size()) {
-    const double dispatched = obs::registry().now();
-    pool->parallel_for_indexed(
-        0, m, [&](std::size_t chunk, std::size_t r0, std::size_t r1) {
-          // One dispatch-latency sample per region, not per chunk. Chunks
-          // are claimed in index order, so chunk 1 starts when a second
-          // participant joins the region, or when the first one finishes
-          // its chunk and takes the next. Per-chunk sampling put two clock
-          // reads on every chunk of every GEMM — the obs layer must stay
-          // off the hot path it exists to diagnose.
-          if (chunk == 1) {
-            exec_metrics().pool_wait_s.observe(obs::registry().now() -
-                                               dispatched);
-          }
-          body(r0, r1);
-        });
-  } else {
-    body(0, m);
-  }
 }
 
 void check_view(MatView v, const char* what) {
@@ -65,28 +34,6 @@ void check_view(MatView v, const char* what) {
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   check_same_size(x, y, "axpy");
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-void scale(std::span<float> x, float alpha) {
-  for (auto& v : x) v *= alpha;
-}
-
-void add(std::span<const float> a, std::span<const float> b, std::span<float> out) {
-  check_same_size(a, b, "add");
-  check_same_size(a, out, "add");
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-}
-
-void sub(std::span<const float> a, std::span<const float> b, std::span<float> out) {
-  check_same_size(a, b, "sub");
-  check_same_size(a, out, "sub");
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-}
-
-void mul(std::span<const float> a, std::span<const float> b, std::span<float> out) {
-  check_same_size(a, b, "mul");
-  check_same_size(a, out, "mul");
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
 }
 
 void add_bias(std::span<float> y, std::span<const float> bias,
@@ -115,21 +62,6 @@ float sum(std::span<const float> x) {
   return static_cast<float>(acc);
 }
 
-float dot(std::span<const float> a, std::span<const float> b) {
-  check_same_size(a, b, "dot");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += static_cast<double>(a[i]) * b[i];
-  }
-  return static_cast<float>(acc);
-}
-
-float norm2(std::span<const float> x) {
-  double acc = 0.0;
-  for (const float v : x) acc += static_cast<double>(v) * v;
-  return static_cast<float>(std::sqrt(acc));
-}
-
 float max_abs_diff(std::span<const float> a, std::span<const float> b) {
   check_same_size(a, b, "max_abs_diff");
   float m = 0.0f;
@@ -150,8 +82,7 @@ MatView view(const Tensor& t) {
   return MatView{t.data(), t.shape()[0], t.shape()[1]};
 }
 
-void matmul(MatView a, MatView b, Tensor& c, bool accumulate,
-            ThreadPool* pool) {
+void matmul(MatView a, MatView b, Tensor& c, bool accumulate) {
   check_view(a, "matmul");
   check_view(b, "matmul");
   const std::size_t m = a.rows, k = a.cols;
@@ -159,28 +90,21 @@ void matmul(MatView a, MatView b, Tensor& c, bool accumulate,
   const std::size_t n = b.cols;
   if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
   if (!accumulate) c.fill(0.0f);
-  obs::SpanTimer span(exec_metrics().gemm_s);
-  // Broadcast-A kernel: row-major B already is the shared read-only panel
-  // every worker reads — no per-worker repacking inside the parallel loop.
-  const detail::GemmKernels& kn = detail::kernels_for(active_simd_tier());
-  const float* ap = a.data;
-  const float* bp = b.data;
-  float* cp = c.data();
-  run_rowwise(m, pool, [&, ap, bp, cp](std::size_t r0, std::size_t r1) {
-    kn.broadcast_rows(ap, /*a_row_stride=*/k, /*a_col_stride=*/1, bp, cp, r0,
-                      r1, k, n);
-  });
+  obs::SpanTimer span(gemm_metric());
+  // Broadcast-A kernel: row-major B already is the panel it reads, so
+  // nothing is repacked.
+  detail::kernels_for(active_simd_tier())
+      .broadcast_rows(a.data, /*a_row_stride=*/k, /*a_col_stride=*/1, b.data,
+                      c.data(), m, k, n);
 }
 
-void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate,
-            ThreadPool* pool) {
+void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   VCDL_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2,
              "matmul expects rank-2 tensors");
-  matmul(view(a), view(b), c, accumulate, pool);
+  matmul(view(a), view(b), c, accumulate);
 }
 
-void matmul_at_b(MatView a, MatView b, Tensor& c, bool accumulate,
-                 ThreadPool* pool) {
+void matmul_at_b(MatView a, MatView b, Tensor& c, bool accumulate) {
   // a is stored K x M; logical op is (M x K) * (K x N).
   check_view(a, "matmul_at_b");
   check_view(b, "matmul_at_b");
@@ -189,30 +113,24 @@ void matmul_at_b(MatView a, MatView b, Tensor& c, bool accumulate,
   const std::size_t n = b.cols;
   if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
   if (!accumulate) c.fill(0.0f);
-  obs::SpanTimer span(exec_metrics().gemm_s);
-  const float* ap = a.data;
-  const float* bp = b.data;
-  float* cp = c.data();
+  obs::SpanTimer span(gemm_metric());
   // Same broadcast kernel as matmul with transposed A strides: A(i,k) =
-  // ap[k*m + i]. Per C element the k-terms still accumulate in ascending
+  // a[k*m + i]. Per C element the k-terms still accumulate in ascending
   // order, so hoisting i outside k (the old loop nested k outermost) is
   // bit-identical.
-  const detail::GemmKernels& kn = detail::kernels_for(active_simd_tier());
-  run_rowwise(m, pool, [&, ap, bp, cp](std::size_t r0, std::size_t r1) {
-    kn.broadcast_rows(ap, /*a_row_stride=*/1, /*a_col_stride=*/m, bp, cp, r0,
-                      r1, k, n);
-  });
+  detail::kernels_for(active_simd_tier())
+      .broadcast_rows(a.data, /*a_row_stride=*/1, /*a_col_stride=*/m, b.data,
+                      c.data(), m, k, n);
 }
 
-void matmul_at_b(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate,
-                 ThreadPool* pool) {
+void matmul_at_b(const Tensor& a, const Tensor& b, Tensor& c,
+                 bool accumulate) {
   VCDL_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2,
              "matmul_at_b expects rank-2 tensors");
-  matmul_at_b(view(a), view(b), c, accumulate, pool);
+  matmul_at_b(view(a), view(b), c, accumulate);
 }
 
-void matmul_a_bt(MatView a, MatView b, Tensor& c, bool accumulate,
-                 ThreadPool* pool) {
+void matmul_a_bt(MatView a, MatView b, Tensor& c, bool accumulate) {
   // b is stored N x K; logical op is (M x K) * (K x N).
   check_view(a, "matmul_a_bt");
   check_view(b, "matmul_a_bt");
@@ -221,31 +139,24 @@ void matmul_a_bt(MatView a, MatView b, Tensor& c, bool accumulate,
   const std::size_t n = b.rows;
   if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
   if (!accumulate) c.fill(0.0f);
-  obs::SpanTimer span(exec_metrics().gemm_s);
-  const float* ap = a.data;
-  const float* bp = b.data;
-  float* cp = c.data();
+  obs::SpanTimer span(gemm_metric());
   const detail::GemmKernels& kn = detail::kernels_for(active_simd_tier());
-  // Vector tiers read B^T through a width-4 packed panel. It is built ONCE
-  // here, on the dispatching thread, and shared read-only across the
-  // row-parallel workers — packing inside the loop would repeat the O(K·N)
-  // transpose per worker.
+  // Vector tiers read B^T through a width-4 packed panel, packed once per
+  // call into this thread's scratch.
   const float* packed = nullptr;
   if (kn.wants_bt_panel) {
     float* buf = detail::pack_scratch(detail::packed_bt_floats(n, k));
-    detail::pack_bt_tiles(bp, n, k, buf);
+    detail::pack_bt_tiles(b.data, n, k, buf);
     packed = buf;
   }
-  run_rowwise(m, pool, [&, ap, bp, cp, packed](std::size_t r0, std::size_t r1) {
-    kn.a_bt_rows(ap, bp, packed, cp, r0, r1, k, n);
-  });
+  kn.a_bt_rows(a.data, b.data, packed, c.data(), m, k, n);
 }
 
-void matmul_a_bt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate,
-                 ThreadPool* pool) {
+void matmul_a_bt(const Tensor& a, const Tensor& b, Tensor& c,
+                 bool accumulate) {
   VCDL_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2,
              "matmul_a_bt expects rank-2 tensors");
-  matmul_a_bt(view(a), view(b), c, accumulate, pool);
+  matmul_a_bt(view(a), view(b), c, accumulate);
 }
 
 }  // namespace vcdl::ops

@@ -14,14 +14,12 @@ TEST(Blob, DefaultIsEmpty) {
   EXPECT_EQ(b.size(), 0u);
 }
 
-TEST(Blob, AppendAndEquality) {
-  Blob a, b;
-  const std::uint8_t bytes[] = {1, 2, 3};
-  a.append(bytes);
-  b.append(bytes);
+TEST(Blob, EqualityComparesBytes) {
+  const Blob a(std::vector<std::uint8_t>{1, 2, 3});
+  const Blob b(std::vector<std::uint8_t>{1, 2, 3});
   EXPECT_EQ(a, b);
-  b.append(bytes);
-  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(a == Blob(std::vector<std::uint8_t>{1, 2, 3, 1, 2, 3}));
+  EXPECT_FALSE(a == Blob());
 }
 
 TEST(Blob, HashStableAndContentSensitive) {

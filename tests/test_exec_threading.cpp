@@ -25,7 +25,6 @@
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/exec_context.hpp"
 #include "tensor/ops.hpp"
 #include "testing/generators.hpp"
@@ -353,31 +352,6 @@ TEST(ExecThreading, TensorStorageIsCacheLineAligned) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.data()) % 64, 0u)
         << "slot " << slot;
   }
-}
-
-// --- Hot-path observability cost -------------------------------------------
-
-// Queue latency is sampled once per pooled dispatch (by the first queued
-// chunk), not once per chunk: per-chunk clock reads put the obs layer on the
-// hot path it exists to diagnose. The count must grow by exactly the number
-// of dispatches, independent of the pool width.
-TEST(ExecThreading, PoolWaitSampledOncePerDispatch) {
-  obs::Histogram& wait =
-      obs::registry().histogram("exec.pool_wait_s", {0.0, 0.01, 40});
-  ThreadPool pool(4);
-  Rng rng(51);
-  const Tensor a = Tensor::randn(Shape{32, 6}, rng);  // 32 >= 4*pool.size()
-  const Tensor b = Tensor::randn(Shape{6, 5}, rng);
-  Tensor c;
-  const std::uint64_t before = wait.count();
-  constexpr std::uint64_t kDispatches = 7;
-  for (std::uint64_t i = 0; i < kDispatches; ++i) {
-    ops::matmul(a, b, c, /*accumulate=*/false, &pool);
-  }
-  EXPECT_EQ(wait.count(), before + kDispatches);
-  // Serial calls (no pool) must not sample at all.
-  ops::matmul(a, b, c);
-  EXPECT_EQ(wait.count(), before + kDispatches);
 }
 
 // --- SIMD tier vs model-level determinism ----------------------------------

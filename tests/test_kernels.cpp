@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "testing/prop.hpp"
 
@@ -123,70 +122,59 @@ GemmCase random_case(Rng& rng, int size, bool a_is_kxm, bool b_is_nxk) {
   return gc;
 }
 
-using GemmFn = void (*)(const Tensor&, const Tensor&, Tensor&, bool,
-                        ThreadPool*);
+using GemmFn = void (*)(const Tensor&, const Tensor&, Tensor&, bool);
 
 // Runs `fn` under the scalar tier and under every available vector tier and
-// demands bitwise-equal C, with and without a pool (the pooled run also
-// proves the shared packed panel / row split changes nothing).
-void check_gemm_equivalence(const GemmCase& gc, GemmFn fn, const char* what,
-                            ThreadPool* pool) {
+// demands bitwise-equal C.
+void check_gemm_equivalence(const GemmCase& gc, GemmFn fn, const char* what) {
   Tensor c_ref = gc.c0;
   {
     TierGuard g(SimdTier::scalar);
-    fn(gc.a, gc.b, c_ref, gc.accumulate, nullptr);
+    fn(gc.a, gc.b, c_ref, gc.accumulate);
   }
   for (SimdTier t : vector_tiers()) {
     Tensor c_vec = gc.c0;
     TierGuard g(t);
-    fn(gc.a, gc.b, c_vec, gc.accumulate, nullptr);
+    fn(gc.a, gc.b, c_vec, gc.accumulate);
     assert_bitwise_equal(c_ref, c_vec,
                          std::string(what) + "/" + ops::simd_tier_name(t));
-    Tensor c_pool = gc.c0;
-    fn(gc.a, gc.b, c_pool, gc.accumulate, pool);
-    assert_bitwise_equal(c_ref, c_pool, std::string(what) + "/" +
-                                            ops::simd_tier_name(t) +
-                                            "+pool");
   }
 }
 
 // --- Scalar-vs-SIMD properties ---------------------------------------------
 
 TEST(KernelEquivalence, MatmulEveryTierBitIdenticalToScalar) {
-  ThreadPool pool(4);
   PropConfig cfg;
   cfg.name = "kernels.matmul_tier_equiv";
   cfg.suite = "test_kernels";
   cfg.max_size = 16;
-  const PropResult r = run_property(cfg, [&pool](Rng& rng, int size) {
+  const PropResult r = run_property(cfg, [](Rng& rng, int size) {
     const GemmCase gc = random_case(rng, size, false, false);
-    check_gemm_equivalence(gc, &ops::matmul, "matmul", &pool);
+    check_gemm_equivalence(gc, &ops::matmul, "matmul");
   });
   EXPECT_TRUE(r.passed) << r.message << "\nreplay: " << r.repro;
 }
 
 TEST(KernelEquivalence, MatmulAtBEveryTierBitIdenticalToScalar) {
-  ThreadPool pool(4);
   PropConfig cfg;
   cfg.name = "kernels.matmul_at_b_tier_equiv";
   cfg.suite = "test_kernels";
   cfg.max_size = 16;
-  const PropResult r = run_property(cfg, [&pool](Rng& rng, int size) {
+  const PropResult r = run_property(cfg, [](Rng& rng, int size) {
     const GemmCase gc = random_case(rng, size, /*a_is_kxm=*/true, false);
-    check_gemm_equivalence(gc, &ops::matmul_at_b, "matmul_at_b", &pool);
+    check_gemm_equivalence(gc, &ops::matmul_at_b, "matmul_at_b");
   });
   EXPECT_TRUE(r.passed) << r.message << "\nreplay: " << r.repro;
 }
 
 TEST(KernelEquivalence, MatmulABtEveryTierBitIdenticalToScalar) {
-  ThreadPool pool(4);
   PropConfig cfg;
   cfg.name = "kernels.matmul_a_bt_tier_equiv";
   cfg.suite = "test_kernels";
   cfg.max_size = 16;
-  const PropResult r = run_property(cfg, [&pool](Rng& rng, int size) {
+  const PropResult r = run_property(cfg, [](Rng& rng, int size) {
     const GemmCase gc = random_case(rng, size, false, /*b_is_nxk=*/true);
-    check_gemm_equivalence(gc, &ops::matmul_a_bt, "matmul_a_bt", &pool);
+    check_gemm_equivalence(gc, &ops::matmul_a_bt, "matmul_a_bt");
   });
   EXPECT_TRUE(r.passed) << r.message << "\nreplay: " << r.repro;
 }
@@ -197,12 +185,11 @@ TEST(KernelEquivalence, MatmulABtEveryTierBitIdenticalToScalar) {
 // signed zeros, beside nonzero rows in the same register block: a tier that
 // skips those terms, or gets the sign of 0·b wrong, differs from scalar.
 TEST(KernelEquivalence, SignedZerosMatchScalarOnEveryTier) {
-  ThreadPool pool(4);
   PropConfig cfg;
   cfg.name = "kernels.signed_zeros_match_scalar";
   cfg.suite = "test_kernels";
   cfg.max_size = 16;
-  const PropResult r = run_property(cfg, [&pool](Rng& rng, int size) {
+  const PropResult r = run_property(cfg, [](Rng& rng, int size) {
     for (const bool a_is_kxm : {false, true}) {
       GemmCase gc = random_case(rng, size, a_is_kxm, false);
       for (std::size_t i = 1; i < gc.m; i += 3) {
@@ -215,8 +202,7 @@ TEST(KernelEquivalence, SignedZerosMatchScalarOnEveryTier) {
       gc.accumulate = true;
       GemmFn fn = &ops::matmul;
       if (a_is_kxm) fn = &ops::matmul_at_b;
-      check_gemm_equivalence(gc, fn, a_is_kxm ? "matmul_at_b" : "matmul",
-                             &pool);
+      check_gemm_equivalence(gc, fn, a_is_kxm ? "matmul_at_b" : "matmul");
     }
   });
   EXPECT_TRUE(r.passed) << r.message << "\nreplay: " << r.repro;
@@ -246,14 +232,14 @@ TEST(KernelEquivalence, NanInBPropagatesOnEveryTier) {
         Tensor c_ref;
         {
           TierGuard g(SimdTier::scalar);
-          fn(a, b, c_ref, false, nullptr);
+          fn(a, b, c_ref, false);
         }
         EXPECT_TRUE(std::isnan(c_ref.at(2, col)))
             << what << ": " << bad << " at " << at;
         for (SimdTier t : vector_tiers()) {
           TierGuard g(t);
           Tensor c_vec;
-          fn(a, b, c_vec, false, nullptr);
+          fn(a, b, c_vec, false);
           for (std::size_t i = 0; i < c_ref.numel(); ++i) {
             const bool same = std::isnan(c_ref[i]) ? std::isnan(c_vec[i])
                                                    : c_ref[i] == c_vec[i];

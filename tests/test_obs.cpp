@@ -303,15 +303,16 @@ TEST(ObsConcurrency, ParallelUpdatesLoseNothing) {
   Histogram& h = reg.histogram("hammer.lat", {0.0, 1.0, 8});
   ThreadPool pool(4);
   constexpr std::size_t kSamples = 20000;
-  pool.parallel_for(0, kSamples, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      c.inc();
-      g.add(1.0);
-      h.observe(static_cast<double>(i % 100) / 100.0);
-      // Snapshotting concurrently with updates must also be race-free.
-      if (i % 4096 == 0) (void)reg.snapshot();
-    }
-  });
+  pool.parallel_for_indexed(
+      0, kSamples, [&](std::size_t, std::size_t r0, std::size_t r1) {
+        for (std::size_t i = r0; i < r1; ++i) {
+          c.inc();
+          g.add(1.0);
+          h.observe(static_cast<double>(i % 100) / 100.0);
+          // Snapshotting concurrently with updates must also be race-free.
+          if (i % 4096 == 0) (void)reg.snapshot();
+        }
+      });
   EXPECT_EQ(c.value(), kSamples);
   EXPECT_DOUBLE_EQ(g.value(), static_cast<double>(kSamples));
   EXPECT_EQ(h.count(), kSamples);

@@ -39,25 +39,28 @@ TEST(ThreadPool, SubmitManyTasksAllRun) {
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
+  pool.parallel_for_indexed(
+      0, hits.size(), [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+      });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(5, 5, [&](std::size_t, std::size_t) { called = true; });
+  pool.parallel_for_indexed(
+      5, 5, [&](std::size_t, std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, ParallelForSmallRange) {
   ThreadPool pool(8);
   std::atomic<int> sum{0};
-  pool.parallel_for(10, 13, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) sum += static_cast<int>(i);
-  });
+  pool.parallel_for_indexed(
+      10, 13, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) sum += static_cast<int>(i);
+      });
   EXPECT_EQ(sum.load(), 10 + 11 + 12);
 }
 
@@ -70,10 +73,11 @@ TEST(ThreadPool, SubmitExceptionPropagatesThroughFuture) {
 TEST(ThreadPool, ParallelForExceptionPropagates) {
   ThreadPool pool(4);
   EXPECT_THROW(
-      pool.parallel_for(0, 100,
-                        [&](std::size_t lo, std::size_t) {
-                          if (lo == 0) throw std::runtime_error("chunk failed");
-                        }),
+      pool.parallel_for_indexed(
+          0, 100,
+          [&](std::size_t, std::size_t lo, std::size_t) {
+            if (lo == 0) throw std::runtime_error("chunk failed");
+          }),
       std::runtime_error);
 }
 
@@ -90,17 +94,19 @@ TEST(ThreadPool, OnWorkerThreadDistinguishesPools) {
   EXPECT_FALSE(a_inside_b);  // membership is per pool, not global
 }
 
-// Regression: parallel_for from inside a worker used to deadlock — the
+// Regression: parallel_for_indexed from inside a worker used to deadlock — the
 // nested chunks queued behind the very task blocking on them. Nested calls
 // now run inline on the calling worker.
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(0, 8, [&](std::size_t lo, std::size_t hi) {
+  pool.parallel_for_indexed(0, 8, [&](std::size_t, std::size_t lo,
+                                       std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      pool.parallel_for(0, 8, [&, i](std::size_t jlo, std::size_t jhi) {
-        for (std::size_t j = jlo; j < jhi; ++j) ++hits[i * 8 + j];
-      });
+      pool.parallel_for_indexed(
+          0, 8, [&, i](std::size_t, std::size_t jlo, std::size_t jhi) {
+            for (std::size_t j = jlo; j < jhi; ++j) ++hits[i * 8 + j];
+          });
     }
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -109,11 +115,13 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
 TEST(ThreadPool, DeeplyNestedSubmitFromWorkerStillInline) {
   ThreadPool pool(1);  // one worker: any queued nested work would deadlock
   std::atomic<int> total{0};
-  pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi) {
+  pool.parallel_for_indexed(0, 4, [&](std::size_t, std::size_t lo,
+                                       std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      pool.parallel_for(0, 4, [&](std::size_t jlo, std::size_t jhi) {
-        total += static_cast<int>(jhi - jlo);
-      });
+      pool.parallel_for_indexed(
+          0, 4, [&](std::size_t, std::size_t jlo, std::size_t jhi) {
+            total += static_cast<int>(jhi - jlo);
+          });
     }
   });
   EXPECT_EQ(total.load(), 16);
@@ -277,9 +285,10 @@ TEST(ThreadPool, TwoExternalThreadsDispatchAtTheSameTime) {
       for (int region = 0; region < 2000; ++region) {
         const std::size_t n = size(rng);
         for (std::size_t i = 0; i < n; ++i) hits[i] = 0;
-        pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-        });
+        pool.parallel_for_indexed(
+            0, n, [&](std::size_t, std::size_t lo, std::size_t hi) {
+              for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+            });
         for (std::size_t i = 0; i < n; ++i) {
           if (hits[i].load() != 1) ++failures;
         }
@@ -296,9 +305,10 @@ TEST(ThreadPool, DestroyedWhileHelpersSpin) {
     std::atomic<int> sum{0};
     {
       ThreadPool pool(4);
-      pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi) {
-        sum += static_cast<int>(hi - lo);
-      });
+      pool.parallel_for_indexed(
+          0, 4, [&](std::size_t, std::size_t lo, std::size_t hi) {
+            sum += static_cast<int>(hi - lo);
+          });
     }
     EXPECT_EQ(sum.load(), 4);
   }
@@ -310,14 +320,16 @@ TEST(ThreadPool, DestroyedWhileHelpersParked) {
   std::atomic<int> sum{0};
   {
     ThreadPool pool(4);
-    pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi) {
-      sum += static_cast<int>(hi - lo);
-    });
+    pool.parallel_for_indexed(
+        0, 4, [&](std::size_t, std::size_t lo, std::size_t hi) {
+          sum += static_cast<int>(hi - lo);
+        });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     // Parked helpers wake for the next region, too.
-    pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t hi) {
-      sum += static_cast<int>(hi - lo);
-    });
+    pool.parallel_for_indexed(
+        0, 4, [&](std::size_t, std::size_t lo, std::size_t hi) {
+          sum += static_cast<int>(hi - lo);
+        });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_EQ(sum.load(), 8);
