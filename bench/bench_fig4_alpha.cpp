@@ -1,4 +1,4 @@
-// Figure 4 — effect of the VC-ASGD hyperparameter α at P3C3T4.
+// Figures 4 and 5 — effect of the VC-ASGD hyperparameter α at P3C3T4.
 //
 // Runs α ∈ {0.7, 0.95, 0.999, Var} and prints each series with the min/max
 // accuracy band across the 50 subtasks of every epoch (the paper's error
@@ -10,12 +10,43 @@
 //   * Var (α_e = e/(e+1)) trains faster than constant 0.95 with a smaller
 //     spread than either constant.
 //
-// Writes the full series to vcdl_fig4_series.csv so bench_fig5_alpha_zoom
-// can print its zoomed windows without re-running.
-#include <fstream>
+// Then prints Fig. 5's zoomed views of the same four runs: a mid-training
+// window, where Var α overtakes the constants, and the end-of-training
+// window, which shows the spread ordering.
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hpp"
+
+namespace {
+
+// Prints every epoch whose end lies within [lo_frac, hi_frac] of the longest
+// run's virtual hours, series by series.
+void print_window(const std::vector<vcdl::TrainResult>& results,
+                  double lo_frac, double hi_frac, const char* label) {
+  double max_h = 0.0;
+  for (const auto& r : results) {
+    for (const auto& e : r.epochs) max_h = std::max(max_h, e.end_time / 3600.0);
+  }
+  const double lo = lo_frac * max_h, hi = hi_frac * max_h;
+  std::cout << "\n--- " << label << " (" << vcdl::Table::fmt(lo, 2) << "–"
+            << vcdl::Table::fmt(hi, 2) << " h) ---\n";
+  vcdl::Table table({"series", "epoch", "hours", "mean_acc", "band"});
+  for (const auto& r : results) {
+    for (const auto& e : r.epochs) {
+      const double hours = e.end_time / 3600.0;
+      if (hours < lo || hours > hi) continue;
+      table.add_row({"alpha=" + r.spec.alpha, vcdl::Table::fmt(e.epoch),
+                     vcdl::Table::fmt(hours, 2),
+                     vcdl::Table::fmt(e.mean_subtask_acc, 4),
+                     vcdl::Table::fmt_band(e.min_subtask_acc,
+                                           e.max_subtask_acc, 3)});
+    }
+  }
+  table.print(std::cout);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace vcdl;
@@ -54,10 +85,8 @@ int main(int argc, char** argv) {
               << Table::fmt(spread / static_cast<double>(n), 3) << "\n";
   }
 
-  const std::string csv_path =
-      cfg.get_string("csv", "vcdl_fig4_series.csv");
-  std::ofstream csv(csv_path);
-  table.print_csv(csv);
-  std::cout << "\nseries written to " << csv_path << "\n";
+  // Fig. 5(a): mid-training window; Fig. 5(b): end of training.
+  print_window(results, 0.45, 0.70, "Fig. 5(a) mid-training window");
+  print_window(results, 0.80, 1.00, "Fig. 5(b) end of training");
   return 0;
 }

@@ -2,8 +2,8 @@
 //
 // Measures the ExecContext-threaded forward/backward path (DESIGN.md
 // "Execution & threading model") on a CIFAR-scale resnet_lite, sweeping the
-// per-client pool over {1, 2, 4, 8} threads. Thread count 1 uses no pool at
-// all — it is the serial bit-exact reference path. Writes BENCH_hotpath.json
+// training step's pool over {1, 2, 4, 8} threads. Thread count 1 uses no pool
+// at all — it is the serial bit-exact reference path. Writes BENCH_hotpath.json
 // (schema v3, consumed by EXPERIMENTS.md) next to the working directory.
 //
 // The sweep is capped at the host's hardware threads by default: a width

@@ -138,6 +138,14 @@ done
 check "no obs::registry() in run components" \
   bash -c "! grep -rn 'obs::registry()' src/core src/grid src/sim src/storage"
 
+# 8b. The middleware never includes the training stack. A grid client runs
+#     its subtask's computation without looking inside it, as a BOINC client
+#     runs an application, so no file under src/grid, src/sim or src/storage
+#     includes a tensor/, nn/, data/ or core/ header.
+check "no training-stack header in grid, sim or storage" \
+  bash -c "! grep -rnE '#[[:space:]]*include[[:space:]]*[\"<](tensor|nn|data|core)/' \
+             src/grid src/sim src/storage"
+
 # 9. Both sanitizer builds treat warnings as errors: every cmake configure
 #    in sanitize.sh passes -DVCDL_WERROR=ON.
 configure_calls=$(grep -c '^cmake -B' ci/sanitize.sh)

@@ -69,10 +69,9 @@ ThreadPool::ThreadPool(std::size_t threads) {
   VCDL_CHECK(threads <= kMaxThreads,
              "ThreadPool: at most " + std::to_string(kMaxThreads) + " threads");
   size_ = threads;
-  const std::size_t helpers = std::max<std::size_t>(1, threads - 1);
-  helpers_.reserve(helpers);
+  helpers_.reserve(threads - 1);
   try {
-    for (std::size_t i = 0; i < helpers; ++i) {
+    for (std::size_t i = 1; i < threads; ++i) {
       helpers_.emplace_back([this] { helper_loop(); });
     }
   } catch (...) {
@@ -90,20 +89,6 @@ void ThreadPool::stop_and_join() {
   }
   work_cv_.notify_all();
   for (auto& h : helpers_) h.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> pt(std::move(task));
-  auto fut = pt.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    VCDL_CHECK(!stop_.load(std::memory_order_relaxed),
-               "submit() on a stopped ThreadPool");
-    tasks_.push_back(std::move(pt));
-    queued_.fetch_add(1, std::memory_order_relaxed);
-  }
-  work_cv_.notify_one();
-  return fut;
 }
 
 bool ThreadPool::on_worker_thread() const { return t_pool == this; }
@@ -193,7 +178,6 @@ void ThreadPool::helper_loop() {
   std::uint32_t seen = 0;
   const auto has_work = [&] {
     return epoch_of(region_.load(std::memory_order_seq_cst)) != seen ||
-           queued_.load(std::memory_order_relaxed) != 0 ||
            stop_.load(std::memory_order_relaxed);
   };
   for (;;) {
@@ -203,22 +187,8 @@ void ThreadPool::helper_loop() {
       work_cv_.wait(lock, has_work);
       parked_.fetch_sub(1, std::memory_order_relaxed);
     }
-    if (epoch_of(region_.load(std::memory_order_relaxed)) != seen) {
-      seen = epoch_of(run_chunks());
-    }
-    if (queued_.load(std::memory_order_relaxed) != 0 ||
-        stop_.load(std::memory_order_relaxed)) {
-      std::unique_lock lock(mutex_);
-      if (tasks_.empty()) {
-        if (stop_.load(std::memory_order_relaxed)) return;
-        continue;
-      }
-      std::packaged_task<void()> task = std::move(tasks_.front());
-      tasks_.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      lock.unlock();
-      task();  // exceptions are captured in the packaged_task's future
-    }
+    if (stop_.load(std::memory_order_relaxed)) return;
+    seen = epoch_of(run_chunks());
   }
 }
 

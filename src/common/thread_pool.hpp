@@ -4,11 +4,10 @@
 // dispatches a region plus P − 1 helper threads. A region is published as one
 // atomic word (epoch, chunk count, next chunk) from which every participant
 // claims chunk indices, so dispatch allocates nothing and a helper that is
-// late, busy or asleep never holds a region up: the caller claims whatever is
+// late or asleep never holds a region up: the caller claims whatever is
 // left. The region ends when an atomic count of finished chunks reaches the
 // chunk count. Idle helpers spin with `pause` for a fixed time, then park on
-// a condition variable. Whole tasks go through submit() and a
-// mutex-protected queue.
+// a condition variable.
 #pragma once
 
 #include <algorithm>
@@ -16,10 +15,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -29,8 +26,8 @@ namespace vcdl {
 class ThreadPool {
  public:
   /// A pool of `threads` participants: the dispatching thread plus
-  /// threads − 1 helpers, and at least one helper, so submit() has a thread
-  /// to run on at width 1. 0 means std::thread::hardware_concurrency().
+  /// threads − 1 helpers, so width 1 starts no thread. 0 means
+  /// std::thread::hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -38,9 +35,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return size_; }
-
-  /// Enqueue a task for a helper; returns a future for its completion.
-  std::future<void> submit(std::function<void()> task);
 
   /// True on this pool's helper threads, and on any thread while it runs a
   /// chunk of one of this pool's regions. parallel_for_indexed uses this to
@@ -74,7 +68,7 @@ class ThreadPool {
   using Body = std::function<void(std::size_t, std::size_t, std::size_t)>;
 
   void helper_loop();
-  // Lets the helpers finish the queued tasks, then joins them.
+  // Stops the helpers and joins them.
   void stop_and_join();
   // Claims and runs chunks of the published region until a claim comes back
   // empty; returns the region word that claim read.
@@ -102,9 +96,7 @@ class ThreadPool {
   std::condition_variable done_cv_;
   std::atomic<std::size_t> parked_{0};
   std::atomic<bool> caller_parked_{false};
-  std::deque<std::packaged_task<void()>> tasks_;  // guarded by mutex_
-  std::atomic<std::size_t> queued_{0};  // tasks_.size(), read while spinning
-  std::atomic<bool> stop_{false};       // written under mutex_
+  std::atomic<bool> stop_{false};  // written under mutex_
 
   // Last, so the helpers start after, and are joined before, what they use.
   std::vector<std::thread> helpers_;

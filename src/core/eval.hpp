@@ -1,8 +1,9 @@
 // Model evaluation helpers over datasets.
 //
-// Each helper takes an ExecContext, so callers that own a worker pool —
-// trainer eval, the assimilator — thread it through the model's forward
-// passes; serial_exec_context() runs without one.
+// Each helper takes an ExecContext, so a caller that owns a worker pool —
+// a training run, for its epoch-end evaluation and the assimilator's
+// validations — threads it through the model's forward passes;
+// serial_exec_context() runs without one.
 #pragma once
 
 #include <cstddef>

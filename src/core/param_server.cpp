@@ -45,12 +45,12 @@ bool validate_upload(const Blob& payload) {
 
 VcAsgdAssimilator::VcAsgdAssimilator(
     SimEngine& engine, KvStore& store, FileServer& files, GridServer& server,
-    const AlphaSchedule& schedule, Model eval_model, const Dataset& validation,
-    InstanceType server_instance, Options options, TraceLog& trace,
-    obs::Registry& metrics, Rng rng,
+    const AlphaSchedule& schedule, Model& eval_model, ExecContext& exec,
+    const Dataset& validation, InstanceType server_instance, Options options,
+    TraceLog& trace, obs::Registry& metrics, Rng rng,
     std::function<void(std::size_t, double)> on_assimilated)
     : engine_(engine), store_(store), files_(files), server_(server),
-      schedule_(schedule), eval_model_(std::move(eval_model)),
+      schedule_(schedule), eval_model_(eval_model), exec_(exec),
       validation_(validation), server_instance_(std::move(server_instance)),
       options_(std::move(options)), trace_(trace), metrics_(metrics),
       rng_(rng), on_assimilated_(std::move(on_assimilated)) {

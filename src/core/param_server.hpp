@@ -86,12 +86,16 @@ class VcAsgdAssimilator : public AssimilatorBackend {
 
   /// `on_assimilated(epoch, subtask_val_acc)` fires once per assimilated
   /// result, after the store write lands. Counts into `metrics`, the run's
-  /// registry.
+  /// registry. The validation forwards run on `eval_model` and `exec`, which
+  /// the caller owns and may use between validations (the DES runs one
+  /// computation at a time); each validation sets the model's parameters
+  /// first.
   VcAsgdAssimilator(SimEngine& engine, KvStore& store, FileServer& files,
                     GridServer& server, const AlphaSchedule& schedule,
-                    Model eval_model, const Dataset& validation,
-                    InstanceType server_instance, Options options,
-                    TraceLog& trace, obs::Registry& metrics, Rng rng,
+                    Model& eval_model, ExecContext& exec,
+                    const Dataset& validation, InstanceType server_instance,
+                    Options options, TraceLog& trace, obs::Registry& metrics,
+                    Rng rng,
                     std::function<void(std::size_t, double)> on_assimilated);
 
   void assimilate(ResultEnvelope env, std::size_t ps_index,
@@ -110,10 +114,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   /// Also the checkpoint-replay hook: re-installing a snapshot through here
   /// rewinds the store, the parameter file, and the published copy at once.
   void publish_initial(const std::vector<float>& params);
-
-  /// Worker pool for the validation forward passes (null = serial). Models
-  /// the parameter server's vCPUs doing the real compute.
-  void set_exec_pool(ThreadPool* pool) { exec_.pool = pool; }
 
   /// Commits applied so far — the logical clock gradient age is measured in.
   /// All shards commit in lockstep, so one counter covers the whole plane.
@@ -234,7 +234,8 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   FileServer& files_;
   GridServer& server_;
   const AlphaSchedule& schedule_;
-  Model eval_model_;
+  Model& eval_model_;
+  ExecContext& exec_;
   const Dataset& validation_;
   InstanceType server_instance_;
   Options options_;
@@ -243,7 +244,6 @@ class VcAsgdAssimilator : public AssimilatorBackend {
   Rng rng_;
   std::function<void(std::size_t, double)> on_assimilated_;
   FaultInjector* faults_ = nullptr;
-  ExecContext exec_;  // threads the validation forwards; arena reused per run
   RetryPolicy store_retry_;  // backoff for injected store outages
   SimMutex txn_lock_;  // strong-store transaction serialization
   std::vector<float> published_;

@@ -141,12 +141,17 @@ class Run {
   Model template_model_;
   const ShardPlan shard_plan_;
 
-  // One pool shared by every client's training callback and by evaluation:
-  // the DES is serial, so only one forward/backward runs at a time and the
-  // pool's workers always split that single model's compute. worker_threads
-  // == 1 keeps everything on the calling thread; all widths give one result.
+  // The run's compute. The DES is serial, so every subtask's training, every
+  // validation forward and every epoch-end evaluation runs on exec_ in turn,
+  // and its pool (none at worker_threads == 1) splits that one computation;
+  // all widths give one result. The assimilator borrows exec_ and
+  // eval_model_, and each evaluation sets the model's parameters first. The
+  // subtasks' replica stays apart: an eval-mode forward frees the training
+  // caches, which the next step would have to reallocate.
   const std::unique_ptr<ThreadPool> exec_pool_;
-  ExecContext eval_exec_;
+  ExecContext exec_;
+  Model eval_model_;
+  Model worker_model_;
 
   // Infrastructure.
   SimEngine engine_;
@@ -165,8 +170,6 @@ class Run {
   WorkGenerator work_gen_;
   const std::unique_ptr<AlphaSchedule> schedule_;
   VcAsgdAssimilator assimilator_;
-  Model eval_model_;    // reused for epoch-end full evaluation
-  Model worker_model_;  // the subtasks' replica (the DES is serial)
   std::vector<std::unique_ptr<SimClient>> clients_;
 
   // Result accounting and the epoch state machine.
@@ -193,6 +196,9 @@ Run::Run(const ExperimentSpec& spec, TraceLog& trace)
       exec_pool_(spec.worker_threads != 1
                      ? std::make_unique<ThreadPool>(spec.worker_threads)
                      : nullptr),
+      exec_{exec_pool_.get(), {}},
+      eval_model_(template_model_),
+      worker_model_(template_model_),
       store_(make_store(spec.store, metrics_)),
       wire_mode_(wire_mode_from_name(spec.wire_codec)),
       files_(metrics_),
@@ -218,7 +224,7 @@ Run::Run(const ExperimentSpec& spec, TraceLog& trace)
                     .replication = spec.replication}),
       schedule_(make_alpha_schedule(spec.alpha)),
       assimilator_(engine_, *store_, files_, server_, *schedule_,
-                   template_model_, data_.validation, catalog_.server,
+                   eval_model_, exec_, data_.validation, catalog_.server,
                    VcAsgdAssimilator::Options{
                        .validate_work = spec.validate_work,
                        .validation_subsample = spec.validation_subsample,
@@ -231,11 +237,8 @@ Run::Run(const ExperimentSpec& spec, TraceLog& trace)
                    [this](std::size_t epoch, double subtask_acc) {
                      on_assimilated(epoch, subtask_acc);
                    }),
-      eval_model_(template_model_),
-      worker_model_(template_model_),
       snapshots_(metrics_.counter("checkpoint.snapshots")),
       restores_(metrics_.counter("checkpoint.restores")) {
-  eval_exec_.pool = exec_pool_.get();
   files_.set_wire_codec(wire_mode_, spec_.wire_version_ring);
   if (spec_.reliability_gate > 0.0) {
     scheduler_.set_reliability_gate(spec_.reliability_gate);
@@ -266,7 +269,6 @@ Run::Run(const ExperimentSpec& spec, TraceLog& trace)
       return assimilator_.peek_decode(payload);
     });
   }
-  assimilator_.set_exec_pool(exec_pool_.get());
   if (injector_) assimilator_.set_fault_injector(injector_.get());
   assimilator_.publish_initial(template_model_.flat_params());
   take_checkpoint();  // recovery floor: the initial weights
@@ -280,12 +282,11 @@ Run::Run(const ExperimentSpec& spec, TraceLog& trace)
     cc.preemption.downtime_s = spec_.preemption_downtime_s;
     cc.availability = spec_.availability;
     cc.retry = spec_.client_retry;
-    cc.exec_pool = exec_pool_.get();
     clients_.push_back(std::make_unique<SimClient>(
         i, fleet_[i], cc, engine_, spec_.network, catalog_.server, files_,
         scheduler_, server_, trace_, metrics_, master_.fork(0xC11E + i),
-        [this](const Workunit& unit, ClientId client, ExecContext& exec) {
-          return compute(prepare(unit, client), worker_model_, exec);
+        [this](const Workunit& unit, ClientId client) {
+          return compute(prepare(unit, client), worker_model_, exec_);
         }));
     if (injector_) clients_.back()->set_fault_injector(injector_.get());
   }
@@ -355,8 +356,8 @@ void Run::on_assimilated(std::size_t epoch, double subtask_acc) {
   es.min_subtask_acc = acc.acc.min();
   es.max_subtask_acc = acc.acc.max();
   es.std_subtask_acc = acc.acc.stddev();
-  es.val_acc = evaluate_accuracy(eval_model_, data_.validation, eval_exec_);
-  es.test_acc = evaluate_accuracy(eval_model_, data_.test, eval_exec_);
+  es.val_acc = evaluate_accuracy(eval_model_, data_.validation, exec_);
+  es.test_acc = evaluate_accuracy(eval_model_, data_.test, exec_);
   es.results = acc.results;
   result_.epochs.push_back(es);
   trace_.record(engine_.now(), TraceKind::epoch_done, "work-generator",

@@ -19,7 +19,6 @@ SimClient::SimClient(ClientId id, InstanceType instance, ClientConfig config,
       server_instance_(std::move(server_instance)), files_(files),
       scheduler_(scheduler), server_(server), trace_(trace), metrics_(metrics),
       rng_(rng), execute_(std::move(execute)) {
-  exec_.pool = config_.exec_pool;
   VCDL_CHECK(config_.max_concurrent >= 1, "SimClient: Tn must be >= 1");
   VCDL_CHECK(config_.poll_interval_s > 0.0,
              "SimClient: poll_interval_s must be > 0");
@@ -150,7 +149,7 @@ void SimClient::exec_unit(const Workunit& unit) {
   // Real training happens here; virtual duration comes from the instance
   // model at the *current* concurrency level (processor-sharing
   // approximation — see DESIGN.md §4).
-  ExecOutcome outcome = execute_(unit, id_, exec_);
+  ExecOutcome outcome = execute_(unit, id_);
   SimTime exec_s = subtask_exec_time(instance_, outcome.work_units, active_,
                                      config_.compute);
   if (config_.compute.exec_jitter_sigma > 0.0) {
@@ -251,14 +250,12 @@ void SimClient::preempt() {
   cancel_pending();
   active_ = 0;
   poll_scheduled_ = false;
-  // The replacement instance starts with a cold cache — including the
-  // training scratch arena and the delta-base versions (no local copy left
-  // to decode a delta against). An offline/online cycle keeps both: the
-  // volunteer's disk survives.
+  // The replacement instance starts with a cold cache and no delta-base
+  // versions (no local copy left to decode a delta against). An
+  // offline/online cycle keeps both: the volunteer's disk survives.
   cache_.clear();
   seen_versions_.clear();
   scheduler_.clear_cache(id_);
-  exec_.arena.release();
   schedule_tracked(config_.preemption.downtime_s, [this] { restore(); });
 }
 

@@ -33,7 +33,6 @@
 #include "sim/network.hpp"
 #include "sim/preemption.hpp"
 #include "sim/trace.hpp"
-#include "tensor/exec_context.hpp"
 
 namespace vcdl {
 
@@ -44,12 +43,10 @@ struct ExecOutcome {
 };
 
 /// Executes a subtask *for real* (trains the model on the shard). Called at
-/// the virtual exec-start instant. The ExecContext is the client's own — its
-/// worker pool splits the compute of this one subtask, and its scratch arena
-/// persists across the client's subtasks (freed on preemption, like the rest
-/// of the replaced instance's memory).
-using ExecuteFn =
-    std::function<ExecOutcome(const Workunit&, ClientId, ExecContext&)>;
+/// the virtual exec-start instant. Like a BOINC client running an
+/// application (§III-A), the client never looks inside: whatever the
+/// computation runs on belongs to the callback's owner.
+using ExecuteFn = std::function<ExecOutcome(const Workunit&, ClientId)>;
 
 struct ClientConfig {
   std::size_t max_concurrent = 2;  // the paper's Tn
@@ -64,9 +61,6 @@ struct ClientConfig {
   /// Transfer retry/backoff policy; only exercised when transfers can fail
   /// (fault injection or a crashed grid server).
   RetryPolicy retry;
-  /// Worker pool handed to the training callback via the client's
-  /// ExecContext. Null = serial execution (the bit-exact reference path).
-  ThreadPool* exec_pool = nullptr;
 };
 
 class SimClient {
@@ -167,7 +161,6 @@ class SimClient {
   Metrics metrics_;
   Rng rng_;
   ExecuteFn execute_;
-  ExecContext exec_;  // pool from config_.exec_pool + this client's arena
   FaultInjector* faults_ = nullptr;
 
   bool up_ = false;

@@ -2,9 +2,9 @@
 //
 // A SpanTimer reads Registry::now() at construction and records the elapsed
 // time into a duration histogram at destruction. The hot-path spans (GEMM,
-// im2col, pool queue wait) record into the process registry on its wall
-// clock, inside simulated runs too; a run's own registry holds no span,
-// because nothing in it reads a clock (obs/metrics.hpp).
+// im2col) record into the process registry on its wall clock, inside
+// simulated runs too; a run's own registry holds no span, because nothing in
+// it reads a clock (obs/metrics.hpp).
 //
 // Usage — cache the histogram handle once, time each call:
 //

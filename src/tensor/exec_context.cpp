@@ -15,8 +15,6 @@ std::size_t ScratchArena::bytes() const {
   return total;
 }
 
-void ScratchArena::release() { slots_.clear(); }
-
 ExecContext& serial_exec_context() {
   static thread_local ExecContext ctx;
   return ctx;

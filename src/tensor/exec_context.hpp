@@ -3,19 +3,20 @@
 // An ExecContext bundles the two resources the compute-heavy layers share: a
 // worker pool that Conv2D splits its batch over, and a scratch arena of
 // reusable tensors that removes per-step allocation churn from
-// forward/backward. One context is owned per training driver — a grid
-// client, an assimilator's validator, a bench loop — and threaded by
-// reference through Model::forward/backward into every Layer. Layers never
-// own pools or scratch, so model clones stay cheap and the degree of
-// parallelism remains a per-driver runtime decision.
+// forward/backward. Whoever drives the compute owns one and threads it by
+// reference through Model::forward/backward into every Layer: a training
+// run (core/trainer.cpp) one for all of its subtasks, validations and
+// evaluations, a bench loop its own. Layers never own pools or scratch, so
+// model clones stay cheap and the degree of parallelism remains a
+// per-driver runtime decision.
 //
 // Determinism contract (see DESIGN.md "Execution & threading model"):
 //   * any pool width, called on the dispatching thread or nested inside a
-//     pool task, is bit-identical to the serial kernels: every output and
-//     gradient element is produced whole by exactly one worker, in the
-//     serial arithmetic order (Conv2D splits the batch for y and dX, dW by
-//     column and db by channel; every GEMM runs whole on the thread that
-//     calls it);
+//     chunk of a pool region, is bit-identical to the serial kernels: every
+//     output and gradient element is produced whole by exactly one worker,
+//     in the serial arithmetic order (Conv2D splits the batch for y and dX,
+//     dW by column and db by channel; every GEMM runs whole on the thread
+//     that calls it);
 //   * the SIMD tier is NOT part of the contract's state: the AVX2 GEMM tier
 //     preserves the scalar reference's per-element mul-then-add sequence,
 //     zero A elements included, and never contracts mul+add into FMA, so
@@ -38,10 +39,10 @@ class ThreadPool;
 /// so steady-state training does no scratch allocation at all.
 ///
 /// Not thread-safe: borrow every buffer on the coordinating thread *before*
-/// fanning work out to a pool; the returned references stay valid until
-/// release() (slots are held behind stable pointers). Each slot is a Tensor,
-/// whose backing store is 64-byte aligned (CacheAlignedAllocator), so two
-/// adjacent slots used as per-chunk blocks can never false-share a cache
+/// fanning work out to a pool; the returned references stay valid for the
+/// arena's life (slots are held behind stable pointers). Each slot is a
+/// Tensor, whose backing store is 64-byte aligned (CacheAlignedAllocator), so
+/// two adjacent slots used as per-chunk blocks can never false-share a cache
 /// line.
 class ScratchArena {
  public:
@@ -51,8 +52,6 @@ class ScratchArena {
   std::size_t slots() const { return slots_.size(); }
   /// Total bytes currently held across all slots.
   std::size_t bytes() const;
-  /// Drops all slots (e.g. a simulated preemption wiping local memory).
-  void release();
 
  private:
   std::vector<std::unique_ptr<Tensor>> slots_;

@@ -4,8 +4,8 @@
 //   * the serial path (worker_threads == 1, no pool) is bit-identical to the
 //     pre-ExecContext implementation (hardcoded golden values),
 //   * any pool width, called on the dispatching thread or nested inside a
-//     pool task, gives the serial bits: forward outputs, every gradient, and
-//     a whole run's trace digest, metrics and final params,
+//     chunk of a pool region, gives the serial bits: forward outputs, every
+//     gradient, and a whole run's trace digest, metrics and final params,
 //   * activation caches exist only between a training forward and its
 //     backward — inference forwards and clones carry none.
 #include <gtest/gtest.h>
@@ -153,8 +153,8 @@ TEST(ExecThreading, OneThreadPoolBitIdenticalToSerial) {
 }
 
 // One training step on a 4-thread pool, called on the dispatching thread and
-// called inside a pool task, where every parallel region runs inline as one
-// chunk over its whole range. Both give the serial step's bits.
+// called inside a chunk of a 2-chunk region, where every parallel region runs
+// inline as one chunk over its whole range. Both give the serial step's bits.
 TEST(ExecThreading, FourThreadTrainStepBitIdenticalToSerialDirectAndNested) {
   Model serial = tiny_resnet(17);
   Model pooled = serial;
@@ -171,11 +171,12 @@ TEST(ExecThreading, FourThreadTrainStepBitIdenticalToSerialDirectAndNested) {
   const Tensor ys = compute_gradients(serial, x, labels, serial_exec_context());
   const Tensor yp = compute_gradients(pooled, x, labels, pooled_ctx);
   Tensor yn;
-  pool.submit([&] {
-        ASSERT_TRUE(pool.on_worker_thread());
-        yn = compute_gradients(nested, x, labels, nested_ctx);
-      })
-      .get();
+  pool.parallel_for_indexed(0, 2, [&](std::size_t chunk, std::size_t,
+                                      std::size_t) {
+    if (chunk != 0) return;
+    ASSERT_TRUE(pool.on_worker_thread());
+    yn = compute_gradients(nested, x, labels, nested_ctx);
+  });
   expect_same_step(ys, serial, yp, pooled);
   expect_same_step(ys, serial, yn, nested);
 }
@@ -326,9 +327,6 @@ TEST(ScratchArena, ReusesSlotsAndTracksBytes) {
   (void)arena.get(2, Shape{10});
   EXPECT_EQ(arena.slots(), 3u);
   EXPECT_EQ(arena.bytes(), (2 * 4 + 0 + 10) * sizeof(float));
-  arena.release();
-  EXPECT_EQ(arena.slots(), 0u);
-  EXPECT_EQ(arena.bytes(), 0u);
 }
 
 // --- False-sharing guard ----------------------------------------------------

@@ -412,7 +412,7 @@ struct Harness {
 };
 
 ExecuteFn ok_exec(double work = 10.0) {
-  return [work](const Workunit&, ClientId, ExecContext&) {
+  return [work](const Workunit&, ClientId) {
     return ExecOutcome{Blob(std::vector<std::uint8_t>(32, 9)), work};
   };
 }
@@ -454,7 +454,7 @@ TEST(GridIntegration, InvalidResultIsDroppedAndRecovered) {
   ClientConfig cfg;
   int calls = 0;
   // First attempt returns an empty (invalid) payload; retry succeeds.
-  ExecuteFn flaky = [&calls](const Workunit&, ClientId, ExecContext&) {
+  ExecuteFn flaky = [&calls](const Workunit&, ClientId) {
     ++calls;
     if (calls == 1) return ExecOutcome{Blob(), 10.0};
     return ExecOutcome{Blob(std::vector<std::uint8_t>(8, 1)), 10.0};

@@ -59,7 +59,7 @@ struct ClientHarness {
     return std::make_unique<SimClient>(
         0, catalog.client_types[0], cfg, engine, network, catalog.server,
         files, scheduler, server, trace, metrics, Rng(seed),
-        [work](const Workunit&, ClientId, ExecContext&) {
+        [work](const Workunit&, ClientId) {
           return ExecOutcome{Blob(std::vector<std::uint8_t>(16, 7)), work};
         });
   }

@@ -49,8 +49,9 @@ struct PsHarness {
     opts.wire_mode = wire;
     opts.version_ring = version_ring;
     assimilator = std::make_unique<VcAsgdAssimilator>(
-        engine, *store, files, *server, *schedule, model, data.validation,
-        table1_catalog().server, opts, trace, metrics, Rng(1),
+        engine, *store, files, *server, *schedule, model,
+        serial_exec_context(), data.validation, table1_catalog().server, opts,
+        trace, metrics, Rng(1),
         [this](std::size_t, double acc) { accs.push_back(acc); });
     server->set_backend(assimilator.get());
     assimilator->publish_initial(model.flat_params());

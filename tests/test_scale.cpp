@@ -56,7 +56,7 @@ TEST(Scale, HundredClientsThousandUnits) {
     scheduler.add_unit(wu);
   }
 
-  const ExecuteFn exec = [](const Workunit&, ClientId, ExecContext&) {
+  const ExecuteFn exec = [](const Workunit&, ClientId) {
     return ExecOutcome{Blob(std::vector<std::uint8_t>(8, 9)), 40.0};
   };
   const auto fleet = make_client_fleet(catalog, 100, true, 0.2);

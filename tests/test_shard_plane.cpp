@@ -588,8 +588,9 @@ struct ShardRig {
     opts.wire_mode = wire;
     opts.plan = plan;
     assimilator = std::make_unique<VcAsgdAssimilator>(
-        engine, *store, files, *server, *schedule, model, data.validation,
-        table1_catalog().server, opts, trace, metrics, Rng(1),
+        engine, *store, files, *server, *schedule, model,
+        serial_exec_context(), data.validation, table1_catalog().server, opts,
+        trace, metrics, Rng(1),
         [this](std::size_t, double acc) { accs.push_back(acc); });
     server->set_backend(assimilator.get());
     assimilator->publish_initial(model.flat_params());

@@ -2,10 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <latch>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,22 +22,34 @@ TEST(ThreadPool, SizeDefaultsToHardware) {
   EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(ThreadPool, SubmitRunsTask) {
-  ThreadPool pool(2);
-  std::atomic<int> value{0};
-  pool.submit([&] { value = 42; }).get();
-  EXPECT_EQ(value.load(), 42);
+// The Threads: count of /proc/self/status; 0 when it cannot be read.
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
 }
 
-TEST(ThreadPool, SubmitManyTasksAllRun) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&] { ++count; }));
+// A pool of width P is its caller plus P − 1 helper threads: width 1 starts
+// none.
+TEST(ThreadPool, WidthPStartsPMinusOneThreads) {
+  std::size_t before = thread_count();
+  if (before == 0) GTEST_SKIP() << "no Threads: line in /proc/self/status";
+  // A thread an earlier test joined leaves the count a moment after join()
+  // returns, so wait until two reads 1 ms apart agree.
+  for (std::size_t prev = 0; prev != before;) {
+    prev = before;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    before = thread_count();
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 200);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  std::size_t helpers = 0;
+  for (const std::size_t width : {1u, 2u, 4u}) {
+    pools.push_back(std::make_unique<ThreadPool>(width));
+    helpers += width - 1;
+    EXPECT_EQ(thread_count(), before + helpers) << "with a pool of " << width;
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
@@ -64,12 +80,6 @@ TEST(ThreadPool, ParallelForSmallRange) {
   EXPECT_EQ(sum.load(), 10 + 11 + 12);
 }
 
-TEST(ThreadPool, SubmitExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ParallelForExceptionPropagates) {
   ThreadPool pool(4);
   EXPECT_THROW(
@@ -85,13 +95,13 @@ TEST(ThreadPool, OnWorkerThreadDistinguishesPools) {
   ThreadPool a(2);
   ThreadPool b(2);
   EXPECT_FALSE(a.on_worker_thread());  // the test thread is not a worker
-  bool inside_a = false, a_inside_b = false;
-  a.submit([&] {
-    inside_a = a.on_worker_thread();
-    a_inside_b = b.on_worker_thread();
-  }).get();
-  EXPECT_TRUE(inside_a);
-  EXPECT_FALSE(a_inside_b);  // membership is per pool, not global
+  std::atomic<bool> inside_a{true}, a_inside_b{false};
+  a.parallel_for_indexed(0, 2, [&](std::size_t, std::size_t, std::size_t) {
+    if (!a.on_worker_thread()) inside_a = false;
+    if (b.on_worker_thread()) a_inside_b = true;
+  });
+  EXPECT_TRUE(inside_a.load());
+  EXPECT_FALSE(a_inside_b.load());  // membership is per pool, not global
 }
 
 // Regression: parallel_for_indexed from inside a worker used to deadlock — the
@@ -112,8 +122,8 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, DeeplyNestedSubmitFromWorkerStillInline) {
-  ThreadPool pool(1);  // one worker: any queued nested work would deadlock
+TEST(ThreadPool, NestedRegionOnWidthOnePoolRunsInline) {
+  ThreadPool pool(1);  // the caller alone: every region runs inline on it
   std::atomic<int> total{0};
   pool.parallel_for_indexed(0, 4, [&](std::size_t, std::size_t lo,
                                        std::size_t hi) {
@@ -145,21 +155,6 @@ TEST(ThreadPool, ParallelForIndexedChunksAreDeterministic) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(owner[i].load(), static_cast<int>(i / 34));
   }
-}
-
-TEST(ThreadPool, ConcurrentSubmitters) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < 4; ++t) {
-    submitters.emplace_back([&] {
-      std::vector<std::future<void>> fs;
-      for (int i = 0; i < 50; ++i) fs.push_back(pool.submit([&] { ++count; }));
-      for (auto& f : fs) f.get();
-    });
-  }
-  for (auto& t : submitters) t.join();
-  EXPECT_EQ(count.load(), 200);
 }
 
 // --- Fork-join regions --------------------------------------------------------
@@ -251,23 +246,6 @@ TEST(ThreadPool, NestedRegionsRunInlineFromCallerAndHelperChunks) {
   EXPECT_EQ(on_caller.load(), 1);
   EXPECT_EQ(inline_nested.load(), 4);
   EXPECT_FALSE(pool.on_worker_thread());  // only while it runs a chunk
-}
-
-// A helper that is busy with a submitted task never holds a region up: the
-// caller claims the chunks nobody else takes.
-TEST(ThreadPool, RegionCompletesWhileEveryHelperIsBusy) {
-  ThreadPool pool(2);  // one helper
-  std::atomic<bool> release{false};
-  std::atomic<bool> helper_busy{false};
-  auto blocked = pool.submit([&] {
-    helper_busy = true;
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!helper_busy.load()) std::this_thread::yield();
-  std::vector<std::atomic<int>> hits(10);
-  expect_region_covers(pool, 10, hits);
-  release = true;
-  blocked.get();
 }
 
 // Two threads that are not part of the pool dispatch regions on it at once.
