@@ -20,15 +20,15 @@ int main(int argc, char** argv) {
   bench::print_header("Ablations — shard policy, sticky cache, replication, GPU",
                       "DESIGN.md §4 (supporting, not a paper figure)");
 
-  const std::size_t epochs =
-      static_cast<std::size_t>(cfg.get_int("epochs", 4));
+  ExperimentSpec base = bench::base_spec(cfg, /*default_epochs=*/4);
+  base.parameter_servers = 3;
+  base.clients = 3;
+  base.tasks_per_client = 4;
+  base.alpha = "var";
+  cfg.reject_unread();
 
   auto p3c3t4 = [&](auto&& mutate) {
-    ExperimentSpec spec = bench::base_spec(cfg, epochs);
-    spec.parameter_servers = 3;
-    spec.clients = 3;
-    spec.tasks_per_client = 4;
-    spec.alpha = "var";
+    ExperimentSpec spec = base;
     mutate(spec);
     TrainResult r = run_experiment(spec);
     bench::print_run_summary(r);  // flushed, so a redirected run shows it
@@ -38,10 +38,15 @@ int main(int argc, char** argv) {
   // 1. Shard policy.
   std::cout << "1) Shard policy (label skew amplifies the §IV-C client-drift"
                " effect):\n";
+  // The unmodified spec is section 1's default-policy row, section 2's run
+  // and section 5's default-codec row: it runs once.
+  const TrainResult base_run = p3c3t4([](ExperimentSpec&) {});
   Table shard_tbl({"policy", "final acc", "acc spread", "hours"});
   for (const ShardPolicy policy : {ShardPolicy::iid, ShardPolicy::label_skew}) {
     const TrainResult r =
-        p3c3t4([&](ExperimentSpec& s) { s.shard_policy = policy; });
+        policy == base.shard_policy
+            ? base_run
+            : p3c3t4([&](ExperimentSpec& s) { s.shard_policy = policy; });
     const auto& e = r.final_epoch();
     shard_tbl.add_row({shard_policy_name(policy),
                        Table::fmt(e.mean_subtask_acc, 3),
@@ -55,7 +60,7 @@ int main(int argc, char** argv) {
   // no-cache counterfactual (every download re-transferred).
   std::cout << "\n2) Sticky-file caching (BOINC feature, §III-B):\n";
   {
-    const TrainResult r = p3c3t4([](ExperimentSpec&) {});
+    const TrainResult& r = base_run;
     const auto hits = r.metrics.counter("file_server.cache_hits");
     const double measured_mb =
         static_cast<double>(r.metrics.counter("file_server.bytes_wire")) /
@@ -120,7 +125,9 @@ int main(int argc, char** argv) {
   double full_acc = 0.0;
   for (const char* mode : {"full", "delta", "delta_q8"}) {
     const TrainResult r =
-        p3c3t4([&](ExperimentSpec& s) { s.wire_codec = mode; });
+        mode == base.wire_codec
+            ? base_run
+            : p3c3t4([&](ExperimentSpec& s) { s.wire_codec = mode; });
     const double mb = 1024.0 * 1024.0;
     const auto megabytes = [&r, mb](const char* counter) {
       return static_cast<double>(r.metrics.counter(counter)) / mb;

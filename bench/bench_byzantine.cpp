@@ -50,6 +50,11 @@ int main(int argc, char** argv) {
   // stabilizes — which also means a poisoned blend late in the run moves the
   // server visibly, so the attack shows up in the accuracy column.
   const std::string alpha = cfg.get_string("alpha", "var");
+  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  const double difficulty = cfg.get_double("difficulty", 0.35);
+  const std::string json_path = cfg.get_string("out", "BENCH_byzantine.json");
+  const std::string obs_path = cfg.get_string("obs_out", "BENCH_obs.json");
+  cfg.reject_unread();
 
   const auto make_spec = [&](double fraction, bool quorum) {
     ExperimentSpec spec;
@@ -59,7 +64,7 @@ int main(int argc, char** argv) {
     spec.num_shards = shards;
     spec.max_epochs = epochs;
     spec.alpha = alpha;
-    spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+    spec.seed = seed;
     spec.local_epochs = 2;
     spec.batch_size = 8;
     spec.validation_subsample = 64;
@@ -70,7 +75,7 @@ int main(int argc, char** argv) {
     spec.data.train = 60 * shards;
     spec.data.validation = 128;
     spec.data.test = 128;
-    spec.data.difficulty = cfg.get_double("difficulty", 0.35);
+    spec.data.difficulty = difficulty;
     spec.model.base_filters = 4;
     spec.model.blocks = 1;
     spec.replication = 3;
@@ -125,7 +130,6 @@ int main(int argc, char** argv) {
                "can out-vote honest pairs and only the blend guard is left)\n";
 
   // Stable schema: schema_version bumps on any key change.
-  const std::string json_path = cfg.get_string("out", "BENCH_byzantine.json");
   std::ofstream out(json_path);
   out << "{\n"
       << "  \"schema_version\": 1,\n"
@@ -160,7 +164,6 @@ int main(int argc, char** argv) {
 
   // Telemetry of the last (heaviest-attack, full-defense) run: consensus.*
   // counters alongside the usual grid/fault taxonomies.
-  bench::write_obs_json("byzantine", rows.back().metrics,
-                        cfg.get_string("obs_out", "BENCH_obs.json"));
+  bench::write_obs_json("byzantine", rows.back().metrics, obs_path);
   return 0;
 }

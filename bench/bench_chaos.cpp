@@ -16,6 +16,13 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   bench::print_header("Chaos — fault rate vs time-to-accuracy",
                       "robustness of the §III grid stack under injected faults");
+  ExperimentSpec base = bench::base_spec(cfg, /*default_epochs=*/4);
+  base.parameter_servers = 3;
+  base.clients = 4;
+  base.tasks_per_client = 2;
+  base.num_shards = static_cast<std::size_t>(cfg.get_int("num_shards", 16));
+  const std::string obs_path = cfg.get_string("obs_out", "BENCH_obs.json");
+  cfg.reject_unread();
 
   // Part 1: transfer-fault sweep.
   std::cout << "Transfer faults (drop rate swept; corruption = rate/5; "
@@ -25,11 +32,7 @@ int main(int argc, char** argv) {
   double baseline_h = 0.0;
   double baseline_acc = 0.0;
   for (const double rate : {0.0, 0.05, 0.10, 0.20, 0.30}) {
-    ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/4);
-    spec.parameter_servers = 3;
-    spec.clients = 4;
-    spec.tasks_per_client = 2;
-    spec.num_shards = static_cast<std::size_t>(cfg.get_int("num_shards", 16));
+    ExperimentSpec spec = base;
     spec.faults.download.drop_prob = rate;
     spec.faults.upload.drop_prob = rate;
     spec.faults.download.stall_prob = rate / 2.0;
@@ -67,11 +70,7 @@ int main(int argc, char** argv) {
   double crash_base_s = 0.0;
   obs::MetricsSnapshot last_metrics;
   for (const int n_crashes : {0, 1, 2, 4}) {
-    ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/4);
-    spec.parameter_servers = 3;
-    spec.clients = 4;
-    spec.tasks_per_client = 2;
-    spec.num_shards = static_cast<std::size_t>(cfg.get_int("num_shards", 16));
+    ExperimentSpec spec = base;
     for (int i = 1; i <= n_crashes; ++i) {
       spec.faults.server_crashes.push_back(crash_base_s * i / (n_crashes + 1));
     }
@@ -96,7 +95,6 @@ int main(int argc, char** argv) {
   // Telemetry export: the final (heaviest-crash) run's fault/recovery
   // counters and latency histograms — the chaos profile at the top of the
   // sweep.
-  bench::write_obs_json("chaos", last_metrics,
-                        cfg.get_string("obs_out", "BENCH_obs.json"));
+  bench::write_obs_json("chaos", last_metrics, obs_path);
   return 0;
 }

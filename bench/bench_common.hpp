@@ -58,9 +58,8 @@ inline void add_epoch_rows(Table& table, const std::string& series,
 }
 
 /// Exports `snapshot` as BENCH_obs.json (or `path`): its JSON wrapped with
-/// bench identity. Training benches pass a run's TrainResult::metrics, the
-/// run's own registry; bench_hotpath passes the process registry's
-/// wall-clock exec.* spans over its sweep (obs/metrics.hpp).
+/// bench identity. The training benches pass a run's TrainResult::metrics,
+/// the snapshot of the run's own registry (obs/metrics.hpp).
 inline void write_obs_json(const std::string& bench_name,
                            const obs::MetricsSnapshot& snapshot,
                            const std::string& path) {

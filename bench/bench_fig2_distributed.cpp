@@ -15,6 +15,8 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   bench::print_header("Figure 2 — accuracy vs cumulative training time",
                       "Fig. 2 (P1C3T2, P1C3T8, P3C3T8, P5C5T2; alpha = 0.95)");
+  const ExperimentSpec base = bench::base_spec(cfg);
+  cfg.reject_unread();
 
   struct Shape {
     std::size_t p, c, t;
@@ -24,7 +26,7 @@ int main(int argc, char** argv) {
   Table table = bench::epoch_series_table();
   std::vector<TrainResult> results;
   for (const Shape& s : shapes) {
-    ExperimentSpec spec = bench::base_spec(cfg);
+    ExperimentSpec spec = base;
     spec.parameter_servers = s.p;
     spec.clients = s.c;
     spec.tasks_per_client = s.t;
@@ -53,8 +55,8 @@ int main(int argc, char** argv) {
                " (P3C3T8):\n";
   Table codec_tbl({"codec", "total wire MB", "param pull MB", "full-equiv MB",
                    "pull savings", "delta pulls", "final acc"});
-  const auto p3c3t8_delta = [&cfg](std::size_t shards) {
-    ExperimentSpec spec = bench::base_spec(cfg);
+  const auto p3c3t8_delta = [&base](std::size_t shards) {
+    ExperimentSpec spec = base;
     spec.parameter_servers = 3;
     spec.clients = 3;
     spec.tasks_per_client = 8;

@@ -18,6 +18,8 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   bench::print_header("Figure 3 — Pn / Tn effect on training time",
                       "Fig. 3 ({P1C3,P3C3,P5C5} x {T2,T4,T8}; alpha = 0.95)");
+  const ExperimentSpec base = bench::base_spec(cfg, /*default_epochs=*/6);
+  cfg.reject_unread();
 
   struct Cluster {
     std::size_t p, c;
@@ -31,7 +33,7 @@ int main(int argc, char** argv) {
   for (const Cluster& cl : clusters) {
     std::vector<double> hours, hours40;
     for (const std::size_t tn : tns) {
-      ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/6);
+      ExperimentSpec spec = base;
       spec.parameter_servers = cl.p;
       spec.clients = cl.c;
       spec.tasks_per_client = tn;
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
   std::ostringstream rows;
   rows << "[";
   for (const std::size_t shards : {1, 2, 4, 8}) {
-    ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/6);
+    ExperimentSpec spec = base;
     spec.parameter_servers = 5;
     spec.clients = 5;
     spec.tasks_per_client = 2;

@@ -53,12 +53,14 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   bench::print_header("Figure 4 — VC-ASGD alpha sweep at P3C3T4",
                       "Fig. 4 (alpha in {0.7, 0.95, 0.999, var})");
+  const ExperimentSpec base = bench::base_spec(cfg, /*default_epochs=*/16);
+  cfg.reject_unread();
 
   const char* alphas[] = {"0.7", "0.95", "0.999", "var"};
   Table table = bench::epoch_series_table();
   std::vector<TrainResult> results;
   for (const char* alpha : alphas) {
-    ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/16);
+    ExperimentSpec spec = base;
     spec.parameter_servers = 3;
     spec.clients = 3;
     spec.tasks_per_client = 4;

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
       "Fig. 6 (validation left, test right)");
 
   ExperimentSpec dist_spec = bench::base_spec(cfg, /*default_epochs=*/12);
+  cfg.reject_unread();
   dist_spec.parameter_servers = 5;
   dist_spec.clients = 5;
   dist_spec.tasks_per_client = 2;

@@ -282,6 +282,9 @@ int main(int argc, char** argv) {
   const double min_measure_s = cfg.get_double("min_measure", 1.0);
   const std::vector<std::size_t> counts = parse_counts(
       cfg.get_string("clients", smoke ? "500,5000" : "1000,10000,100000"));
+  const std::string json_path = cfg.get_string("out", "BENCH_fleet.json");
+  const double tolerance = cfg.get_double("tolerance", 3.0);
+  cfg.reject_unread();
 
   std::vector<FleetResult> rows;
   for (const std::size_t n : counts) {  // ascending → VmHWM ≈ per-row peak
@@ -318,7 +321,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const std::string json_path = cfg.get_string("out", "BENCH_fleet.json");
   std::ofstream out(json_path);
   out << "{\n"
       << "  \"schema_version\": 1,\n"
@@ -347,7 +349,6 @@ int main(int argc, char** argv) {
   // Complexity gate: events/sec must not fall off a superlinear cliff as the
   // fleet grows 10x. The old O(n²) paths fail this by orders of magnitude;
   // a healthy run stays within ~1.5x even under a sanitizer.
-  const double tolerance = cfg.get_double("tolerance", 3.0);
   bool ok = true;
   for (std::size_t i = 1; i < rows.size(); ++i) {
     const double drop = rows[i - 1].events_per_sec / rows[i].events_per_sec;

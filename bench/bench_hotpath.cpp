@@ -72,6 +72,8 @@ int main(int argc, char** argv) {
   spec.base_filters =
       static_cast<std::size_t>(cfg.get_int("base_filters", smoke ? 8 : 16));
   spec.blocks = static_cast<std::size_t>(cfg.get_int("blocks", smoke ? 1 : 2));
+  const std::string json_path = cfg.get_string("out", "BENCH_hotpath.json");
+  cfg.reject_unread();
 
   // Fixed input batch: contents don't matter for throughput, determinism does.
   Rng rng(7);
@@ -81,10 +83,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < batch; ++i) {
     labels[i] = static_cast<std::uint16_t>(i % spec.classes);
   }
-
-  // Scope the wall-clock span telemetry (exec.gemm_s etc.) to the measured
-  // sweep; exported as BENCH_obs.json below.
-  const obs::MetricsSnapshot before = obs::registry().snapshot();
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<ThreadResult> results;
@@ -137,7 +135,6 @@ int main(int argc, char** argv) {
   // neither — their multi-thread rows on a 1-core host measured pure
   // context-switch overhead and are not comparable. v3 adds the CMake build
   // type, which fixes the optimization level the steps ran at.
-  const std::string json_path = cfg.get_string("out", "BENCH_hotpath.json");
   std::ofstream out(json_path);
   out << "{\n"
       << "  \"schema_version\": 3,\n"
@@ -163,17 +160,6 @@ int main(int argc, char** argv) {
   }
   out << "  ]\n}\n";
   std::cout << "wrote " << json_path << "\n";
-
-  // Kernel-time telemetry from the same sweep: span counts and wall-clock
-  // latency distributions for the GEMM/im2col hot paths. A GEMM takes
-  // microseconds and the span's buckets are 1 ms wide, so its percentiles
-  // do not resolve; the mean does.
-  const obs::MetricsSnapshot sweep = obs::registry().snapshot().diff(before);
-  const obs::HistogramSnapshot& gemm = sweep.histograms.at("exec.gemm_s");
-  std::cout << "exec.gemm_s: " << gemm.count << " spans, mean "
-            << Table::fmt(gemm.mean() * 1e6, 2) << " µs\n";
-  bench::write_obs_json("hotpath", sweep,
-                        cfg.get_string("obs_out", "BENCH_obs.json"));
 
   if (smoke) {
     // CI gate: the widest in-core pool must not lose to serial. On a 1-core

@@ -47,6 +47,10 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   bench::print_header("Section IV-D — eventual vs strong consistency store",
                       "§IV-D (Redis vs MySQL parameter store)");
+  const ExperimentSpec base = bench::base_spec(cfg, /*default_epochs=*/6);
+  const int threads = static_cast<int>(cfg.get_int("threads", 4));
+  const int ops = static_cast<int>(cfg.get_int("ops", 2000));
+  cfg.reject_unread();
 
   // 1. Modeled per-update latency (calibrated to the paper's measurements).
   const auto redis = redis_like_latency();
@@ -79,7 +83,7 @@ int main(int argc, char** argv) {
   std::cout << "End-to-end P3C3T4 job on each store:\n";
   Table end2end({"store", "hours", "final acc", "lost updates", "writes"});
   for (const char* kind : {"eventual", "strong"}) {
-    ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/6);
+    ExperimentSpec spec = base;
     spec.parameter_servers = 3;
     spec.clients = 3;
     spec.tasks_per_client = 4;
@@ -95,8 +99,6 @@ int main(int argc, char** argv) {
   end2end.print(std::cout);
 
   // 4. Raw data-structure throughput with real threads.
-  const int threads = static_cast<int>(cfg.get_int("threads", 4));
-  const int ops = static_cast<int>(cfg.get_int("ops", 2000));
   Table raw({"store", "threads", "updates/s (in-memory)"});
   for (const char* kind : {"eventual", "strong"}) {
     raw.add_row({kind, Table::fmt(static_cast<std::size_t>(threads)),

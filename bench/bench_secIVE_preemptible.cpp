@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   bench::print_header("Section IV-E — preemptible instances",
                       "§IV-E (cost savings + binomial delay model + injection)");
+  const ExperimentSpec base = bench::base_spec(cfg, /*default_epochs=*/6);
+  cfg.reject_unread();
 
   // 1. Fleet cost.
   const FleetCatalog cat = table1_catalog();
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
                 "timeouts", "final acc"});
   double baseline_h = 0.0;
   for (const double rate : {0.0, 0.05, 0.25, 1.0}) {
-    ExperimentSpec spec = bench::base_spec(cfg, /*default_epochs=*/6);
+    ExperimentSpec spec = base;
     spec.parameter_servers = 5;
     spec.clients = 5;
     spec.tasks_per_client = 2;

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace vcdl;
-  (void)Config::from_args(argc, argv);
+  Config::from_args(argc, argv).reject_unread();
   bench::print_header("Table I — instance configurations",
                       "Table I (+ pricing used by §IV-E)");
 

@@ -16,6 +16,8 @@ int main(int argc, char** argv) {
   using namespace vcdl;
   const Config cfg = Config::from_args(argc, argv);
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("max_epochs", 6));
+  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  cfg.reject_unread();
 
   std::cout << "VC-ASGD alpha-schedule probe (P3C3T4, " << epochs
             << "-epoch probes)\n\n";
@@ -32,7 +34,7 @@ int main(int argc, char** argv) {
     spec.tasks_per_client = 4;
     spec.alpha = alpha;
     spec.max_epochs = epochs;
-    spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+    spec.seed = seed;
     candidates.push_back({alpha, run_experiment(spec)});
     const auto& r = candidates.back().result;
     std::cout << "  probed alpha=" << alpha << ": final mean acc "

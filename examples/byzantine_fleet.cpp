@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   spec.num_shards = 12;
   spec.max_epochs = epochs;
   spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  cfg.reject_unread();
   spec.alpha = "var";
   spec.trace = true;
 

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   spec.max_epochs = epochs;
   spec.reliability_gate = 0.35;
   spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  cfg.reject_unread();
   spec.trace = true;
 
   spec.faults.download.drop_prob = 0.10;

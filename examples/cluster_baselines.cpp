@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("max_epochs", 6));
   const std::uint64_t seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  cfg.reject_unread();
 
   Table table({"scheme", "faults", "final val acc", "notes"});
 

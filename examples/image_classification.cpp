@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   spec.preemptible = cfg.get_bool("preemptible", true);
   spec.interruption_per_hour = cfg.get_double("interruption_per_hour", 1.0);
   spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  cfg.reject_unread();
   spec.trace = true;
 
   std::cout << "Training a 10-class image classifier on a "

@@ -19,6 +19,8 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   const std::size_t epochs =
       static_cast<std::size_t>(cfg.get_int("max_epochs", 4));
+  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  cfg.reject_unread();
 
   std::cout << "Preemptible fleet what-if study (P5C5T2, " << epochs
             << " epochs)\n\n";
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
     spec.max_epochs = epochs;
     spec.preemptible = rate > 0.0;
     spec.interruption_per_hour = rate;
-    spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+    spec.seed = seed;
     const TrainResult r = run_experiment(spec);
     const double hours = r.totals.duration_s / 3600.0;
     if (rate == 0.0) base_hours = hours;

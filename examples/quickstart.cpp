@@ -41,6 +41,9 @@ int main(int argc, char** argv) {
   spec.interruption_per_hour = cfg.get_double("interruption_per_hour", 0.0);
   spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
   if (cfg.get_bool("verbose", false)) set_log_level(LogLevel::info);
+  const std::string json_path = cfg.get_string("json", "");
+  const std::string csv_path = cfg.get_string("csv", "");
+  cfg.reject_unread();
 
   std::cout << "VC-ASGD quickstart: " << spec.label() << " alpha=" << spec.alpha
             << " store=" << spec.store << "\n";
@@ -71,15 +74,15 @@ int main(int argc, char** argv) {
             << "\n";
 
   // Optional machine-readable exports for replotting.
-  if (cfg.has("json")) {
-    std::ofstream out(cfg.get_string("json", ""));
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
     out << to_json(result) << "\n";
-    std::cout << "wrote " << cfg.get_string("json", "") << "\n";
+    std::cout << "wrote " << json_path << "\n";
   }
-  if (cfg.has("csv")) {
-    std::ofstream out(cfg.get_string("csv", ""));
+  if (!csv_path.empty()) {
+    std::ofstream out(csv_path);
     write_epochs_csv(out, result, spec.label());
-    std::cout << "wrote " << cfg.get_string("csv", "") << "\n";
+    std::cout << "wrote " << csv_path << "\n";
   }
   return 0;
 }

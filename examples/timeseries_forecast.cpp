@@ -16,6 +16,8 @@ int main(int argc, char** argv) {
   using namespace vcdl;
   const Config cfg = Config::from_args(argc, argv);
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("max_epochs", 6));
+  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  cfg.reject_unread();
 
   std::cout << "Time-series regime classification (MLP, " << epochs
             << " epochs), vertical-scaling sweep on 2 clients:\n\n";
@@ -34,7 +36,7 @@ int main(int argc, char** argv) {
     spec.max_epochs = epochs;
     spec.local_epochs = 2;
     spec.work_per_subtask = 180.0;  // far lighter than an image subtask
-    spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+    spec.seed = seed;
     const TrainResult r = run_experiment(spec);
     std::string tn_label = "T";
     tn_label += std::to_string(tn);

@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   using namespace vcdl;
   const Config cfg = Config::from_args(argc, argv);
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("max_epochs", 4));
+  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  cfg.reject_unread();
 
   struct FleetKind {
     const char* name;
@@ -49,7 +51,7 @@ int main(int argc, char** argv) {
     spec.interruption_per_hour = fleet.interruption_per_hour;
     spec.availability = fleet.availability;
     spec.subtask_timeout_s = 300.0;
-    spec.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+    spec.seed = seed;
     spec.trace = true;
     VcTrainer trainer(spec);
     const TrainResult r = trainer.run();

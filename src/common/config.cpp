@@ -1,7 +1,6 @@
 #include "common/config.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -24,75 +23,70 @@ Config Config::from_args(int argc, const char* const* argv) {
   return cfg;
 }
 
-Config Config::from_string(const std::string& text) {
-  Config cfg;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string token;
-    while (ls >> token) {
-      if (token[0] == '#') break;  // rest of line is a comment
-      parse_token(cfg, token);
-    }
-  }
-  return cfg;
-}
-
 void Config::set(const std::string& key, const std::string& value) {
   values_[key] = value;
 }
 
-bool Config::has(const std::string& key) const { return values_.count(key) > 0; }
+const std::string* Config::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
 
 std::string Config::get_string(const std::string& key,
                                const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* v = find(key);
+  return v == nullptr ? fallback : *v;
 }
 
 std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* v = find(key);
+  if (v == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const auto v = std::stoll(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
+    const auto n = std::stoll(*v, &pos);
+    if (pos != v->size()) throw std::invalid_argument(*v);
+    return n;
   } catch (const std::exception&) {
-    throw InvalidArgument("Config: '" + key + "' is not an integer: " + it->second);
+    throw InvalidArgument("Config: '" + key + "' is not an integer: " + *v);
   }
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* v = find(key);
+  if (v == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const auto v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
+    const auto d = std::stod(*v, &pos);
+    if (pos != v->size()) throw std::invalid_argument(*v);
+    return d;
   } catch (const std::exception&) {
-    throw InvalidArgument("Config: '" + key + "' is not a number: " + it->second);
+    throw InvalidArgument("Config: '" + key + "' is not a number: " + *v);
   }
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::string v = it->second;
+  const std::string* found = find(key);
+  if (found == nullptr) return fallback;
+  std::string v = *found;
   std::transform(v.begin(), v.end(), v.begin(),
                  [](unsigned char ch) { return static_cast<char>(std::tolower(ch)); });
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw InvalidArgument("Config: '" + key + "' is not a bool: " + it->second);
+  throw InvalidArgument("Config: '" + key + "' is not a bool: " + *found);
 }
 
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, _] : values_) out.push_back(k);
-  return out;
+void Config::reject_unread() const {
+  std::string unread;
+  std::size_t count = 0;
+  for (const auto& [key, _] : values_) {
+    if (read_.count(key) > 0) continue;
+    unread += (count++ == 0 ? "'" : ", '") + key + "'";
+  }
+  if (count > 0) {
+    throw InvalidArgument(std::string("Config: unknown key") +
+                          (count > 1 ? "s " : " ") + unread);
+  }
 }
 
 }  // namespace vcdl

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.hpp"
-
 namespace vcdl {
 
 void RunningStats::add(double x) {
@@ -16,65 +14,11 @@ void RunningStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double quantile(std::vector<double> samples, double q) {
-  VCDL_CHECK(!samples.empty(), "quantile of empty sample");
-  VCDL_CHECK(q >= 0.0 && q <= 1.0, "quantile q out of [0,1]");
-  std::sort(samples.begin(), samples.end());
-  const double idx = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  VCDL_CHECK(hi > lo && buckets > 0, "Histogram: bad range or bucket count");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const auto b = static_cast<std::size_t>((x - lo_) / width_);
-    ++counts_[std::min(b, counts_.size() - 1)];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket + 1);
-}
 
 }  // namespace vcdl

@@ -60,26 +60,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto escape = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (const char ch : s) {
-      if (ch == '"') out += "\"\"";
-      else out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << escape(row[c]);
-    }
-    os << '\n';
-  };
-  emit_row(headers_);
-  for (const auto& row : rows_) emit_row(row);
-}
-
 }  // namespace vcdl

@@ -1,8 +1,7 @@
-// Console table / CSV emitters used by the paper-reproduction benches.
+// Console table emitter used by the paper-reproduction benches.
 //
 // Every bench binary prints the rows or series of the paper table/figure it
-// regenerates; Table renders them aligned for the terminal and can also dump
-// CSV so the curves can be re-plotted.
+// regenerates; Table renders them aligned for the terminal.
 #pragma once
 
 #include <iosfwd>
@@ -29,8 +28,6 @@ class Table {
 
   /// Aligned monospace rendering with a rule under the header.
   void print(std::ostream& os) const;
-  /// RFC-4180-ish CSV (fields containing commas/quotes are quoted).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -196,15 +196,6 @@ WireMode wire_mode_from_name(const std::string& name) {
                         "\" (expected full | delta | delta_q8)");
 }
 
-const char* wire_mode_name(WireMode mode) {
-  switch (mode) {
-    case WireMode::full: return "full";
-    case WireMode::delta: return "delta";
-    case WireMode::delta_q8: return "delta_q8";
-  }
-  return "?";
-}
-
 Blob delta_encode(std::span<const std::uint8_t> base,
                   std::span<const std::uint8_t> target) {
   // Serialized payloads carry variable-length headers before their float

@@ -49,7 +49,6 @@ enum class WireMode : std::uint8_t { full, delta, delta_q8 };
 /// Parses an `ExperimentSpec::wire_codec` knob ("full" | "delta" |
 /// "delta_q8"); throws InvalidArgument on anything else.
 WireMode wire_mode_from_name(const std::string& name);
-const char* wire_mode_name(WireMode mode);
 
 // --- Blob-level deltas (FileServer download path) ---------------------------
 

@@ -25,8 +25,4 @@ double evaluate_accuracy_subsample(Model& model, const Dataset& ds,
                                    ExecContext& ctx,
                                    std::size_t batch_size = 64);
 
-/// Mean cross-entropy loss on the dataset.
-double evaluate_loss(Model& model, const Dataset& ds, ExecContext& ctx,
-                     std::size_t batch_size = 64);
-
 }  // namespace vcdl

@@ -1,7 +1,5 @@
 #include "core/job.hpp"
 
-#include <limits>
-
 #include "common/error.hpp"
 
 namespace vcdl {
@@ -9,20 +7,6 @@ namespace vcdl {
 const EpochStats& TrainResult::final_epoch() const {
   VCDL_CHECK(!epochs.empty(), "TrainResult: no epochs recorded");
   return epochs.back();
-}
-
-std::size_t TrainResult::epochs_to_accuracy(double threshold) const {
-  for (const auto& e : epochs) {
-    if (e.mean_subtask_acc >= threshold) return e.epoch;
-  }
-  return 0;
-}
-
-SimTime TrainResult::time_to_accuracy(double threshold) const {
-  for (const auto& e : epochs) {
-    if (e.mean_subtask_acc >= threshold) return e.end_time;
-  }
-  return std::numeric_limits<SimTime>::infinity();
 }
 
 }  // namespace vcdl

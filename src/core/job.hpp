@@ -141,12 +141,6 @@ struct ExperimentSpec {
   /// bases before falling back to full blobs.
   std::size_t wire_version_ring = 8;
 
-  /// Periodic metrics-snapshot delivery period (virtual seconds); each tick
-  /// appends to TrainResult::metric_timeline. 0 (default) disables the hook
-  /// — and keeps the engine's event sequence identical to pre-obs builds, so
-  /// existing trace-digest goldens are unaffected.
-  SimTime metrics_snapshot_period_s = 0.0;
-
   std::uint64_t seed = 7;
   bool trace = false;
 
@@ -185,12 +179,6 @@ struct RunTotals {
   std::size_t parameter_count = 0;
 };
 
-/// One periodic metrics-snapshot delivery (spec.metrics_snapshot_period_s).
-struct MetricsSample {
-  SimTime time = 0.0;
-  obs::MetricsSnapshot snapshot;
-};
-
 struct TrainResult {
   ExperimentSpec spec;
   std::vector<EpochStats> epochs;
@@ -202,14 +190,8 @@ struct TrainResult {
   /// made, and nothing from any other run. Deterministic under same-seed
   /// replay: the telemetry oracle byte-compares to_json().
   obs::MetricsSnapshot metrics;
-  /// Periodic snapshots, when enabled; empty otherwise.
-  std::vector<MetricsSample> metric_timeline;
 
   const EpochStats& final_epoch() const;
-  /// First epoch whose mean accuracy reaches `threshold` (0 = never).
-  std::size_t epochs_to_accuracy(double threshold) const;
-  /// Virtual time at which `threshold` accuracy was first reached (inf if never).
-  SimTime time_to_accuracy(double threshold) const;
 };
 
 }  // namespace vcdl

@@ -120,7 +120,6 @@ class Run {
   void end_job();
   void sweep();
   void checkpoint_tick();
-  void snapshot_tick();
   void crash();
   void recover();
   void take_checkpoint();
@@ -296,10 +295,6 @@ TrainResult Run::finish() {
   for (const SimTime when : spec_.faults.server_crashes) {
     engine_.schedule_at(when, [this] { crash(); });
   }
-  if (spec_.metrics_snapshot_period_s > 0.0) {
-    engine_.schedule(spec_.metrics_snapshot_period_s,
-                     [this] { snapshot_tick(); });
-  }
   work_gen_.generate_epoch(1);
   for (auto& c : clients_) c->start();
   engine_.schedule(kTimeoutSweepPeriod, [this] { sweep(); });
@@ -381,7 +376,7 @@ void Run::end_job() {
   for (auto& c : clients_) c->stop();
 }
 
-// The three run ticks each reschedule themselves until the job ends, then
+// The two run ticks each reschedule themselves until the job ends, then
 // fire once more as a no-op so the engine drains.
 
 // Drives the BOINC deadline-reassignment loop.
@@ -400,16 +395,6 @@ void Run::checkpoint_tick() {
   trace_.record(engine_.now(), TraceKind::checkpoint_saved, "checkpointer",
                 "snapshot #" + std::to_string(snapshots_.value()));
   engine_.schedule(spec_.checkpoint_interval_s, [this] { checkpoint_tick(); });
-}
-
-// Appends a registry snapshot to the metrics timeline. It keeps ticking
-// across crashes: the telemetry pipeline is not the crashing process.
-void Run::snapshot_tick() {
-  if (!running_) return;
-  result_.metric_timeline.push_back(
-      MetricsSample{engine_.now(), metrics_.snapshot()});
-  engine_.schedule(spec_.metrics_snapshot_period_s,
-                   [this] { snapshot_tick(); });
 }
 
 // An injected grid-server crash; recovery replays the last checkpoint before

@@ -4,19 +4,10 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/span.hpp"
 #include "tensor/ops.hpp"
 
 namespace vcdl {
 namespace {
-
-// One wall-clock sample per im2col/col2im expansion, on the process
-// registry; concurrent observes from pool workers are safe (relaxed atomics).
-obs::Histogram& im2col_metric() {
-  static obs::Histogram& h =
-      obs::registry().histogram("exec.im2col_s", {0.0, 0.02, 40});
-  return h;
-}
 
 // Half-open range of output columns whose input column ix = ox + kx - pad
 // lands inside [0, w). Everything left of it is zero padding, everything
@@ -191,11 +182,8 @@ Tensor Conv2D::forward(const Tensor& x, ExecContext& ctx, bool training) {
     Tensor& y_mat = *y_mats[chunk];
     for (std::size_t bi = lo; bi < hi; ++bi) {
       Tensor& col = training ? cols_[bi] : *eval_cols[chunk];
-      {
-        obs::SpanTimer span(im2col_metric());
-        im2col(x.data() + bi * in_c_ * h * w, in_c_, h, w, kernel_, pad_, oh,
-               ow, col.data());
-      }
+      im2col(x.data() + bi * in_c_ * h * w, in_c_, h, w, kernel_, pad_, oh,
+             ow, col.data());
       ops::matmul(w_, col, y_mat);
       float* y_b = y.data() + bi * out_c_ * out_plane;
       const float* ym = y_mat.data();
@@ -262,7 +250,6 @@ void Conv2D::backward_into(const Tensor& grad_out, ExecContext& ctx,
       Tensor& dcol = *dcols[chunk];
       for (std::size_t bi = lo; bi < hi; ++bi) {
         ops::matmul_at_b(ops::view(w_), dy(bi), dcol);
-        obs::SpanTimer span(im2col_metric());
         col2im(dcol.data(), in_c_, last_h_, last_w_, kernel_, pad_, oh, ow,
                dx->data() + bi * in_c_ * last_h_ * last_w_);
       }

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -21,12 +20,6 @@ bool valid_metric_name(const std::string& name) {
 }
 
 }  // namespace
-
-void Gauge::add(double d) {
-  double cur = v_.load(std::memory_order_relaxed);
-  while (!v_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-  }
-}
 
 Histogram::Histogram(HistogramOptions options)
     : options_(options),
@@ -53,34 +46,6 @@ void Histogram::observe(double x) {
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
   }
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return options_.lo + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  return i + 1 == buckets_.size() ? options_.hi
-                                  : options_.lo + width_ * static_cast<double>(i + 1);
-}
-
-PercentileBracket Histogram::percentile_bracket(double q) const {
-  HistogramSnapshot snap;
-  snap.options = options_;
-  snap.buckets.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    snap.buckets.push_back(b.load(std::memory_order_relaxed));
-  }
-  snap.underflow = underflow();
-  snap.overflow = overflow();
-  snap.count = count();
-  snap.sum = sum();
-  return snap.percentile_bracket(q);
-}
-
-double Histogram::percentile(double q) const {
-  const PercentileBracket b = percentile_bracket(q);
-  return std::min(options_.hi, std::max(options_.lo, b.hi));
 }
 
 double WallTimeSource::now() const {
@@ -132,14 +97,6 @@ Histogram& Registry::histogram(const std::string& name,
                    "' re-registered with different bucket options");
   }
   return *it->second;
-}
-
-std::vector<std::string> Registry::counter_names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(counters_.size());
-  for (const auto& [name, _] : counters_) names.push_back(name);
-  return names;
 }
 
 const TimeSource* Registry::set_time_source(const TimeSource* source) {

@@ -4,7 +4,7 @@
 // transfer vs. compute, staleness vs. accuracy, preemption delay vs. price —
 // and BOINC ships server-side telemetry as a first-class subsystem. This
 // registry is VCDL's equivalent: named monotonic counters, gauges, and
-// fixed-bucket histograms, and a snapshot of them that exports to JSON/CSV
+// fixed-bucket histograms, and a snapshot of them that exports to JSON
 // (obs/snapshot.hpp). There are two kinds of registry:
 //
 //   * A run's registry. VcTrainer::run() builds one per run and passes it to
@@ -14,9 +14,9 @@
 //     clock, and its snapshot is TrainResult::metrics: a pure function of
 //     the run's seed (tests byte-compare snapshot JSON across same-seed
 //     runs), whatever else runs in the process.
-//   * The process registry, registry(). It holds the hot-path exec.* spans
-//     on the wall clock and the standalone benches' metrics, and never
-//     enters a TrainResult.
+//   * The process registry, registry(). Nothing under src/ records there;
+//     it is what perfbench/ installs a clock on. It never enters a
+//     TrainResult.
 //
 // Design constraints:
 //
@@ -25,9 +25,9 @@
 //      bucket increments). The registry mutex guards only name registration
 //      and snapshotting — never per-sample updates. Metrics are never
 //      deregistered, so handles stay valid for the registry's lifetime.
-//   2. *Thread-safe.* A registry is touched from pool workers (GEMM spans),
-//      client threads (store benches), the assimilator, and runs on other
-//      threads; ci/sanitize.sh runs tests/test_obs.cpp under TSan.
+//   2. *Thread-safe.* A registry may be touched from several threads at
+//      once, and runs on other threads own registries of their own;
+//      ci/sanitize.sh runs tests/test_obs.cpp under TSan.
 //
 // Naming convention (docs/OBSERVABILITY.md): "<component>.<metric>[_unit]",
 // lowercase, [a-z0-9._] only — enforced at registration.
@@ -56,11 +56,10 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-write-wins double gauge; add() is a CAS loop.
+/// Last-write-wins double gauge.
 class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double d);
   double value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -78,16 +77,9 @@ struct HistogramOptions {
                          const HistogramOptions&) = default;
 };
 
-/// The bucket edges guaranteed to contain a requested percentile: the exact
-/// nearest-rank sample lies in [lo, hi] by construction. Underflow samples
-/// yield lo = -infinity; overflow samples yield hi = +infinity.
-struct PercentileBracket {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Fixed-bucket histogram with percentile extraction. observe() is two
-/// relaxed atomic increments plus a CAS sum update — no locks.
+/// Fixed-bucket histogram. observe() is two relaxed atomic increments plus a
+/// CAS sum update — no locks. Percentiles are read from its snapshot
+/// (HistogramSnapshot, obs/snapshot.hpp).
 class Histogram {
  public:
   explicit Histogram(HistogramOptions options);
@@ -109,16 +101,6 @@ class Histogram {
   std::uint64_t overflow() const {
     return overflow_.load(std::memory_order_relaxed);
   }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
-  /// Nearest-rank percentile, q in [0, 1]: the bucket holding the
-  /// ceil(q·count)-th smallest sample. Empty histogram: {0, 0}.
-  PercentileBracket percentile_bracket(double q) const;
-  /// Scalar percentile estimate: the bracket's upper edge, clamped into
-  /// [lo, hi] so underflow/overflow never produce infinities (exporters
-  /// embed p50/p95/p99 in JSON).
-  double percentile(double q) const;
 
  private:
   HistogramOptions options_;
@@ -172,8 +154,6 @@ class Registry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, HistogramOptions options = {});
 
-  std::vector<std::string> counter_names() const;
-
   /// Current time from the installed source (wall clock by default).
   double now() const {
     return time_.load(std::memory_order_acquire)->now();
@@ -194,9 +174,8 @@ class Registry {
   std::atomic<const TimeSource*> time_;
 };
 
-/// The process registry: the wall-clock exec.* hot-path spans and the
-/// standalone benches. Run components never record here; they count into
-/// the registry their constructor is given.
+/// The process registry. Nothing under src/ records here: run components
+/// count into the registry their constructor is given.
 Registry& registry();
 
 /// RAII guard installing a time source on a registry for a scope; restores

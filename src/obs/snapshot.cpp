@@ -94,73 +94,9 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-std::string MetricsSnapshot::to_csv() const {
-  std::string out = "type,name,field,value\n";
-  for (const auto& [name, value] : counters) {
-    out += "counter," + name + ",," + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : gauges) {
-    out += "gauge," + name + ",," + fmt_double(value) + "\n";
-  }
-  for (const auto& [name, h] : histograms) {
-    out += "histogram," + name + ",count," + std::to_string(h.count) + "\n";
-    out += "histogram," + name + ",sum," + fmt_double(h.sum) + "\n";
-    out += "histogram," + name + ",underflow," + std::to_string(h.underflow) +
-           "\n";
-    out += "histogram," + name + ",overflow," + std::to_string(h.overflow) +
-           "\n";
-    out += "histogram," + name + ",p50," + fmt_double(h.percentile(0.50)) + "\n";
-    out += "histogram," + name + ",p95," + fmt_double(h.percentile(0.95)) + "\n";
-    out += "histogram," + name + ",p99," + fmt_double(h.percentile(0.99)) + "\n";
-  }
-  return out;
-}
-
 std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
   const auto it = counters.find(name);
   return it == counters.end() ? 0 : it->second;
-}
-
-MetricsSnapshot MetricsSnapshot::diff(const MetricsSnapshot& earlier) const {
-  MetricsSnapshot out;
-  for (const auto& [name, value] : counters) {
-    const auto it = earlier.counters.find(name);
-    const std::uint64_t base = it == earlier.counters.end() ? 0 : it->second;
-    VCDL_CHECK(value >= base,
-               "MetricsSnapshot::diff: counter '" + name + "' went backwards");
-    out.counters[name] = value - base;
-  }
-  out.gauges = gauges;
-  for (const auto& [name, h] : histograms) {
-    const auto it = earlier.histograms.find(name);
-    if (it == earlier.histograms.end()) {
-      out.histograms.emplace(name, h);
-      continue;
-    }
-    const HistogramSnapshot& base = it->second;
-    VCDL_CHECK(base.options == h.options,
-               "MetricsSnapshot::diff: histogram '" + name +
-                   "' bucket options changed");
-    HistogramSnapshot d;
-    d.options = h.options;
-    d.buckets.reserve(h.buckets.size());
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      VCDL_CHECK(h.buckets[i] >= base.buckets[i],
-                 "MetricsSnapshot::diff: histogram '" + name +
-                     "' bucket went backwards");
-      d.buckets.push_back(h.buckets[i] - base.buckets[i]);
-    }
-    VCDL_CHECK(h.underflow >= base.underflow && h.overflow >= base.overflow &&
-                   h.count >= base.count,
-               "MetricsSnapshot::diff: histogram '" + name +
-                   "' count went backwards");
-    d.underflow = h.underflow - base.underflow;
-    d.overflow = h.overflow - base.overflow;
-    d.count = h.count - base.count;
-    d.sum = h.sum - base.sum;
-    out.histograms.emplace(name, std::move(d));
-  }
-  return out;
 }
 
 std::uint64_t MetricsSnapshot::fingerprint() const { return fnv1a(to_json()); }

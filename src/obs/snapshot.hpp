@@ -3,7 +3,7 @@
 // A MetricsSnapshot is a plain value: copyable, comparable, and serializable
 // with byte-stable output — map-ordered keys and shortest-round-trip double
 // formatting (std::to_chars), so two snapshots with identical metric values
-// produce identical JSON/CSV bytes. The deterministic-telemetry test suite
+// produce identical JSON bytes. The deterministic-telemetry test suite
 // (tests/test_obs.cpp, tests/test_trace_replay.cpp) leans on that: same-seed
 // simulation runs must export byte-identical snapshots.
 #pragma once
@@ -17,6 +17,14 @@
 
 namespace vcdl::obs {
 
+/// The bucket edges guaranteed to contain a requested percentile: the exact
+/// nearest-rank sample lies in [lo, hi] by construction. Underflow samples
+/// yield lo = -infinity; overflow samples yield hi = +infinity.
+struct PercentileBracket {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
 /// Frozen copy of one histogram's state.
 struct HistogramSnapshot {
   HistogramOptions options;
@@ -26,9 +34,12 @@ struct HistogramSnapshot {
   std::uint64_t count = 0;
   double sum = 0.0;
 
-  /// Same nearest-rank semantics as Histogram::percentile_bracket.
+  /// Nearest-rank percentile, q in [0, 1]: the bucket holding the
+  /// ceil(q·count)-th smallest sample. Empty histogram: {0, 0}.
   PercentileBracket percentile_bracket(double q) const;
-  /// Upper bracket edge clamped into [lo, hi] (see Histogram::percentile).
+  /// Scalar percentile estimate: the bracket's upper edge, clamped into
+  /// [lo, hi] so underflow/overflow never produce infinities (to_json
+  /// embeds p50/p95/p99).
   double percentile(double q) const;
   double mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
@@ -50,16 +61,6 @@ struct MetricsSnapshot {
   /// Deterministic JSON: sorted keys, shortest-round-trip doubles, embedded
   /// p50/p95/p99 per histogram. Byte-identical for identical values.
   std::string to_json() const;
-  /// Deterministic CSV: "type,name,field,value" rows, one scalar per row;
-  /// histograms export count/sum/underflow/overflow/p50/p95/p99.
-  std::string to_csv() const;
-
-  /// Interval view `this − earlier`: counters and histogram bucket counts
-  /// subtract (this must be the later snapshot of the same registry);
-  /// gauges keep this snapshot's value (a gauge is a level, not a flow).
-  /// Histogram sums subtract as doubles — exact for integral-valued sums,
-  /// last-ulp approximate otherwise.
-  MetricsSnapshot diff(const MetricsSnapshot& earlier) const;
 
   /// Order-sensitive FNV-1a over the JSON bytes — the one-word identity the
   /// trace-replay suite folds alongside TraceDigest.

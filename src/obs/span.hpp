@@ -1,16 +1,14 @@
 // RAII span timers over a registry's time source (vcdl::obs).
 //
 // A SpanTimer reads Registry::now() at construction and records the elapsed
-// time into a duration histogram at destruction. The hot-path spans (GEMM,
-// im2col) record into the process registry on its wall clock, inside
-// simulated runs too; a run's own registry holds no span, because nothing in
-// it reads a clock (obs/metrics.hpp).
+// time into a duration histogram at destruction. Nothing under src/ times a
+// span: a run's own registry reads no clock (obs/metrics.hpp). perfbench/
+// times its probes with it.
 //
 // Usage — cache the histogram handle once, time each call:
 //
-//   static obs::Histogram& h =
-//       obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
-//   obs::SpanTimer span(h);
+//   obs::Histogram& h = reg.histogram("probe.call_s", {0.0, 0.05, 50});
+//   obs::SpanTimer span(h, reg);
 #pragma once
 
 #include "obs/metrics.hpp"

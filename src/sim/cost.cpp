@@ -13,12 +13,6 @@ void CostLedger::add_usage(const InstanceType& instance, SimTime seconds) {
   usage_.push_back(Usage{instance, seconds});
 }
 
-double CostLedger::total_instance_hours() const {
-  double h = 0.0;
-  for (const auto& u : usage_) h += u.seconds / 3600.0;
-  return h;
-}
-
 double CostLedger::standard_cost_usd() const {
   double usd = 0.0;
   for (const auto& u : usage_) usd += u.type.hourly_usd * u.seconds / 3600.0;

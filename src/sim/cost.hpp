@@ -18,7 +18,6 @@ class CostLedger {
   /// Registers usage of `instance` for `seconds` of simulated time.
   void add_usage(const InstanceType& instance, SimTime seconds);
 
-  double total_instance_hours() const;
   /// Fleet cost at standard (on-demand) prices.
   double standard_cost_usd() const;
   /// Fleet cost at preemptible prices (per-type discounts applied).

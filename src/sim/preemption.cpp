@@ -1,6 +1,5 @@
 #include "sim/preemption.hpp"
 
-#include <cmath>
 #include <limits>
 
 namespace vcdl {
@@ -10,11 +9,6 @@ SimTime PreemptionProcess::sample_next(Rng& rng) const {
     return std::numeric_limits<SimTime>::infinity();
   }
   return rng.exponential(interruptions_per_hour / 3600.0);
-}
-
-double PreemptionProcess::interruption_probability(double hours) const {
-  if (interruptions_per_hour <= 0.0) return 0.0;
-  return 1.0 - std::exp(-interruptions_per_hour * hours);
 }
 
 double BinomialDelayModel::slots() const {
@@ -29,14 +23,8 @@ double BinomialDelayModel::expected_timeouts() const {
   return slots() * termination_probability;
 }
 
-SimTime BinomialDelayModel::base_time() const { return slots() * avg_exec_s; }
-
 SimTime BinomialDelayModel::expected_increase() const {
   return expected_timeouts() * timeout_s;
-}
-
-SimTime BinomialDelayModel::expected_total() const {
-  return base_time() + expected_increase();
 }
 
 }  // namespace vcdl

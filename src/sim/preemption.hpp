@@ -20,9 +20,6 @@ struct PreemptionProcess {
 
   /// Time until the next interruption (exponential), or +inf when rate == 0.
   SimTime sample_next(Rng& rng) const;
-
-  /// P(at least one interruption within an interval of `hours`).
-  double interruption_probability(double hours) const;
 };
 
 /// The paper's §IV-E analytic model.
@@ -31,19 +28,14 @@ struct BinomialDelayModel {
   std::size_t clients = 5;                 // n_c
   std::size_t subtasks_per_client = 2;     // n_tc
   double termination_probability = 0.05;   // p
-  SimTime avg_exec_s = 144.0;              // t_e (≤ 2.4 min in the paper)
   SimTime timeout_s = 300.0;               // t_o (5 min in the paper)
 
   /// n = n_s / (n_c × n_tc): the number of slots that can accrue a timeout.
   double slots() const;
   /// Expected number of timed-out slots, n·p.
   double expected_timeouts() const;
-  /// Expected training time without preemptions, n·t_e.
-  SimTime base_time() const;
   /// Expected increase in training time, n·p·t_o.
   SimTime expected_increase() const;
-  /// Total expected training time, n·t_e + n·p·t_o.
-  SimTime expected_total() const;
 };
 
 }  // namespace vcdl

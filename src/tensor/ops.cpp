@@ -3,21 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/span.hpp"
 #include "tensor/gemm_kernels.hpp"
 
 namespace vcdl::ops {
 namespace {
-
-// A hot-path span on the process registry's wall clock, so it records real
-// kernel times wherever a GEMM runs, simulated runs included; a run's own
-// registry and its fingerprint never see it. Resolved once —
-// obs::registry() never invalidates references.
-obs::Histogram& gemm_metric() {
-  static obs::Histogram& h =
-      obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
-  return h;
-}
 
 void check_same_size(std::span<const float> a, std::span<const float> b,
                      const char* what) {
@@ -90,7 +79,6 @@ void matmul(MatView a, MatView b, Tensor& c, bool accumulate) {
   const std::size_t n = b.cols;
   if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
   if (!accumulate) c.fill(0.0f);
-  obs::SpanTimer span(gemm_metric());
   // Broadcast-A kernel: row-major B already is the panel it reads, so
   // nothing is repacked.
   detail::kernels_for(active_simd_tier())
@@ -113,7 +101,6 @@ void matmul_at_b(MatView a, MatView b, Tensor& c, bool accumulate) {
   const std::size_t n = b.cols;
   if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
   if (!accumulate) c.fill(0.0f);
-  obs::SpanTimer span(gemm_metric());
   // Same broadcast kernel as matmul with transposed A strides: A(i,k) =
   // a[k*m + i]. Per C element the k-terms still accumulate in ascending
   // order, so hoisting i outside k (the old loop nested k outermost) is
@@ -139,7 +126,6 @@ void matmul_a_bt(MatView a, MatView b, Tensor& c, bool accumulate) {
   const std::size_t n = b.rows;
   if (!(c.shape() == Shape{m, n})) c = Tensor(Shape{m, n});
   if (!accumulate) c.fill(0.0f);
-  obs::SpanTimer span(gemm_metric());
   const detail::GemmKernels& kn = detail::kernels_for(active_simd_tier());
   // Vector tiers read B^T through a width-4 packed panel, packed once per
   // call into this thread's scratch.

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace vcdl {
 namespace {
+
+Config parse(std::initializer_list<const char*> tokens) {
+  std::vector<const char*> argv = {"prog"};
+  argv.insert(argv.end(), tokens);
+  return Config::from_args(static_cast<int>(argv.size()), argv.data());
+}
 
 TEST(Config, FromArgsParsesKeyValues) {
   const char* argv[] = {"prog", "alpha=0.95", "clients=5", "store=redis"};
@@ -20,15 +30,6 @@ TEST(Config, FromArgsRejectsBareToken) {
   EXPECT_THROW(Config::from_args(2, argv), InvalidArgument);
 }
 
-TEST(Config, FromStringWithCommentsAndNewlines) {
-  const Config cfg = Config::from_string(
-      "a=1 b=2\n# full line comment\nc=3 # trailing comment d=4\n");
-  EXPECT_EQ(cfg.get_int("a", 0), 1);
-  EXPECT_EQ(cfg.get_int("b", 0), 2);
-  EXPECT_EQ(cfg.get_int("c", 0), 3);
-  EXPECT_FALSE(cfg.has("d"));
-}
-
 TEST(Config, FallbacksForMissingKeys) {
   const Config cfg;
   EXPECT_EQ(cfg.get_string("x", "def"), "def");
@@ -38,8 +39,8 @@ TEST(Config, FallbacksForMissingKeys) {
 }
 
 TEST(Config, BoolVariants) {
-  const Config cfg = Config::from_string(
-      "a=true b=FALSE c=1 d=0 e=Yes f=no g=on h=off");
+  const Config cfg = parse(
+      {"a=true", "b=FALSE", "c=1", "d=0", "e=Yes", "f=no", "g=on", "h=off"});
   EXPECT_TRUE(cfg.get_bool("a", false));
   EXPECT_FALSE(cfg.get_bool("b", true));
   EXPECT_TRUE(cfg.get_bool("c", false));
@@ -51,33 +52,47 @@ TEST(Config, BoolVariants) {
 }
 
 TEST(Config, TypeErrorsThrow) {
-  const Config cfg = Config::from_string("n=abc f=1.2.3 b=maybe");
+  const Config cfg = parse({"n=abc", "f=1.2.3", "b=maybe"});
   EXPECT_THROW(cfg.get_int("n", 0), InvalidArgument);
   EXPECT_THROW(cfg.get_double("f", 0.0), InvalidArgument);
   EXPECT_THROW(cfg.get_bool("b", false), InvalidArgument);
 }
 
 TEST(Config, IntWithTrailingGarbageThrows) {
-  const Config cfg = Config::from_string("n=12x");
+  const Config cfg = parse({"n=12x"});
   EXPECT_THROW(cfg.get_int("n", 0), InvalidArgument);
 }
 
 TEST(Config, LaterValueWins) {
-  const Config cfg = Config::from_string("k=1 k=2");
+  const Config cfg = parse({"k=1", "k=2"});
   EXPECT_EQ(cfg.get_int("k", 0), 2);
 }
 
 TEST(Config, ValueMayContainEquals) {
-  const Config cfg = Config::from_string("expr=a=b");
+  const Config cfg = parse({"expr=a=b"});
   EXPECT_EQ(cfg.get_string("expr", ""), "a=b");
 }
 
-TEST(Config, KeysSorted) {
-  const Config cfg = Config::from_string("z=1 a=2 m=3");
-  const auto keys = cfg.keys();
-  ASSERT_EQ(keys.size(), 3u);
-  EXPECT_EQ(keys[0], "a");
-  EXPECT_EQ(keys[2], "z");
+// A key that no getter read is one the program does not know.
+TEST(Config, RejectUnreadNamesEveryUnreadKey) {
+  const Config cfg = parse({"epochs=2", "json=out.json", "nosuchkey=1",
+                            "epoch=4"});
+  EXPECT_EQ(cfg.get_int("epochs", 1), 2);
+  EXPECT_EQ(cfg.get_string("json", ""), "out.json");
+  EXPECT_FALSE(cfg.get_bool("smoke", false));  // absent keys need no value
+  try {
+    cfg.reject_unread();
+    ADD_FAILURE() << "two unread keys accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'nosuchkey'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'epoch'"), std::string::npos) << what;
+    EXPECT_EQ(what.find("epochs"), std::string::npos) << what;
+    EXPECT_EQ(what.find("json"), std::string::npos) << what;
+  }
+  (void)cfg.get_string("nosuchkey", "");
+  (void)cfg.get_int("epoch", 0);
+  EXPECT_NO_THROW(cfg.reject_unread());
 }
 
 }  // namespace

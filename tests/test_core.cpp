@@ -138,8 +138,6 @@ TEST(Eval, AccuracyBoundsAndDeterminism) {
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
   EXPECT_DOUBLE_EQ(acc, evaluate_accuracy(m, data.validation, ctx));
-  const double loss = evaluate_loss(m, data.validation, ctx);
-  EXPECT_GT(loss, 0.0);
 }
 
 TEST(Eval, SubsampleMatchesFullWhenLarge) {

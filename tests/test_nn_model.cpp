@@ -1,7 +1,10 @@
 #include "nn/model.hpp"
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,7 +16,6 @@
 #include "nn/model_io.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/optimizer.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 
 namespace vcdl {
@@ -229,26 +231,64 @@ void backward_with_input_grad(Model& m, const Tensor& grad_out) {
   }
 }
 
-// One compute_gradients on `model`, and one step with the input gradient on
-// a copy of it. Expects every gradient equal bit for bit, and returns how
-// many more exec.gemm_s and exec.im2col_s samples the copy's step recorded.
-std::pair<std::uint64_t, std::uint64_t> input_grad_spans(
-    Model& model, const Tensor& x, const std::vector<std::uint16_t>& labels) {
+// Wraps a layer and logs each backward call made into it, by layer kind.
+class RecordingLayer final : public Layer {
+ public:
+  RecordingLayer(std::unique_ptr<Layer> inner, std::vector<std::string>& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  Tensor forward(const Tensor& x, ExecContext& ctx, bool training) override {
+    return inner_->forward(x, ctx, training);
+  }
+  Tensor backward(const Tensor& grad_out, ExecContext& ctx) override {
+    log_.push_back(inner_->kind() + ".backward");
+    return inner_->backward(grad_out, ctx);
+  }
+  void backward_params(const Tensor& grad_out, ExecContext& ctx) override {
+    log_.push_back(inner_->kind() + ".backward_params");
+    inner_->backward_params(grad_out, ctx);
+  }
+  std::vector<Tensor*> params() override { return inner_->params(); }
+  std::vector<Tensor*> grads() override { return inner_->grads(); }
+  std::string kind() const override { return inner_->kind(); }
+  void write_spec(BinaryWriter& w) const override { inner_->write_spec(w); }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<RecordingLayer>(inner_->clone(), log_);
+  }
+
+ private:
+  std::unique_ptr<Layer> inner_;
+  std::vector<std::string>& log_;
+};
+
+// One compute_gradients on a copy of `model` whose layers up to and
+// including the first with parameters record their backward calls, and one
+// step with every input gradient on another copy. Expects every gradient
+// equal bit for bit, and returns the recorded calls in order.
+std::vector<std::string> first_layers_backward_calls(
+    const Model& model, const Tensor& x,
+    const std::vector<std::uint16_t>& labels) {
+  std::vector<std::string> log;
+  std::vector<std::unique_ptr<Layer>> layers;
+  bool seen_params = false;
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    std::unique_ptr<Layer> layer = model.layer(i).clone();
+    if (!seen_params) {
+      seen_params = !layer->params().empty();
+      layer = std::make_unique<RecordingLayer>(std::move(layer), log);
+    }
+    layers.push_back(std::move(layer));
+  }
+  Model recorded(std::move(layers));
+  (void)compute_gradients(recorded, x, labels, serial_exec_context());
+
   Model full = model;
-  const obs::Histogram& gemm =
-      obs::registry().histogram("exec.gemm_s", {0.0, 0.05, 50});
-  const obs::Histogram& im2col =
-      obs::registry().histogram("exec.im2col_s", {0.0, 0.02, 40});
-  const std::uint64_t g0 = gemm.count(), i0 = im2col.count();
-  (void)compute_gradients(model, x, labels, serial_exec_context());
-  const std::uint64_t g1 = gemm.count(), i1 = im2col.count();
   const Tensor logits = full.forward(x, serial_exec_context(), true);
   const auto loss = softmax_cross_entropy(logits, labels);
   full.zero_grads();
   backward_with_input_grad(full, loss.grad);
-  const std::uint64_t g2 = gemm.count(), i2 = im2col.count();
 
-  const auto gs = model.grads();
+  const auto gs = recorded.grads();
   const auto gf = full.grads();
   EXPECT_EQ(gs.size(), gf.size());
   for (std::size_t t = 0; t < std::min(gs.size(), gf.size()); ++t) {
@@ -257,22 +297,21 @@ std::pair<std::uint64_t, std::uint64_t> input_grad_spans(
               0)
         << "grad tensor " << t;
   }
-  return {(g2 - g1) - (g1 - g0), (i2 - i1) - (i1 - i0)};
+  return log;
 }
 
-// The stem conv's input gradient is one matmul_at_b and one col2im per item.
+// The stem conv is the first layer with parameters: its parameter gradients
+// only, so no dX GEMM and no col2im.
 TEST(Model, BackwardSkipsTheStemConvInputGradient) {
-  constexpr std::size_t kBatch = 6;
   Model m = make_resnet_lite({}, 3);
   Rng rng(4);
-  const Tensor x = Tensor::randn(Shape{kBatch, 3, 12, 12}, rng);
+  const Tensor x = Tensor::randn(Shape{6, 3, 12, 12}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 3, 4, 5};
-  const auto [gemms, im2cols] = input_grad_spans(m, x, labels);
-  EXPECT_EQ(gemms, kBatch);
-  EXPECT_EQ(im2cols, kBatch);
+  EXPECT_EQ(first_layers_backward_calls(m, x, labels),
+            std::vector<std::string>{"conv2d.backward_params"});
 }
 
-// The MLP's first Dense skips its dX GEMM (and its Flatten is not called).
+// The MLP's first Dense skips its dX GEMM, and its Flatten is not called.
 TEST(Model, BackwardSkipsTheFirstDenseInputGradient) {
   MlpSpec spec;
   spec.inputs = 12;
@@ -282,9 +321,8 @@ TEST(Model, BackwardSkipsTheFirstDenseInputGradient) {
   Rng rng(6);
   const Tensor x = Tensor::randn(Shape{4, 3, 2, 2}, rng);
   const std::vector<std::uint16_t> labels = {0, 1, 2, 0};
-  const auto [gemms, im2cols] = input_grad_spans(m, x, labels);
-  EXPECT_EQ(gemms, 1u);
-  EXPECT_EQ(im2cols, 0u);
+  EXPECT_EQ(first_layers_backward_calls(m, x, labels),
+            std::vector<std::string>{"dense.backward_params"});
 }
 
 }  // namespace

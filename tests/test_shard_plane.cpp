@@ -7,8 +7,8 @@
 // plane must reproduce them bit for bit — TraceDigest, metrics-snapshot
 // fingerprint and published parameters alike. Goldens of the same kind pin
 // the bundled (2 and 4 shards), consensus and chaos paths, adversaries that
-// attack only some results, the periodic metrics timeline, and preemption
-// with two crashes replayed from checkpoints. Mutation checks
+// attack only some results, and preemption with two crashes replayed from
+// checkpoints. Mutation checks
 // flip the core/test_hooks.hpp sabotage flags and require the oracles to
 // fail, which proves they have teeth. The rest of the suite covers the
 // slicing edge cases, the cross-shard blend property (concatenated
@@ -441,43 +441,6 @@ TEST(ShardPlane, PartialAttackRunsMatchGoldens) {
     expect_golden(g.plane, fingerprint_of(spec, &r));
     EXPECT_EQ(r.metrics.counter("faults.byzantine_result"), g.attacks)
         << g.plane.codec << " shards=" << g.plane.shards;
-  }
-}
-
-// chaos_spec with a 60 s metrics-snapshot period. `timeline` hashes each
-// sample's time bits and snapshot fingerprint, in order.
-struct TimelineGolden {
-  PlaneGolden plane;
-  std::size_t samples;
-  std::uint64_t timeline;
-};
-constexpr TimelineGolden kTimelineGoldens[] = {
-    {{"full", "eventual", 1, 0x0d74dc78527b723dULL, 0xa7987157218528caULL,
-      0x3696e0e6d92a22cdULL, 186},
-     16, 0x7bea58ccc536f929ULL},
-    {{"delta", "eventual", 2, 0x20df38cf64913c49ULL, 0x75dab7948c2532a7ULL,
-      0x94afeccd95c49b03ULL, 195},
-     18, 0xa9ec9cb9e06cd712ULL},
-};
-
-std::uint64_t timeline_hash(const std::vector<MetricsSample>& timeline) {
-  std::uint64_t h = 0;
-  for (const MetricsSample& sample : timeline) {
-    std::uint64_t time_bits = 0;
-    std::memcpy(&time_bits, &sample.time, sizeof time_bits);
-    h = mix64(mix64(h, time_bits), sample.snapshot.fingerprint());
-  }
-  return h;
-}
-
-TEST(ShardPlane, ChaosTimelinesMatchGoldens) {
-  for (const TimelineGolden& g : kTimelineGoldens) {
-    ExperimentSpec spec = chaos_spec(g.plane);
-    spec.metrics_snapshot_period_s = 60.0;
-    TrainResult r;
-    expect_golden(g.plane, fingerprint_of(spec, &r));
-    EXPECT_EQ(r.metric_timeline.size(), g.samples) << g.plane.codec;
-    EXPECT_EQ(timeline_hash(r.metric_timeline), g.timeline) << g.plane.codec;
   }
 }
 

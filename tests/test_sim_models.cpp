@@ -151,7 +151,6 @@ TEST(Preemption, DisabledProcessNeverFires) {
   PreemptionProcess p;  // rate 0
   Rng rng(1);
   EXPECT_TRUE(std::isinf(p.sample_next(rng)));
-  EXPECT_DOUBLE_EQ(p.interruption_probability(100.0), 0.0);
 }
 
 TEST(Preemption, ExponentialInterarrivalMean) {
@@ -164,29 +163,18 @@ TEST(Preemption, ExponentialInterarrivalMean) {
   EXPECT_NEAR(sum / n, 1800.0, 50.0);  // mean = 1/rate = 0.5 h
 }
 
-TEST(Preemption, ProbabilityMatchesPoisson) {
-  PreemptionProcess p;
-  p.interruptions_per_hour = 0.05;
-  EXPECT_NEAR(p.interruption_probability(1.0), 1 - std::exp(-0.05), 1e-12);
-}
-
 TEST(BinomialDelayModel, PaperNumbersP5C5T2) {
   // §IV-E: n_c=5, n_tc=2, n_s=2000, t_e ≤ 2.4 min, t_o = 5 min.
   BinomialDelayModel m;
   EXPECT_DOUBLE_EQ(m.slots(), 200.0);
-  // p = 0.05 ⇒ expected increase 200·0.05·300 s = 50 min.
+  // p = 0.05 ⇒ 200·0.05 = 10 timeouts, an expected increase of
+  // 10·300 s = 50 min.
   m.termination_probability = 0.05;
+  EXPECT_DOUBLE_EQ(m.expected_timeouts(), 10.0);
   EXPECT_NEAR(m.expected_increase() / 60.0, 50.0, 1e-9);
   // p = 0.20 ⇒ 200 min.
   m.termination_probability = 0.20;
   EXPECT_NEAR(m.expected_increase() / 60.0, 200.0, 1e-9);
-}
-
-TEST(BinomialDelayModel, TotalsAddUp) {
-  BinomialDelayModel m;
-  m.termination_probability = 0.1;
-  EXPECT_DOUBLE_EQ(m.expected_total(), m.base_time() + m.expected_increase());
-  EXPECT_DOUBLE_EQ(m.expected_timeouts(), 20.0);
 }
 
 TEST(CostLedger, UsageAndSavings) {
@@ -198,7 +186,6 @@ TEST(CostLedger, UsageAndSavings) {
   EXPECT_NEAR(ledger.standard_cost_usd(), 13.4, 0.1);
   EXPECT_NEAR(ledger.preemptible_cost_usd(), 4.0, 0.1);
   EXPECT_NEAR(ledger.savings_fraction(), 0.70, 0.01);
-  EXPECT_NEAR(ledger.total_instance_hours(), 40.0, 1e-9);
 }
 
 TEST(CostLedger, AccumulatesPerInstance) {

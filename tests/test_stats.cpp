@@ -1,11 +1,6 @@
 #include "common/stats.hpp"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
-
-#include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace vcdl {
 namespace {
@@ -25,7 +20,6 @@ TEST(RunningStats, KnownValues) {
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(RunningStats, SingleSampleVarianceIsZero) {
@@ -33,74 +27,6 @@ TEST(RunningStats, SingleSampleVarianceIsZero) {
   s.add(3.0);
   EXPECT_EQ(s.variance(), 0.0);
   EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, MergeEqualsCombined) {
-  Rng rng(9);
-  RunningStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i % 3 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
-}
-
-TEST(Quantile, EndpointsAndMedian) {
-  std::vector<double> v = {5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 3.0);
-}
-
-TEST(Quantile, Interpolates) {
-  std::vector<double> v = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.5);
-}
-
-TEST(Quantile, RejectsBadInput) {
-  EXPECT_THROW(quantile({}, 0.5), Error);
-  EXPECT_THROW(quantile({1.0}, 1.5), Error);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bucket 0
-  h.add(1.99);   // bucket 0
-  h.add(5.0);    // bucket 2
-  h.add(9.999);  // bucket 4
-  h.add(10.0);   // overflow (hi is exclusive)
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(2), 6.0);
-}
-
-TEST(Histogram, RejectsBadRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), Error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
 }
 
 }  // namespace

@@ -35,18 +35,6 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_NE(out.find("----"), std::string::npos);  // header rule
 }
 
-TEST(Table, CsvEscapesSpecials) {
-  Table t({"a", "b"});
-  t.add_row({"plain", "with,comma"});
-  t.add_row({"quote\"inside", "multi\nline"});
-  std::ostringstream os;
-  t.print_csv(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(out.find("\"quote\"\"inside\""), std::string::npos);
-  EXPECT_NE(out.find("\"multi\nline\""), std::string::npos);
-}
-
 TEST(Table, FmtDouble) {
   EXPECT_EQ(Table::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(Table::fmt(2.0, 4), "2.0000");
@@ -55,14 +43,6 @@ TEST(Table, FmtDouble) {
 TEST(Table, FmtIntegers) {
   EXPECT_EQ(Table::fmt(std::size_t{42}), "42");
   EXPECT_EQ(Table::fmt(-7ll), "-7");
-}
-
-TEST(Table, CsvHeaderFirst) {
-  Table t({"h1", "h2"});
-  t.add_row({"r", "s"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str().substr(0, 5), "h1,h2");
 }
 
 }  // namespace

@@ -47,11 +47,10 @@ std::vector<float> nudge(Rng& rng, const std::vector<float>& base,
 
 // --- Mode names --------------------------------------------------------------
 
-TEST(WireMode, NamesRoundTripAndBadNameThrows) {
-  for (const WireMode m :
-       {WireMode::full, WireMode::delta, WireMode::delta_q8}) {
-    EXPECT_EQ(wire_mode_from_name(wire_mode_name(m)), m);
-  }
+TEST(WireMode, NamesParseAndBadNameThrows) {
+  EXPECT_EQ(wire_mode_from_name("full"), WireMode::full);
+  EXPECT_EQ(wire_mode_from_name("delta"), WireMode::delta);
+  EXPECT_EQ(wire_mode_from_name("delta_q8"), WireMode::delta_q8);
   EXPECT_THROW(wire_mode_from_name("gzip"), InvalidArgument);
   EXPECT_THROW(wire_mode_from_name(""), InvalidArgument);
 }
